@@ -1,7 +1,7 @@
 //! Delta-driven `while` evaluation (DESIGN.md, "Delta-driven `while`
 //! evaluation").
 //!
-//! A `while` body that passes [`crate::optimize::body_is_delta_safe`] is a
+//! A `while` body that passes [`body_is_delta_safe`] is a
 //! straight line of *ground* assignments over *pure, deterministic*
 //! operations: each statement's read set (its argument names) and write
 //! set (its target name) are known statically, and re-running it against
@@ -42,11 +42,46 @@ use crate::eval::{
 use crate::obs::metrics::Metrics;
 use crate::obs::trace::{DeltaDecision, SpanKind};
 use crate::ops;
-
+use crate::plan::read_set;
 use crate::pool::LazyPool;
 use crate::program::{Assignment, OpKind, Statement};
 use std::collections::{HashMap, HashSet};
-use tabular_core::{Database, Symbol, Table};
+use tabular_core::{Database, Symbol, SymbolSet, Table};
+
+/// True when a `while` body is eligible for delta-driven evaluation
+/// (see [`crate::eval::WhileStrategy`]).
+///
+/// The delta engine skips a statement when none of its inputs changed
+/// since its last execution, which is sound exactly when re-execution
+/// would be a no-op. That requires:
+///
+/// * **ground parameters throughout** — targets, arguments, and nested
+///   conditions all denote fixed names (reuses the same `read_set`
+///   machinery as the planner), so each statement's read and write
+///   sets are known statically;
+/// * **no fresh tagging** — `TUPLENEW` / `SETNEW` invent new tags on
+///   every execution, so skipping a re-run changes the result (the
+///   paper's determinacy-up-to-tag-isomorphism, §3.5, does not survive
+///   accumulation across iterations);
+/// * **no nested loops** — an inner `while` is not a pure function of
+///   its read set's versions (its own iteration count varies), so only
+///   straight-line bodies qualify.
+///
+/// Everything else in the algebra is a pure, deterministic function of
+/// its arguments, so this is broader than a monotone-operations
+/// whitelist: even non-monotone bodies (difference, transpose, switch)
+/// are delta-safe, because skipping is keyed on *versions*, not on
+/// growth.
+pub(crate) fn body_is_delta_safe(body: &[Statement]) -> bool {
+    let mut reads = SymbolSet::new();
+    if read_set(body, &mut reads).is_none() {
+        return false;
+    }
+    body.iter().all(|s| match s {
+        Statement::While { .. } => false,
+        Statement::Assign(a) => !matches!(a.op, OpKind::TupleNew { .. } | OpKind::SetNew { .. }),
+    })
+}
 
 /// How a committed assignment changed its target's table group.
 enum Change {
@@ -789,7 +824,8 @@ fn plan_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{run_with_stats, EvalLimits, WhileStrategy};
+    use crate::eval::{run_governed_traced, EvalLimits, WhileStrategy};
+    use crate::governor::Budget;
     use crate::parser::parse;
 
     fn limits(strategy: WhileStrategy) -> EvalLimits {
@@ -857,10 +893,19 @@ mod tests {
     #[test]
     fn fused_join_closure_agrees_with_unfused_on_both_strategies() {
         let db = chain(8);
-        let (reference, _) =
-            run_with_stats(&tc_program(), &db, &limits(WhileStrategy::Naive)).unwrap();
+        let (reference, _, _) = run_governed_traced(
+            &tc_program(),
+            &db,
+            &Budget::from_limits(&limits(WhileStrategy::Naive)),
+        )
+        .unwrap();
         for strategy in [WhileStrategy::Naive, WhileStrategy::Delta] {
-            let (out, stats) = run_with_stats(&fused_tc_program(), &db, &limits(strategy)).unwrap();
+            let (out, stats, _) = run_governed_traced(
+                &fused_tc_program(),
+                &db,
+                &Budget::from_limits(&limits(strategy)),
+            )
+            .unwrap();
             assert_eq!(
                 reference.table_str("TC").unwrap(),
                 out.table_str("TC").unwrap(),
@@ -872,8 +917,12 @@ mod tests {
         // The delta strategy must take the incremental join path, not
         // re-probe from scratch: the fused statement re-executes each
         // iteration (its left operand grows), yet the join stays fused.
-        let (_, stats) =
-            run_with_stats(&fused_tc_program(), &db, &limits(WhileStrategy::Delta)).unwrap();
+        let (_, stats, _) = run_governed_traced(
+            &fused_tc_program(),
+            &db,
+            &Budget::from_limits(&limits(WhileStrategy::Delta)),
+        )
+        .unwrap();
         assert!(stats.while_delta_skipped > 0);
         assert_eq!(
             stats.join_fused as u64,
@@ -897,8 +946,10 @@ mod tests {
             threads: 2,
             ..serial
         };
-        let (reference, ref_stats) = run_with_stats(&fused_tc_program(), &db, &serial).unwrap();
-        let (out, stats) = run_with_stats(&fused_tc_program(), &db, &part).unwrap();
+        let (reference, ref_stats, _) =
+            run_governed_traced(&fused_tc_program(), &db, &Budget::from_limits(&serial)).unwrap();
+        let (out, stats, _) =
+            run_governed_traced(&fused_tc_program(), &db, &Budget::from_limits(&part)).unwrap();
         assert_eq!(
             reference.table_str("TC").unwrap(),
             out.table_str("TC").unwrap()
@@ -918,8 +969,12 @@ mod tests {
     fn delta_and_naive_agree_on_transitive_closure() {
         let p = tc_program();
         let db = chain(8);
-        let (naive, _) = run_with_stats(&p, &db, &limits(WhileStrategy::Naive)).unwrap();
-        let (delta, stats) = run_with_stats(&p, &db, &limits(WhileStrategy::Delta)).unwrap();
+        let (naive, _, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(WhileStrategy::Naive)))
+                .unwrap();
+        let (delta, stats, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(WhileStrategy::Delta)))
+                .unwrap();
         assert_eq!(
             naive.table_str("TC").unwrap(),
             delta.table_str("TC").unwrap()
@@ -944,8 +999,12 @@ mod tests {
         // memoized output shape.
         let p = tc_program();
         let db = chain(8);
-        let (_, naive) = run_with_stats(&p, &db, &limits(WhileStrategy::Naive)).unwrap();
-        let (_, delta) = run_with_stats(&p, &db, &limits(WhileStrategy::Delta)).unwrap();
+        let (_, naive, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(WhileStrategy::Naive)))
+                .unwrap();
+        let (_, delta, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(WhileStrategy::Delta)))
+                .unwrap();
         assert!(delta.while_delta_skipped > 0, "skips actually exercised");
         assert_eq!(naive.while_iterations, delta.while_iterations);
         assert_eq!(
@@ -962,7 +1021,6 @@ mod tests {
 
     #[test]
     fn traced_delta_run_labels_skips_and_iterations() {
-        use crate::eval::run_traced;
         use crate::obs::trace::{DeltaDecision, SpanKind, TraceLevel};
 
         let p = tc_program();
@@ -972,7 +1030,7 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (_, stats, trace) = run_traced(&p, &db, &l).unwrap();
+        let (_, stats, trace) = run_governed_traced(&p, &db, &Budget::from_limits(&l)).unwrap();
         assert_eq!(trace.dropped(), 0);
         // Spans reconcile with stats: same per-op wall time (skips are 0),
         // and one delta-skipped span per counted skip.
@@ -1010,7 +1068,9 @@ mod tests {
         )
         .unwrap();
         let db = Database::from_tables([Table::relational("W", &["A"], &[&["1"]])]);
-        let (_, stats) = run_with_stats(&p, &db, &limits(WhileStrategy::Delta)).unwrap();
+        let (_, stats, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(WhileStrategy::Delta)))
+                .unwrap();
         assert_eq!(stats.while_fallback_naive, 1);
         assert_eq!(stats.while_delta_skipped, 0);
     }
@@ -1028,7 +1088,9 @@ mod tests {
             Table::relational("W", &["A"], &[&["1"]]),
             Table::relational("S", &["A"], &[&["0"]]),
         ]);
-        let (out, stats) = run_with_stats(&p, &db, &limits(WhileStrategy::Delta)).unwrap();
+        let (out, stats, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(WhileStrategy::Delta)))
+                .unwrap();
         assert_eq!(out.table_str("S").unwrap().height(), 2);
         assert_eq!(out.table_str("W").unwrap().height(), 0);
         assert_eq!(stats.while_fallback_naive, 0);
@@ -1064,8 +1126,18 @@ mod tests {
                 Table::relational("W3", &["K"], &[&["go3"]]),
             ])
         };
-        let (naive, _) = run_with_stats(&p, &mk(), &limits(WhileStrategy::Naive)).unwrap();
-        let (delta, stats) = run_with_stats(&p, &mk(), &limits(WhileStrategy::Delta)).unwrap();
+        let (naive, _, _) = run_governed_traced(
+            &p,
+            &mk(),
+            &Budget::from_limits(&limits(WhileStrategy::Naive)),
+        )
+        .unwrap();
+        let (delta, stats, _) = run_governed_traced(
+            &p,
+            &mk(),
+            &Budget::from_limits(&limits(WhileStrategy::Delta)),
+        )
+        .unwrap();
         assert_eq!(stats.delta_dirty_sizes.len(), 3, "three iterations");
         assert!(stats.while_delta_skipped > 0);
         for name in ["P", "Q", "V", "R", "W", "W2", "W3", "G", "N"] {
@@ -1100,8 +1172,18 @@ mod tests {
                 Table::relational("W3", &["K"], &[&["go3"]]),
             ])
         };
-        let (naive, _) = run_with_stats(&p, &mk(), &limits(WhileStrategy::Naive)).unwrap();
-        let (delta, stats) = run_with_stats(&p, &mk(), &limits(WhileStrategy::Delta)).unwrap();
+        let (naive, _, _) = run_governed_traced(
+            &p,
+            &mk(),
+            &Budget::from_limits(&limits(WhileStrategy::Naive)),
+        )
+        .unwrap();
+        let (delta, stats, _) = run_governed_traced(
+            &p,
+            &mk(),
+            &Budget::from_limits(&limits(WhileStrategy::Delta)),
+        )
+        .unwrap();
         assert_eq!(stats.while_fallback_naive, 0);
         assert_eq!(naive.table_str("S").unwrap(), delta.table_str("S").unwrap());
         assert_eq!(delta.table_str("S").unwrap().height(), 2);
@@ -1128,7 +1210,9 @@ mod tests {
             Table::relational("W2", &["K"], &[&["go2"]]),
             Table::relational("W3", &["K"], &[&["go3"]]),
         ]);
-        let (out, stats) = run_with_stats(&p, &db, &limits(WhileStrategy::Delta)).unwrap();
+        let (out, stats, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(WhileStrategy::Delta)))
+                .unwrap();
         assert_eq!(out.table_str("P").unwrap().height(), 1);
         // Three iterations; S and P both skip in iterations 2 and 3.
         assert!(stats.while_delta_skipped >= 4, "{stats:?}");
@@ -1142,7 +1226,9 @@ mod tests {
         // the handful of replace-committed tables, not the product size.
         let p = tc_program();
         let db = chain(8);
-        let (_, stats) = run_with_stats(&p, &db, &limits(WhileStrategy::Delta)).unwrap();
+        let (_, stats, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(WhileStrategy::Delta)))
+                .unwrap();
         // The run snapshots once up front; every other snapshot/CoW event
         // would indicate an accidental deep copy on the hot path. We
         // assert the loose process-wide bound only (parallel tests share

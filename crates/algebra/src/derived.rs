@@ -189,7 +189,8 @@ impl Emitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{run, EvalLimits};
+    use crate::eval::run_governed_traced;
+    use crate::governor::Budget;
     use tabular_core::{Database, Symbol, Table};
 
     #[test]
@@ -198,7 +199,9 @@ mod tests {
         let src = Symbol::name("R");
         let one = e.one_row(src);
         let db = Database::from_tables([Table::relational("R", &["A"], &[&["1"], &["2"], &["3"]])]);
-        let out = run(&e.into_program(), &db, &EvalLimits::default()).unwrap();
+        let out = run_governed_traced(&e.into_program(), &db, &Budget::default())
+            .unwrap()
+            .0;
         let t = out.table(one).unwrap();
         assert_eq!(t.height(), 1);
         assert_eq!(t.width(), 0);
@@ -211,7 +214,9 @@ mod tests {
         let one = e.one_row(Symbol::name("R"));
         let c = e.constant(Symbol::name("Widget"), Symbol::name("Entry"), one);
         let db = Database::from_tables([Table::relational("R", &["A"], &[&["1"]])]);
-        let out = run(&e.into_program(), &db, &EvalLimits::default()).unwrap();
+        let out = run_governed_traced(&e.into_program(), &db, &Budget::default())
+            .unwrap()
+            .0;
         let t = out.table(c).unwrap();
         assert_eq!(t.height(), 1);
         assert_eq!(t.width(), 1);
@@ -228,7 +233,9 @@ mod tests {
         let one = e.one_row(Symbol::name("R"));
         let _c = e.constant(Symbol::name("R"), Symbol::name("Entry"), one);
         let db = Database::from_tables([Table::relational("R", &["A"], &[&["1"]])]);
-        let out = run(&e.into_program(), &db, &EvalLimits::default()).unwrap();
+        let out = run_governed_traced(&e.into_program(), &db, &Budget::default())
+            .unwrap()
+            .0;
         // R is gone (replaced transiently, then left behind by the switch
         // statement's rename of the result).
         assert!(
@@ -248,7 +255,7 @@ mod tests {
         let p = e.into_program();
         assert_eq!(p.len(), 2);
         let db = Database::from_tables([Table::relational("T", &["A"], &[&["1"]])]);
-        let out = run(&p, &db, &EvalLimits::default()).unwrap();
+        let out = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
         assert_eq!(out.table_str("T").unwrap().height(), 0);
     }
 

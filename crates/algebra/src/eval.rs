@@ -39,7 +39,7 @@ pub enum WhileStrategy {
     /// last execution; recompute append-grown products, selections, and
     /// projections incrementally. Falls back to [`WhileStrategy::Naive`]
     /// per loop when the body is not provably delta-safe (see
-    /// `optimize::body_is_delta_safe`). Results are identical to naive
+    /// `delta::body_is_delta_safe`). Results are identical to naive
     /// evaluation: skipping is exact, not merely fixpoint-safe.
     #[default]
     Delta,
@@ -83,7 +83,7 @@ pub struct EvalLimits {
     pub while_strategy: WhileStrategy,
     /// Observability level: `Off` (no timing), `Counters` (per-op stats,
     /// the default), or `Spans` (stats plus the structured trace
-    /// returned by [`run_traced`]).
+    /// returned by [`run_governed_traced`]).
     pub trace: TraceLevel,
 }
 
@@ -103,7 +103,7 @@ impl Default for EvalLimits {
     }
 }
 
-/// Execution statistics collected by [`run_with_stats`]: how often each
+/// Execution statistics returned by [`run_governed_traced`]: how often each
 /// operation ran, the wall time it took, and the shape of what it
 /// produced — the observability hook behind the benchmark analyses in
 /// EXPERIMENTS.md.
@@ -178,9 +178,9 @@ pub struct EvalStats {
     /// Same measurement caveat as [`EvalStats::snapshots`].
     pub cow_copies: u64,
     /// Statements of the submitted program removed, replaced, or moved by
-    /// the cost-based planner before execution (`run_planned*` entry
-    /// points only; 0 on unplanned runs). Deterministic in the program
-    /// and catalog, so Naive and Delta agree.
+    /// the cost-based planner before execution (set by
+    /// [`run_planned_governed_traced`]; 0 on unplanned runs).
+    /// Deterministic in the program and catalog, so Naive and Delta agree.
     pub plans_rewritten: usize,
     /// Planner rule applications recorded while planning the submitted
     /// program ([`crate::plan::PlanReport::rules_applied`]; 0 on
@@ -201,50 +201,18 @@ impl EvalStats {
     }
 }
 
-/// Evaluate a program against a database, returning the final database
-/// (input tables plus every table produced, with overwritten names
-/// replaced).
-pub fn run(program: &Program, db: &Database, limits: &EvalLimits) -> Result<Database> {
-    Ok(run_with_stats(program, db, limits)?.0)
-}
-
-/// Like [`run`], additionally returning per-operation execution
-/// statistics.
-pub fn run_with_stats(
-    program: &Program,
-    db: &Database,
-    limits: &EvalLimits,
-) -> Result<(Database, EvalStats)> {
-    let (state, stats, _) = run_traced(program, db, limits)?;
-    Ok((state, stats))
-}
-
-/// Like [`run_with_stats`], additionally returning the structured
-/// evaluation trace. The trace is empty unless `limits.trace` is
-/// [`TraceLevel::Spans`]; see [`crate::obs`] for the span schema and
-/// [`crate::pretty::render_trace`] for the `EXPLAIN ANALYZE`-style view.
-pub fn run_traced(
-    program: &Program,
-    db: &Database,
-    limits: &EvalLimits,
-) -> Result<(Database, EvalStats, Trace)> {
-    run_governed_traced(program, db, &Budget::from_limits(limits))
-}
-
-/// Evaluate a program under a [`Budget`]: the static limits plus a
-/// wall-clock deadline, a cumulative cell budget, and cooperative
-/// cancellation. On a budget trip the returned
+/// Evaluate a program against a database under a [`Budget`]: the static
+/// [`EvalLimits`] plus a wall-clock deadline, a cumulative cell budget,
+/// and cooperative cancellation. Returns the final database (input tables
+/// plus every table produced, with overwritten names replaced), the
+/// per-operation statistics, and the structured trace (empty unless
+/// `limits.trace` is [`TraceLevel::Spans`]; see [`crate::obs`] for the
+/// span schema and [`crate::pretty::render_trace`] for the
+/// `EXPLAIN ANALYZE`-style view). On a budget trip the returned
 /// [`AlgebraError::BudgetExceeded`] carries the partial stats and trace
-/// (see [`crate::governor`]).
-pub fn run_governed(program: &Program, db: &Database, budget: &Budget) -> Result<Database> {
-    Ok(run_governed_traced(program, db, budget)?.0)
-}
-
-/// Like [`run_governed`], additionally returning the statistics and the
-/// structured trace of the successful run. This is the single underlying
-/// entry point: the plain `run*` functions delegate here with
-/// [`Budget::from_limits`], so governed and ungoverned evaluation share
-/// one code path.
+/// (see [`crate::governor`]). For an ungoverned run pass
+/// [`Budget::from_limits`]; to keep only the named outputs of a
+/// transformation (paper §3.6), [`Database::retain`] the result.
 pub fn run_governed_traced(
     program: &Program,
     db: &Database,
@@ -290,35 +258,11 @@ pub fn run_governed_traced(
     }
 }
 
-/// Plan a program against the database with the cost-based planner
-/// ([`crate::plan::plan`]) and evaluate the planned form. Semantically
-/// identical to [`run`] up to fresh-tag renumbering (oracle-checked by
-/// `planner_on_and_off_agree`).
-pub fn run_planned(program: &Program, db: &Database, limits: &EvalLimits) -> Result<Database> {
-    Ok(run_planned_traced(program, db, limits)?.0)
-}
-
-/// Like [`run_planned`], additionally returning statistics (with the
-/// `plans_rewritten` / `plan_rules_applied` counters filled in) and the
-/// structured trace.
-pub fn run_planned_traced(
-    program: &Program,
-    db: &Database,
-    limits: &EvalLimits,
-) -> Result<(Database, EvalStats, Trace)> {
-    let (state, stats, trace, _) =
-        run_planned_governed_traced(program, db, &Budget::from_limits(limits))?;
-    Ok((state, stats, trace))
-}
-
-/// Like [`run_governed`], but planning first.
-pub fn run_planned_governed(program: &Program, db: &Database, budget: &Budget) -> Result<Database> {
-    Ok(run_planned_governed_traced(program, db, budget)?.0)
-}
-
-/// The full planned entry point: plan, evaluate under the budget, and
-/// return the result with statistics, trace, and the planner's decision
-/// report (for EXPLAIN rendering — see `crate::pretty::render_plan`).
+/// Like [`run_governed_traced`], but the program is first planned against
+/// the database with the cost-based planner ([`crate::plan::plan`]).
+/// Semantically identical up to fresh-tag renumbering (oracle-checked by
+/// `planner_on_and_off_agree`). Also returns the planner's decision
+/// report (for EXPLAIN rendering — see [`crate::pretty::render_plan`]).
 /// The planner counters are stamped into the statistics on success *and*
 /// into the partial statistics carried by a budget trip.
 pub fn run_planned_governed_traced(
@@ -388,22 +332,6 @@ fn prepend_plan_spans(trace: &mut Trace, report: &crate::plan::PlanReport) {
     }
 }
 
-/// Evaluate a program and project the result onto the given output names
-/// (paper §3.6: "the names of output tables should be specified as part of
-/// the program, when simulating transformations").
-pub fn run_outputs(
-    program: &Program,
-    db: &Database,
-    outputs: &[Symbol],
-    limits: &EvalLimits,
-) -> Result<Database> {
-    let full = run(program, db, limits)?;
-    let keep: SymbolSet = outputs.iter().copied().collect();
-    let mut out = full;
-    out.retain(|t| keep.contains(t.name()));
-    Ok(out)
-}
-
 /// The evaluation context threaded through the interpreter: the static
 /// limits plus the run's governor. `Copy` so it passes by value through
 /// the recursion, and `Send + Sync` (shared references to `Sync` state)
@@ -431,7 +359,7 @@ pub(crate) fn run_statements(
                 let name = denote_target(cond, &Bindings::new())
                     .map_err(|_| AlgebraError::BadWhileCondition)?;
                 let delta = cx.limits.while_strategy == WhileStrategy::Delta;
-                if delta && crate::optimize::body_is_delta_safe(body) {
+                if delta && crate::delta::body_is_delta_safe(body) {
                     crate::delta::run_delta_while(name, body, db, cx, metrics, pool)?;
                     continue;
                 }
@@ -1061,8 +989,8 @@ mod tests {
         Symbol::name(x)
     }
 
-    fn limits() -> EvalLimits {
-        EvalLimits::default()
+    fn budget() -> Budget {
+        Budget::default()
     }
 
     #[test]
@@ -1093,7 +1021,8 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (out, stats, trace) = run_planned_traced(&p, &db, &limits).unwrap();
+        let (out, stats, trace, _) =
+            run_planned_governed_traced(&p, &db, &Budget::from_limits(&limits)).unwrap();
         assert!(out.table_str("Out").is_some());
         assert_eq!(stats.plan_rules_applied, 1);
         assert_eq!(stats.plans_rewritten, 2);
@@ -1124,7 +1053,9 @@ mod tests {
             },
             vec![Param::name("Sales")],
         );
-        let out = run(&p, &fixtures::sales_info1(), &limits()).unwrap();
+        let out = run_governed_traced(&p, &fixtures::sales_info1(), &budget())
+            .unwrap()
+            .0;
         assert_eq!(out.len(), 1);
         assert_eq!(
             out.table_str("Sales").unwrap(),
@@ -1141,7 +1072,9 @@ mod tests {
             },
             vec![Param::name("Sales")],
         );
-        let out = run(&p, &fixtures::sales_info1(), &limits()).unwrap();
+        let out = run_governed_traced(&p, &fixtures::sales_info1(), &budget())
+            .unwrap()
+            .0;
         assert_eq!(out.tables_named(nm("Sales")).len(), 4);
         assert!(out.equiv(&fixtures::sales_info4()));
     }
@@ -1155,7 +1088,9 @@ mod tests {
             },
             vec![Param::name("Sales")],
         );
-        let out = run(&p, &fixtures::sales_info4(), &limits()).unwrap();
+        let out = run_governed_traced(&p, &fixtures::sales_info4(), &budget())
+            .unwrap()
+            .0;
         let c = out.table_str("C").unwrap();
         // One column block (Region, Part, Sold) per input table.
         assert_eq!(c.width(), 12);
@@ -1168,7 +1103,7 @@ mod tests {
         // *₁ ← TRANSPOSE(*₁): transpose every table in place.
         let p = Program::new().assign(Param::star_k(1), OpKind::Transpose, vec![Param::star_k(1)]);
         let db = fixtures::sales_info1_full();
-        let out = run(&p, &db, &limits()).unwrap();
+        let out = run_governed_traced(&p, &db, &budget()).unwrap().0;
         assert_eq!(out.len(), db.len());
         for t in db.tables() {
             let flipped = out
@@ -1191,7 +1126,7 @@ mod tests {
             OpKind::ClassicalUnion,
             vec![Param::name("R"), Param::name("S")],
         );
-        let out = run(&p, &db, &limits()).unwrap();
+        let out = run_governed_traced(&p, &db, &budget()).unwrap().0;
         let t = out.table_str("T").unwrap();
         assert_eq!(t.height(), 2);
         assert_eq!(t.width(), 1);
@@ -1204,7 +1139,7 @@ mod tests {
             Table::relational("T", &["Old"], &[&["x"]]),
         ]);
         let p = Program::new().assign(Param::name("T"), OpKind::Copy, vec![Param::name("R")]);
-        let out = run(&p, &db, &limits()).unwrap();
+        let out = run_governed_traced(&p, &db, &budget()).unwrap().0;
         let t = out.table_str("T").unwrap();
         assert_eq!(t.col_attrs(), &[nm("A")]);
     }
@@ -1221,7 +1156,7 @@ mod tests {
             vec![Param::name("T"), Param::name("T")],
         );
         let p = Program::new().while_nonempty(Param::name("T"), body);
-        let out = run(&p, &db, &limits()).unwrap();
+        let out = run_governed_traced(&p, &db, &budget()).unwrap().0;
         assert_eq!(out.table_str("T").unwrap().height(), 0);
     }
 
@@ -1235,7 +1170,7 @@ mod tests {
             ..EvalLimits::default()
         };
         assert!(matches!(
-            run(&p, &db, &small),
+            run_governed_traced(&p, &db, &Budget::from_limits(&small)),
             Err(AlgebraError::LimitExceeded { .. })
         ));
     }
@@ -1247,7 +1182,7 @@ mod tests {
             Param::name("Nope"),
             Program::new().assign(Param::name("X"), OpKind::Copy, vec![Param::name("Nope")]),
         );
-        let out = run(&p, &db, &limits()).unwrap();
+        let out = run_governed_traced(&p, &db, &budget()).unwrap().0;
         assert!(out.is_empty());
     }
 
@@ -1255,13 +1190,13 @@ mod tests {
     fn arity_mismatch_is_reported() {
         let p = Program::new().assign(Param::name("T"), OpKind::Union, vec![Param::name("R")]);
         assert!(matches!(
-            run(&p, &Database::new(), &limits()),
+            run_governed_traced(&p, &Database::new(), &budget()),
             Err(AlgebraError::Arity { .. })
         ));
     }
 
     #[test]
-    fn run_outputs_projects_named_results() {
+    fn retain_projects_named_results() {
         let db = fixtures::sales_info1();
         let p = Program::new()
             .assign(
@@ -1274,7 +1209,8 @@ mod tests {
                 OpKind::Copy,
                 vec![Param::name("Scratch")],
             );
-        let out = run_outputs(&p, &db, &[nm("Out")], &limits()).unwrap();
+        let mut out = run_governed_traced(&p, &db, &budget()).unwrap().0;
+        out.retain(|t| t.name() == nm("Out"));
         assert_eq!(out.len(), 1);
         assert!(out.table_str("Out").is_some());
     }
@@ -1297,8 +1233,12 @@ mod tests {
             parallel_threshold: usize::MAX,
             ..EvalLimits::default()
         };
-        let a = run(&p, &db, &parallel).unwrap();
-        let b = run(&p, &db, &sequential).unwrap();
+        let a = run_governed_traced(&p, &db, &Budget::from_limits(&parallel))
+            .unwrap()
+            .0;
+        let b = run_governed_traced(&p, &db, &Budget::from_limits(&sequential))
+            .unwrap()
+            .0;
         assert_eq!(a.len(), b.len());
         assert!(a.equiv(&b));
     }
@@ -1315,7 +1255,7 @@ mod tests {
             ..EvalLimits::default()
         };
         assert!(matches!(
-            run(&p, &db, &limits),
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits)),
             Err(AlgebraError::LimitExceeded { .. })
         ));
     }
@@ -1330,7 +1270,7 @@ mod tests {
         .unwrap();
         let mut db = fixtures::sales_info1();
         db.insert(Table::relational("Work", &["A"], &[&["1"]]));
-        let (_, stats) = run_with_stats(&p, &db, &limits()).unwrap();
+        let (_, stats, _) = run_governed_traced(&p, &db, &budget()).unwrap();
         assert_eq!(stats.op_counts.get("GROUP"), Some(&1));
         assert_eq!(stats.op_counts.get("CLEANUP"), Some(&1));
         assert_eq!(stats.op_counts.get("DIFFERENCE"), Some(&1));
@@ -1378,7 +1318,7 @@ mod tests {
                 while_strategy: strategy,
                 ..EvalLimits::default()
             };
-            let (_, stats) = run_with_stats(&p, &db, &l).unwrap();
+            let (_, stats, _) = run_governed_traced(&p, &db, &Budget::from_limits(&l)).unwrap();
             let op_sum: u128 = stats.op_micros.values().sum();
             assert!(
                 op_sum <= stats.total_micros,
@@ -1402,7 +1342,7 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (_, stats, trace) = run_traced(&p, &db, &l).unwrap();
+        let (_, stats, trace) = run_governed_traced(&p, &db, &Budget::from_limits(&l)).unwrap();
         assert_eq!(trace.dropped(), 0);
         assert_eq!(
             trace.per_op_micros(),
@@ -1420,7 +1360,8 @@ mod tests {
             trace: TraceLevel::Off,
             ..EvalLimits::default()
         };
-        let (_, stats, trace) = run_traced(&p, &fixtures::sales_info1(), &l).unwrap();
+        let (_, stats, trace) =
+            run_governed_traced(&p, &fixtures::sales_info1(), &Budget::from_limits(&l)).unwrap();
         assert!(trace.is_empty());
         assert!(stats.op_micros.is_empty());
         assert_eq!(stats.op_counts.get("COPY"), Some(&1));
@@ -1441,12 +1382,13 @@ mod tests {
             parallel_threshold: threshold,
             ..EvalLimits::default()
         };
-        let (_, at) = run_with_stats(&p, &mk(threshold), &l).unwrap();
+        let (_, at, _) = run_governed_traced(&p, &mk(threshold), &Budget::from_limits(&l)).unwrap();
         assert!(
             at.shard_jobs > 0,
             "exactly threshold matches dispatch to the pool"
         );
-        let (_, below) = run_with_stats(&p, &mk(threshold - 1), &l).unwrap();
+        let (_, below, _) =
+            run_governed_traced(&p, &mk(threshold - 1), &Budget::from_limits(&l)).unwrap();
         assert_eq!(below.shard_jobs, 0, "threshold - 1 matches stay serial");
     }
 
@@ -1467,12 +1409,12 @@ mod tests {
                 parallel_threshold: threshold,
                 ..EvalLimits::default()
             };
-            let (_, one) = run_with_stats(&p, &mk(1), &l).unwrap();
+            let (_, one, _) = run_governed_traced(&p, &mk(1), &Budget::from_limits(&l)).unwrap();
             assert_eq!(
                 one.shard_jobs, 0,
                 "threshold {threshold}: a single match stays serial"
             );
-            let (_, two) = run_with_stats(&p, &mk(2), &l).unwrap();
+            let (_, two, _) = run_governed_traced(&p, &mk(2), &Budget::from_limits(&l)).unwrap();
             assert!(
                 two.shard_jobs > 0,
                 "threshold {threshold}: two matches fan out"
@@ -1489,14 +1431,14 @@ mod tests {
             (0..6).map(|i| Table::relational(&format!("T{i}"), &["A"], &[&["v"]])),
         );
         let p = crate::parser::parse("*1 <- TRANSPOSE(*1)").unwrap();
-        let (reference, base) = run_with_stats(&p, &db, &EvalLimits::default()).unwrap();
+        let (reference, base, _) = run_governed_traced(&p, &db, &Budget::default()).unwrap();
         assert_eq!(base.shard_jobs, 0, "6 < default threshold stays serial");
         let l = EvalLimits {
             parallel_threshold: 2,
             threads: 1,
             ..EvalLimits::default()
         };
-        let (out, stats) = run_with_stats(&p, &db, &l).unwrap();
+        let (out, stats, _) = run_governed_traced(&p, &db, &Budget::from_limits(&l)).unwrap();
         assert!(stats.shard_jobs > 0, "sharded path taken: {stats:?}");
         assert!(out.equiv(&reference));
     }
@@ -1540,8 +1482,10 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (reference, ref_stats, _) = run_traced(&p, &db, &serial_limits).unwrap();
-        let (out, stats, trace) = run_traced(&p, &db, &part_limits).unwrap();
+        let (reference, ref_stats, _) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&serial_limits)).unwrap();
+        let (out, stats, trace) =
+            run_governed_traced(&p, &db, &Budget::from_limits(&part_limits)).unwrap();
         let t = reference.table_str("T").unwrap();
         assert_eq!(t, out.table_str("T").unwrap(), "byte-identical output");
         assert_eq!(ref_stats.partitioned_joins, 0);
@@ -1566,9 +1510,9 @@ mod tests {
         let t_cells = (t.height() + 1) * (t.width() + 1);
         for l in [&serial_limits, &part_limits] {
             let ok = Budget::from_limits(l).with_cell_budget(t_cells);
-            run_governed(&p, &db, &ok).unwrap();
+            run_governed_traced(&p, &db, &ok).unwrap();
             let trip = Budget::from_limits(l).with_cell_budget(t_cells - 1);
-            let err = run_governed(&p, &db, &trip).unwrap_err();
+            let err = run_governed_traced(&p, &db, &trip).unwrap_err();
             assert!(matches!(err, AlgebraError::BudgetExceeded { .. }), "{err}");
         }
     }
@@ -1584,7 +1528,9 @@ mod tests {
             },
             vec![Param::name("Sales")],
         );
-        let once = run(&p, &fixtures::sales_info1(), &limits()).unwrap();
+        let once = run_governed_traced(&p, &fixtures::sales_info1(), &budget())
+            .unwrap()
+            .0;
         assert_eq!(once.tables_named(nm("Sales")).len(), 4);
     }
 }

@@ -12,7 +12,7 @@
 //! unqualified results land in the designated local member.
 
 use crate::error::{AlgebraError, Result};
-use crate::eval::{run, run_governed_traced, run_traced, EvalLimits, EvalStats};
+use crate::eval::{run_governed_traced, EvalStats};
 use crate::governor::Budget;
 use crate::obs::trace::Trace;
 use crate::program::Program;
@@ -103,40 +103,14 @@ impl Federation {
         fed
     }
 
-    /// Run a tabular algebra program over the federation: flatten, run,
-    /// route results back. `local` names the member receiving unqualified
-    /// results.
+    /// Run a tabular algebra program over the federation under `budget`:
+    /// flatten, run, route results back. `local` names the member
+    /// receiving unqualified results. Also returns the execution
+    /// statistics and structured trace of the underlying run over the
+    /// flattened database (spans name the qualified tables). On a trip
+    /// the returned [`AlgebraError::BudgetExceeded`] carries the partial
+    /// stats and trace of the flattened run.
     pub fn run_program(
-        &self,
-        program: &Program,
-        local: &str,
-        limits: &EvalLimits,
-    ) -> Result<Federation> {
-        let flat = self.flatten();
-        let out = run(program, &flat, limits)?;
-        Ok(Federation::unflatten(&out, local))
-    }
-
-    /// Like [`Federation::run_program`], additionally returning the
-    /// execution statistics and structured trace of the underlying run
-    /// over the flattened database (spans name the qualified tables).
-    pub fn run_program_traced(
-        &self,
-        program: &Program,
-        local: &str,
-        limits: &EvalLimits,
-    ) -> Result<(Federation, EvalStats, Trace)> {
-        let flat = self.flatten();
-        let (out, stats, trace) = run_traced(program, &flat, limits)?;
-        Ok((Federation::unflatten(&out, local), stats, trace))
-    }
-
-    /// Like [`Federation::run_program_traced`], but governed by a
-    /// [`Budget`]: the run over the flattened database honors the
-    /// budget's deadline, run-cell allowance, and cancellation token.
-    /// On a trip the returned [`AlgebraError::BudgetExceeded`] carries
-    /// the partial stats and trace of the flattened run.
-    pub fn run_program_governed(
         &self,
         program: &Program,
         local: &str,
@@ -147,25 +121,6 @@ impl Federation {
         Ok((Federation::unflatten(&out, local), stats, trace))
     }
 
-    /// Like [`Federation::run_program_governed`], but the flattened
-    /// program goes through the cost-based planner first
-    /// ([`crate::plan::plan`] reads statistics off the flattened
-    /// database's qualified tables), and the planner's decision report
-    /// is returned alongside the run artifacts. A budget trip carries
-    /// partial stats/trace with the plan counters stamped, exactly as
-    /// [`crate::eval::run_planned_governed_traced`] does.
-    pub fn run_program_planned(
-        &self,
-        program: &Program,
-        local: &str,
-        budget: &Budget,
-    ) -> Result<(Federation, EvalStats, Trace, crate::plan::PlanReport)> {
-        let flat = self.flatten();
-        let (out, stats, trace, report) =
-            crate::eval::run_planned_governed_traced(program, &flat, budget)?;
-        Ok((Federation::unflatten(&out, local), stats, trace, report))
-    }
-
     /// Run `program` against every member *independently* (each member
     /// sees only its own unqualified tables), splitting `budget` evenly
     /// across members with [`Budget::split`]: each member's run gets
@@ -174,7 +129,7 @@ impl Federation {
     /// is cancelled — so if a caller runs members concurrently against
     /// clones of the split budget, sibling runs stop cooperatively —
     /// and the tripping member's error is returned.
-    pub fn run_each_governed(&self, program: &Program, budget: &Budget) -> Result<Federation> {
+    pub fn run_each(&self, program: &Program, budget: &Budget) -> Result<Federation> {
         let n = self.members.len().max(1);
         let per_site = budget.split(n);
         let mut out = Federation::new();
@@ -208,11 +163,12 @@ pub fn qualified(member: &str, table: &Table) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{run_planned_governed_traced, EvalLimits};
     use crate::parser::parse;
     use tabular_core::fixtures;
 
-    fn limits() -> EvalLimits {
-        EvalLimits::default()
+    fn budget() -> Budget {
+        Budget::default()
     }
 
     fn two_branch_federation() -> Federation {
@@ -256,7 +212,7 @@ mod tests {
         // branch sales into a warehouse member.
         let fed = two_branch_federation();
         let p = parse("warehouse.Sales <- CLASSICALUNION(east.Sales, west.Sales)").unwrap();
-        let out = fed.run_program(&p, "main", &limits()).unwrap();
+        let out = fed.run_program(&p, "main", &budget()).unwrap().0;
         let warehouse = out.member("warehouse").unwrap();
         let merged = warehouse.table_str("Sales").unwrap();
         assert_eq!(merged.height(), 4);
@@ -272,7 +228,7 @@ mod tests {
         let mut fed = Federation::new();
         fed.insert("hq", fixtures::sales_info1());
         let p = parse("mirror.Sales <- SPLIT[on {Region}](hq.Sales)").unwrap();
-        let out = fed.run_program(&p, "main", &limits()).unwrap();
+        let out = fed.run_program(&p, "main", &budget()).unwrap().0;
         let mirror = out.member("mirror").unwrap();
         assert!(mirror.equiv(&fixtures::sales_info4()));
     }
@@ -281,7 +237,7 @@ mod tests {
     fn unqualified_results_go_to_the_local_member() {
         let fed = two_branch_federation();
         let p = parse("Combined <- UNION(east.Sales, west.Sales)").unwrap();
-        let out = fed.run_program(&p, "scratchpad", &limits()).unwrap();
+        let out = fed.run_program(&p, "scratchpad", &budget()).unwrap().0;
         assert!(out
             .member("scratchpad")
             .unwrap()
@@ -294,7 +250,7 @@ mod tests {
         let fed = two_branch_federation();
         // Transpose every table of every member in place.
         let p = parse("*1 <- TRANSPOSE(*1)").unwrap();
-        let out = fed.run_program(&p, "main", &limits()).unwrap();
+        let out = fed.run_program(&p, "main", &budget()).unwrap().0;
         for member in ["east", "west"] {
             let db = out.member(member).unwrap();
             let t = db.table_str("Sales").unwrap();
@@ -313,7 +269,9 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (out, stats, trace) = fed.run_program_traced(&p, "main", &traced).unwrap();
+        let (out, stats, trace) = fed
+            .run_program(&p, "main", &Budget::from_limits(&traced))
+            .unwrap();
         assert!(out.member("warehouse").is_some());
         assert_eq!(stats.op_counts.get("CLASSICALUNION"), Some(&1));
         assert_eq!(trace.len(), 1);
@@ -324,9 +282,10 @@ mod tests {
     fn planned_run_agrees_with_unplanned_and_reports_decisions() {
         let fed = two_branch_federation();
         let p = parse("warehouse.Sales <- CLASSICALUNION(east.Sales, west.Sales)").unwrap();
-        let budget = Budget::from_limits(&limits());
-        let (planned, stats, _, report) = fed.run_program_planned(&p, "main", &budget).unwrap();
-        let unplanned = fed.run_program(&p, "main", &limits()).unwrap();
+        let (out, stats, _, report) =
+            run_planned_governed_traced(&p, &fed.flatten(), &budget()).unwrap();
+        let planned = Federation::unflatten(&out, "main");
+        let unplanned = fed.run_program(&p, "main", &budget()).unwrap().0;
         let w = planned.member("warehouse").unwrap();
         assert!(w.equiv(unplanned.member("warehouse").unwrap()));
         // No scratch intermediates here, so the honest report is empty —

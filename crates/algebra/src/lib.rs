@@ -23,7 +23,7 @@
 //! ## Example: Figure 4 of the paper
 //!
 //! ```
-//! use tabular_algebra::{eval, param::Param, program::{OpKind, Program}, EvalLimits};
+//! use tabular_algebra::{param::Param, program::{OpKind, Program}, run_governed_traced, Budget};
 //! use tabular_core::fixtures;
 //!
 //! let program = Program::new().assign(
@@ -31,7 +31,8 @@
 //!     OpKind::Group { by: Param::names(&["Region"]), on: Param::names(&["Sold"]) },
 //!     vec![Param::name("Sales")],
 //! );
-//! let out = eval::run(&program, &fixtures::sales_info1(), &EvalLimits::default()).unwrap();
+//! let (out, _stats, _trace) =
+//!     run_governed_traced(&program, &fixtures::sales_info1(), &Budget::default()).unwrap();
 //! assert_eq!(out.table_str("Sales").unwrap(), &fixtures::figure4_grouped());
 //! ```
 
@@ -45,7 +46,6 @@ pub mod federation;
 pub mod governor;
 pub mod obs;
 pub mod ops;
-pub mod optimize;
 pub mod param;
 pub mod parser;
 pub mod plan;
@@ -55,14 +55,11 @@ pub mod program;
 
 pub use error::AlgebraError;
 pub use eval::{
-    run, run_governed, run_governed_traced, run_outputs, run_planned, run_planned_governed,
-    run_planned_governed_traced, run_planned_traced, run_traced, run_with_stats, EvalLimits,
-    EvalStats, WhileStrategy,
+    run_governed_traced, run_planned_governed_traced, EvalLimits, EvalStats, WhileStrategy,
 };
 pub use federation::Federation;
 pub use governor::{Budget, CancelToken, PartialRun};
 pub use obs::{DeltaDecision, Span, SpanKind, Trace, TraceLevel};
-pub use optimize::optimize;
 pub use param::Param;
 pub use plan::{plan, plan_with_rules, Catalog, PlanReport, Rule, ALL_RULES};
 pub use program::{Assignment, OpKind, Program, RestructureChain, Statement};

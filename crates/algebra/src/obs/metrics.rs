@@ -3,7 +3,7 @@
 //!
 //! Before this module, `eval.rs` and `delta.rs` each updated raw
 //! `EvalStats` fields inline and the shard pool reported nothing; the
-//! [`Metrics`] registry centralizes that bookkeeping behind one API so
+//! `Metrics` registry centralizes that bookkeeping behind one API so
 //! counter semantics (what counts as an "execution", how skipped
 //! statements are accounted) live in one place, and so the span layer of
 //! [`crate::obs::trace`] can piggyback on the very same measurements —
@@ -42,7 +42,7 @@ struct Pending {
 
 /// Single sink for interpreter statistics and spans (see module docs).
 pub(crate) struct Metrics {
-    /// The public counters, exactly as `run_with_stats` returns them.
+    /// The public counters, exactly as `run_governed_traced` returns them.
     pub(crate) stats: EvalStats,
     level: TraceLevel,
     trace: Trace,

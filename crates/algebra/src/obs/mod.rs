@@ -15,7 +15,7 @@
 //!   scattered across `eval.rs` and `delta.rs`.
 //!
 //! Entry point: `EvalLimits { trace: TraceLevel::Spans, .. }` with
-//! [`crate::eval::run_traced`].
+//! [`crate::eval::run_governed_traced`].
 
 pub mod metrics;
 pub mod trace;

@@ -58,7 +58,7 @@ pub enum SpanKind {
     /// single large join across the pool.
     Partition,
     /// One planner rewrite decision, prepended to the trace by the
-    /// `run_planned*` entry points so EXPLAIN output shows what the
+    /// `run_planned_governed_traced` so EXPLAIN output shows what the
     /// cost-based planner did before evaluation began. `op` carries the
     /// rule name; `input_cells`/`output_cells` carry the cost model's
     /// before/after cell estimates (0 when the rule had no statistics);

@@ -148,7 +148,7 @@ pub struct PartitionShard {
 /// emitted for probe rows in that range, into the exact offsets a prefix
 /// sum over the per-range match counts assigns.
 ///
-/// `poll` is called between [`POLL_STRIDE`]-row chunks on every worker
+/// `poll` is called between `POLL_STRIDE`-row chunks on every worker
 /// (cooperative cancellation / deadline checks); `charge` is called once
 /// per partition with the data cells that partition is about to
 /// materialize, *before* the output buffer grows — the governor's

@@ -5,11 +5,11 @@
 //! |------------|---------------------------------------------------|--------|
 //! | §3.1       | union, difference, ∩, ×, rename, project, select  | [`traditional`] |
 //! | §3.2       | group, merge, split, collapse                     | [`restructure`] |
-//! | §3.3       | transpose, switch                                 | [`transpose`] |
+//! | §3.3       | transpose, switch                                 | [`transpose`](mod@transpose) |
 //! | §3.3       | duals of every operation                          | [`dual`] |
 //! | §3.4       | clean-up, purge, classical union                  | [`redundancy`] |
 //! | §3.5       | tuple-new, set-new                                | [`tagging`] |
-//! | §5 (opt.)  | fused hash join (SELECT ∘ PRODUCT)                | [`join`] |
+//! | §5 (opt.)  | fused hash join (SELECT ∘ PRODUCT)                | [`join`](mod@join) |
 //! | §4.3 (opt.)| fused restructuring (PURGE ∘ CLEAN-UP ∘ GROUP)    | [`restructure_fused`] |
 //!
 //! The program layer (parameters, assignment statements, `while`) that

@@ -90,7 +90,7 @@ fn aligned_distinct_schemes(r: &Table, s: &Table) -> bool {
 /// Evaluated from a single match bitmap instead of two [`difference`]
 /// calls: the first difference's whole contribution is *which* rows of
 /// `ρ` are matched by `σ`, so that `O(|ρ|·|σ|)` subsumption scan (hash
-/// lookup under [`aligned_distinct_schemes`]) runs once, and the second
+/// lookup under `aligned_distinct_schemes`) runs once, and the second
 /// pass — removing rows matched by some row of `ρ \ σ` — checks only
 /// against the unmatched subset the bitmap already names. Results are
 /// identical to the two-difference derivation.

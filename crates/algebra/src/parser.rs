@@ -585,14 +585,17 @@ pub fn parse(src: &str) -> Result<Program> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{run, EvalLimits};
+    use crate::eval::run_governed_traced;
+    use crate::governor::Budget;
     use tabular_core::fixtures;
 
     #[test]
     fn parses_figure_4_statement() {
         let p = parse("Sales <- GROUP[by {Region} on {Sold}](Sales)").unwrap();
         assert_eq!(p.statements.len(), 1);
-        let out = run(&p, &fixtures::sales_info1(), &EvalLimits::default()).unwrap();
+        let out = run_governed_traced(&p, &fixtures::sales_info1(), &Budget::default())
+            .unwrap()
+            .0;
         assert_eq!(
             out.table_str("Sales").unwrap(),
             &fixtures::figure4_grouped()
@@ -602,7 +605,9 @@ mod tests {
     #[test]
     fn parses_figure_5_statement() {
         let p = parse("Sales <- MERGE[on {Sold} by {Region}](Sales)").unwrap();
-        let out = run(&p, &fixtures::sales_info2(), &EvalLimits::default()).unwrap();
+        let out = run_governed_traced(&p, &fixtures::sales_info2(), &Budget::default())
+            .unwrap()
+            .0;
         assert_eq!(out.table_str("Sales").unwrap(), &fixtures::figure5_merged());
     }
 

@@ -1,6 +1,5 @@
 //! A cost-based planner for tabular algebra programs — the "query (and
-//! program) optimization" future work the paper names in §5, generalizing
-//! the ad-hoc passes that used to live in [`crate::optimize`].
+//! program) optimization" future work the paper names in §5.
 //!
 //! [`plan`] lowers a [`Program`] into an IR of per-statement op nodes
 //! annotated with table statistics — row/column counts read from the
@@ -10,20 +9,22 @@
 //! segments back to a `Program`:
 //!
 //! * **copy forwarding** — `s ← op(..); T ← COPY(s)` retargets the
-//!   producer (the legacy `forward_copies` pass);
+//!   producer;
 //! * **selection pushdown** — `s ← PRODUCT(x, y); t ← SELECT[A=B](s)`
 //!   filters one operand *before* the product when the catalog proves
 //!   both `A`- and `B`-named columns lie entirely on that operand, and
 //!   `SELECT` over a scratch `UNION` distributes into both branches;
-//! * **join reordering** — a ≥3-way chain of single-use scratch
-//!   `PRODUCT`s (with an optional closing `SELECT`) is re-associated
-//!   into the cheapest left-deep order by estimated output cells;
+//! * **join re-association** — a ≥3-way chain of single-use scratch
+//!   `PRODUCT`s (with an optional closing `SELECT`) is re-bracketed,
+//!   leaves kept in written order, into the cheapest tree by estimated
+//!   cells materialized;
 //! * **join fusion** — `PRODUCT`+`SELECT` becomes [`OpKind::FusedJoin`];
 //!   with statistics the planner chooses fused vs. materialized per
 //!   site (fused only when the hash-join kernel's single-occurrence
 //!   column condition provably holds — otherwise the kernel would fall
 //!   back to the staged pipeline anyway), and without statistics it
-//!   fuses optimistically like the legacy pass;
+//!   fuses optimistically, leaving the per-table choice to the
+//!   evaluator;
 //! * **CLEANUP/PURGE sinking** — a redundancy-removal consumer
 //!   separated from its single-use producer by independent rigid
 //!   assignments sinks next to it, making the chain contiguous;
@@ -49,13 +50,15 @@
 //! * Pushdown through `UNION` is byte-identical because weak equality
 //!   (§2) strips ⊥ from both entry sets and union-padding contributes
 //!   only ⊥ entries.
-//! * Reordering relies on `PRODUCT` being associative/commutative up to
-//!   row/column permutation — which fails when two operands carry
-//!   conflicting non-⊥ row attributes (the combined row attribute joins
-//!   left-biased). The rule therefore requires catalog proof that **at
-//!   most one** leaf has any non-⊥ row attribute, and that every leaf's
-//!   statistics are exact (a single store table, unshadowed at the
-//!   chain site).
+//! * Re-association is byte-identical because `PRODUCT` is associative
+//!   on the stored layout: columns concatenate in leaf order and rows
+//!   stay left-major whatever the bracketing (leaves are never permuted,
+//!   which would permute the visible target's columns and rows). The
+//!   combined row attribute joins left-biased, which is associative only
+//!   when no two operands carry conflicting non-⊥ row attributes, so the
+//!   rule requires catalog proof that **at most one** leaf has any non-⊥
+//!   row attribute, and that every leaf's statistics are exact (a single
+//!   store table, unshadowed at the chain site).
 //! * Fusion rewrites are definitionally sound: the fused operators *are*
 //!   their staged pipelines, with the evaluator deciding per argument
 //!   table whether a kernel applies.
@@ -66,11 +69,12 @@
 //!   oracle grants, since rewrites change intermediate sizes in both
 //!   directions anyway).
 //!
-//! Rules only ever fire on fully ground programs (like the legacy
-//! passes, [`plan_with_rules`] bails out otherwise), emit ground
+//! Rules only ever fire on fully ground programs ([`plan_with_rules`]
+//! bails out otherwise: with wildcards any statement may read any table,
+//! so nothing is provably dead), emit ground
 //! statements, and never introduce `TUPLENEW`/`SETNEW` or nested loops —
 //! so a delta-safe `while` body stays delta-safe
-//! ([`crate::optimize::body_is_delta_safe`]) and the delta engine's
+//! (`delta::body_is_delta_safe`) and the delta engine's
 //! per-statement memos key the *planned* body consistently.
 
 use crate::param::Param;
@@ -288,7 +292,7 @@ impl Catalog {
     }
 
     /// A catalog with no statistics — every stats-gated rule stays off
-    /// and the stats-free rules behave like the legacy passes.
+    /// and the stats-free rules fire on pattern alone.
     pub fn empty() -> Catalog {
         Catalog {
             base: HashMap::new(),
@@ -473,8 +477,8 @@ pub enum Rule {
     ForwardCopy,
     /// Push a `SELECT` below a scratch `PRODUCT`/`UNION`.
     PushdownSelect,
-    /// Re-associate a ≥3-way scratch `PRODUCT` chain into the cheapest
-    /// left-deep order by estimated output cells.
+    /// Re-bracket a ≥3-way scratch `PRODUCT` chain, leaves in written
+    /// order, into the cheapest tree by estimated cells materialized.
     ReorderJoins,
     /// Fuse `PRODUCT`+`SELECT` into [`OpKind::FusedJoin`], cost-choosing
     /// fused vs. materialized per site when statistics are available.
@@ -596,8 +600,7 @@ pub fn plan(program: &Program, db: &Database) -> (Program, PlanReport) {
 }
 
 /// Plan with an explicit rule subset and optional database (without one,
-/// stats-gated rules stay off and the rest behave like the legacy
-/// passes).
+/// stats-gated rules stay off and the rest fire on pattern alone).
 pub fn plan_with_rules(
     program: &Program,
     db: Option<&Database>,
@@ -1085,58 +1088,100 @@ fn detect_chain(stmts: &[Statement], i: usize, env: &Env<'_>) -> Option<Chain> {
     })
 }
 
-/// Estimated total cells materialized by joining `leaves` left-deep in
-/// `perm` order, with the optional closing selection costed as a fused
-/// join when the kernel condition provably holds for that order.
-fn order_cost(leaves: &[Leaf], perm: &[usize], select: Option<(Symbol, Symbol)>) -> u128 {
-    let mut rows = leaves[perm[0]].rows;
-    let mut cols = leaves[perm[0]].cols;
-    let mut cost: u128 = 0;
-    for (step, &k) in perm.iter().enumerate().skip(1) {
-        let l = &leaves[k];
-        let out_cols = cols + l.cols;
-        let prod_rows = rows.saturating_mul(l.rows);
-        if step == perm.len() - 1 {
-            if let Some((sa, sb)) = select {
-                let prefix: Vec<Symbol> = perm[..step]
-                    .iter()
-                    .flat_map(|&q| leaves[q].attrs.iter().copied())
-                    .collect();
-                if occurrence_split(sa, sb, &prefix, &l.attrs) {
-                    let join_rows = prod_rows / rows.max(l.rows).max(1);
-                    cost = cost.saturating_add(cells_of(join_rows, out_cols));
-                } else {
-                    let sel_rows = (prod_rows / 4).max(prod_rows.min(1));
-                    cost = cost
-                        .saturating_add(cells_of(prod_rows, out_cols))
-                        .saturating_add(cells_of(sel_rows, out_cols));
-                }
-            } else {
-                cost = cost.saturating_add(cells_of(prod_rows, out_cols));
-            }
-        } else {
-            cost = cost.saturating_add(cells_of(prod_rows, out_cols));
-        }
-        rows = prod_rows;
-        cols = out_cols;
-    }
-    cost
+/// Rows of the product of `leaves`.
+fn product_rows(leaves: &[Leaf]) -> u128 {
+    leaves.iter().fold(1, |rows, l| rows.saturating_mul(l.rows))
 }
 
-fn for_each_perm(n: usize, f: &mut dyn FnMut(&[usize])) {
-    fn rec(k: usize, idx: &mut Vec<usize>, f: &mut dyn FnMut(&[usize])) {
-        if k == idx.len() {
-            f(idx);
-            return;
-        }
-        for i in k..idx.len() {
-            idx.swap(k, i);
-            rec(k + 1, idx, f);
-            idx.swap(k, i);
+/// Estimated cells of materializing the product of `leaves`.
+fn product_cells(leaves: &[Leaf]) -> u128 {
+    cells_of(product_rows(leaves), leaves.iter().map(|l| l.cols).sum())
+}
+
+/// Column attributes of the product of `leaves`, in column order.
+fn product_attrs(leaves: &[Leaf]) -> Vec<Symbol> {
+    leaves
+        .iter()
+        .flat_map(|l| l.attrs.iter().copied())
+        .collect()
+}
+
+/// Whether the closing selection is a fused join of `left × right`: the
+/// kernel's single-occurrence split provably holds there.
+fn splits(select: Option<(Symbol, Symbol)>, left: &[Leaf], right: &[Leaf]) -> bool {
+    select.is_some_and(|(a, b)| occurrence_split(a, b, &product_attrs(left), &product_attrs(right)))
+}
+
+/// Estimated cells of the chain's last join `left × right`, carrying the
+/// closing selection (costed as a fused join where [`splits`] holds).
+fn root_cost(left: &[Leaf], right: &[Leaf], select: Option<(Symbol, Symbol)>) -> u128 {
+    let (l, r) = (product_rows(left), product_rows(right));
+    let rows = l.saturating_mul(r);
+    let cols = left.iter().chain(right).map(|x| x.cols).sum();
+    if splits(select, left, right) {
+        cells_of(rows / l.max(r).max(1), cols)
+    } else if select.is_some() {
+        let sel_rows = (rows / 4).max(rows.min(1));
+        cells_of(rows, cols).saturating_add(cells_of(sel_rows, cols))
+    } else {
+        cells_of(rows, cols)
+    }
+}
+
+/// The cheapest bracketing of the chain's leaves *in written order*, by
+/// estimated cells materialized: `best[i][j] = (cost, k)` joins
+/// `leaves[i..=j]` as `(i..=k) × (k+1..=j)`. Leaves cost nothing; the
+/// whole chain's join also carries the closing selection.
+fn bracket(leaves: &[Leaf], select: Option<(Symbol, Symbol)>) -> Vec<Vec<(u128, usize)>> {
+    let n = leaves.len();
+    let mut best = vec![vec![(0u128, 0usize); n]; n];
+    for len in 2..=n {
+        for i in 0..=n - len {
+            let j = i + len - 1;
+            best[i][j] = (i..j)
+                .map(|k| {
+                    let own = if len == n {
+                        root_cost(&leaves[..=k], &leaves[k + 1..], select)
+                    } else {
+                        product_cells(&leaves[i..=j])
+                    };
+                    let below = best[i][k].0.saturating_add(best[k + 1][j].0);
+                    (below.saturating_add(own), k)
+                })
+                .min_by_key(|&(cost, _)| cost)
+                .expect("at least two leaves");
         }
     }
-    let mut idx: Vec<usize> = (0..n).collect();
-    rec(0, &mut idx, f);
+    best
+}
+
+/// Emit the statements joining `leaves[i..=j]` as bracketed by `best`
+/// into fresh scratch, returning the parameter naming the result and
+/// the bracketing's rendering for the plan report.
+fn emit_bracket(
+    chain: &Chain,
+    best: &[Vec<(u128, usize)>],
+    i: usize,
+    j: usize,
+    out: &mut Vec<Statement>,
+) -> (Param, String) {
+    if i == j {
+        let leaf = &chain.leaves[i].param;
+        return (
+            leaf.clone(),
+            ground(leaf).map(site_name).unwrap_or_default(),
+        );
+    }
+    let k = best[i][j].1;
+    let (left, l) = emit_bracket(chain, best, i, k, out);
+    let (right, r) = emit_bracket(chain, best, k + 1, j, out);
+    let t = Param::sym(Symbol::fresh_name());
+    out.push(Statement::Assign(Assignment {
+        target: t.clone(),
+        op: OpKind::Product,
+        args: vec![left, right],
+    }));
+    (t, format!("({l} ⋈ {r})"))
 }
 
 fn reorder_at(
@@ -1148,104 +1193,74 @@ fn reorder_at(
     let Some(chain) = detect_chain(stmts, i, env) else {
         return false;
     };
-    let n = chain.leaves.len();
+    let leaves = &chain.leaves;
+    let n = leaves.len();
     let sel_syms = chain.select.as_ref().map(|(a, b)| {
         (
             a.as_ground().expect("checked"),
             b.as_ground().expect("checked"),
         )
     });
-    let identity: Vec<usize> = (0..n).collect();
-    let id_cost = order_cost(&chain.leaves, &identity, sel_syms);
-    let mut best = identity.clone();
-    let mut best_cost = id_cost;
-    for_each_perm(n, &mut |perm| {
-        let c = order_cost(&chain.leaves, perm, sel_syms);
-        if c < best_cost {
-            best_cost = c;
-            best = perm.to_vec();
-        }
-    });
-    if best == identity {
+    // The written chain is the left-deep bracketing.
+    let written = (2..n).map(|j| product_cells(&leaves[..j])).fold(
+        root_cost(&leaves[..n - 1], &leaves[n - 1..], sel_syms),
+        u128::saturating_add,
+    );
+    let best = bracket(leaves, sel_syms);
+    let (best_cost, k) = best[0][n - 1];
+    if best_cost >= written {
         return false;
     }
     let mut new_stmts: Vec<Statement> = Vec::with_capacity(n);
-    let mut acc = chain.leaves[best[0]].param.clone();
-    for (step, &k) in best.iter().enumerate().skip(1) {
-        let leaf = chain.leaves[k].param.clone();
-        if step < n - 1 {
-            let t = Symbol::fresh_name();
+    let (left, l) = emit_bracket(&chain, &best, 0, k, &mut new_stmts);
+    let (right, r) = emit_bracket(&chain, &best, k + 1, n - 1, &mut new_stmts);
+    let target = chain.final_target.clone();
+    let args = vec![left, right];
+    match &chain.select {
+        // The cost-chosen fused form: one fewer statement and the kernel
+        // provably applies at this split.
+        Some((a, b)) if splits(sel_syms, &leaves[..=k], &leaves[k + 1..]) => {
             new_stmts.push(Statement::Assign(Assignment {
-                target: Param::sym(t),
-                op: OpKind::Product,
-                args: vec![acc, leaf],
+                target,
+                op: OpKind::FusedJoin {
+                    a: a.clone(),
+                    b: b.clone(),
+                },
+                args,
             }));
-            acc = Param::sym(t);
-            continue;
         }
-        match (&chain.select, sel_syms) {
-            (Some((pa, pb)), Some((sa, sb))) => {
-                let prefix: Vec<Symbol> = best[..step]
-                    .iter()
-                    .flat_map(|&q| chain.leaves[q].attrs.iter().copied())
-                    .collect();
-                if occurrence_split(sa, sb, &prefix, &chain.leaves[k].attrs) {
-                    // The cost-chosen fused form: one fewer statement and
-                    // the kernel provably applies in this order.
-                    new_stmts.push(Statement::Assign(Assignment {
-                        target: chain.final_target.clone(),
-                        op: OpKind::FusedJoin {
-                            a: pa.clone(),
-                            b: pb.clone(),
-                        },
-                        args: vec![acc.clone(), leaf],
-                    }));
-                } else {
-                    let t = Symbol::fresh_name();
-                    new_stmts.push(Statement::Assign(Assignment {
-                        target: Param::sym(t),
-                        op: OpKind::Product,
-                        args: vec![acc.clone(), leaf],
-                    }));
-                    new_stmts.push(Statement::Assign(Assignment {
-                        target: chain.final_target.clone(),
-                        op: OpKind::Select {
-                            a: pa.clone(),
-                            b: pb.clone(),
-                        },
-                        args: vec![Param::sym(t)],
-                    }));
-                }
-            }
-            _ => {
-                new_stmts.push(Statement::Assign(Assignment {
-                    target: chain.final_target.clone(),
-                    op: OpKind::Product,
-                    args: vec![acc.clone(), leaf],
-                }));
-            }
+        Some((a, b)) => {
+            let t = Param::sym(Symbol::fresh_name());
+            new_stmts.push(Statement::Assign(Assignment {
+                target: t.clone(),
+                op: OpKind::Product,
+                args,
+            }));
+            new_stmts.push(Statement::Assign(Assignment {
+                target,
+                op: OpKind::Select {
+                    a: a.clone(),
+                    b: b.clone(),
+                },
+                args: vec![t],
+            }));
         }
+        None => new_stmts.push(Statement::Assign(Assignment {
+            target,
+            op: OpKind::Product,
+            args,
+        })),
     }
-    let order = best
-        .iter()
-        .map(|&k| {
-            ground(&chain.leaves[k].param)
-                .map(site_name)
-                .unwrap_or_default()
-        })
-        .collect::<Vec<_>>()
-        .join(" ⋈ ");
     let site = ground(&chain.final_target)
         .map(site_name)
         .unwrap_or_default();
-    let removed = chain.end - i;
     report.note(
         Rule::ReorderJoins,
         site,
-        format!("reordered {n}-way product chain as {order}"),
-        Some(id_cost),
+        format!("re-associated {n}-way product chain as {l} ⋈ {r}"),
+        Some(written),
         Some(best_cost),
-        removed,
+        chain.end - i,
     );
     stmts.splice(i..chain.end, new_stmts);
     true
@@ -1627,9 +1642,10 @@ fn lower_stmts(stmts: &[Statement], env: &mut Env<'_>) -> Vec<IrNode> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{run, EvalLimits};
-    use crate::optimize::{body_is_delta_safe, optimize};
-    use tabular_core::{Database, Table};
+    use crate::delta::body_is_delta_safe;
+    use crate::eval::run_governed_traced;
+    use crate::governor::Budget;
+    use tabular_core::{fixtures, Database, Table};
 
     fn scratch(n: u32) -> Symbol {
         Symbol::name(&format!("\u{1F}pl{n}"))
@@ -1683,8 +1699,10 @@ mod tests {
         assert!(matches!(first.op, OpKind::Select { .. }));
         assert_eq!(first.args, vec![Param::name("R")]);
         assert_eq!(report.rules_applied(), 1);
-        let a = run(&p, &db, &EvalLimits::default()).unwrap();
-        let b = run(&planned, &db, &EvalLimits::default()).unwrap();
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&planned, &db, &Budget::default())
+            .unwrap()
+            .0;
         assert!(compare_visible(&a, &b));
     }
 
@@ -1742,8 +1760,10 @@ mod tests {
             panic!("assignment expected");
         };
         assert!(matches!(last.op, OpKind::Union));
-        let a = run(&p, &db, &EvalLimits::default()).unwrap();
-        let b = run(&planned, &db, &EvalLimits::default()).unwrap();
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&planned, &db, &Budget::default())
+            .unwrap()
+            .0;
         assert!(compare_visible(&a, &b));
     }
 
@@ -1771,9 +1791,9 @@ mod tests {
     }
 
     /// The pessimal written order `(L × M) × N` with a closing
-    /// `SELECT[A=B]` re-associates to join `L` with the 1-row `N` first,
-    /// then fuse the selective join with `M` — strictly fewer estimated
-    /// cells, same visible result.
+    /// `SELECT[A=B]` re-associates to `L × (M × N)`: the 1-row `N` joins
+    /// `M` first, then the selective join with `L` fuses — strictly fewer
+    /// estimated cells, byte-identical visible result.
     #[test]
     fn pessimal_three_way_chain_is_reordered_and_fused() {
         let p = Program::new()
@@ -1808,9 +1828,14 @@ mod tests {
             .find(|d| d.rule == Rule::ReorderJoins)
             .expect("reorder decision recorded");
         assert!(decision.after_cells.unwrap() < decision.before_cells.unwrap());
-        let a = run(&p, &db, &EvalLimits::default()).unwrap();
-        let b = run(&planned, &db, &EvalLimits::default()).unwrap();
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&planned, &db, &Budget::default())
+            .unwrap()
+            .0;
         assert!(compare_visible(&a, &b));
+        // Leaves keep their written order, so the visible output is
+        // byte-identical, not merely equal up to column permutation.
+        assert_eq!(a.table_str("Out"), b.table_str("Out"));
     }
 
     /// With a leaf name shadowed (two store tables bear it), per-name
@@ -1916,8 +1941,10 @@ mod tests {
             panic!("assignment expected");
         };
         assert!(matches!(first.op, OpKind::FusedRestructure(_)));
-        let a = run(&p, &db, &EvalLimits::default()).unwrap();
-        let b = run(&planned, &db, &EvalLimits::default()).unwrap();
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&planned, &db, &Budget::default())
+            .unwrap()
+            .0;
         assert!(compare_visible(&a, &b));
     }
 
@@ -1971,7 +1998,7 @@ mod tests {
                 },
                 vec![Param::sym(scratch(1))],
             );
-        let opt = optimize(&p);
+        let opt = plan_with_rules(&p, None, &STATISTICS_FREE).0;
         assert_eq!(opt.len(), 1, "{opt:?}");
         let Statement::Assign(a) = &opt.statements[0] else {
             panic!("assignment expected");
@@ -2044,8 +2071,10 @@ mod tests {
             panic!("while expected");
         };
         assert!(body_is_delta_safe(pb));
-        let a = run(&p, &db, &EvalLimits::default()).unwrap();
-        let b = run(&planned, &db, &EvalLimits::default()).unwrap();
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&planned, &db, &Budget::default())
+            .unwrap()
+            .0;
         assert!(compare_visible(&a, &b));
     }
 
@@ -2088,5 +2117,375 @@ mod tests {
         assert!(est.exact);
         assert_eq!(seg[1].defs, vec![Some(0)]);
         assert!(matches!(ir[1], IrNode::Loop { .. }));
+    }
+
+    /// The statistics-free rule subset, in the order the rules were first
+    /// introduced: copy forwarding, join fusion, restructuring fusion,
+    /// then dead-code elimination. Without a catalog every rule fires on
+    /// pattern alone.
+    const STATISTICS_FREE: [Rule; 4] = [
+        Rule::ForwardCopy,
+        Rule::FuseJoin,
+        Rule::FuseRestructure,
+        Rule::EliminateDead,
+    ];
+
+    #[test]
+    fn dead_scratch_assignments_are_removed() {
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Copy,
+                vec![Param::name("Sales")],
+            )
+            .assign(Param::name("Out"), OpKind::Copy, vec![Param::name("Sales")]);
+        let opt = plan_with_rules(&p, None, &[Rule::EliminateDead]).0;
+        assert_eq!(opt.len(), 1);
+    }
+
+    #[test]
+    fn dead_chains_are_removed_to_a_fixpoint() {
+        // s1 feeds s2 feeds nothing: both must go.
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Copy,
+                vec![Param::name("Sales")],
+            )
+            .assign(
+                Param::sym(scratch(2)),
+                OpKind::Copy,
+                vec![Param::sym(scratch(1))],
+            )
+            .assign(Param::name("Out"), OpKind::Copy, vec![Param::name("Sales")]);
+        assert_eq!(plan_with_rules(&p, None, &[Rule::EliminateDead]).0.len(), 1);
+    }
+
+    #[test]
+    fn user_visible_targets_are_never_removed() {
+        let p = Program::new().assign(
+            Param::name("Unused"),
+            OpKind::Copy,
+            vec![Param::name("Sales")],
+        );
+        assert_eq!(plan_with_rules(&p, None, &[Rule::EliminateDead]).0.len(), 1);
+    }
+
+    #[test]
+    fn copy_forwarding_fuses_producer_and_copy() {
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Transpose,
+                vec![Param::name("Sales")],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Copy,
+                vec![Param::sym(scratch(1))],
+            );
+        let opt = plan_with_rules(&p, None, &STATISTICS_FREE).0;
+        assert_eq!(opt.len(), 1);
+        let Statement::Assign(a) = &opt.statements[0] else {
+            panic!("assignment expected");
+        };
+        assert_eq!(a.target, Param::name("Out"));
+        assert!(matches!(a.op, OpKind::Transpose));
+    }
+
+    #[test]
+    fn copy_forwarding_respects_multiple_readers() {
+        // The scratch result is read twice: the copy cannot be fused away.
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Transpose,
+                vec![Param::name("Sales")],
+            )
+            .assign(Param::name("A"), OpKind::Copy, vec![Param::sym(scratch(1))])
+            .assign(Param::name("B"), OpKind::Copy, vec![Param::sym(scratch(1))]);
+        assert_eq!(plan_with_rules(&p, None, &STATISTICS_FREE).0.len(), 3);
+    }
+
+    #[test]
+    fn wildcard_programs_are_left_untouched() {
+        let p = Program::new()
+            .assign(Param::sym(scratch(1)), OpKind::Copy, vec![Param::name("X")])
+            .assign(Param::star_k(1), OpKind::Transpose, vec![Param::star_k(1)]);
+        // The wildcard could read the scratch table: no elimination.
+        assert_eq!(plan_with_rules(&p, None, &STATISTICS_FREE).0.len(), 2);
+    }
+
+    #[test]
+    fn optimizing_a_compiled_program_preserves_results() {
+        // A small pipeline with real scratch traffic.
+        let p = crate::parser::parse(
+            "Sales <- GROUP[by {Region} on {Sold}](Sales)
+             Sales <- CLEANUP[by {Part} on {_}](Sales)
+             Sales <- PURGE[on {Sold} by {Region}](Sales)",
+        )
+        .unwrap();
+        let db = fixtures::sales_info1();
+        let opt = plan_with_rules(&p, None, &STATISTICS_FREE).0;
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&opt, &db, &Budget::default())
+            .unwrap()
+            .0;
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn while_bodies_are_preserved_correctly() {
+        let p = Program::new()
+            .assign(Param::name("T"), OpKind::Copy, vec![Param::name("Sales")])
+            .while_nonempty(
+                Param::name("T"),
+                Program::new().assign(
+                    Param::name("T"),
+                    OpKind::Difference,
+                    vec![Param::name("T"), Param::name("T")],
+                ),
+            );
+        let opt = plan_with_rules(&p, None, &STATISTICS_FREE).0;
+        assert_eq!(opt.len(), p.len());
+        let db = fixtures::sales_info1();
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&opt, &db, &Budget::default())
+            .unwrap()
+            .0;
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn select_over_scratch_product_fuses_into_a_join() {
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Product,
+                vec![Param::name("R"), Param::name("S")],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Select {
+                    a: Param::name("B"),
+                    b: Param::name("C"),
+                },
+                vec![Param::sym(scratch(1))],
+            );
+        let opt = plan_with_rules(&p, None, &STATISTICS_FREE).0;
+        assert_eq!(opt.len(), 1);
+        let Statement::Assign(a) = &opt.statements[0] else {
+            panic!("assignment expected");
+        };
+        assert_eq!(a.target, Param::name("Out"));
+        assert!(matches!(a.op, OpKind::FusedJoin { .. }));
+        assert_eq!(a.args, vec![Param::name("R"), Param::name("S")]);
+
+        let db = Database::from_tables([
+            tabular_core::Table::relational("R", &["A", "B"], &[&["1", "2"], &["3", "4"]]),
+            tabular_core::Table::relational("S", &["C", "D"], &[&["2", "x"], &["9", "y"]]),
+        ]);
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&opt, &db, &Budget::default())
+            .unwrap()
+            .0;
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn fusion_respects_multiple_readers_and_visible_targets() {
+        // The product result is read twice: fusing would lose it.
+        let multi = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Product,
+                vec![Param::name("R"), Param::name("S")],
+            )
+            .assign(
+                Param::name("A"),
+                OpKind::Select {
+                    a: Param::name("B"),
+                    b: Param::name("C"),
+                },
+                vec![Param::sym(scratch(1))],
+            )
+            .assign(Param::name("B"), OpKind::Copy, vec![Param::sym(scratch(1))]);
+        assert_eq!(plan_with_rules(&multi, None, &STATISTICS_FREE).0.len(), 3);
+
+        // A user-visible product is observable output: never fused away.
+        let visible = Program::new()
+            .assign(
+                Param::name("P"),
+                OpKind::Product,
+                vec![Param::name("R"), Param::name("S")],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Select {
+                    a: Param::name("B"),
+                    b: Param::name("C"),
+                },
+                vec![Param::name("P")],
+            );
+        assert_eq!(plan_with_rules(&visible, None, &STATISTICS_FREE).0.len(), 2);
+    }
+
+    #[test]
+    fn fusion_requires_ground_selection_attributes() {
+        // A pair parameter denotes a position *in the product table*; the
+        // rewrite would change what it points at.
+        let p = Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Product,
+                vec![Param::name("R"), Param::name("S")],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Select {
+                    a: Param::pair(Param::name("r"), Param::name("c")),
+                    b: Param::name("C"),
+                },
+                vec![Param::sym(scratch(1))],
+            );
+        assert_eq!(plan_with_rules(&p, None, &[Rule::FuseJoin]).0.len(), 2);
+    }
+
+    /// The paper's pivot chain over single-read scratches, builder-style.
+    fn pivot_chain() -> Program {
+        Program::new()
+            .assign(
+                Param::sym(scratch(1)),
+                OpKind::Group {
+                    by: Param::name("Region"),
+                    on: Param::name("Sold"),
+                },
+                vec![Param::name("R")],
+            )
+            .assign(
+                Param::sym(scratch(2)),
+                OpKind::CleanUp {
+                    by: Param::name("Part"),
+                    on: Param::null(),
+                },
+                vec![Param::sym(scratch(1))],
+            )
+            .assign(
+                Param::name("Out"),
+                OpKind::Purge {
+                    on: Param::name("Sold"),
+                    by: Param::name("Region"),
+                },
+                vec![Param::sym(scratch(2))],
+            )
+    }
+
+    #[test]
+    fn pivot_chain_fuses_into_a_restructure() {
+        let p = pivot_chain();
+        let opt = plan_with_rules(&p, None, &STATISTICS_FREE).0;
+        assert_eq!(opt.len(), 1);
+        let Statement::Assign(a) = &opt.statements[0] else {
+            panic!("assignment expected");
+        };
+        assert_eq!(a.target, Param::name("Out"));
+        assert!(
+            matches!(&a.op, OpKind::FusedRestructure(chain) if chain.purge.is_some()),
+            "{:?}",
+            a.op
+        );
+        assert_eq!(a.args, vec![Param::name("R")]);
+
+        let db = Database::from_tables([fixtures::sales_relation()]);
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&opt, &db, &Budget::default())
+            .unwrap()
+            .0;
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn group_cleanup_prefix_fuses_without_a_purge() {
+        let mut p = pivot_chain();
+        p.statements.truncate(2);
+        // Retarget the clean-up to a visible name so the chain ends there.
+        let Statement::Assign(c) = &mut p.statements[1] else {
+            panic!("assignment expected");
+        };
+        c.target = Param::name("Out");
+        let opt = plan_with_rules(&p, None, &STATISTICS_FREE).0;
+        assert_eq!(opt.len(), 1);
+        let Statement::Assign(a) = &opt.statements[0] else {
+            panic!("assignment expected");
+        };
+        assert!(matches!(
+            &a.op,
+            OpKind::FusedRestructure(chain) if chain.purge.is_none()
+        ));
+
+        let db = Database::from_tables([fixtures::sales_relation()]);
+        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+        let b = run_governed_traced(&opt, &db, &Budget::default())
+            .unwrap()
+            .0;
+        assert!(compare_visible(&a, &b));
+    }
+
+    #[test]
+    fn restructure_fusion_respects_multiple_readers_and_visible_targets() {
+        // The grouped scratch is read twice: fusing would lose it.
+        let mut multi = pivot_chain();
+        multi = multi.assign(
+            Param::name("Again"),
+            OpKind::Copy,
+            vec![Param::sym(scratch(1))],
+        );
+        assert_eq!(
+            plan_with_rules(&multi, None, &[Rule::FuseRestructure])
+                .0
+                .len(),
+            4
+        );
+
+        // A visible intermediate is observable output: never fused away.
+        let visible = crate::parser::parse(
+            "G <- GROUP[by {Region} on {Sold}](R)
+             C <- CLEANUP[by {Part} on {_}](G)
+             Out <- PURGE[on {Sold} by {Region}](C)",
+        )
+        .unwrap();
+        assert_eq!(
+            plan_with_rules(&visible, None, &[Rule::FuseRestructure])
+                .0
+                .len(),
+            3
+        );
+    }
+
+    #[test]
+    fn restructure_fusion_requires_rigid_merge_parameters() {
+        // `CLEANUP by *` denotes "all column attributes *of the grouped
+        // intermediate*" — the rewrite would change what it expands to.
+        let mut p = pivot_chain();
+        let Statement::Assign(c) = &mut p.statements[1] else {
+            panic!("assignment expected");
+        };
+        c.op = OpKind::CleanUp {
+            by: Param::star(),
+            on: Param::null(),
+        };
+        assert_eq!(
+            plan_with_rules(&p, None, &[Rule::FuseRestructure]).0.len(),
+            3
+        );
+    }
+
+    #[test]
+    fn restructure_fusion_reaches_into_while_bodies() {
+        let p = Program::new()
+            .assign(Param::name("W"), OpKind::Copy, vec![Param::name("R")])
+            .while_nonempty(Param::name("W"), pivot_chain());
+        let opt = plan_with_rules(&p, None, &[Rule::FuseRestructure]).0;
+        assert_eq!(opt.len(), 3, "{opt:?}");
     }
 }

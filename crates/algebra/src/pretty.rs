@@ -256,7 +256,7 @@ pub fn render(p: &Program) -> String {
 ///
 /// ```text
 /// plan: 2 rule applications, 5 statements rewritten
-///   [reorder-joins] Out: reordered 3-way product chain as L ⋈ N ⋈ M (est 817 → 90 cells)
+///   [reorder-joins] Out: re-associated 3-way product chain as L ⋈ (M ⋈ N) (est 817 → 90 cells)
 ///   [eliminate-dead] program: dropped 1 dead scratch assignments
 /// ```
 pub fn render_plan(report: &crate::plan::PlanReport) -> String {
@@ -520,7 +520,8 @@ mod tests {
 
     #[test]
     fn render_trace_nests_statements_under_iterations() {
-        use crate::eval::{run_traced, EvalLimits};
+        use crate::eval::{run_governed_traced, EvalLimits};
+        use crate::governor::Budget;
         use crate::obs::trace::TraceLevel;
         use tabular_core::{Database, Table};
 
@@ -539,7 +540,7 @@ mod tests {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (_, _, trace) = run_traced(&p, &db, &limits).unwrap();
+        let (_, _, trace) = run_governed_traced(&p, &db, &Budget::from_limits(&limits)).unwrap();
         let text = render_trace(&trace);
         assert!(text.contains("while #1"), "iteration line:\n{text}");
         // Body statements are indented one level under their iteration.

@@ -9,7 +9,7 @@
 //! is meaningful on multi-core machines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tabular_algebra::{parser::parse, run, EvalLimits};
+use tabular_algebra::{parser::parse, run_governed_traced, Budget, EvalLimits};
 use tabular_core::fixtures;
 
 fn bench(c: &mut Criterion) {
@@ -18,24 +18,24 @@ fn bench(c: &mut Criterion) {
          *1 <- CLEANUP[by {*} on {_}](*1)",
     )
     .unwrap();
-    let parallel = EvalLimits {
+    let parallel = Budget::from_limits(&EvalLimits {
         parallel_threshold: 4,
         ..EvalLimits::default()
-    };
-    let sequential = EvalLimits {
+    });
+    let sequential = Budget::from_limits(&EvalLimits {
         parallel_threshold: usize::MAX,
         ..EvalLimits::default()
-    };
+    });
 
     let mut g = c.benchmark_group("ablation/parallel_eval");
     for &(parts, regions) in &[(32usize, 64usize), (64, 256), (64, 1024)] {
         let db = fixtures::make_sales_info4(parts, regions);
         let label = format!("{}tables", db.len());
         g.bench_with_input(BenchmarkId::new("sequential", &label), &db, |b, db| {
-            b.iter(|| run(&program, db, &sequential).unwrap());
+            b.iter(|| run_governed_traced(&program, db, &sequential).unwrap().0);
         });
         g.bench_with_input(BenchmarkId::new("parallel", &label), &db, |b, db| {
-            b.iter(|| run(&program, db, &parallel).unwrap());
+            b.iter(|| run_governed_traced(&program, db, &parallel).unwrap().0);
         });
     }
     g.finish();

@@ -5,7 +5,7 @@
 //! depth.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tabular_algebra::{run, EvalLimits, TraceLevel, WhileStrategy};
+use tabular_algebra::{run_governed_traced, Budget, EvalLimits, TraceLevel, WhileStrategy};
 use tabular_bench::{ta_chain_db, ta_tc_program};
 use tabular_relational::relation::{RelDatabase, Relation};
 use tabular_schemalog::{
@@ -54,18 +54,24 @@ fn bench(c: &mut Criterion) {
     // loop-invariant statements and recomputes the product/selection/
     // projection chain incrementally over the appended `TC` rows.
     let ta_program = ta_tc_program();
-    let strategy_limits = |s| EvalLimits {
-        while_strategy: s,
-        ..EvalLimits::default()
+    let strategy_budget = |s| {
+        Budget::from_limits(&EvalLimits {
+            while_strategy: s,
+            ..EvalLimits::default()
+        })
     };
+    let (delta, naive) = (
+        strategy_budget(WhileStrategy::Delta),
+        strategy_budget(WhileStrategy::Naive),
+    );
     let mut g = c.benchmark_group("ablation/delta_while_tc");
     for &len in &[8usize, 16, 24] {
         let db = ta_chain_db(len);
         g.bench_with_input(BenchmarkId::new("delta", len), &db, |b, db| {
-            b.iter(|| run(&ta_program, db, &strategy_limits(WhileStrategy::Delta)).unwrap());
+            b.iter(|| run_governed_traced(&ta_program, db, &delta).unwrap().0);
         });
         g.bench_with_input(BenchmarkId::new("naive", len), &db, |b, db| {
-            b.iter(|| run(&ta_program, db, &strategy_limits(WhileStrategy::Naive)).unwrap());
+            b.iter(|| run_governed_traced(&ta_program, db, &naive).unwrap().0);
         });
         // Tracing-overhead ablation on the same workload: `Off` removes
         // all timing from the statement path and must stay within noise
@@ -75,12 +81,12 @@ fn bench(c: &mut Criterion) {
             ("trace_off", TraceLevel::Off),
             ("trace_spans", TraceLevel::Spans),
         ] {
-            let l = EvalLimits {
+            let l = Budget::from_limits(&EvalLimits {
                 trace: level,
                 ..EvalLimits::default()
-            };
+            });
             g.bench_with_input(BenchmarkId::new(label, len), &db, |b, db| {
-                b.iter(|| run(&ta_program, db, &l).unwrap());
+                b.iter(|| run_governed_traced(&ta_program, db, &l).unwrap().0);
             });
         }
     }

@@ -4,12 +4,12 @@
 //! grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tabular_algebra::{parser::parse, run, EvalLimits};
+use tabular_algebra::{parser::parse, run_governed_traced, Budget};
 use tabular_bench::SWEEP;
 use tabular_core::{fixtures, Database};
 
 fn bench(c: &mut Criterion) {
-    let limits = EvalLimits::default();
+    let budget = Budget::default();
     let to_info2 = parse(
         "Sales <- GROUP[by {Region} on {Sold}](Sales)
          Sales <- CLEANUP[by {Part} on {_}](Sales)
@@ -31,7 +31,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{p}x{r}")),
             &db,
             |b, db| {
-                b.iter(|| run(&to_info2, db, &limits).unwrap());
+                b.iter(|| run_governed_traced(&to_info2, db, &budget).unwrap().0);
             },
         );
     }
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{p}x{r}")),
             &db,
             |b, db| {
-                b.iter(|| run(&to_info4, db, &limits).unwrap());
+                b.iter(|| run_governed_traced(&to_info4, db, &budget).unwrap().0);
             },
         );
     }
@@ -59,7 +59,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{p}x{r}")),
             &db,
             |b, db| {
-                b.iter(|| run(&from_info4, db, &limits).unwrap());
+                b.iter(|| run_governed_traced(&from_info4, db, &budget).unwrap().0);
             },
         );
     }

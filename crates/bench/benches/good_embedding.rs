@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tabular_algebra::EvalLimits;
+use tabular_algebra::Budget;
 use tabular_core::Symbol;
 use tabular_good::{
     compile::run_via_ta,
@@ -46,7 +46,7 @@ fn coauthor_program() -> GoodProgram {
 
 fn bench(c: &mut Criterion) {
     let program = coauthor_program();
-    let limits = EvalLimits::default();
+    let budget = Budget::default();
     let mut g = c.benchmark_group("good/coauthor");
     for &(p, a) in &[(16usize, 8usize), (48, 16), (96, 24)] {
         let graph = library(p, a, 11);
@@ -60,7 +60,7 @@ fn bench(c: &mut Criterion) {
         // embedding, recorded as-is in EXPERIMENTS.md.
         if p <= 16 {
             g.bench_with_input(BenchmarkId::new("via_ta", &label), &graph, |b, gr| {
-                b.iter(|| run_via_ta(&program, gr, &limits).unwrap());
+                b.iter(|| run_via_ta(&program, gr, &budget).unwrap());
             });
         }
     }

@@ -3,7 +3,7 @@
 //! (the interpreted-vs-native ablation for the encoding).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use tabular_algebra::{run_outputs, EvalLimits};
+use tabular_algebra::{run_governed_traced, Budget};
 use tabular_bench::SWEEP;
 use tabular_canonical::{decode, encode, encode_program, EncodeScheme};
 use tabular_core::{fixtures, Database, Symbol};
@@ -55,7 +55,7 @@ fn bench(c: &mut Criterion) {
     let scheme = EncodeScheme::new(&[("Sales", &["Part", "Region", "Sold"])]);
     let program = encode_program(&scheme).unwrap();
     let outputs = [Symbol::name("Data"), Symbol::name("Map")];
-    let limits = EvalLimits::default();
+    let budget = Budget::default();
     let mut g = c.benchmark_group("lemma42/ta_program");
     for &(p, r) in &[(4usize, 4usize), (16, 8), (32, 12)] {
         let db = Database::from_tables([fixtures::make_sales_relation(p, r)]);
@@ -63,7 +63,11 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("{p}x{r}")),
             &db,
             |b, db| {
-                b.iter(|| run_outputs(&program, db, &outputs, &limits).unwrap());
+                b.iter(|| {
+                    let mut out = run_governed_traced(&program, db, &budget).unwrap().0;
+                    out.retain(|t| outputs.contains(&t.name()));
+                    out
+                });
             },
         );
     }

@@ -4,7 +4,7 @@
 //! purpose-built implementation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tabular_algebra::EvalLimits;
+use tabular_algebra::Budget;
 use tabular_bench::SWEEP;
 use tabular_core::{fixtures, Symbol};
 use tabular_olap::baseline::{pivot_direct, unpivot_direct};
@@ -13,14 +13,14 @@ use tabular_olap::{pivot, unpivot, Agg, Cube};
 fn bench(c: &mut Criterion) {
     let region = Symbol::name("Region");
     let sold = Symbol::name("Sold");
-    let limits = EvalLimits::default();
+    let budget = Budget::default();
 
     let mut g = c.benchmark_group("olap/pivot");
     for &(p, r) in SWEEP {
         let rel = fixtures::make_sales_relation(p, r);
         let label = format!("{p}x{r}");
         g.bench_with_input(BenchmarkId::new("ta_program", &label), &rel, |b, rel| {
-            b.iter(|| pivot(rel, region, sold, &limits).unwrap());
+            b.iter(|| pivot(rel, region, sold, &budget).unwrap());
         });
         g.bench_with_input(BenchmarkId::new("baseline", &label), &rel, |b, rel| {
             b.iter(|| pivot_direct(rel, region, sold).unwrap());
@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
         let cross = fixtures::make_sales_info2(p, r);
         let label = format!("{p}x{r}");
         g.bench_with_input(BenchmarkId::new("ta_program", &label), &cross, |b, t| {
-            b.iter(|| unpivot(t, sold, region, &limits).unwrap());
+            b.iter(|| unpivot(t, sold, region, &budget).unwrap());
         });
         g.bench_with_input(BenchmarkId::new("baseline", &label), &cross, |b, t| {
             b.iter(|| unpivot_direct(t, sold, region).unwrap());

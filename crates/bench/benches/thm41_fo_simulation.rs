@@ -3,7 +3,7 @@
 //! over chains (iteration-bound) and random graphs (join-bound).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tabular_algebra::{EvalLimits, WhileStrategy};
+use tabular_algebra::{Budget, EvalLimits, WhileStrategy};
 use tabular_bench::{chain_edges, random_edges};
 use tabular_relational::compile::{compile, run_compiled};
 use tabular_relational::program::transitive_closure_program;
@@ -11,11 +11,11 @@ use tabular_relational::relation::RelDatabase;
 
 fn bench(c: &mut Criterion) {
     let program = transitive_closure_program();
-    let limits = EvalLimits::default();
-    let naive_limits = EvalLimits {
+    let budget = Budget::default();
+    let naive_budget = Budget::from_limits(&EvalLimits {
         while_strategy: WhileStrategy::Naive,
         ..EvalLimits::default()
-    };
+    });
 
     let mut g = c.benchmark_group("thm41/tc_chain");
     for &len in &[8usize, 16, 32] {
@@ -24,12 +24,12 @@ fn bench(c: &mut Criterion) {
             b.iter(|| program.run(db, 100_000).unwrap());
         });
         g.bench_with_input(BenchmarkId::new("via_ta", len), &db, |b, db| {
-            b.iter(|| run_compiled(&program, db, &["TC"], &limits).unwrap());
+            b.iter(|| run_compiled(&program, db, &["TC"], &budget).unwrap());
         });
         // The compiled loop under the naive `while` strategy isolates how
         // much of the simulation overhead the delta engine removes.
         g.bench_with_input(BenchmarkId::new("via_ta_naive", len), &db, |b, db| {
-            b.iter(|| run_compiled(&program, db, &["TC"], &naive_limits).unwrap());
+            b.iter(|| run_compiled(&program, db, &["TC"], &naive_budget).unwrap());
         });
     }
     g.finish();
@@ -42,7 +42,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| program.run(db, 100_000).unwrap());
         });
         g.bench_with_input(BenchmarkId::new("via_ta", &label), &db, |b, db| {
-            b.iter(|| run_compiled(&program, db, &["TC"], &limits).unwrap());
+            b.iter(|| run_compiled(&program, db, &["TC"], &budget).unwrap());
         });
     }
     g.finish();

@@ -3,7 +3,7 @@
 //! data.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tabular_algebra::{EvalLimits, WhileStrategy};
+use tabular_algebra::{Budget, EvalLimits, WhileStrategy};
 use tabular_bench::sales_quads;
 use tabular_schemalog::{
     eval::{eval, SlLimits, Strategy},
@@ -34,12 +34,12 @@ fn bench(c: &mut Criterion) {
             // Both `while` strategies run so the translated pipeline's
             // delta payoff shows up next to the native evaluator.
             g.bench_with_input(BenchmarkId::new("via_ta", &label), &quads, |b, q| {
-                b.iter(|| run_translated(&program, q, &EvalLimits::default()).unwrap());
+                b.iter(|| run_translated(&program, q, &Budget::default()).unwrap());
             });
-            let naive = EvalLimits {
+            let naive = Budget::from_limits(&EvalLimits {
                 while_strategy: WhileStrategy::Naive,
                 ..EvalLimits::default()
-            };
+            });
             g.bench_with_input(BenchmarkId::new("via_ta_naive", &label), &quads, |b, q| {
                 b.iter(|| run_translated(&program, q, &naive).unwrap());
             });

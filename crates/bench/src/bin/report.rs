@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 use tabular_algebra::{
-    parser::parse, run, run_governed, run_outputs, run_traced, run_with_stats, Budget, EvalLimits,
+    parser::parse, run_governed_traced, run_planned_governed_traced, Budget, EvalLimits,
     TraceLevel, WhileStrategy,
 };
 use tabular_canonical::{check_fds, decode, encode, encode_program, EncodeScheme};
@@ -86,11 +86,11 @@ struct PartitionSummary {
 ///
 /// The source program stages PRODUCT(L, M) — the two big tables — and
 /// only then brings in the 1-row N and filters on A = B. The planner
-/// reorders the chain cheapest-first (L × N comes before M) and fuses
-/// the terminal selection into a hash join, so the quadratic
-/// intermediate is never materialized. `planned_us` is the full
-/// `run_planned` entry point — statistics, rewrites, lowering, and
-/// evaluation — so the speedup is end-to-end honest.
+/// re-brackets the chain as L × (M × N) and fuses the terminal
+/// selection into a hash join, so the quadratic intermediate is never
+/// materialized. `planned_us` is the full `run_planned_governed_traced`
+/// entry point — statistics, rewrites, lowering, and evaluation — so the
+/// speedup is end-to-end honest.
 struct PlanSummary {
     left_rows: usize,
     right_rows: usize,
@@ -116,6 +116,7 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, u128) {
 
 fn main() {
     let limits = EvalLimits::default();
+    let budget = Budget::from_limits(&limits);
     let mut rows: Vec<Row> = Vec::new();
 
     // ------------------------------------------------------------------
@@ -128,7 +129,8 @@ fn main() {
              Sales <- PURGE[on {Sold} by {Region}](Sales)",
         )
         .unwrap();
-        let (out, us) = timed(|| run(&p, &fixtures::sales_info1(), &limits).unwrap());
+        let ((out, ..), us) =
+            timed(|| run_governed_traced(&p, &fixtures::sales_info1(), &budget).unwrap());
         rows.push(Row {
             id: "Fig.1",
             what: "SalesInfo1 → SalesInfo2 (group, clean-up, purge)".into(),
@@ -138,7 +140,8 @@ fn main() {
     }
     {
         let p = parse("Sales <- SPLIT[on {Region}](Sales)").unwrap();
-        let (out, us) = timed(|| run(&p, &fixtures::sales_info1(), &limits).unwrap());
+        let ((out, ..), us) =
+            timed(|| run_governed_traced(&p, &fixtures::sales_info1(), &budget).unwrap());
         rows.push(Row {
             id: "Fig.1",
             what: "SalesInfo1 → SalesInfo4 (split)".into(),
@@ -193,7 +196,8 @@ fn main() {
     // ------------------------------------------------------------------
     {
         let p = parse("Sales <- GROUP[by {Region} on {Sold}](Sales)").unwrap();
-        let (out, us) = timed(|| run(&p, &fixtures::sales_info1(), &limits).unwrap());
+        let ((out, ..), us) =
+            timed(|| run_governed_traced(&p, &fixtures::sales_info1(), &budget).unwrap());
         rows.push(Row {
             id: "Fig.4",
             what: "GROUP by Region on Sold — exact table".into(),
@@ -203,7 +207,8 @@ fn main() {
     }
     {
         let p = parse("Sales <- MERGE[on {Sold} by {Region}](Sales)").unwrap();
-        let (out, us) = timed(|| run(&p, &fixtures::sales_info2(), &limits).unwrap());
+        let ((out, ..), us) =
+            timed(|| run_governed_traced(&p, &fixtures::sales_info2(), &budget).unwrap());
         rows.push(Row {
             id: "Fig.5",
             what: "MERGE on Sold by Region — exact table".into(),
@@ -220,7 +225,7 @@ fn main() {
         let program = transitive_closure_program();
         let direct = program.run(&db, 100_000).unwrap();
         let ((), us) = timed(|| {
-            let via_ta = run_compiled(&program, &db, &["TC"], &limits).unwrap();
+            let (via_ta, _, _) = run_compiled(&program, &db, &["TC"], &budget).unwrap();
             assert!(direct
                 .get_str("TC")
                 .unwrap()
@@ -243,12 +248,13 @@ fn main() {
     {
         let p = tabular_bench::ta_tc_program();
         let db = tabular_bench::ta_chain_db(24);
-        let naive_limits = EvalLimits {
+        let naive = Budget::from_limits(&EvalLimits {
             while_strategy: WhileStrategy::Naive,
             ..EvalLimits::default()
-        };
-        let (out_naive, us_naive) = timed(|| run(&p, &db, &naive_limits).unwrap());
-        let ((out_delta, stats), us_delta) = timed(|| run_with_stats(&p, &db, &limits).unwrap());
+        });
+        let ((out_naive, ..), us_naive) = timed(|| run_governed_traced(&p, &db, &naive).unwrap());
+        let ((out_delta, stats, _), us_delta) =
+            timed(|| run_governed_traced(&p, &db, &budget).unwrap());
         let ok = out_naive.table_str("TC").unwrap() == out_delta.table_str("TC").unwrap()
             && stats.while_fallback_naive == 0
             && stats.while_delta_skipped > 0;
@@ -277,14 +283,16 @@ fn main() {
             samples.sort_unstable();
             samples[samples.len() / 2]
         };
-        let us_unfused = median_of(&|| timed(|| run(&unfused, &db, &limits).unwrap()).1);
-        let us_fused = median_of(&|| timed(|| run(&fused, &db, &limits).unwrap()).1);
-        let spans_limits = EvalLimits {
+        let us_unfused =
+            median_of(&|| timed(|| run_governed_traced(&unfused, &db, &budget).unwrap()).1);
+        let us_fused =
+            median_of(&|| timed(|| run_governed_traced(&fused, &db, &budget).unwrap()).1);
+        let spans = Budget::from_limits(&EvalLimits {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
-        };
-        let (out_u, _, trace_u) = run_traced(&unfused, &db, &spans_limits).unwrap();
-        let (out_f, stats_f, trace_f) = run_traced(&fused, &db, &spans_limits).unwrap();
+        });
+        let (out_u, _, trace_u) = run_governed_traced(&unfused, &db, &spans).unwrap();
+        let (out_f, stats_f, trace_f) = run_governed_traced(&fused, &db, &spans).unwrap();
         let product_cells: usize = trace_u
             .spans()
             .filter(|s| s.op == "PRODUCT")
@@ -330,11 +338,11 @@ fn main() {
     {
         let p = tabular_bench::ta_tc_program();
         let db = tabular_bench::ta_chain_db(24);
-        let spans_limits = EvalLimits {
+        let spans = Budget::from_limits(&EvalLimits {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
-        };
-        let ((_, stats, trace), us_spans) = timed(|| run_traced(&p, &db, &spans_limits).unwrap());
+        });
+        let ((_, stats, trace), us_spans) = timed(|| run_governed_traced(&p, &db, &spans).unwrap());
         let reconciled = trace.dropped() == 0 && trace.per_op_micros() == stats.op_micros;
         let op_sum: u128 = stats.op_micros.values().sum();
         let decisions = trace.decision_counts();
@@ -357,8 +365,9 @@ fn main() {
         // Median of repeated runs: single runs of a sub-10ms workload are
         // too noisy to compare levels.
         let median = |l: &EvalLimits| {
+            let budget = Budget::from_limits(l);
             let mut samples: Vec<u128> = (0..9)
-                .map(|_| timed(|| run(&p, &db, l).unwrap()).1)
+                .map(|_| timed(|| run_governed_traced(&p, &db, &budget).unwrap()).1)
                 .collect();
             samples.sort_unstable();
             samples[samples.len() / 2]
@@ -390,15 +399,20 @@ fn main() {
             samples.sort_unstable();
             samples[samples.len() / 2]
         };
-        let base = EvalLimits::default();
-        let us_plain = median_of(&|| timed(|| run(&p, &db, &base).unwrap()).1);
-        let armed = Budget::from_limits(&base)
+        let base = Budget::default();
+        let us_plain = median_of(&|| timed(|| run_governed_traced(&p, &db, &base).unwrap()).1);
+        let armed = Budget::default()
             .with_deadline(std::time::Duration::from_secs(3600))
             .with_cell_budget(usize::MAX);
-        let us_governed = median_of(&|| timed(|| run_governed(&p, &db, &armed).unwrap()).1);
-        let same = run(&p, &db, &base).unwrap().table_str("TC").unwrap()
-            == run_governed(&p, &db, &armed)
+        let us_governed = median_of(&|| timed(|| run_governed_traced(&p, &db, &armed).unwrap()).1);
+        let same = run_governed_traced(&p, &db, &base)
+            .unwrap()
+            .0
+            .table_str("TC")
+            .unwrap()
+            == run_governed_traced(&p, &db, &armed)
                 .unwrap()
+                .0
                 .table_str("TC")
                 .unwrap();
         rows.push(Row {
@@ -411,8 +425,8 @@ fn main() {
             micros: us_governed,
         });
 
-        let tight = Budget::from_limits(&base).with_cell_budget(500);
-        let (trip, us_trip) = timed(|| run_governed(&p, &db, &tight).unwrap_err());
+        let tight = Budget::default().with_cell_budget(500);
+        let (trip, us_trip) = timed(|| run_governed_traced(&p, &db, &tight).unwrap_err());
         let tripped = match &trip {
             tabular_algebra::AlgebraError::BudgetExceeded { partial, .. } => {
                 partial.stats.tables_produced > 0
@@ -513,13 +527,7 @@ fn main() {
         let program = encode_program(&scheme).unwrap();
         let db = fixtures::sales_info1();
         let (ok, us) = timed(|| {
-            let out = run_outputs(
-                &program,
-                &db,
-                &[Symbol::name("Data"), Symbol::name("Map")],
-                &limits,
-            )
-            .unwrap();
+            let (out, _, _) = run_governed_traced(&program, &db, &budget).unwrap();
             let rep = RelDatabase::from_tabular(&out, &[Symbol::name("Data"), Symbol::name("Map")])
                 .unwrap();
             decode(&rep).unwrap().equiv(&db)
@@ -587,7 +595,7 @@ fn main() {
         .unwrap();
         let (ok, us) = timed(|| {
             let native = eval(&p, &quads, Strategy::SemiNaive, &SlLimits::default()).unwrap();
-            let via_ta = run_translated(&p, &quads, &limits).unwrap();
+            let (via_ta, _, _) = run_translated(&p, &quads, &budget).unwrap();
             native.len() == via_ta.len() && native.iter().all(|q| via_ta.contains(q))
         });
         rows.push(Row {
@@ -615,7 +623,7 @@ fn main() {
         for &(p, r) in &[(16usize, 8usize), (64, 16), (128, 32)] {
             let rel = fixtures::make_sales_relation(p, r);
             let (ta, us_ta) = timed(|| {
-                pivot(&rel, Symbol::name("Region"), Symbol::name("Sold"), &limits).unwrap()
+                pivot(&rel, Symbol::name("Region"), Symbol::name("Sold"), &budget).unwrap()
             });
             let (base, us_base) =
                 timed(|| pivot_direct(&rel, Symbol::name("Region"), Symbol::name("Sold")).unwrap());
@@ -639,12 +647,19 @@ fn main() {
                 &keys,
                 Symbol::name("Pivoted"),
             );
-            let fused_p = tabular_algebra::optimize::fuse_restructure(&staged_p);
+            let fused_p = tabular_algebra::plan_with_rules(
+                &staged_p,
+                None,
+                &[tabular_algebra::Rule::FuseRestructure],
+            )
+            .0;
             let db = tabular_core::Database::from_tables([rel.clone()]);
-            let us_staged = median_of(&|| timed(|| run(&staged_p, &db, &limits).unwrap()).1);
-            let us_fused = median_of(&|| timed(|| run(&fused_p, &db, &limits).unwrap()).1);
-            let (out_s, stats_s) = run_with_stats(&staged_p, &db, &limits).unwrap();
-            let (out_f, stats_f) = run_with_stats(&fused_p, &db, &limits).unwrap();
+            let us_staged =
+                median_of(&|| timed(|| run_governed_traced(&staged_p, &db, &budget).unwrap()).1);
+            let us_fused =
+                median_of(&|| timed(|| run_governed_traced(&fused_p, &db, &budget).unwrap()).1);
+            let (out_s, stats_s, _) = run_governed_traced(&staged_p, &db, &budget).unwrap();
+            let (out_f, stats_f, _) = run_governed_traced(&fused_p, &db, &budget).unwrap();
             let same = out_s.table_str("Pivoted").unwrap() == out_f.table_str("Pivoted").unwrap();
             let speedup = us_staged as f64 / us_fused.max(1) as f64;
             rows.push(Row {
@@ -702,7 +717,7 @@ fn main() {
         });
         let (ok, us) = timed(|| {
             let native = program.run(&g, 100).unwrap();
-            let via_ta = run_via_ta(&program, &g, &limits).unwrap();
+            let via_ta = run_via_ta(&program, &g, &budget).unwrap();
             native.equiv(&via_ta)
         });
         rows.push(Row {
@@ -726,7 +741,7 @@ fn main() {
             Symbol::name("Pivoted"),
         );
         let db = tabular_core::Database::from_tables([rel]);
-        let (_, stats) = tabular_algebra::run_with_stats(&program, &db, &limits).unwrap();
+        let (_, stats, _) = tabular_algebra::run_governed_traced(&program, &db, &budget).unwrap();
         let hottest = stats.hottest();
         let breakdown: Vec<String> = hottest
             .iter()
@@ -860,14 +875,12 @@ fn main() {
     // ------------------------------------------------------------------
     // Cost-based planner: join ordering on a pessimal 3-way chain. The
     // source program materializes the 400×400 product first; the planner
-    // reorders the 1-row table in front and fuses the terminal selection
+    // joins the 1-row table to M first and fuses the terminal selection
     // into a hash join, never building the quadratic intermediate.
     // ------------------------------------------------------------------
     let plan_bench: PlanSummary;
     {
-        use tabular_algebra::{
-            run_planned, run_planned_traced, Assignment, OpKind, Param, Program, Statement,
-        };
+        use tabular_algebra::{Assignment, OpKind, Param, Program, Statement};
 
         const SIDE: usize = 400;
         let rel2 = |name: &str, a0: &str, a1: &str, rows: Vec<[String; 2]>| {
@@ -928,15 +941,18 @@ fn main() {
         // Best-of-3 for the same reason as the partition section: the
         // minimum is the sample closest to true cost under vCPU steal.
         let best_of = |f: &dyn Fn() -> u128| (0..3).map(|_| f()).min().unwrap();
-        let unplanned_us = best_of(&|| timed(|| run(&program, &db, &limits).unwrap()).1);
-        let planned_us = best_of(&|| timed(|| run_planned(&program, &db, &limits).unwrap()).1);
+        let unplanned_us =
+            best_of(&|| timed(|| run_governed_traced(&program, &db, &budget).unwrap()).1);
+        let planned_us =
+            best_of(&|| timed(|| run_planned_governed_traced(&program, &db, &budget).unwrap()).1);
 
-        let spans_limits = EvalLimits {
+        let spans = Budget::from_limits(&EvalLimits {
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
-        };
-        let (out_u, _, trace_u) = run_traced(&program, &db, &spans_limits).unwrap();
-        let (out_p, stats_p, trace_p) = run_planned_traced(&program, &db, &spans_limits).unwrap();
+        });
+        let (out_u, _, trace_u) = run_governed_traced(&program, &db, &spans).unwrap();
+        let (out_p, stats_p, trace_p, _) =
+            run_planned_governed_traced(&program, &db, &spans).unwrap();
         let product_cells = |trace: &tabular_algebra::Trace| -> usize {
             trace
                 .spans()
@@ -1118,7 +1134,7 @@ fn main() {
          \"unplanned_product_cells\": {},\n  \"planned_product_cells\": {},\n  \
          \"cells_avoided\": {},\n  \
          \"method\": \"pessimal source order PRODUCT(L,M) then PRODUCT(.,N) then \
-         SELECT[A=B]; planned side is the full run_planned entry point \
+         SELECT[A=B]; planned side is the full run_planned_governed_traced entry point \
          (statistics + rewrites + lowering + evaluation); best-of-3 wall times \
          to filter vCPU steal; outputs asserted equivalent; product cells from \
          span traces\"\n}}\n",

@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn ta_tc_workload_closes_the_chain_under_both_strategies() {
-        use tabular_algebra::{run_with_stats, EvalLimits, WhileStrategy};
+        use tabular_algebra::{run_governed_traced, Budget, EvalLimits, WhileStrategy};
         let p = ta_tc_program();
         let db = ta_chain_db(8);
         let naive = EvalLimits {
@@ -241,8 +241,8 @@ mod tests {
             while_strategy: WhileStrategy::Delta,
             ..EvalLimits::default()
         };
-        let (out_n, _) = run_with_stats(&p, &db, &naive).unwrap();
-        let (out_d, stats) = run_with_stats(&p, &db, &delta).unwrap();
+        let (out_n, _, _) = run_governed_traced(&p, &db, &Budget::from_limits(&naive)).unwrap();
+        let (out_d, stats, _) = run_governed_traced(&p, &db, &Budget::from_limits(&delta)).unwrap();
         // 8 edges close to 9·8/2 = 36 pairs.
         assert_eq!(out_d.table_str("TC").unwrap().height(), 36);
         assert_eq!(
@@ -255,15 +255,18 @@ mod tests {
 
     #[test]
     fn fused_tc_workload_matches_unfused_and_runs_the_kernel() {
-        use tabular_algebra::{run_with_stats, EvalLimits, WhileStrategy};
+        use tabular_algebra::{run_governed_traced, Budget, EvalLimits, WhileStrategy};
         let db = ta_chain_db(8);
         for strategy in [WhileStrategy::Naive, WhileStrategy::Delta] {
             let limits = EvalLimits {
                 while_strategy: strategy,
                 ..EvalLimits::default()
             };
-            let (out_u, _) = run_with_stats(&ta_tc_program(), &db, &limits).unwrap();
-            let (out_f, stats) = run_with_stats(&ta_tc_fused_program(), &db, &limits).unwrap();
+            let (out_u, _, _) =
+                run_governed_traced(&ta_tc_program(), &db, &Budget::from_limits(&limits)).unwrap();
+            let (out_f, stats, _) =
+                run_governed_traced(&ta_tc_fused_program(), &db, &Budget::from_limits(&limits))
+                    .unwrap();
             assert_eq!(
                 out_u.table_str("TC").unwrap(),
                 out_f.table_str("TC").unwrap()

@@ -36,7 +36,7 @@ pub fn map_name() -> Symbol {
 /// Degenerate tables (height 0 or width 0) have no data occurrences and
 /// therefore no `Data` rows; they are outside the domain of `Rep` exactly
 /// as in the paper, where every example table is non-degenerate. See
-/// [`crate::decode`] for the inverse.
+/// [`crate::decode()`] for the inverse.
 pub fn encode(db: &Database) -> RelDatabase {
     let mut data = Relation::empty(
         data_name(),

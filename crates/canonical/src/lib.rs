@@ -2,7 +2,7 @@
 //!
 //! The **canonical representation** machinery of the PODS 1996 paper (§4.1):
 //!
-//! * [`encode`] / [`decode`] — **Lemmas 4.2 / 4.3**: every tabular database
+//! * [`encode`](mod@encode) / [`decode`](mod@decode) — **Lemmas 4.2 / 4.3**: every tabular database
 //!   encodes into a relational database over the fixed scheme
 //!   `Rep = {Data(Tbl,Row,Col,Val), Map(Id,Entry)}` and back, exactly up to
 //!   row/column permutations and the choice of occurrence identifiers;

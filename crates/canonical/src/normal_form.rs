@@ -28,7 +28,7 @@
 use crate::decode::decode;
 use crate::encode::{data_name, encode, map_name};
 use crate::error::Result;
-use tabular_algebra::EvalLimits;
+use tabular_algebra::{Budget, EvalLimits};
 use tabular_core::Database;
 use tabular_relational::compile::run_compiled;
 use tabular_relational::expr::RelExpr;
@@ -64,7 +64,12 @@ impl Transformation {
     /// actual TA program over the representation.
     pub fn apply_via_ta(&self, db: &Database, limits: &EvalLimits) -> Result<Database> {
         let rep = encode(db);
-        let out = run_compiled(&self.fo, &rep, &["Data", "Map"], limits)?;
+        let (out, _, _) = run_compiled(
+            &self.fo,
+            &rep,
+            &["Data", "Map"],
+            &Budget::from_limits(limits),
+        )?;
         decode(&out)
     }
 }

@@ -10,8 +10,8 @@
 //! fixed relational scheme `Rep`. The fully width-polymorphic program of
 //! the unavailable technical report (which also encodes tables with data
 //! in attribute positions, via data-driven switching) is substituted by
-//! the native [`crate::encode`]; both agree on their common domain, which
-//! the tests check via `decode ∘ run(P_Rep) = id`.
+//! the native [`crate::encode()`]; both agree on their common domain, which
+//! the tests check via `decode ∘ P_Rep = id`.
 //!
 //! The construction leans on exactly the derived tricks the paper
 //! sketches in §3.3–3.4:
@@ -277,13 +277,13 @@ mod tests {
     use super::*;
     use crate::decode::decode;
     use crate::encode::{check_fds, data_name, map_name};
-    use tabular_algebra::{run_outputs, EvalLimits};
+    use tabular_algebra::{run_governed_traced, Budget};
     use tabular_core::{fixtures, Database};
     use tabular_relational::relation::RelDatabase;
 
     fn run_encode(scheme: &EncodeScheme, db: &Database) -> RelDatabase {
         let p = encode_program(scheme).unwrap();
-        let out = run_outputs(&p, db, &[data_name(), map_name()], &EvalLimits::default()).unwrap();
+        let (out, _, _) = run_governed_traced(&p, db, &Budget::default()).unwrap();
         RelDatabase::from_tabular(&out, &[data_name(), map_name()]).unwrap()
     }
 

@@ -8,7 +8,7 @@
 //!
 //! ## Storage
 //!
-//! A `Database` is a handle over an [`Arc`]-shared [`TableStore`]: the
+//! A `Database` is a handle over an [`Arc`]-shared `TableStore`: the
 //! insertion-ordered table vector plus two secondary indexes — name →
 //! indices (serving [`Database::tables_named`] in O(matches)) and
 //! fingerprint → indices (serving [`Database::insert`]'s duplicate check

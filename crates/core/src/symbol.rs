@@ -145,7 +145,7 @@ impl fmt::Display for Symbol {
     }
 }
 
-/// Parse the grid cell syntax used by [`Table::from_grid`]
+/// Parse the grid cell syntax used by [`crate::Table::from_grid`]
 /// (crate::Table::from_grid) and the serde representation:
 ///
 /// * `"_"` or `"⊥"` → ⊥

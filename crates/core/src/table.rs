@@ -500,7 +500,7 @@ impl Table {
 
     /// Append `rows` data rows in a single exact-size extension and hand
     /// the *uninitialized* fresh storage to `f` as one mutable slice of
-    /// `rows * (width + 1)` [`MaybeUninit`] cells — each consecutive
+    /// `rows * (width + 1)` [`MaybeUninit`](std::mem::MaybeUninit) cells — each consecutive
     /// `width + 1` chunk is one storage row, attribute first. Splitting
     /// the slice into disjoint row ranges (`split_at_mut`) lets
     /// independent workers write their ranges in parallel. Unlike

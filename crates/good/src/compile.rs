@@ -30,10 +30,12 @@ use crate::graph::Graph;
 use crate::ops::{GoodOp, GoodProgram, GoodStatement};
 use crate::pattern::Pattern;
 use std::collections::HashMap;
-use tabular_algebra::EvalLimits;
+use tabular_algebra::Budget;
 use tabular_core::Symbol;
+use tabular_relational::compile::run_compiled;
 use tabular_relational::expr::RelExpr;
 use tabular_relational::program::FoProgram;
+use tabular_relational::relation::RelDatabase;
 
 fn var_col(v: u32) -> String {
     format!("\u{1F}g{v}")
@@ -304,61 +306,29 @@ pub fn compile_good(p: &GoodProgram) -> Result<FoProgram> {
     Ok(fo)
 }
 
-/// Run a GOOD program *through the tabular algebra*: embed the graph,
-/// compile to FO (this module) and then to TA (Theorem 4.1), run the TA
-/// interpreter, and decode the resulting object base.
-pub fn run_via_ta(p: &GoodProgram, g: &Graph, limits: &EvalLimits) -> Result<Graph> {
-    run_via_ta_governed(p, g, &tabular_algebra::Budget::from_limits(limits))
+/// The graph's `Node`/`Edge` embedding, read as relations.
+fn embed(g: &Graph) -> Result<RelDatabase> {
+    Ok(RelDatabase::from_tabular(
+        &to_tabular(g),
+        &[Symbol::name("Node"), Symbol::name("Edge")],
+    )?)
 }
 
-/// Like [`run_via_ta`], but governed by a [`tabular_algebra::Budget`]:
-/// the compiled TA run honors the budget's deadline, run-cell allowance,
-/// and cancellation token.
-pub fn run_via_ta_governed(
-    p: &GoodProgram,
-    g: &Graph,
-    budget: &tabular_algebra::Budget,
-) -> Result<Graph> {
+/// Run a GOOD program *through the tabular algebra* under `budget`: embed
+/// the graph, compile to FO (this module) and then to TA (Theorem 4.1),
+/// run the TA interpreter, and decode the resulting object base. The
+/// compiled TA run honors the budget's deadline, run-cell allowance, and
+/// cancellation token.
+pub fn run_via_ta(p: &GoodProgram, g: &Graph, budget: &Budget) -> Result<Graph> {
     let fo = compile_good(p)?;
-    let db = to_tabular(g);
-    let rel_db = tabular_relational::relation::RelDatabase::from_tabular(
-        &db,
-        &[Symbol::name("Node"), Symbol::name("Edge")],
-    )?;
-    let (out, _, _) = tabular_relational::compile::run_compiled_governed(
-        &fo,
-        &rel_db,
-        &["Node", "Edge"],
-        budget,
-    )?;
-    let out_db = out.to_tabular();
-    from_tabular(&out_db)
-}
-
-/// Like [`run_via_ta_governed`], but the compiled TA program goes
-/// through the cost-based planner (`tabular_algebra::plan`) before
-/// evaluation; returns the decoded graph together with the planner's
-/// decision report for the compiled `Node`/`Edge` program.
-pub fn run_via_ta_planned(
-    p: &GoodProgram,
-    g: &Graph,
-    budget: &tabular_algebra::Budget,
-) -> Result<(Graph, tabular_algebra::PlanReport)> {
-    let fo = compile_good(p)?;
-    let db = to_tabular(g);
-    let rel_db = tabular_relational::relation::RelDatabase::from_tabular(
-        &db,
-        &[Symbol::name("Node"), Symbol::name("Edge")],
-    )?;
-    let (out, _, _, report) =
-        tabular_relational::compile::run_compiled_planned(&fo, &rel_db, &["Node", "Edge"], budget)?;
-    let out_db = out.to_tabular();
-    Ok((from_tabular(&out_db)?, report))
+    let (out, _, _) = run_compiled(&fo, &embed(g)?, &["Node", "Edge"], budget)?;
+    from_tabular(&out.to_tabular())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tabular_algebra::run_planned_governed_traced;
 
     fn nm(s: &str) -> Symbol {
         Symbol::name(s)
@@ -376,7 +346,7 @@ mod tests {
 
     fn agree(p: &GoodProgram, g: &Graph) {
         let native = p.run(g, 1000).expect("native run");
-        let via_ta = run_via_ta(p, g, &EvalLimits::default()).expect("TA run");
+        let via_ta = run_via_ta(p, g, &Budget::default()).expect("TA run");
         assert!(
             native.equiv(&via_ta),
             "native ({} nodes, {} edges) vs TA ({} nodes, {} edges)",
@@ -421,8 +391,13 @@ mod tests {
         });
         let g = family();
         let native = p.run(&g, 1000).expect("native run");
-        let budget = tabular_algebra::Budget::from_limits(&EvalLimits::default());
-        let (planned, report) = run_via_ta_planned(&p, &g, &budget).expect("planned TA run");
+        let budget = Budget::default();
+        let compiled = tabular_relational::compile(&compile_good(&p).unwrap());
+        let (result, _, _, report) =
+            run_planned_governed_traced(&compiled, &embed(&g).unwrap().to_tabular(), &budget)
+                .expect("planned TA run");
+        let out = RelDatabase::from_tabular(&result, &[nm("Node"), nm("Edge")]).unwrap();
+        let planned = from_tabular(&out.to_tabular()).unwrap();
         assert!(native.equiv(&planned), "planned TA path diverged");
         assert!(report.rules_applied() >= 1, "pattern joins rewrite");
     }

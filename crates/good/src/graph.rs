@@ -1,6 +1,6 @@
 //! Object base graphs — the data model of GOOD (Gyssens, Paredaens &
 //! Van Gucht, *A graph-oriented object database model*, PODS 1990; cited
-//! as [9] and embedded into the tabular model as contribution (4) of the
+//! as \[9\] and embedded into the tabular model as contribution (4) of the
 //! 1996 paper).
 //!
 //! An object base is a finite directed graph: nodes are objects carrying a

@@ -4,7 +4,7 @@
 //! serve as the restructuring language for OLAP. These purpose-built
 //! implementations compute the same mappings directly on the matrix
 //! representation; the `olap_pivot` benchmark compares them against the
-//! algebraic [`crate::pivot`] programs to quantify what the generality
+//! algebraic [`crate::pivot`](mod@crate::pivot) programs to quantify what the generality
 //! costs (ablation, DESIGN.md §6).
 
 use crate::error::{OlapError, Result};
@@ -126,7 +126,7 @@ pub fn unpivot_direct(t: &Table, val_attr: Symbol, col_attr: Symbol) -> Result<T
 mod tests {
     use super::*;
     use crate::pivot::{pivot, unpivot};
-    use tabular_algebra::EvalLimits;
+    use tabular_algebra::Budget;
     use tabular_core::fixtures;
 
     fn nm(s: &str) -> Symbol {
@@ -145,7 +145,7 @@ mod tests {
         for (p, r) in [(4, 3), (12, 9)] {
             let rel = fixtures::make_sales_relation(p, r);
             let direct = pivot_direct(&rel, nm("Region"), nm("Sold")).unwrap();
-            let algebraic = pivot(&rel, nm("Region"), nm("Sold"), &EvalLimits::default()).unwrap();
+            let algebraic = pivot(&rel, nm("Region"), nm("Sold"), &Budget::default()).unwrap();
             assert!(direct.equiv(&algebraic), "{p}×{r}");
         }
     }
@@ -154,7 +154,7 @@ mod tests {
     fn direct_and_algebraic_unpivot_agree() {
         let cross = fixtures::make_sales_info2(10, 6);
         let direct = unpivot_direct(&cross, nm("Sold"), nm("Region")).unwrap();
-        let algebraic = unpivot(&cross, nm("Sold"), nm("Region"), &EvalLimits::default()).unwrap();
+        let algebraic = unpivot(&cross, nm("Sold"), nm("Region"), &Budget::default()).unwrap();
         assert_eq!(direct.height(), algebraic.height());
         for i in 1..=direct.height() {
             let row: Vec<Symbol> = direct.data_row(i).to_vec();

@@ -167,7 +167,7 @@ mod tests {
             &classified,
             nm("Band"),
             nm("Sold"),
-            &tabular_algebra::EvalLimits::default(),
+            &tabular_algebra::Budget::default(),
         )
         .unwrap();
         // Header row of bands exists.

@@ -8,11 +8,11 @@
 //!   `SalesInfo3`-style table (data in attribute positions), an
 //!   n-dimensional cube flattens to a `SalesInfo4`-style set of
 //!   same-named tables;
-//! * [`pivot`] — pivot/unpivot **as tabular algebra programs** (group +
+//! * [`pivot`](mod@pivot) — pivot/unpivot **as tabular algebra programs** (group +
 //!   clean-up + purge; merge + the projection/difference ⊥-elimination),
 //!   realizing §4.3's claim that TA is a restructuring language for OLAP;
 //! * [`baseline`] — hand-coded pivot/unpivot for the ablation benchmarks;
-//! * [`summarize`] — totals rows/columns and group summaries (the
+//! * [`summarize`](mod@summarize) — totals rows/columns and group summaries (the
 //!   regular-outline data of Figure 1);
 //! * [`classify`] — range/quantile classification (the paper's announced
 //!   future work);
@@ -48,5 +48,5 @@ pub use classify::Classifier;
 pub use cube::{Cube, Dimension};
 pub use error::OlapError;
 pub use lattice::{cube_table, rollup_table};
-pub use pivot::{pivot, pivot_governed, pivot_program, unpivot, unpivot_governed, unpivot_program};
+pub use pivot::{pivot, pivot_program, unpivot, unpivot_program};
 pub use summarize::{add_totals, grand_total, summarize};

@@ -17,7 +17,7 @@
 
 use crate::error::Result;
 use tabular_algebra::param::Item;
-use tabular_algebra::{derived::Emitter, Budget, EvalLimits, OpKind, Param, Program};
+use tabular_algebra::{derived::Emitter, Budget, OpKind, Param, Program};
 use tabular_core::{Database, Symbol, SymbolSet, Table};
 
 fn param_of(syms: &[Symbol]) -> Param {
@@ -124,20 +124,11 @@ pub fn unpivot_program(src: Symbol, val_attr: Symbol, col_attr: Symbol, target: 
     e.into_program()
 }
 
-/// Run [`pivot_program`] on a single table, returning the cross-tab.
-pub fn pivot(t: &Table, col_attr: Symbol, val_attr: Symbol, limits: &EvalLimits) -> Result<Table> {
-    pivot_governed(t, col_attr, val_attr, &Budget::from_limits(limits))
-}
-
-/// Like [`pivot`], but governed by a [`Budget`]: the underlying TA run
-/// honors the budget's deadline, run-cell allowance, and cancellation
-/// token (a trip surfaces as the algebra's `BudgetExceeded` error).
-pub fn pivot_governed(
-    t: &Table,
-    col_attr: Symbol,
-    val_attr: Symbol,
-    budget: &Budget,
-) -> Result<Table> {
+/// Run [`pivot_program`] on a single table under `budget`, returning the
+/// cross-tab. The underlying TA run honors the budget's deadline,
+/// run-cell allowance, and cancellation token (a trip surfaces as the
+/// algebra's `BudgetExceeded` error).
+pub fn pivot(t: &Table, col_attr: Symbol, val_attr: Symbol, budget: &Budget) -> Result<Table> {
     let keys: Vec<Symbol> = {
         let drop: SymbolSet = [col_attr, val_attr].into_iter().collect();
         t.scheme().minus(&drop).iter().collect()
@@ -149,7 +140,7 @@ pub fn pivot_governed(
     // because it is the program's final assignment.
     let p = pivot_program(t.name(), col_attr, val_attr, &keys, target);
     let db = Database::from_tables([t.clone()]);
-    let out = tabular_algebra::run_planned_governed(&p, &db, budget)?;
+    let (out, ..) = tabular_algebra::run_planned_governed_traced(&p, &db, budget)?;
     let mut result = out
         .table(target)
         .expect("pivot program produces its target")
@@ -158,29 +149,13 @@ pub fn pivot_governed(
     Ok(result)
 }
 
-/// Run [`unpivot_program`] on a single table, returning the relational
-/// form.
-pub fn unpivot(
-    t: &Table,
-    val_attr: Symbol,
-    col_attr: Symbol,
-    limits: &EvalLimits,
-) -> Result<Table> {
-    unpivot_governed(t, val_attr, col_attr, &Budget::from_limits(limits))
-}
-
-/// Like [`unpivot`], but governed by a [`Budget`] (see
-/// [`pivot_governed`]).
-pub fn unpivot_governed(
-    t: &Table,
-    val_attr: Symbol,
-    col_attr: Symbol,
-    budget: &Budget,
-) -> Result<Table> {
+/// Run [`unpivot_program`] on a single table under `budget`, returning
+/// the relational form (see [`pivot`]).
+pub fn unpivot(t: &Table, val_attr: Symbol, col_attr: Symbol, budget: &Budget) -> Result<Table> {
     let target = Symbol::fresh_name();
     let p = unpivot_program(t.name(), val_attr, col_attr, target);
     let db = Database::from_tables([t.clone()]);
-    let out = tabular_algebra::run_governed(&p, &db, budget)?;
+    let (out, ..) = tabular_algebra::run_governed_traced(&p, &db, budget)?;
     let mut result = out
         .table(target)
         .expect("unpivot program produces its target")
@@ -192,14 +167,15 @@ pub fn unpivot_governed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tabular_algebra::Rule;
     use tabular_core::fixtures;
 
     fn nm(s: &str) -> Symbol {
         Symbol::name(s)
     }
 
-    fn limits() -> EvalLimits {
-        EvalLimits::default()
+    fn budget() -> Budget {
+        Budget::default()
     }
 
     /// Regression for the PR 6 workaround: the pivot program's final
@@ -213,7 +189,17 @@ mod tests {
         let t = fixtures::sales_relation();
         let target = Symbol::fresh_name();
         let p = pivot_program(t.name(), nm("Region"), nm("Sold"), &[nm("Part")], target);
-        let opt = tabular_algebra::optimize(&p);
+        let opt = tabular_algebra::plan_with_rules(
+            &p,
+            None,
+            &[
+                Rule::ForwardCopy,
+                Rule::FuseJoin,
+                Rule::FuseRestructure,
+                Rule::EliminateDead,
+            ],
+        )
+        .0;
         assert!(
             !opt.statements.is_empty(),
             "optimizer must not drop the reserved-target program"
@@ -239,7 +225,7 @@ mod tests {
             &fixtures::sales_relation(),
             nm("Region"),
             nm("Sold"),
-            &limits(),
+            &budget(),
         )
         .unwrap();
         let info2 = fixtures::sales_info2();
@@ -254,7 +240,7 @@ mod tests {
             info2.table_str("Sales").unwrap(),
             nm("Sold"),
             nm("Region"),
-            &limits(),
+            &budget(),
         )
         .unwrap();
         // Same tuples as the base relation; column order is
@@ -274,9 +260,9 @@ mod tests {
     fn pivot_then_unpivot_is_identity_on_tuples() {
         for (parts, regions) in [(3, 4), (10, 7), (25, 16)] {
             let rel = fixtures::make_sales_relation(parts, regions);
-            let pivoted = pivot(&rel, nm("Region"), nm("Sold"), &limits()).unwrap();
+            let pivoted = pivot(&rel, nm("Region"), nm("Sold"), &budget()).unwrap();
             assert_eq!(pivoted.height(), parts + 1);
-            let back = unpivot(&pivoted, nm("Sold"), nm("Region"), &limits()).unwrap();
+            let back = unpivot(&pivoted, nm("Sold"), nm("Region"), &budget()).unwrap();
             assert_eq!(back.height(), rel.height(), "{parts}×{regions}");
         }
     }
@@ -291,7 +277,7 @@ mod tests {
             info2.table_str("Sales").unwrap(),
             nm("Sold"),
             nm("Region"),
-            &limits(),
+            &budget(),
         )
         .unwrap();
         assert!(out.equiv(&nonnull));

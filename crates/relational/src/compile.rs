@@ -14,16 +14,15 @@
 //! * `new`             ↦ tuple-new;
 //! * `while`           ↦ the TA `while` construct.
 //!
-//! Intermediate results live in reserved-namespace scratch tables; use
-//! [`tabular_algebra::run_outputs`] (or [`run_compiled`]) to project them
-//! away.
+//! Intermediate results live in reserved-namespace scratch tables;
+//! [`run_compiled`] reads back only the requested output relations.
 
 use crate::error::Result;
 use crate::expr::RelExpr;
 use crate::program::{FoProgram, FoStatement};
 use crate::relation::RelDatabase;
 use tabular_algebra::derived::Emitter;
-use tabular_algebra::{EvalLimits, OpKind, Param, Program};
+use tabular_algebra::{Budget, EvalStats, OpKind, Param, Program, Trace};
 use tabular_core::Symbol;
 
 /// Compiler state: a statement emitter with scratch names.
@@ -251,54 +250,20 @@ fn collect_inputs(stmts: &[FoStatement], out: &mut Vec<Symbol>) {
     }
 }
 
-/// Convenience: run an `FO + while + new` program *through the tabular
-/// algebra* — embed the database, run the compiled program, and read the
-/// requested output relations back.
+/// Run an `FO + while + new` program *through the tabular algebra* under
+/// `budget`: embed the database, run the compiled program, and read the
+/// requested output relations back. Also returns the tabular evaluator's
+/// statistics and structured trace (spans describe the *compiled* TA
+/// statements, so the breakdown shows what the Theorem 4.1 simulation
+/// actually paid for each source-level construct). A budget trip surfaces
+/// as [`tabular_algebra::AlgebraError::BudgetExceeded`] carrying the
+/// partial stats and trace of the compiled run.
 pub fn run_compiled(
     p: &FoProgram,
     db: &RelDatabase,
     outputs: &[&str],
-    limits: &EvalLimits,
-) -> Result<RelDatabase> {
-    Ok(run_compiled_traced(p, db, outputs, limits)?.0)
-}
-
-/// Like [`run_compiled`], additionally returning the tabular evaluator's
-/// statistics and structured trace (spans describe the *compiled* TA
-/// statements, so the breakdown shows what the Theorem 4.1 simulation
-/// actually paid for each source-level construct).
-pub fn run_compiled_traced(
-    p: &FoProgram,
-    db: &RelDatabase,
-    outputs: &[&str],
-    limits: &EvalLimits,
-) -> Result<(
-    RelDatabase,
-    tabular_algebra::EvalStats,
-    tabular_algebra::Trace,
-)> {
-    let compiled = compile(p);
-    let tabular = db.to_tabular();
-    let (result, stats, trace) = tabular_algebra::run_traced(&compiled, &tabular, limits)?;
-    let names: Vec<Symbol> = outputs.iter().map(|n| Symbol::name(n)).collect();
-    Ok((RelDatabase::from_tabular(&result, &names)?, stats, trace))
-}
-
-/// Like [`run_compiled_traced`], but governed by a
-/// [`tabular_algebra::Budget`]: the compiled TA run honors the budget's
-/// deadline, run-cell allowance, and cancellation token, and a trip
-/// surfaces as [`tabular_algebra::AlgebraError::BudgetExceeded`]
-/// carrying the partial stats and trace of the compiled run.
-pub fn run_compiled_governed(
-    p: &FoProgram,
-    db: &RelDatabase,
-    outputs: &[&str],
-    budget: &tabular_algebra::Budget,
-) -> Result<(
-    RelDatabase,
-    tabular_algebra::EvalStats,
-    tabular_algebra::Trace,
-)> {
+    budget: &Budget,
+) -> Result<(RelDatabase, EvalStats, Trace)> {
     let compiled = compile(p);
     let tabular = db.to_tabular();
     let (result, stats, trace) = tabular_algebra::run_governed_traced(&compiled, &tabular, budget)?;
@@ -306,51 +271,22 @@ pub fn run_compiled_governed(
     Ok((RelDatabase::from_tabular(&result, &names)?, stats, trace))
 }
 
-/// Like [`run_compiled_governed`], but the compiled TA program goes
-/// through the cost-based planner first (`tabular_algebra::plan` reads
-/// statistics off the embedded database). Compiled programs are full of
-/// single-read scratch intermediates — exactly the shapes the planner's
-/// rules rewrite — so the returned report shows what the Theorem 4.1
-/// simulation's output gained from planning.
-pub fn run_compiled_planned(
-    p: &FoProgram,
-    db: &RelDatabase,
-    outputs: &[&str],
-    budget: &tabular_algebra::Budget,
-) -> Result<(
-    RelDatabase,
-    tabular_algebra::EvalStats,
-    tabular_algebra::Trace,
-    tabular_algebra::PlanReport,
-)> {
-    let compiled = compile(p);
-    let tabular = db.to_tabular();
-    let (result, stats, trace, report) =
-        tabular_algebra::run_planned_governed_traced(&compiled, &tabular, budget)?;
-    let names: Vec<Symbol> = outputs.iter().map(|n| Symbol::name(n)).collect();
-    Ok((
-        RelDatabase::from_tabular(&result, &names)?,
-        stats,
-        trace,
-        report,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::program::{canonicalize_fresh, transitive_closure_program};
     use crate::relation::Relation;
+    use tabular_algebra::{plan_with_rules, run_planned_governed_traced, EvalLimits, Rule};
 
-    fn limits() -> EvalLimits {
-        EvalLimits::default()
+    fn budget() -> Budget {
+        Budget::default()
     }
 
     /// Check Theorem 4.1 on one program: direct evaluation and evaluation
     /// through the compiled tabular program agree on the outputs.
     fn simulate_and_compare(p: &FoProgram, db: &RelDatabase, outputs: &[&str]) {
         let direct = p.run(db, 10_000).unwrap();
-        let via_ta = run_compiled(p, db, outputs, &limits()).unwrap();
+        let (via_ta, _, _) = run_compiled(p, db, outputs, &budget()).unwrap();
         for out in outputs {
             let d = direct.get_str(out).unwrap();
             let t = via_ta.get_str(out).unwrap();
@@ -420,7 +356,7 @@ mod tests {
         let db = RelDatabase::from_relations([Relation::new("R", &["A"], &[&["1"], &["2"]])]);
         let p = FoProgram::new().new_ids("T", "R", "Id");
         let direct = canonicalize_fresh(&p.run(&db, 100).unwrap());
-        let via_ta = canonicalize_fresh(&run_compiled(&p, &db, &["T"], &limits()).unwrap());
+        let via_ta = canonicalize_fresh(&run_compiled(&p, &db, &["T"], &budget()).unwrap().0);
         assert!(direct
             .get_str("T")
             .unwrap()
@@ -474,9 +410,9 @@ mod tests {
             &[&["a", "b"], &["b", "c"], &["c", "d"]],
         )]);
         let direct = program.run(&db, 1000).unwrap();
-        let budget = tabular_algebra::Budget::from_limits(&limits());
-        let (planned, stats, _, report) =
-            run_compiled_planned(&program, &db, &["TC"], &budget).unwrap();
+        let (result, stats, _, report) =
+            run_planned_governed_traced(&compile(&program), &db.to_tabular(), &budget()).unwrap();
+        let planned = RelDatabase::from_tabular(&result, &[Symbol::name("TC")]).unwrap();
         assert!(direct
             .get_str("TC")
             .unwrap()
@@ -490,7 +426,17 @@ mod tests {
     fn optimizer_shrinks_compiled_programs_and_preserves_outputs() {
         let program = transitive_closure_program();
         let compiled = compile(&program);
-        let optimized = tabular_algebra::optimize(&compiled);
+        let optimized = plan_with_rules(
+            &compiled,
+            None,
+            &[
+                Rule::ForwardCopy,
+                Rule::FuseJoin,
+                Rule::FuseRestructure,
+                Rule::EliminateDead,
+            ],
+        )
+        .0;
         assert!(
             optimized.len() < compiled.len(),
             "optimizer should remove copy chains: {} vs {}",
@@ -523,7 +469,8 @@ mod tests {
         )]);
         let direct = program.run(&db, 1000).unwrap();
         let tabular = db.to_tabular();
-        let result = tabular_algebra::run(&optimized, &tabular, &limits()).unwrap();
+        let (result, _, _) =
+            tabular_algebra::run_governed_traced(&optimized, &tabular, &budget()).unwrap();
         let via_opt =
             RelDatabase::from_tabular(&result, &[tabular_core::Symbol::name("TC")]).unwrap();
         assert!(direct
@@ -543,8 +490,13 @@ mod tests {
             trace: tabular_algebra::TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (out, stats, trace) =
-            run_compiled_traced(&transitive_closure_program(), &db, &["TC"], &traced).unwrap();
+        let (out, stats, trace) = run_compiled(
+            &transitive_closure_program(),
+            &db,
+            &["TC"],
+            &Budget::from_limits(&traced),
+        )
+        .unwrap();
         assert!(out.get_str("TC").is_some());
         assert_eq!(trace.per_op_micros(), stats.op_micros);
         // The Theorem 4.1 compilation of TC runs products and differences

@@ -1,5 +1,5 @@
 //! Relational algebra expressions — the FO core of `FO + while + new`
-//! (Van den Bussche, Van Gucht, Andries & Gyssens, cited as [3] in the
+//! (Van den Bussche, Van Gucht, Andries & Gyssens, cited as \[3\] in the
 //! paper), with a direct evaluator used as the reference semantics for the
 //! Theorem 4.1 compiler.
 

@@ -1,5 +1,5 @@
 //! The language `FO + while + new` (paper §3.5 / §4.1, citing Van den
-//! Bussche et al. [3]): relational algebra assignments, an iteration
+//! Bussche et al. \[3\]): relational algebra assignments, an iteration
 //! construct, and tuple-level object creation. This is the source language
 //! of the Theorem 4.1 simulation and the engine behind the canonical-
 //! representation normal form of Theorem 4.4.

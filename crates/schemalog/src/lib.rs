@@ -10,9 +10,9 @@
 //! * [`quads`] — the quadruple view `Quad(Rel, Tid, Attr, Val)` of a
 //!   relational database (the shape shared with the paper's canonical
 //!   representation);
-//! * [`stratify`] / [`eval`] — stratified bottom-up evaluation, naive and
+//! * [`stratify`] / [`eval`](mod@eval) — stratified bottom-up evaluation, naive and
 //!   semi-naive;
-//! * [`translate`] — the Theorem 4.5 pipeline: rules → relational algebra
+//! * [`translate`](mod@translate) — the Theorem 4.5 pipeline: rules → relational algebra
 //!   over `Quad` → `FO + while` → (Theorem 4.1) → tabular algebra.
 //!
 //! ```
@@ -45,7 +45,4 @@ pub use error::SlError;
 pub use eval::{eval, SlLimits, Strategy};
 pub use parser::parse;
 pub use quads::{Quad, QuadDb};
-pub use translate::{
-    order_relation, run_translated, run_translated_governed, run_translated_traced, translate,
-    translate_with_order,
-};
+pub use translate::{order_relation, run_translated, translate, translate_with_order};

@@ -498,28 +498,11 @@ pub fn order_relation(input: &QuadDb) -> tabular_relational::relation::Relation 
     ord
 }
 
-/// Run a SchemaLog_d program *through the tabular algebra*: the quad view
-/// becomes the `Quad` relation, the program translates to `FO + while`
-/// ([`translate`] — or [`translate_with_order`] with the materialized
-/// `Ord` relation, when the program uses order built-ins) and then to TA
-/// (Theorem 4.1), the TA interpreter runs it, and the final quads are read
-/// back.
-pub fn run_translated(
-    program: &SlProgram,
-    input: &QuadDb,
-    limits: &tabular_algebra::EvalLimits,
-) -> Result<QuadDb> {
-    Ok(run_translated_traced(program, input, limits)?.0)
-}
-
-/// Like [`run_translated`], additionally returning the TA evaluator's
-/// statistics and structured trace for the translated program — the
-/// observability path through the whole SchemaLog_d → FO → TA stack.
-pub fn run_translated_traced(
-    program: &SlProgram,
-    input: &QuadDb,
-    limits: &tabular_algebra::EvalLimits,
-) -> Result<(QuadDb, tabular_algebra::EvalStats, tabular_algebra::Trace)> {
+/// Lower a SchemaLog_d program and its input to `FO + while`: the quad
+/// view becomes the `Quad` relation (plus the materialized `Ord` relation
+/// when the program uses order built-ins) and the program translates with
+/// [`translate`] or [`translate_with_order`].
+fn lower(program: &SlProgram, input: &QuadDb) -> Result<(FoProgram, RelDatabase)> {
     let ordered = uses_order(program);
     let fo = if ordered {
         translate_with_order(program)?
@@ -530,100 +513,11 @@ pub fn run_translated_traced(
     if ordered {
         relations.push(order_relation(input));
     }
-    let db = RelDatabase::from_relations(relations);
-    let (out, stats, trace) =
-        tabular_relational::compile::run_compiled_traced(&fo, &db, &["Quad"], limits)?;
-    let quad =
-        out.get(quad_rel())
-            .ok_or(SlError::Rel(tabular_relational::RelError::MissingRelation(
-                quad_rel(),
-            )))?;
-    Ok((QuadDb::from_relation(quad), stats, trace))
+    Ok((fo, RelDatabase::from_relations(relations)))
 }
 
-/// Like [`run_translated_traced`], but governed by a
-/// [`tabular_algebra::Budget`]: the underlying TA run honors the
-/// budget's deadline, run-cell allowance, and cancellation token, so a
-/// diverging or oversized SchemaLog_d program trips
-/// [`tabular_algebra::AlgebraError::BudgetExceeded`] with the partial
-/// stats and trace of the translated run.
-pub fn run_translated_governed(
-    program: &SlProgram,
-    input: &QuadDb,
-    budget: &tabular_algebra::Budget,
-) -> Result<(QuadDb, tabular_algebra::EvalStats, tabular_algebra::Trace)> {
-    let ordered = uses_order(program);
-    let fo = if ordered {
-        translate_with_order(program)?
-    } else {
-        translate(program)?
-    };
-    let mut relations = vec![input.to_relation(quad_rel())];
-    if ordered {
-        relations.push(order_relation(input));
-    }
-    let db = RelDatabase::from_relations(relations);
-    let (out, stats, trace) =
-        tabular_relational::compile::run_compiled_governed(&fo, &db, &["Quad"], budget)?;
-    let quad =
-        out.get(quad_rel())
-            .ok_or(SlError::Rel(tabular_relational::RelError::MissingRelation(
-                quad_rel(),
-            )))?;
-    Ok((QuadDb::from_relation(quad), stats, trace))
-}
-
-/// Like [`run_translated_governed`], but the compiled TA program goes
-/// through the cost-based planner (`tabular_algebra::plan`) before
-/// evaluation; the planner's decision report for the full
-/// SchemaLog_d → FO → TA stack is returned alongside the run artifacts.
-pub fn run_translated_planned(
-    program: &SlProgram,
-    input: &QuadDb,
-    budget: &tabular_algebra::Budget,
-) -> Result<(
-    QuadDb,
-    tabular_algebra::EvalStats,
-    tabular_algebra::Trace,
-    tabular_algebra::PlanReport,
-)> {
-    let ordered = uses_order(program);
-    let fo = if ordered {
-        translate_with_order(program)?
-    } else {
-        translate(program)?
-    };
-    let mut relations = vec![input.to_relation(quad_rel())];
-    if ordered {
-        relations.push(order_relation(input));
-    }
-    let db = RelDatabase::from_relations(relations);
-    let (out, stats, trace, report) =
-        tabular_relational::compile::run_compiled_planned(&fo, &db, &["Quad"], budget)?;
-    let quad =
-        out.get(quad_rel())
-            .ok_or(SlError::Rel(tabular_relational::RelError::MissingRelation(
-                quad_rel(),
-            )))?;
-    Ok((QuadDb::from_relation(quad), stats, trace, report))
-}
-
-/// Run the same translation but stop at the FO layer (reference point for
-/// the TA path; useful in benches to separate translation cost from TA
-/// interpretation cost).
-pub fn run_fo(program: &SlProgram, input: &QuadDb, max_iters: usize) -> Result<QuadDb> {
-    let ordered = uses_order(program);
-    let fo = if ordered {
-        translate_with_order(program)?
-    } else {
-        translate(program)?
-    };
-    let mut relations = vec![input.to_relation(quad_rel())];
-    if ordered {
-        relations.push(order_relation(input));
-    }
-    let db = RelDatabase::from_relations(relations);
-    let out = fo.run(&db, max_iters)?;
+/// Read the final quads back out of the lowered program's result.
+fn read_quads(out: &RelDatabase) -> Result<QuadDb> {
     let quad =
         out.get(quad_rel())
             .ok_or(SlError::Rel(tabular_relational::RelError::MissingRelation(
@@ -632,12 +526,39 @@ pub fn run_fo(program: &SlProgram, input: &QuadDb, max_iters: usize) -> Result<Q
     Ok(QuadDb::from_relation(quad))
 }
 
+/// Run a SchemaLog_d program *through the tabular algebra* under
+/// `budget`: the program is lowered to `FO + while` and then to TA
+/// (Theorem 4.1), the TA interpreter runs it, and the final quads are read
+/// back. Also returns the TA evaluator's statistics and structured trace
+/// for the translated program — the observability path through the whole
+/// SchemaLog_d → FO → TA stack. A diverging or oversized program trips
+/// [`tabular_algebra::AlgebraError::BudgetExceeded`] with the partial
+/// stats and trace of the translated run.
+pub fn run_translated(
+    program: &SlProgram,
+    input: &QuadDb,
+    budget: &tabular_algebra::Budget,
+) -> Result<(QuadDb, tabular_algebra::EvalStats, tabular_algebra::Trace)> {
+    let (fo, db) = lower(program, input)?;
+    let (out, stats, trace) =
+        tabular_relational::compile::run_compiled(&fo, &db, &["Quad"], budget)?;
+    Ok((read_quads(&out)?, stats, trace))
+}
+
+/// Run the same translation but stop at the FO layer (reference point for
+/// the TA path; useful in benches to separate translation cost from TA
+/// interpretation cost).
+pub fn run_fo(program: &SlProgram, input: &QuadDb, max_iters: usize) -> Result<QuadDb> {
+    let (fo, db) = lower(program, input)?;
+    read_quads(&fo.run(&db, max_iters)?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::{eval, SlLimits, Strategy};
     use crate::parser::parse;
-    use tabular_algebra::EvalLimits;
+    use tabular_algebra::{Budget, EvalLimits};
     use tabular_relational::relation::Relation;
 
     fn sales_quads() -> QuadDb {
@@ -656,7 +577,7 @@ mod tests {
         for q in native.iter() {
             assert!(via_fo.contains(q), "FO path missing {q:?}");
         }
-        let via_ta = run_translated(&p, input, &EvalLimits::default()).unwrap();
+        let (via_ta, _, _) = run_translated(&p, input, &Budget::default()).unwrap();
         assert_eq!(native.len(), via_ta.len(), "native vs TA sizes differ");
         for q in native.iter() {
             assert!(via_ta.contains(q), "TA path missing {q:?}");
@@ -670,8 +591,9 @@ mod tests {
             trace: tabular_algebra::TraceLevel::Spans,
             ..EvalLimits::default()
         };
-        let (out, stats, trace) = run_translated_traced(&p, &sales_quads(), &traced).unwrap();
-        let plain = run_translated(&p, &sales_quads(), &EvalLimits::default()).unwrap();
+        let (out, stats, trace) =
+            run_translated(&p, &sales_quads(), &Budget::from_limits(&traced)).unwrap();
+        let (plain, _, _) = run_translated(&p, &sales_quads(), &Budget::default()).unwrap();
         assert_eq!(out.len(), plain.len(), "tracing must not change results");
         assert!(!trace.is_empty(), "translated TA statements produce spans");
         assert_eq!(trace.per_op_micros(), stats.op_micros);
@@ -683,9 +605,16 @@ mod tests {
         let p = parse("pr[T : pair -> P] :- sales[T : part -> P], sales[T : region -> v:east].")
             .unwrap();
         let input = sales_quads();
-        let budget = tabular_algebra::Budget::from_limits(&EvalLimits::default());
-        let (out, stats, _, report) = run_translated_planned(&p, &input, &budget).unwrap();
-        let plain = run_translated(&p, &input, &EvalLimits::default()).unwrap();
+        let budget = Budget::default();
+        let (fo, db) = lower(&p, &input).unwrap();
+        let (result, stats, _, report) = tabular_algebra::run_planned_governed_traced(
+            &tabular_relational::compile(&fo),
+            &db.to_tabular(),
+            &budget,
+        )
+        .unwrap();
+        let out = read_quads(&RelDatabase::from_tabular(&result, &[quad_rel()]).unwrap()).unwrap();
+        let (plain, _, _) = run_translated(&p, &input, &budget).unwrap();
         assert_eq!(out.len(), plain.len(), "planning must not change results");
         for q in plain.iter() {
             assert!(out.contains(q), "planned path missing {q:?}");

@@ -47,8 +47,8 @@ fn main() {
     )
     .expect("program parses");
 
-    let out = fed
-        .run_program(&program, "main", &EvalLimits::default())
+    let (out, _, _) = fed
+        .run_program(&program, "main", &Budget::default())
         .expect("federated run succeeds");
 
     let warehouse = out.member("warehouse").expect("warehouse member created");

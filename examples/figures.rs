@@ -38,15 +38,17 @@ fn main() {
     .unwrap();
     check(
         "Figure 1: SalesInfo1 → SalesInfo2 by TA program",
-        run(&p2, &info1, &EvalLimits::default())
+        run_governed_traced(&p2, &info1, &Budget::default())
             .unwrap()
+            .0
             .equiv(&fixtures::sales_info2()),
     );
     let p4 = parse("Sales <- SPLIT[on {Region}](Sales)").unwrap();
     check(
         "Figure 1: SalesInfo1 → SalesInfo4 by TA program",
-        run(&p4, &info1, &EvalLimits::default())
+        run_governed_traced(&p4, &info1, &Budget::default())
             .unwrap()
+            .0
             .equiv(&fixtures::sales_info4()),
     );
     let cube = Cube::from_table(

@@ -112,8 +112,7 @@ fn main() {
     };
     let additive = GoodProgram::new().op(coauthor).op(ordered_collab);
     let native = additive.run(&g, 100).unwrap();
-    let via_ta =
-        run_via_ta(&additive, &g, &EvalLimits::default()).expect("compiled TA program runs");
+    let via_ta = run_via_ta(&additive, &g, &Budget::default()).expect("compiled TA program runs");
     assert!(
         native.equiv(&via_ta),
         "native and TA-compiled runs must be isomorphic"

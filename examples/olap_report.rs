@@ -86,7 +86,7 @@ fn main() {
         &facts,
         Symbol::name("Region"),
         Symbol::name("Sold"),
-        &EvalLimits::default(),
+        &Budget::default(),
     )
     .unwrap();
     let report = add_totals(
@@ -110,7 +110,7 @@ fn main() {
         &classified.select_cols(&[2, 3, 4]), // Region, Sold, Band
         Symbol::name("Band"),
         Symbol::name("Sold"),
-        &EvalLimits::default(),
+        &Budget::default(),
     )
     .unwrap();
     println!("Bands cross-tab (region rows preserved implicitly):\n{band_cross}");

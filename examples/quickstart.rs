@@ -40,7 +40,9 @@ fn main() {
     )
     .expect("program parses");
 
-    let out = run(&program, &db, &EvalLimits::default()).expect("program runs");
+    let out = run_governed_traced(&program, &db, &Budget::default())
+        .expect("program runs")
+        .0;
 
     println!(
         "Cross-tab (GROUP + CLEAN-UP + PURGE):\n{}",
@@ -56,7 +58,7 @@ fn main() {
         db.table_str("Sales").unwrap(),
         Symbol::name("Region"),
         Symbol::name("Sold"),
-        &EvalLimits::default(),
+        &Budget::default(),
     )
     .expect("pivot runs");
     pivoted.set_name(Symbol::name("Cross"));

@@ -29,7 +29,9 @@ fn main() {
         ",
     )
     .unwrap();
-    let got2 = run(&to_info2, &info1, &EvalLimits::default()).unwrap();
+    let got2 = run_governed_traced(&to_info2, &info1, &Budget::default())
+        .unwrap()
+        .0;
     println!("SalesInfo1 → SalesInfo2 (group, clean-up, purge):\n{got2}");
     assert!(got2.equiv(&info2), "must reproduce the bold SalesInfo2");
 
@@ -49,13 +51,10 @@ fn main() {
         ",
     )
     .unwrap();
-    let got1 = run_outputs(
-        &to_info1,
-        &info2,
-        &[Symbol::name("Sales")],
-        &EvalLimits::default(),
-    )
-    .unwrap();
+    let mut got1 = run_governed_traced(&to_info1, &info2, &Budget::default())
+        .unwrap()
+        .0;
+    got1.retain(|t| t.name() == Symbol::name("Sales"));
     println!("SalesInfo2 → SalesInfo1 (merge, ⊥-elimination, clean-up):\n{got1}");
     let back = got1.table_str("Sales").unwrap();
     let rel = fixtures::sales_relation();
@@ -65,7 +64,9 @@ fn main() {
     // SalesInfo1 → SalesInfo4: SPLIT on Region.
     // ------------------------------------------------------------------
     let to_info4 = parse("Sales <- SPLIT[on {Region}](Sales)").unwrap();
-    let got4 = run(&to_info4, &info1, &EvalLimits::default()).unwrap();
+    let got4 = run_governed_traced(&to_info4, &info1, &Budget::default())
+        .unwrap()
+        .0;
     println!(
         "SalesInfo1 → SalesInfo4 (split): {} tables named Sales",
         got4.len()
@@ -84,7 +85,9 @@ fn main() {
         ",
     )
     .unwrap();
-    let got1b = run(&to_info1_from4, &info4, &EvalLimits::default()).unwrap();
+    let got1b = run_governed_traced(&to_info1_from4, &info4, &Budget::default())
+        .unwrap()
+        .0;
     let collapsed = got1b.table_str("Sales").unwrap();
     println!("SalesInfo4 → relational form (collapse, purge, clean-up):\n{collapsed}");
     assert_eq!(collapsed.height(), rel.height());

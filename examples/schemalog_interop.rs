@@ -88,7 +88,7 @@ fn main() {
         &SlLimits::default(),
     )
     .unwrap();
-    let via_ta = run_translated(&ta_fragment, &quads, &EvalLimits::default())
+    let (via_ta, _, _) = run_translated(&ta_fragment, &quads, &Budget::default())
         .expect("translation + TA run succeed");
     let native_rel = native.to_relations(&[Symbol::name("eastern")]);
     let ta_rel = via_ta.to_relations(&[Symbol::name("eastern")]);

@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! tabular run program.ta --table sales.csv [--table more.csv …]
-//!         [--out Name …] [--optimize] [--plan] [--stats] [--trace]
+//!         [--out Name …] [--plan] [--stats] [--trace]
 //!         [--deadline-ms N] [--cell-budget N]
 //! ```
 //!
@@ -20,8 +20,8 @@
 
 use std::process::ExitCode;
 use tables_paradigm::algebra::{
-    optimize, parser, pretty, run_governed_traced, AlgebraError, Budget, EvalLimits, EvalStats,
-    Trace, TraceLevel,
+    parser, pretty, run_governed_traced, AlgebraError, Budget, EvalLimits, EvalStats, Trace,
+    TraceLevel,
 };
 use tables_paradigm::core::{interner, io, Database, Symbol};
 
@@ -29,7 +29,6 @@ struct Options {
     program_path: String,
     tables: Vec<String>,
     outputs: Vec<String>,
-    optimize: bool,
     plan: bool,
     stats: bool,
     trace: bool,
@@ -38,7 +37,7 @@ struct Options {
 }
 
 const USAGE: &str = "usage: tabular run <program.ta> --table <file.csv> [--table …] \
-[--out <Name> …] [--optimize] [--plan] [--stats] [--trace] [--deadline-ms <N>] [--cell-budget <N>]\n       \
+[--out <Name> …] [--plan] [--stats] [--trace] [--deadline-ms <N>] [--cell-budget <N>]\n       \
 tabular fmt <program.ta>\n\
 \n\
 --plan              run the cost-based planner against the loaded tables'\n\
@@ -58,7 +57,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
         program_path: String::new(),
         tables: Vec::new(),
         outputs: Vec::new(),
-        optimize: false,
         plan: false,
         stats: false,
         trace: false,
@@ -73,7 +71,6 @@ fn parse_args(args: &[String]) -> Result<(String, Options), String> {
             "--out" => opts
                 .outputs
                 .push(it.next().ok_or("--out needs a table name")?.clone()),
-            "--optimize" => opts.optimize = true,
             "--plan" => opts.plan = true,
             "--stats" => opts.stats = true,
             "--trace" => opts.trace = true,
@@ -119,9 +116,6 @@ fn execute(command: &str, opts: &Options) -> Result<String, String> {
     }
 
     let db = load_database(&opts.tables)?;
-    if opts.optimize {
-        program = optimize(&program);
-    }
     let mut plan_section = String::new();
     if opts.plan {
         let (planned, report) = tables_paradigm::algebra::plan(&program, &db);
@@ -220,10 +214,16 @@ mod tests {
     use super::*;
     use tables_paradigm::core::fixtures;
 
+    /// Write `contents` to a fresh file. Every call gets its own path
+    /// (process id plus a per-process counter), so tests running in
+    /// parallel never read a file another test is rewriting.
     fn write_temp(name: &str, contents: &str) -> String {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join("tabular-cli-tests");
         std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join(name);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("{}-{n}-{name}", std::process::id()));
         std::fs::write(&path, contents).expect("write temp file");
         path.to_string_lossy().into_owned()
     }
@@ -298,18 +298,13 @@ mod tests {
     }
 
     #[test]
-    fn optimize_flag_is_accepted() {
-        let program = write_temp("opt.ta", "T <- COPY(Sales)\n");
-        let (cmd, opts) = parse_args(&[
-            "run".into(),
-            program,
-            "--table".into(),
-            sales_csv(),
-            "--optimize".into(),
-        ])
-        .unwrap();
-        let out = execute(&cmd, &opts).unwrap();
-        assert!(out.contains("| T "));
+    fn optimize_flag_is_rejected() {
+        // `--plan` runs every rewrite rule; there is no separate
+        // statistics-free optimizer flag.
+        let err = parse_args(&["run".into(), "p.ta".into(), "--optimize".into()])
+            .err()
+            .expect("--optimize is not a flag");
+        assert!(err.contains("unknown flag --optimize"), "{err}");
     }
 
     #[test]

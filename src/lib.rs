@@ -24,7 +24,7 @@
 //!
 //! // Figure 4: Sales ← GROUP by Region on Sold (Sales).
 //! let program = parse("Sales <- GROUP[by {Region} on {Sold}](Sales)").unwrap();
-//! let out = run(&program, &db, &EvalLimits::default()).unwrap();
+//! let out = run_governed_traced(&program, &db, &Budget::default()).unwrap().0;
 //! assert_eq!(out.table_str("Sales").unwrap(), &fixtures::figure4_grouped());
 //! ```
 
@@ -40,10 +40,9 @@ pub use tabular_schemalog as schemalog;
 pub mod prelude {
     pub use tabular_algebra::{
         parser::parse, plan, plan_with_rules, pretty::render, pretty::render_plan,
-        pretty::render_trace, run, run_governed, run_governed_traced, run_outputs, run_planned,
-        run_planned_governed, run_planned_governed_traced, run_planned_traced, run_traced,
-        run_with_stats, Budget, CancelToken, EvalLimits, OpKind, Param, PlanReport, Program,
-        RestructureChain, Rule, Trace, TraceLevel, WhileStrategy, ALL_RULES,
+        pretty::render_trace, run_governed_traced, run_planned_governed_traced, Budget,
+        CancelToken, EvalLimits, OpKind, Param, PlanReport, Program, RestructureChain, Rule, Trace,
+        TraceLevel, WhileStrategy, ALL_RULES,
     };
     pub use tabular_canonical::{decode, encode, encode_program, EncodeScheme, Transformation};
     pub use tabular_core::{fixtures, Database, Symbol, SymbolSet, Table};

@@ -132,7 +132,7 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         ..EvalLimits::default()
     };
     let cow_before = stats::cow_copies();
-    let err = run(&program, &input, &limits).unwrap_err();
+    let err = run_governed_traced(&program, &input, &Budget::from_limits(&limits)).unwrap_err();
     assert!(
         err.to_string().contains("while"),
         "the non-writing loop diverges into the iteration limit, got: {err}"
@@ -170,7 +170,8 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         while_strategy: WhileStrategy::Delta,
         ..EvalLimits::default()
     };
-    let (out, run_stats) = run_with_stats(&program, &input, &limits).unwrap();
+    let (out, run_stats, _) =
+        run_governed_traced(&program, &input, &Budget::from_limits(&limits)).unwrap();
 
     assert!(run_stats.snapshots >= 1, "the run snapshots its input");
     assert!(
@@ -213,7 +214,7 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     ALLOCS.store(0, Ordering::SeqCst);
     BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    let err = run(&program, &input, &limits).unwrap_err();
+    let err = run_governed_traced(&program, &input, &Budget::from_limits(&limits)).unwrap_err();
     ARMED.store(false, Ordering::SeqCst);
 
     let msg = err.to_string();
@@ -254,7 +255,9 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     ALLOCS.store(0, Ordering::SeqCst);
     BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    let out = run(&program, &input, &limits).unwrap();
+    let out = run_governed_traced(&program, &input, &Budget::from_limits(&limits))
+        .unwrap()
+        .0;
     ARMED.store(false, Ordering::SeqCst);
 
     assert_eq!(
@@ -308,7 +311,7 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     ALLOCS.store(0, Ordering::SeqCst);
     BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    let fused_out = pivot(&rel, col, val, &EvalLimits::default()).unwrap();
+    let fused_out = pivot(&rel, col, val, &Budget::default()).unwrap();
     ARMED.store(false, Ordering::SeqCst);
     let fused_bytes = BYTES.load(Ordering::SeqCst);
 
@@ -337,7 +340,13 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     ALLOCS.store(0, Ordering::SeqCst);
     BYTES.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    let staged_out = run(&staged_program, &staged_input, &staged_limits).unwrap();
+    let staged_out = run_governed_traced(
+        &staged_program,
+        &staged_input,
+        &Budget::from_limits(&staged_limits),
+    )
+    .unwrap()
+    .0;
     ARMED.store(false, Ordering::SeqCst);
     let staged_bytes = BYTES.load(Ordering::SeqCst);
 

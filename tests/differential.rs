@@ -278,11 +278,11 @@ proptest! {
             spans(WhileStrategy::Naive),
             spans(WhileStrategy::Delta),
         ];
-        let baseline = run_traced(&program, &db, &configs[0]);
+        let baseline = run_governed_traced(&program, &db, &Budget::from_limits(&configs[0]));
         let canon_base = baseline.as_ref().map(|(out, _, _)| canonicalize_fresh(out));
         let base_stats = baseline.as_ref().ok().map(|(_, stats, _)| stats);
         for cfg in &configs[1..] {
-            let traced = run_traced(&program, &db, cfg);
+            let traced = run_governed_traced(&program, &db, &Budget::from_limits(cfg));
             match (&canon_base, &traced) {
                 (Ok(expect), Ok((got, stats, trace))) => {
                     let got = canonicalize_fresh(got);
@@ -350,7 +350,7 @@ proptest! {
 // ----------------------------------------------------------------------
 
 /// A `SELECT[a = b]` over a `PRODUCT` staged through single-use
-/// reserved-namespace scratch — the exact shape `fuse_joins` rewrites
+/// reserved-namespace scratch — the exact shape the planner's `fuse-join` rule rewrites
 /// into `FUSEDJOIN`. `n` keeps scratch names unique across splices.
 fn fusable_chain(n: usize, t: &str, x: &str, y: &str, a: &str, b: &str) -> Vec<Statement> {
     use tables_paradigm::algebra::Assignment;
@@ -408,7 +408,6 @@ proptest! {
         (t2, x2, y2) in (0usize..5, 0usize..6, 0usize..6),
         (a2, b2) in (0usize..4, 0usize..4),
     ) {
-        use tables_paradigm::algebra::optimize::fuse_joins;
 
         let mut program = parse(&src).unwrap_or_else(|e| {
             panic!("generated program must parse: {e}\n{src}")
@@ -424,7 +423,7 @@ proptest! {
                 fusable_chain(1, TARGETS[t2], SOURCES[x2], SOURCES[y2], ATTRS[a2], ATTRS[b2]);
             body.splice(0..0, inner);
         }
-        let fused = fuse_joins(&program);
+        let fused = plan_with_rules(&program, None, &[Rule::FuseJoin]).0;
         fn count_fused(stmts: &[Statement]) -> usize {
             stmts
                 .iter()
@@ -444,7 +443,7 @@ proptest! {
             limits(WhileStrategy::Delta, usize::MAX),
             limits(WhileStrategy::Delta, 1),
         ];
-        let baseline = run_traced(&program, &db, &configs[0]);
+        let baseline = run_governed_traced(&program, &db, &Budget::from_limits(&configs[0]));
         let Ok((base_out, _, _)) = &baseline else {
             // Unfused baseline tripped a resource limit; fused runs may
             // legitimately proceed further, so there is nothing to pin.
@@ -452,7 +451,7 @@ proptest! {
         };
         let expect = canonicalize_fresh(&visible(base_out));
         for cfg in &configs {
-            let (got, stats, _) = run_traced(&fused, &db, cfg).unwrap_or_else(|e| {
+            let (got, stats, _) = run_governed_traced(&fused, &db, &Budget::from_limits(cfg)).unwrap_or_else(|e| {
                 panic!(
                     "fused run failed where unfused baseline succeeded \
                      under {:?}/threshold {}: {e}\nprogram:\n{src}",
@@ -476,7 +475,7 @@ proptest! {
         // on the spliced shape (the pre-existing oracle covers generated
         // programs; this covers the scratch-staged chains).
         for cfg in &configs[1..] {
-            if let Ok((got, _, _)) = run_traced(&program, &db, cfg) {
+            if let Ok((got, _, _)) = run_governed_traced(&program, &db, &Budget::from_limits(cfg)) {
                 prop_assert!(
                     expect == canonicalize_fresh(&visible(&got)),
                     "unfused output diverges under {:?}/threshold {}\nprogram:\n{}",
@@ -498,7 +497,7 @@ proptest! {
     /// be *byte-identical* to the serial kernel — not merely equivalent —
     /// under every strategy and shard configuration. The same fused
     /// program (scratch-staged join chains spliced into the prologue and
-    /// the loop body, then `fuse_joins`) runs under Naive/Delta ×
+    /// the loop body, then the `fuse-join` rule) runs under Naive/Delta ×
     /// serial/sharded × `partition_threshold ∈ {∞, 1}`; because only the
     /// limits differ, every run must produce the same database (up to
     /// fresh-tag renumbering for `TUPLENEW` programs) or fail with the
@@ -513,7 +512,6 @@ proptest! {
         (t2, x2, y2) in (0usize..5, 0usize..6, 0usize..6),
         (a2, b2) in (0usize..4, 0usize..4),
     ) {
-        use tables_paradigm::algebra::optimize::fuse_joins;
 
         let mut program = parse(&src).unwrap_or_else(|e| {
             panic!("generated program must parse: {e}\n{src}")
@@ -529,7 +527,7 @@ proptest! {
                 fusable_chain(3, TARGETS[t2], SOURCES[x2], SOURCES[y2], ATTRS[a2], ATTRS[b2]);
             body.splice(0..0, inner);
         }
-        let fused = fuse_joins(&program);
+        let fused = plan_with_rules(&program, None, &[Rule::FuseJoin]).0;
 
         let mut configs = Vec::new();
         for strategy in [WhileStrategy::Naive, WhileStrategy::Delta] {
@@ -544,14 +542,14 @@ proptest! {
             }
         }
         // Baseline: Naive, serial, partitioning off.
-        let baseline = run_traced(&fused, &db, &configs[0]);
+        let baseline = run_governed_traced(&fused, &db, &Budget::from_limits(&configs[0]));
         let expect = baseline.as_ref().ok().map(|(out, _, _)| canonicalize_fresh(&visible(out)));
         for cfg in &configs[1..] {
             let label = format!(
                 "{:?}/threshold {}/partition {}",
                 cfg.while_strategy, cfg.parallel_threshold, cfg.partition_threshold
             );
-            match (&baseline, run_traced(&fused, &db, cfg)) {
+            match (&baseline, run_governed_traced(&fused, &db, &Budget::from_limits(cfg))) {
                 (Ok(_), Ok((got, stats, _))) => {
                     prop_assert!(
                         *expect.as_ref().unwrap() == canonicalize_fresh(&visible(&got)),
@@ -593,7 +591,7 @@ proptest! {
 // ----------------------------------------------------------------------
 
 /// A `GROUP → CLEANUP (→ PURGE)` chain staged through single-use
-/// reserved-namespace scratches — the exact shape `fuse_restructure`
+/// reserved-namespace scratches — the exact shape the `fuse-restructure` rule
 /// rewrites into `FUSEDRESTRUCTURE`. `n` keeps scratch names unique
 /// across splices.
 #[allow(clippy::too_many_arguments)]
@@ -672,7 +670,6 @@ proptest! {
         (t2, x2, by2, on2, k2) in (0usize..5, 0usize..6, 0usize..4, 0usize..4, 0usize..4),
         (shape1, shape2) in (0usize..4, 0usize..4),
     ) {
-        use tables_paradigm::algebra::optimize::fuse_restructure;
 
         let (null1, purge1) = (shape1 & 1 == 0, shape1 & 2 == 0);
         let (null2, purge2) = (shape2 & 1 == 0, shape2 & 2 == 0);
@@ -694,7 +691,7 @@ proptest! {
             );
             body.splice(0..0, inner);
         }
-        let fused = fuse_restructure(&program);
+        let fused = plan_with_rules(&program, None, &[Rule::FuseRestructure]).0;
         fn count_fused(stmts: &[Statement]) -> usize {
             stmts
                 .iter()
@@ -714,7 +711,7 @@ proptest! {
             limits(WhileStrategy::Delta, usize::MAX),
             limits(WhileStrategy::Delta, 1),
         ];
-        let baseline = run_traced(&program, &db, &configs[0]);
+        let baseline = run_governed_traced(&program, &db, &Budget::from_limits(&configs[0]));
         let Ok((base_out, _, _)) = &baseline else {
             // Unfused baseline tripped a resource limit; fused runs may
             // legitimately proceed further, so there is nothing to pin.
@@ -722,7 +719,7 @@ proptest! {
         };
         let expect = canonicalize_fresh(&visible(base_out));
         for cfg in &configs {
-            let (got, stats, _) = run_traced(&fused, &db, cfg).unwrap_or_else(|e| {
+            let (got, stats, _) = run_governed_traced(&fused, &db, &Budget::from_limits(cfg)).unwrap_or_else(|e| {
                 panic!(
                     "fused run failed where unfused baseline succeeded \
                      under {:?}/threshold {}: {e}\nprogram:\n{src}",
@@ -745,7 +742,7 @@ proptest! {
         // And the unfused program itself still agrees across strategies
         // on the spliced shape.
         for cfg in &configs[1..] {
-            if let Ok((got, _, _)) = run_traced(&program, &db, cfg) {
+            if let Ok((got, _, _)) = run_governed_traced(&program, &db, &Budget::from_limits(cfg)) {
                 prop_assert!(
                     expect == canonicalize_fresh(&visible(&got)),
                     "unfused output diverges under {:?}/threshold {}\nprogram:\n{}",
@@ -813,7 +810,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The planner oracle: running a program through the full cost-based
-    /// planner (`run_planned_traced` = statistics catalog + every rule in
+    /// planner (`run_planned_governed_traced` = statistics catalog + every rule in
     /// `ALL_RULES`) must agree with the unplanned run on every visible
     /// table, under Naive/Delta × serial/sharded. Random programs get a
     /// fusable SELECT-over-PRODUCT chain *and* a 3-way reorderable
@@ -838,8 +835,6 @@ proptest! {
         (a2, b2) in (0usize..4, 0usize..4),
         (t3, x3, y3, a3, b3) in (0usize..5, 0usize..6, 0usize..6, 0usize..4, 0usize..4),
     ) {
-        use tables_paradigm::algebra::run_planned_traced;
-
         let mut program = parse(&src).unwrap_or_else(|e| {
             panic!("generated program must parse: {e}\n{src}")
         });
@@ -864,14 +859,14 @@ proptest! {
             limits(WhileStrategy::Delta, usize::MAX),
             limits(WhileStrategy::Delta, 1),
         ];
-        let baseline = run_traced(&program, &db, &configs[0]);
+        let baseline = run_governed_traced(&program, &db, &Budget::from_limits(&configs[0]));
         let expect = baseline.as_ref().ok().map(|(out, _, _)| canonicalize_fresh(&visible(out)));
         let mut counters: Option<(usize, usize)> = None;
         for cfg in &configs {
             let label = format!("{:?}/threshold {}", cfg.while_strategy, cfg.parallel_threshold);
-            let planned = run_planned_traced(&program, &db, cfg);
+            let planned = run_planned_governed_traced(&program, &db, &Budget::from_limits(cfg));
             match (&baseline, &planned) {
-                (Ok(_), Ok((got, stats, _))) => {
+                (Ok(_), Ok((got, stats, _, _))) => {
                     prop_assert!(
                         *expect.as_ref().unwrap() == canonicalize_fresh(&visible(got)),
                         "planned output diverges under {}\nprogram:\n{}",
@@ -948,14 +943,14 @@ proptest! {
         program.statements.splice(0..0, head);
 
         let cfg = limits(WhileStrategy::Naive, usize::MAX);
-        let baseline = run_traced(&program, &db, &cfg);
+        let baseline = run_governed_traced(&program, &db, &Budget::from_limits(&cfg));
         let Ok((base_out, _, _)) = &baseline else {
             return Ok(());
         };
         let expect = canonicalize_fresh(&visible(base_out));
         for rule in ALL_RULES {
             let (rewritten, _) = plan_with_rules(&program, Some(&db), &[rule]);
-            match run_traced(&rewritten, &db, &cfg) {
+            match run_governed_traced(&rewritten, &db, &Budget::from_limits(&cfg)) {
                 Ok((got, _, _)) => prop_assert!(
                     expect == canonicalize_fresh(&visible(&got)),
                     "rule {:?} changed visible output\nprogram:\n{}",
@@ -1059,8 +1054,12 @@ fn fresh_canonicalization_identifies_independent_taggings() {
     )]);
     let p = parse("T <- TUPLENEW[Tag](R)").unwrap();
     let l = limits(WhileStrategy::Naive, usize::MAX);
-    let run1 = run(&p, &db, &l).unwrap();
-    let run2 = run(&p, &db, &l).unwrap();
+    let run1 = run_governed_traced(&p, &db, &Budget::from_limits(&l))
+        .unwrap()
+        .0;
+    let run2 = run_governed_traced(&p, &db, &Budget::from_limits(&l))
+        .unwrap()
+        .0;
     assert_ne!(run1.canonicalize(), run2.canonicalize(), "tags must differ");
     assert_eq!(canonicalize_fresh(&run1), canonicalize_fresh(&run2));
 }

@@ -4,8 +4,8 @@
 use tables_paradigm::algebra::ops;
 use tables_paradigm::prelude::*;
 
-fn limits() -> EvalLimits {
-    EvalLimits::default()
+fn budget() -> Budget {
+    Budget::default()
 }
 
 // ----------------------------------------------------------------------
@@ -22,7 +22,9 @@ fn fig1_info1_to_info2() {
          Sales <- PURGE[on {Sold} by {Region}](Sales)",
     )
     .unwrap();
-    let out = run(&p, &fixtures::sales_info1(), &limits()).unwrap();
+    let out = run_governed_traced(&p, &fixtures::sales_info1(), &budget())
+        .unwrap()
+        .0;
     assert!(out.equiv(&fixtures::sales_info2()));
 }
 
@@ -39,7 +41,9 @@ fn fig1_info2_to_info1() {
          Out   <- CLEANUP[by {*} on {_}](Flat)",
     )
     .unwrap();
-    let out = run(&p, &fixtures::sales_info2(), &limits()).unwrap();
+    let out = run_governed_traced(&p, &fixtures::sales_info2(), &budget())
+        .unwrap()
+        .0;
     let flat = out.table_str("Out").unwrap();
     let rel = fixtures::sales_relation();
     assert_eq!(flat.height(), rel.height());
@@ -56,7 +60,9 @@ fn fig1_info2_to_info1() {
 #[test]
 fn fig1_info1_to_info4() {
     let p = parse("Sales <- SPLIT[on {Region}](Sales)").unwrap();
-    let out = run(&p, &fixtures::sales_info1(), &limits()).unwrap();
+    let out = run_governed_traced(&p, &fixtures::sales_info1(), &budget())
+        .unwrap()
+        .0;
     assert!(out.equiv(&fixtures::sales_info4()));
 }
 
@@ -69,7 +75,9 @@ fn fig1_info4_to_info1() {
          Sales <- CLEANUP[by {*} on {_}](Sales)",
     )
     .unwrap();
-    let out = run(&p, &fixtures::sales_info4(), &limits()).unwrap();
+    let out = run_governed_traced(&p, &fixtures::sales_info4(), &budget())
+        .unwrap()
+        .0;
     let t = out.table_str("Sales").unwrap();
     assert_eq!(t.height(), fixtures::sales_relation().height());
     assert_eq!(t.width(), 3);
@@ -84,11 +92,13 @@ fn fig1_info2_to_info4() {
         info2.table_str("Sales").unwrap(),
         Symbol::name("Sold"),
         Symbol::name("Region"),
-        &limits(),
+        &budget(),
     )
     .unwrap();
     let p = parse("Sales <- SPLIT[on {Region}](Sales)").unwrap();
-    let out = run(&p, &Database::from_tables([flat]), &limits()).unwrap();
+    let out = run_governed_traced(&p, &Database::from_tables([flat]), &budget())
+        .unwrap()
+        .0;
     assert!(out.equiv(&fixtures::sales_info4()));
 }
 
@@ -104,7 +114,9 @@ fn fig1_info4_to_info2() {
          Sales <- PURGE[on {Sold} by {Region}](Sales)",
     )
     .unwrap();
-    let out = run(&p, &fixtures::sales_info4(), &limits()).unwrap();
+    let out = run_governed_traced(&p, &fixtures::sales_info4(), &budget())
+        .unwrap()
+        .0;
     assert!(
         out.equiv(&fixtures::sales_info2()),
         "got:\n{out}\nexpected:\n{}",
@@ -217,7 +229,9 @@ fn fig3_union_difference_product() {
 #[test]
 fn fig4_group_exact() {
     let p = parse("Sales <- GROUP[by {Region} on {Sold}](Sales)").unwrap();
-    let out = run(&p, &fixtures::sales_info1(), &limits()).unwrap();
+    let out = run_governed_traced(&p, &fixtures::sales_info1(), &budget())
+        .unwrap()
+        .0;
     assert_eq!(
         out.table_str("Sales").unwrap(),
         &fixtures::figure4_grouped()
@@ -227,7 +241,9 @@ fn fig4_group_exact() {
 #[test]
 fn fig5_merge_exact() {
     let p = parse("Sales <- MERGE[on {Sold} by {Region}](Sales)").unwrap();
-    let out = run(&p, &fixtures::sales_info2(), &limits()).unwrap();
+    let out = run_governed_traced(&p, &fixtures::sales_info2(), &budget())
+        .unwrap()
+        .0;
     assert_eq!(out.table_str("Sales").unwrap(), &fixtures::figure5_merged());
 }
 
@@ -242,11 +258,13 @@ fn fig4_fig5_narrative() {
          Sales <- PURGE[on {Sold} by {Region}](Sales)",
     )
     .unwrap();
-    let out = run(&p, &db, &limits()).unwrap();
+    let out = run_governed_traced(&p, &db, &budget()).unwrap().0;
     assert!(out.equiv(&fixtures::sales_info2()));
 
     let merge_grouped = parse("Sales <- MERGE[on {Sold} by {Region}](Sales)").unwrap();
     let db2 = Database::from_tables([fixtures::figure4_grouped()]);
-    let out2 = run(&merge_grouped, &db2, &limits()).unwrap();
+    let out2 = run_governed_traced(&merge_grouped, &db2, &budget())
+        .unwrap()
+        .0;
     assert_eq!(out2.table_str("Sales").unwrap().height(), 64);
 }

@@ -102,10 +102,10 @@ proptest! {
              *1 <- CLEANUP[by {*} on {_}](*1)",
         ).expect("parses");
         let limits = EvalLimits::default();
-        let run_then_pi = run(&program, &db, &limits)
-            .expect("runs")
+        let run_then_pi = run_governed_traced(&program, &db, &Budget::from_limits(&limits))
+            .expect("runs").0
             .map_symbols(permute);
-        let pi_then_run = run(&program, &db.map_symbols(permute), &limits).expect("runs");
+        let pi_then_run = run_governed_traced(&program, &db.map_symbols(permute), &Budget::from_limits(&limits)).expect("runs").0;
         prop_assert!(run_then_pi.equiv(&pi_then_run));
     }
 

@@ -268,14 +268,14 @@ fn assert_partial_trace(trace: &Trace, context: &str) {
 
 /// A pessimal 3-way product chain: evaluated as written, the first
 /// product materializes |L|·|M| rows and trips a cell budget; the
-/// cost-based planner reorders it through the 1-row table `N` and fuses
+/// cost-based planner re-brackets it through the 1-row table `N` and fuses
 /// the closing selection, so the planned run fits the same budget. This
 /// pins the integration contract: governor charges land on the *planned*
 /// statement shapes, not the source program's.
 #[test]
 fn planner_fits_a_pessimal_join_chain_into_a_budget_that_trips_unplanned() {
-    use tables_paradigm::algebra::{run_planned_governed, Assignment, OpKind, Statement};
-    use tables_paradigm::prelude::{run_governed, Param, Program};
+    use tables_paradigm::algebra::{Assignment, OpKind, Statement};
+    use tables_paradigm::prelude::{run_planned_governed_traced, Param, Program};
 
     let rel = |name: &str, attrs: &[&str], rows: Vec<[String; 2]>| {
         let borrowed: Vec<Vec<&str>> = rows.iter().map(|r| vec![&*r[0], &*r[1]]).collect();
@@ -323,10 +323,11 @@ fn planner_fits_a_pessimal_join_chain_into_a_budget_that_trips_unplanned() {
     };
     // |L×M| = 64 rows × 4 cols = 325 cells: over budget as written.
     let budget = Budget::from_limits(&EvalLimits::default()).with_cell_budget(250);
-    let (resource, _, _, _) = unwrap_trip(run_governed(&program, &db, &budget).unwrap_err());
+    let (resource, _, _, _) = unwrap_trip(run_governed_traced(&program, &db, &budget).unwrap_err());
     assert_eq!(resource, governor::RESOURCE_RUN_CELLS);
-    let out = run_planned_governed(&program, &db, &budget)
-        .expect("planned chain fits the budget the source program trips");
+    let out = run_planned_governed_traced(&program, &db, &budget)
+        .expect("planned chain fits the budget the source program trips")
+        .0;
     let t = out.table_str("Out").expect("planned run produces Out");
     // A-values v4..v7 meet B-values: 4 joined rows survive the selection.
     assert_eq!(t.height(), 4);
@@ -438,9 +439,7 @@ fn cell_budget_trips_the_federated_path() {
     let program = parse("while site.W do site.W <- PRODUCT(site.W, site.G) end").unwrap();
     let budget =
         Budget::from_limits(&limits(WhileStrategy::Delta, usize::MAX)).with_cell_budget(500);
-    let err = fed
-        .run_program_governed(&program, "main", &budget)
-        .unwrap_err();
+    let err = fed.run_program(&program, "main", &budget).unwrap_err();
     let (resource, _, _, partial) = unwrap_trip(err);
     assert_eq!(resource, governor::RESOURCE_RUN_CELLS);
     assert!(partial.stats.while_iterations > 0);
@@ -454,7 +453,7 @@ fn federation_split_divides_the_budget_and_cancels_siblings_on_trip() {
     fed.insert("west", grow_database());
     let budget =
         Budget::from_limits(&limits(WhileStrategy::Naive, usize::MAX)).with_cell_budget(600);
-    let err = fed.run_each_governed(&grow_program(), &budget).unwrap_err();
+    let err = fed.run_each(&grow_program(), &budget).unwrap_err();
     let (resource, _, limit, _) = unwrap_trip(err);
     assert_eq!(resource, governor::RESOURCE_RUN_CELLS);
     assert_eq!(limit, 300, "each of the 2 sites gets half the cell budget");
@@ -468,14 +467,14 @@ fn federation_split_divides_the_budget_and_cancels_siblings_on_trip() {
     fed.insert("east", spin_database());
     fed.insert("west", spin_database());
     let p = parse("T <- COPY(A)").unwrap();
-    let out = fed.run_each_governed(&p, &Budget::default()).unwrap();
+    let out = fed.run_each(&p, &Budget::default()).unwrap();
     assert!(out.member("east").unwrap().table_str("T").is_some());
     assert!(out.member("west").unwrap().table_str("T").is_some());
 }
 
 #[test]
 fn cell_budget_trips_the_compiled_theorem41_path() {
-    use tables_paradigm::relational::{compile::run_compiled_governed, RelDatabase, Relation};
+    use tables_paradigm::relational::{compile::run_compiled, RelDatabase, Relation};
 
     let db = RelDatabase::from_relations([Relation::new(
         "E",
@@ -485,7 +484,7 @@ fn cell_budget_trips_the_compiled_theorem41_path() {
     let p = tables_paradigm::relational::program::transitive_closure_program();
     let budget =
         Budget::from_limits(&limits(WhileStrategy::Delta, usize::MAX)).with_cell_budget(400);
-    let err = run_compiled_governed(&p, &db, &["TC"], &budget).unwrap_err();
+    let err = run_compiled(&p, &db, &["TC"], &budget).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("run cell budget"),
@@ -493,7 +492,7 @@ fn cell_budget_trips_the_compiled_theorem41_path() {
     );
     // The same run with an unlimited budget succeeds.
     let unlimited = Budget::from_limits(&limits(WhileStrategy::Delta, usize::MAX));
-    let (out, stats, _) = run_compiled_governed(&p, &db, &["TC"], &unlimited).unwrap();
+    let (out, stats, _) = run_compiled(&p, &db, &["TC"], &unlimited).unwrap();
     assert_eq!(out.get_str("TC").unwrap().len(), 16);
     assert!(stats.while_iterations > 0);
 }
@@ -501,10 +500,7 @@ fn cell_budget_trips_the_compiled_theorem41_path() {
 #[test]
 fn cell_budget_trips_the_schemalog_translated_path() {
     use tables_paradigm::relational::{RelDatabase, Relation};
-    use tables_paradigm::schemalog::{
-        quads::QuadDb,
-        translate::{run_translated_governed, run_translated_traced},
-    };
+    use tables_paradigm::schemalog::{quads::QuadDb, translate::run_translated};
 
     let input = QuadDb::from_relations(&RelDatabase::from_relations([Relation::new(
         "edge",
@@ -516,26 +512,29 @@ fn cell_budget_trips_the_schemalog_translated_path() {
     let p = tables_paradigm::schemalog::parser::parse(src).unwrap();
     let budget =
         Budget::from_limits(&limits(WhileStrategy::Delta, usize::MAX)).with_cell_budget(2_000);
-    let err = run_translated_governed(&p, &input, &budget).unwrap_err();
+    let err = run_translated(&p, &input, &budget).unwrap_err();
     assert!(
         err.to_string().contains("run cell budget"),
         "SchemaLog path surfaces the trip: {err}"
     );
     // Sanity: ungoverned translation of the same program succeeds.
-    let (out, _, _) =
-        run_translated_traced(&p, &input, &limits(WhileStrategy::Delta, usize::MAX)).unwrap();
+    let (out, _, _) = run_translated(
+        &p,
+        &input,
+        &Budget::from_limits(&limits(WhileStrategy::Delta, usize::MAX)),
+    )
+    .unwrap();
     assert!(!out.is_empty());
 }
 
 #[test]
 fn cell_budget_trips_the_olap_pivot_path() {
     use tables_paradigm::core::fixtures;
-    use tables_paradigm::olap::{pivot, pivot_governed};
+    use tables_paradigm::olap::pivot;
 
     let rel = fixtures::sales_relation();
     let budget = Budget::default().with_cell_budget(1);
-    let err =
-        pivot_governed(&rel, Symbol::name("Region"), Symbol::name("Sold"), &budget).unwrap_err();
+    let err = pivot(&rel, Symbol::name("Region"), Symbol::name("Sold"), &budget).unwrap_err();
     assert!(
         err.to_string().contains("run cell budget"),
         "OLAP path surfaces the trip: {err}"
@@ -545,10 +544,10 @@ fn cell_budget_trips_the_olap_pivot_path() {
         &rel,
         Symbol::name("Region"),
         Symbol::name("Sold"),
-        &EvalLimits::default(),
+        &Budget::default(),
     )
     .unwrap();
-    let governed = pivot_governed(
+    let governed = pivot(
         &rel,
         Symbol::name("Region"),
         Symbol::name("Sold"),
@@ -560,8 +559,8 @@ fn cell_budget_trips_the_olap_pivot_path() {
 
 #[test]
 fn cell_budget_between_fused_output_and_staged_intermediate_separates_the_paths() {
-    use tables_paradigm::algebra::optimize::fuse_restructure;
     use tables_paradigm::core::fixtures;
+    use tables_paradigm::prelude::{plan_with_rules, Rule};
 
     // A 16×8 pivot: the staged chain materializes a ≈16,900-cell grouped
     // intermediate, while the fused kernel's largest table is the
@@ -578,7 +577,7 @@ fn cell_budget_between_fused_output_and_staged_intermediate_separates_the_paths(
         &[Symbol::name("Part")],
         target,
     );
-    let fused = fuse_restructure(&staged);
+    let fused = plan_with_rules(&staged, None, &[Rule::FuseRestructure]).0;
     let db = Database::from_tables([rel]);
 
     let mut trips: Vec<(String, usize, usize)> = Vec::new();

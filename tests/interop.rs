@@ -84,9 +84,9 @@ fn pivot_four_ways() {
     use tables_paradigm::algebra::federation::Federation;
     use tables_paradigm::olap::baseline::pivot_direct;
     let rel = fixtures::make_sales_relation(9, 5);
-    let limits = EvalLimits::default();
+    let budget = Budget::default();
 
-    let via_olap = pivot(&rel, Symbol::name("Region"), Symbol::name("Sold"), &limits).unwrap();
+    let via_olap = pivot(&rel, Symbol::name("Region"), Symbol::name("Sold"), &budget).unwrap();
     let via_baseline = pivot_direct(&rel, Symbol::name("Region"), Symbol::name("Sold")).unwrap();
 
     let program = parse(
@@ -96,7 +96,7 @@ fn pivot_four_ways() {
     )
     .unwrap();
     let db = Database::from_tables([rel.clone()]);
-    let via_text = run(&program, &db, &limits).unwrap();
+    let via_text = run_governed_traced(&program, &db, &budget).unwrap().0;
     let via_text = via_text.table_str("Sales").unwrap();
 
     let mut fed = Federation::new();
@@ -107,7 +107,7 @@ fn pivot_four_ways() {
          branch.Sales <- PURGE[on {Sold} by {Region}](branch.Sales)",
     )
     .unwrap();
-    let fed_out = fed.run_program(&fed_program, "main", &limits).unwrap();
+    let (fed_out, _, _) = fed.run_program(&fed_program, "main", &budget).unwrap();
     let via_fed = fed_out
         .member("branch")
         .unwrap()
@@ -150,7 +150,9 @@ fn schemalog_split_matches_ta_split() {
     // TA SPLIT over the embedded table gives the same east rows.
     let tabular = rel_db.to_tabular();
     let split = parse("sales <- SPLIT[on {region}](sales)").unwrap();
-    let split_out = run(&split, &tabular, &EvalLimits::default()).unwrap();
+    let split_out = run_governed_traced(&split, &tabular, &Budget::default())
+        .unwrap()
+        .0;
     let east_table = split_out
         .tables_named(Symbol::name("sales"))
         .into_iter()

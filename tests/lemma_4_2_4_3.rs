@@ -92,13 +92,7 @@ fn ta_encode_program_round_trips_relational_schemes() {
             t.set_name(Symbol::name("Sales"));
             t
         }]);
-        let out = run_outputs(
-            &program,
-            &db,
-            &[Symbol::name("Data"), Symbol::name("Map")],
-            &EvalLimits::default(),
-        )
-        .unwrap();
+        let (out, _, _) = run_governed_traced(&program, &db, &Budget::default()).unwrap();
         let rep =
             RelDatabase::from_tabular(&out, &[Symbol::name("Data"), Symbol::name("Map")]).unwrap();
         assert_eq!(check_fds(&rep), None);

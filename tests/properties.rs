@@ -404,7 +404,7 @@ proptest! {
             &t,
             Symbol::name("C"),
             Symbol::name("M"),
-            &EvalLimits::default(),
+            &Budget::default(),
         ).expect("pivot");
         let direct = tables_paradigm::olap::baseline::pivot_direct(
             &t,
@@ -446,8 +446,8 @@ proptest! {
                 vec![Param::name("R"), Param::name("S")],
             )
             .assign(Param::name("T"), select, vec![Param::name("P")]);
-        let f = run(&fused, &db, &EvalLimits::default()).expect("fused run");
-        let p = run(&pipeline, &db, &EvalLimits::default()).expect("pipeline run");
+        let f = run_governed_traced(&fused, &db, &Budget::default()).expect("fused run").0;
+        let p = run_governed_traced(&pipeline, &db, &Budget::default()).expect("pipeline run").0;
         prop_assert_eq!(
             f.table(Symbol::name("T")).expect("fused output"),
             p.table(Symbol::name("T")).expect("pipeline output")
@@ -536,8 +536,8 @@ proptest! {
                         vec![Param::name("C2")],
                     );
             }
-            let f = run(&fused, &db, &EvalLimits::default()).expect("fused run");
-            let s = run(&staged, &db, &EvalLimits::default()).expect("staged run");
+            let f = run_governed_traced(&fused, &db, &Budget::default()).expect("fused run").0;
+            let s = run_governed_traced(&staged, &db, &Budget::default()).expect("staged run").0;
             prop_assert_eq!(
                 f.table(Symbol::name("T")).expect("fused output"),
                 s.table(Symbol::name("T")).expect("staged output"),
@@ -602,9 +602,9 @@ proptest! {
     #[test]
     fn pivot_unpivot_round_trip(t in arb_fact_table()) {
         prop_assume!(t.height() > 0);
-        let cross = pivot(&t, Symbol::name("C"), Symbol::name("M"), &EvalLimits::default())
+        let cross = pivot(&t, Symbol::name("C"), Symbol::name("M"), &Budget::default())
             .expect("pivot");
-        let back = unpivot(&cross, Symbol::name("M"), Symbol::name("C"), &EvalLimits::default())
+        let back = unpivot(&cross, Symbol::name("M"), Symbol::name("C"), &Budget::default())
             .expect("unpivot");
         prop_assert_eq!(back.height(), t.height());
     }

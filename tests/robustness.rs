@@ -84,7 +84,7 @@ fn interpreter_limits_hold() {
 
     // Diverging while.
     let p = parse("while R do R <- COPY(R) end").unwrap();
-    assert!(run(&p, &db, &tight).is_err());
+    assert!(run_governed_traced(&p, &db, &Budget::from_limits(&tight)).is_err());
 
     // Exponential set-new beyond the row budget.
     let big = Database::from_tables([Table::relational(
@@ -93,7 +93,7 @@ fn interpreter_limits_hold() {
         &[&["1"], &["2"], &["3"], &["4"], &["5"], &["6"], &["7"]],
     )]);
     let p = parse("T <- SETNEW[Tag](R)").unwrap();
-    assert!(run(&p, &big, &tight).is_err());
+    assert!(run_governed_traced(&p, &big, &Budget::from_limits(&tight)).is_err());
 
     // Doubling widths through repeated self-products exceed max_cells.
     let p = parse(
@@ -104,7 +104,7 @@ fn interpreter_limits_hold() {
          T <- PRODUCT(T, T)",
     )
     .unwrap();
-    assert!(run(&p, &db, &tight).is_err());
+    assert!(run_governed_traced(&p, &db, &Budget::from_limits(&tight)).is_err());
 
     // Split flooding the table budget. (The table keeps a second column:
     // splitting a one-column table produces zero-width tables that are
@@ -125,7 +125,7 @@ fn interpreter_limits_hold() {
         ],
     )]);
     let p = parse("T <- SPLIT[on {A}](R)").unwrap();
-    assert!(run(&p, &wide, &tight).is_err());
+    assert!(run_governed_traced(&p, &wide, &Budget::from_limits(&tight)).is_err());
 }
 
 /// The delta `while` strategy enforces the same limits as the naive one —
@@ -156,7 +156,11 @@ fn delta_limits_match_naive_across_shard_configs() {
     let p = parse("while R do R <- COPY(R) end").unwrap();
     let errs: Vec<String> = configs
         .iter()
-        .map(|&(s, t)| run(&p, &db, &limits(s, t)).unwrap_err().to_string())
+        .map(|&(s, t)| {
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(s, t)))
+                .unwrap_err()
+                .to_string()
+        })
         .collect();
     assert!(errs[0].contains("while iterations"), "{}", errs[0]);
     assert!(errs[0].contains("> 3"), "{}", errs[0]);
@@ -167,7 +171,11 @@ fn delta_limits_match_naive_across_shard_configs() {
     let p = parse("while R do R <- PRODUCT(R, R) end").unwrap();
     let errs: Vec<String> = configs
         .iter()
-        .map(|&(s, t)| run(&p, &db, &limits(s, t)).unwrap_err().to_string())
+        .map(|&(s, t)| {
+            run_governed_traced(&p, &db, &Budget::from_limits(&limits(s, t)))
+                .unwrap_err()
+                .to_string()
+        })
         .collect();
     assert!(errs[0].contains("cells per table"), "{}", errs[0]);
     assert!(errs[0].contains("> 200"), "{}", errs[0]);
@@ -199,7 +207,11 @@ fn delta_limits_match_naive_across_shard_configs() {
     let p = parse("while R do T <- SPLIT[on {A}](R) end").unwrap();
     let errs: Vec<String> = configs
         .iter()
-        .map(|&(s, t)| run(&p, &wide, &tight_tables(s, t)).unwrap_err().to_string())
+        .map(|&(s, t)| {
+            run_governed_traced(&p, &wide, &Budget::from_limits(&tight_tables(s, t)))
+                .unwrap_err()
+                .to_string()
+        })
         .collect();
     assert!(errs[0].contains("tables in database"), "{}", errs[0]);
     assert!(errs.iter().all(|e| e == &errs[0]), "{errs:?}");
@@ -212,11 +224,11 @@ fn error_messages_are_actionable() {
     let db = fixtures::sales_info1();
     // A non-singleton parameter.
     let p = parse("T <- RENAME[{Part, Region} -> X](Sales)").unwrap();
-    let err = run(&p, &db, &EvalLimits::default()).unwrap_err();
+    let err = run_governed_traced(&p, &db, &Budget::default()).unwrap_err();
     assert!(err.to_string().contains("exactly one symbol"), "{err}");
 
     // Arity mismatch reported with the operation name.
     let bad = Program::new().assign(Param::name("T"), OpKind::Union, vec![Param::name("Sales")]);
-    let err = run(&bad, &db, &EvalLimits::default()).unwrap_err();
+    let err = run_governed_traced(&bad, &db, &Budget::default()).unwrap_err();
     assert!(err.to_string().contains("UNION"), "{err}");
 }

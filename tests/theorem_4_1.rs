@@ -10,7 +10,7 @@ use tables_paradigm::relational::program::transitive_closure_program;
 
 fn agree(p: &FoProgram, db: &RelDatabase, outputs: &[&str]) {
     let direct = p.run(db, 10_000).expect("direct run");
-    let via_ta = run_compiled(p, db, outputs, &EvalLimits::default()).expect("TA run");
+    let (via_ta, _, _) = run_compiled(p, db, outputs, &Budget::default()).expect("TA run");
     for out in outputs {
         assert!(
             direct
@@ -122,8 +122,11 @@ fn new_values_agree_up_to_isomorphism() {
         .new_ids("Tagged", "R", "Id")
         .assign("Out", RelExpr::rel("Tagged").project(&["A", "Id"]));
     let direct = canonicalize_fresh(&p.run(&db, 100).unwrap());
-    let via_ta =
-        canonicalize_fresh(&run_compiled(&p, &db, &["Out"], &EvalLimits::default()).unwrap());
+    let via_ta = canonicalize_fresh(
+        &run_compiled(&p, &db, &["Out"], &Budget::default())
+            .unwrap()
+            .0,
+    );
     assert!(direct
         .get_str("Out")
         .unwrap()

@@ -18,7 +18,7 @@ fn agree(src: &str, input: &QuadDb) {
     let native = eval(&p, input, Strategy::SemiNaive, &SlLimits::default()).expect("native");
     let naive = eval(&p, input, Strategy::Naive, &SlLimits::default()).expect("naive");
     assert_eq!(native.len(), naive.len(), "semi-naive vs naive");
-    let via_ta = run_translated(&p, input, &EvalLimits::default()).expect("TA");
+    let (via_ta, _, _) = run_translated(&p, input, &Budget::default()).expect("TA");
     assert_eq!(native.len(), via_ta.len(), "native vs TA sizes");
     for q in native.iter() {
         assert!(via_ta.contains(q), "TA path missing {q:?}");
@@ -118,7 +118,7 @@ fn fo_and_ta_layers_agree() {
     let p = sl_parse("R[T : part -> P] :- sales[T : region -> R], sales[T : part -> P].").unwrap();
     let input = sales_db();
     let via_fo = run_fo(&p, &input, 10_000).unwrap();
-    let via_ta = run_translated(&p, &input, &EvalLimits::default()).unwrap();
+    let (via_ta, _, _) = run_translated(&p, &input, &Budget::default()).unwrap();
     assert_eq!(via_fo.len(), via_ta.len());
     for q in via_fo.iter() {
         assert!(via_ta.contains(q));
