@@ -43,7 +43,6 @@ use crate::obs::metrics::Metrics;
 use crate::obs::trace::{DeltaDecision, SpanKind};
 use crate::ops;
 use crate::plan::read_set;
-use crate::pool::LazyPool;
 use crate::program::{Assignment, OpKind, Statement};
 use std::collections::{HashMap, HashSet};
 use tabular_core::{Database, Symbol, SymbolSet, Table};
@@ -178,7 +177,6 @@ pub(crate) fn run_delta_while(
     db: &mut Database,
     cx: Exec<'_>,
     metrics: &mut Metrics,
-    pool: &mut LazyPool,
 ) -> Result<()> {
     let mut st = DeltaState::new(body.len());
     let mut iters = 0usize;
@@ -197,7 +195,7 @@ pub(crate) fn run_delta_while(
         // as an aborted `while #N` span.
         cx.gov.poll()?;
         let iter_start = metrics.timer();
-        let outcome = run_delta_iteration(&mut st, body, db, cx, metrics, pool);
+        let outcome = run_delta_iteration(&mut st, body, db, cx, metrics);
         if matches!(outcome, Err(AlgebraError::BudgetExceeded { .. })) {
             // Leave the iteration span open for the abort drain, exactly
             // like the naive loop in `eval::run_statements`.
@@ -219,7 +217,6 @@ fn run_delta_iteration(
     db: &mut Database,
     cx: Exec<'_>,
     metrics: &mut Metrics,
-    pool: &mut LazyPool,
 ) -> Result<()> {
     let mut dirty: HashSet<Symbol> = HashSet::new();
     for (idx, stmt) in body.iter().enumerate() {
@@ -272,18 +269,7 @@ fn run_delta_iteration(
         }
         metrics.begin(SpanKind::Assign, kw, None);
         let start = metrics.timer();
-        let outcome = run_body_statement(
-            st,
-            idx,
-            a,
-            target,
-            reads,
-            read_versions,
-            db,
-            cx,
-            metrics,
-            pool,
-        );
+        let outcome = run_body_statement(st, idx, a, target, reads, read_versions, db, cx, metrics);
         let changed = match outcome {
             Err(e) => {
                 // A failed statement must leave no bookkeeping claiming
@@ -333,7 +319,6 @@ fn run_body_statement(
     db: &mut Database,
     cx: Exec<'_>,
     metrics: &mut Metrics,
-    pool: &mut LazyPool,
 ) -> Result<bool> {
     let old_version = group_version(db, target);
 
@@ -387,7 +372,7 @@ fn run_body_statement(
             // reports through a captured slot.
             drop(cached);
             let mut applied = Ok(Vec::new());
-            let committed = db.update_named(target, |out| applied = inc.plan.apply(out, cx, pool));
+            let committed = db.update_named(target, |out| applied = inc.plan.apply(out, cx));
             debug_assert!(committed, "in-place target is a unique table");
             metrics.note_partitioned(&applied?);
             // `update_named` committed above (debug-asserted); if the
@@ -402,7 +387,7 @@ fn run_body_statement(
             (true, out)
         } else {
             let mut out = cached;
-            let report = inc.plan.apply(&mut out, cx, pool)?;
+            let report = inc.plan.apply(&mut out, cx)?;
             metrics.note_partitioned(&report);
             replace_results(vec![out.clone()], db);
             (true, out)
@@ -432,7 +417,7 @@ fn run_body_statement(
         return Ok(changed);
     }
 
-    let results = compute_results(a, db, cx, metrics, pool)?;
+    let results = compute_results(a, db, cx, metrics)?;
     check_results(&results, cx, metrics)?;
     let produced_tables = results.len();
     let produced_cells = results.iter().map(table_cells).sum();
@@ -552,23 +537,17 @@ enum IncPlan {
 impl IncPlan {
     /// Commit the plan into the cached output. A `Join` whose delta
     /// reaches [`crate::EvalLimits::partition_threshold`] probe rows runs
-    /// the partition-parallel append on the run's pool — byte-identical
+    /// the partition-parallel append on the run's executor — byte-identical
     /// to the serial append — and returns its per-partition report (empty
     /// for every other path). The partitioned path polls the governor
     /// between partition chunks but charges nothing: the delta commit is
     /// fully pre-charged by `check_virtual_result` before `apply` runs.
-    fn apply(
-        self,
-        out: &mut Table,
-        cx: Exec<'_>,
-        pool: &mut LazyPool,
-    ) -> Result<Vec<ops::PartitionShard>> {
+    fn apply(self, out: &mut Table, cx: Exec<'_>) -> Result<Vec<ops::PartitionShard>> {
         match self {
             IncPlan::Product { r, s, base } => ops::product_append(out, &r, base + 1, &s),
             IncPlan::Join { r, s, base, cols } => {
                 let delta_rows = r.height().saturating_sub(base);
                 if delta_rows >= cx.limits.partition_threshold.max(1) {
-                    let pool = pool.get();
                     let gov = cx.gov;
                     return ops::join_append_partitioned(
                         out,
@@ -576,8 +555,8 @@ impl IncPlan {
                         base + 1,
                         &s,
                         cols,
-                        pool,
-                        pool.threads(),
+                        cx.pool,
+                        cx.pool.threads(),
                         &|| gov.poll(),
                         &mut |_| Ok(()),
                     );
@@ -943,13 +922,15 @@ mod tests {
         let serial = limits(WhileStrategy::Delta);
         let part = EvalLimits {
             partition_threshold: 1,
-            threads: 2,
             ..serial
+        };
+        let part = Budget {
+            executor: crate::pool::Executor::new(2),
+            ..Budget::from_limits(&part)
         };
         let (reference, ref_stats, _) =
             run_governed_traced(&fused_tc_program(), &db, &Budget::from_limits(&serial)).unwrap();
-        let (out, stats, _) =
-            run_governed_traced(&fused_tc_program(), &db, &Budget::from_limits(&part)).unwrap();
+        let (out, stats, _) = run_governed_traced(&fused_tc_program(), &db, &part).unwrap();
         assert_eq!(
             reference.table_str("TC").unwrap(),
             out.table_str("TC").unwrap()

@@ -21,7 +21,7 @@ use crate::obs::metrics::Metrics;
 use crate::obs::trace::{DeltaDecision, SpanKind, Trace, TraceLevel};
 use crate::ops;
 use crate::param::{denote_set, denote_single, denote_target, match_name, Bindings};
-use crate::pool::LazyPool;
+use crate::pool::Executor;
 use crate::program::{Assignment, OpKind, Program, Statement};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -56,29 +56,22 @@ pub struct EvalLimits {
     pub max_tables: usize,
     /// Maximum cells in any produced table.
     pub max_cells: usize,
-    /// Evaluate a statement's per-table applications on multiple threads
-    /// once at least this many tables match (`matches >= threshold`,
-    /// inclusive — pinned by a boundary test; thresholds below 2 are
-    /// clamped to 2, since a single matching table leaves nothing to fan
-    /// out). `usize::MAX` disables parallelism. Operations are pure, so
+    /// Evaluate a statement's per-table applications on the run's
+    /// [`Budget::executor`] once at least this many tables match
+    /// (`matches >= threshold`, inclusive — pinned by a boundary test;
+    /// thresholds below 2 are clamped to 2, since a single matching table
+    /// leaves nothing to fan out). `usize::MAX` disables parallelism. Operations are pure, so
     /// the only visible difference is the choice of fresh tag values —
     /// determinacy up to isomorphism, as in §4.1 condition (iv).
     pub parallel_threshold: usize,
     /// Partition a `FUSEDJOIN` (or its delta-incremental append) across
-    /// the shard pool once the probe side has at least this many rows
-    /// (`probe rows >= threshold`, inclusive; a threshold of 0 behaves
-    /// as 1, since an empty probe has nothing to partition). The
+    /// the run's [`Budget::executor`] once the probe side has at least
+    /// this many rows (`probe rows >= threshold`, inclusive; a threshold
+    /// of 0 behaves as 1, since an empty probe has nothing to partition). The
     /// partitioned kernel is byte-identical to the serial one — pinned
     /// by the `partitioning_on_and_off_agree` oracle — so the gate is
     /// purely a cost choice. `usize::MAX` disables partitioning.
     pub partition_threshold: usize,
-    /// Worker threads in the run's shard pool: both the per-statement
-    /// table fan-out and partitioned joins draw from this one pool. `0`
-    /// (the default) detects `available_parallelism` at first use. Set
-    /// it explicitly when multiplexing many governed runs in one
-    /// process, so N concurrent runs don't spawn N × core-count
-    /// threads.
-    pub threads: usize,
     /// `while` loop evaluation strategy.
     pub while_strategy: WhileStrategy,
     /// Observability level: `Off` (no timing), `Counters` (per-op stats,
@@ -96,7 +89,6 @@ impl Default for EvalLimits {
             max_cells: 1 << 28,
             parallel_threshold: 64,
             partition_threshold: 1 << 16,
-            threads: 0,
             while_strategy: WhileStrategy::default(),
             trace: TraceLevel::default(),
         }
@@ -131,7 +123,7 @@ pub struct EvalStats {
     pub tables_produced: usize,
     /// Largest table produced, in cells.
     pub max_table_cells: usize,
-    /// Jobs dispatched to the shard pool (statements whose matches
+    /// Shard jobs dispatched to the executor (statements whose matches
     /// reached [`EvalLimits::parallel_threshold`]).
     pub shard_jobs: usize,
     /// `FUSEDJOIN` evaluations (naive or delta-incremental) that ran the
@@ -224,10 +216,13 @@ pub fn run_governed_traced(
     let cow_base = tabular_core::stats::cow_copies();
     let mut state = db.snapshot();
     let mut metrics = Metrics::new(limits.trace);
-    let mut pool = LazyPool::new(limits.threads);
     let start = Instant::now();
-    let cx = Exec { limits, gov: &gov };
-    let outcome = run_statements(&program.statements, &mut state, cx, &mut metrics, &mut pool);
+    let cx = Exec {
+        limits,
+        gov: &gov,
+        pool: &budget.executor,
+    };
+    let outcome = run_statements(&program.statements, &mut state, cx, &mut metrics);
     metrics.stats.total_micros = start.elapsed().as_micros();
     metrics.stats.snapshots = tabular_core::stats::snapshots().saturating_sub(snapshots_base);
     metrics.stats.cow_copies = tabular_core::stats::cow_copies().saturating_sub(cow_base);
@@ -333,13 +328,15 @@ fn prepend_plan_spans(trace: &mut Trace, report: &crate::plan::PlanReport) {
 }
 
 /// The evaluation context threaded through the interpreter: the static
-/// limits plus the run's governor. `Copy` so it passes by value through
-/// the recursion, and `Send + Sync` (shared references to `Sync` state)
-/// so shard-pool jobs can poll the governor mid-fan-out.
+/// limits, the run's governor, and the executor it fans out on. `Copy`
+/// so it passes by value through the recursion, and `Send + Sync`
+/// (shared references to `Sync` state) so shard jobs can poll the
+/// governor mid-fan-out.
 #[derive(Clone, Copy)]
 pub(crate) struct Exec<'a> {
     pub(crate) limits: &'a EvalLimits,
     pub(crate) gov: &'a Governor,
+    pub(crate) pool: &'a Executor,
 }
 
 pub(crate) fn run_statements(
@@ -347,20 +344,19 @@ pub(crate) fn run_statements(
     db: &mut Database,
     cx: Exec<'_>,
     metrics: &mut Metrics,
-    pool: &mut LazyPool,
 ) -> Result<()> {
     for stmt in stmts {
         // Statement boundaries are the governor's polling granularity:
         // aborting here leaves a state a statement prefix explains.
         cx.gov.poll()?;
         match stmt {
-            Statement::Assign(a) => run_timed_assignment(a, db, cx, metrics, pool)?,
+            Statement::Assign(a) => run_timed_assignment(a, db, cx, metrics)?,
             Statement::While { cond, body } => {
                 let name = denote_target(cond, &Bindings::new())
                     .map_err(|_| AlgebraError::BadWhileCondition)?;
                 let delta = cx.limits.while_strategy == WhileStrategy::Delta;
                 if delta && crate::delta::body_is_delta_safe(body) {
-                    crate::delta::run_delta_while(name, body, db, cx, metrics, pool)?;
+                    crate::delta::run_delta_while(name, body, db, cx, metrics)?;
                     continue;
                 }
                 let decision = if delta {
@@ -385,7 +381,7 @@ pub(crate) fn run_statements(
                     // is drained as an aborted `while #N` span.
                     cx.gov.poll()?;
                     let start = metrics.timer();
-                    let outcome = run_statements(body, db, cx, metrics, pool);
+                    let outcome = run_statements(body, db, cx, metrics);
                     if matches!(outcome, Err(AlgebraError::BudgetExceeded { .. })) {
                         // Leave the iteration span open: the abort drain
                         // (`Metrics::abort_open`) marks it `aborted`.
@@ -410,11 +406,10 @@ pub(crate) fn run_timed_assignment(
     db: &mut Database,
     cx: Exec<'_>,
     metrics: &mut Metrics,
-    pool: &mut LazyPool,
 ) -> Result<()> {
     metrics.begin(SpanKind::Assign, a.op.keyword(), None);
     let start = metrics.timer();
-    let outcome = run_assignment(a, db, cx, metrics, pool);
+    let outcome = run_assignment(a, db, cx, metrics);
     if matches!(outcome, Err(AlgebraError::BudgetExceeded { .. })) {
         // An interrupted statement is not an execution: leave its span
         // open for the abort drain and record no op count or timing, so
@@ -432,9 +427,8 @@ fn run_assignment(
     db: &mut Database,
     cx: Exec<'_>,
     metrics: &mut Metrics,
-    pool: &mut LazyPool,
 ) -> Result<()> {
-    let results = compute_results(a, db, cx, metrics, pool)?;
+    let results = compute_results(a, db, cx, metrics)?;
     check_results(&results, cx, metrics)?;
     replace_results(results, db);
     check_table_count(db, cx.limits)
@@ -447,7 +441,7 @@ pub(crate) fn table_cells(t: &Table) -> usize {
 }
 
 /// Restructure-fusion outcomes tallied away from the metrics registry:
-/// `apply_unary` runs inside shard-pool jobs without `Metrics` access, so
+/// `apply_unary` runs inside shard jobs without `Metrics` access, so
 /// each job accumulates locally and the evaluating thread merges the
 /// counts (and notes the span's fusion decision) after the scoped join.
 #[derive(Clone, Copy, Default)]
@@ -466,13 +460,12 @@ impl FusionCounts {
 /// Evaluate an assignment against the (pre-statement) database, returning
 /// the produced tables without committing them. Annotates the open span
 /// (if any) with the matched-combination count and input cells, and
-/// records one child span per shard-pool job.
+/// records one child span per shard job.
 pub(crate) fn compute_results(
     a: &Assignment,
     db: &Database,
     cx: Exec<'_>,
     metrics: &mut Metrics,
-    pool: &mut LazyPool,
 ) -> Result<Vec<Table>> {
     let limits = cx.limits;
     let arity = a.op.arity();
@@ -525,11 +518,11 @@ pub(crate) fn compute_results(
             input_cells = work.iter().map(|(t, _, _)| table_cells(t)).sum();
             if work.len() >= limits.parallel_threshold.max(2) {
                 // Purely functional per-table applications: shard across
-                // the run's persistent worker pool, then splice results
-                // back in input order. Each job clocks its own wall time
-                // into its slot so the evaluating thread can record shard
-                // spans without cross-thread metrics.
-                let shards = pool.get().threads().min(work.len());
+                // the run's executor, then splice results back in input
+                // order. Each job clocks its own wall time into its slot
+                // so the evaluating thread can record shard spans without
+                // cross-thread metrics.
+                let shards = cx.pool.threads().min(work.len());
                 let chunk = work.len().div_ceil(shards);
                 let chunks: Vec<&[(&Table, Bindings, Symbol)]> = work.chunks(chunk).collect();
                 // Per-shard result slot: (tables, fusion counters, the
@@ -569,11 +562,11 @@ pub(crate) fn compute_results(
                         }) as Box<dyn FnOnce() + Send + '_>
                     })
                     .collect();
-                pool.get().scoped(jobs);
+                cx.pool.scoped(jobs);
                 metrics.stats.shard_jobs += chunks.len();
                 for (shard, (slot, slice)) in slots.into_iter().zip(&chunks).enumerate() {
                     // Every job writes its slot before the scoped join
-                    // returns; if one didn't (a pool bug — e.g. a job
+                    // returns; if one didn't (an executor bug — e.g. a job
                     // lost to a governor trip racing the join), fail the
                     // run, not the process.
                     let Some((out, counts, micros)) = slot else {
@@ -621,7 +614,7 @@ pub(crate) fn compute_results(
                         OpKind::Intersect => ops::intersect(t1, t2, target),
                         OpKind::Product => ops::product(t1, t2, target),
                         OpKind::FusedJoin { a: pa, b: pb } => {
-                            eval_fused_join(t1, t2, pa, pb, target, &b2, cx, metrics, pool)?
+                            eval_fused_join(t1, t2, pa, pb, target, &b2, cx, metrics)?
                         }
                         OpKind::ClassicalUnion => ops::classical_union(t1, t2, target),
                         _ => unreachable!("binary dispatch"),
@@ -684,7 +677,6 @@ fn eval_fused_join(
     bindings: &Bindings,
     cx: Exec<'_>,
     metrics: &mut Metrics,
-    pool: &mut LazyPool,
 ) -> Result<Table> {
     let limits = cx.limits;
     if let (Some(a), Some(b)) = (pa.as_ground(), pb.as_ground()) {
@@ -698,7 +690,6 @@ fn eval_fused_join(
                 // what was already charged and let `check_results`
                 // charge only the remainder — cumulative charges stay
                 // identical to the serial path.
-                let pool = pool.get();
                 let gov = cx.gov;
                 let mut precharged = 0usize;
                 let (out, report) = ops::join_partitioned(
@@ -706,8 +697,8 @@ fn eval_fused_join(
                     t2,
                     cols,
                     target,
-                    pool,
-                    pool.threads(),
+                    cx.pool,
+                    cx.pool.threads(),
                     &|| gov.poll(),
                     &mut |cells| {
                         gov.charge_cells(cells)?;
@@ -1423,10 +1414,9 @@ mod tests {
     }
 
     #[test]
-    fn thread_limit_one_evaluates_sharded_statements_correctly() {
-        // `threads: 1` still takes the sharded code path (jobs dispatch
-        // to the pool) but with a single worker — the pool honors the
-        // knob instead of spawning `available_parallelism` threads.
+    fn one_worker_executor_evaluates_sharded_statements_correctly() {
+        // A one-thread executor still takes the sharded code path (jobs
+        // dispatch to the executor) with a single worker.
         let db = Database::from_tables(
             (0..6).map(|i| Table::relational(&format!("T{i}"), &["A"], &[&["v"]])),
         );
@@ -1435,10 +1425,13 @@ mod tests {
         assert_eq!(base.shard_jobs, 0, "6 < default threshold stays serial");
         let l = EvalLimits {
             parallel_threshold: 2,
-            threads: 1,
             ..EvalLimits::default()
         };
-        let (out, stats, _) = run_governed_traced(&p, &db, &Budget::from_limits(&l)).unwrap();
+        let budget = Budget {
+            executor: Executor::new(1),
+            ..Budget::from_limits(&l)
+        };
+        let (out, stats, _) = run_governed_traced(&p, &db, &budget).unwrap();
         assert!(stats.shard_jobs > 0, "sharded path taken: {stats:?}");
         assert!(out.equiv(&reference));
     }
@@ -1478,14 +1471,16 @@ mod tests {
         };
         let part_limits = EvalLimits {
             partition_threshold: 1,
-            threads: 2,
             trace: TraceLevel::Spans,
             ..EvalLimits::default()
         };
+        let part_budget = Budget {
+            executor: Executor::new(2),
+            ..Budget::from_limits(&part_limits)
+        };
         let (reference, ref_stats, _) =
             run_governed_traced(&p, &db, &Budget::from_limits(&serial_limits)).unwrap();
-        let (out, stats, trace) =
-            run_governed_traced(&p, &db, &Budget::from_limits(&part_limits)).unwrap();
+        let (out, stats, trace) = run_governed_traced(&p, &db, &part_budget).unwrap();
         let t = reference.table_str("T").unwrap();
         assert_eq!(t, out.table_str("T").unwrap(), "byte-identical output");
         assert_eq!(ref_stats.partitioned_joins, 0);

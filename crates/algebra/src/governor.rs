@@ -19,7 +19,7 @@
 //!
 //! The interpreter polls the governor at every statement boundary, every
 //! `while` iteration (both the naive and the delta strategy), and inside
-//! every shard-pool job between tables, so a sharded statement stops
+//! every shard job between tables, so a sharded statement stops
 //! mid-fan-out. Polling sits at statement granularity because statements
 //! are the unit of observable effect (replace semantics): aborting
 //! between statements leaves the partial database in a state some prefix
@@ -33,6 +33,7 @@
 
 use crate::eval::{EvalLimits, EvalStats};
 use crate::obs::trace::Trace;
+use crate::pool::Executor;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -74,10 +75,11 @@ impl CancelToken {
 }
 
 /// A resource budget for one evaluation: [`EvalLimits`] plus a deadline,
-/// a cumulative cell budget, and a cancellation token. The plain `run*`
-/// entry points are equivalent to a budget with no deadline, an
-/// unlimited cell budget, and a token nobody cancels — governed and
-/// ungoverned evaluation are the same code path.
+/// a cumulative cell budget, a cancellation token, and the [`Executor`]
+/// the run fans out on. The plain `run*` entry points are equivalent to
+/// a budget with no deadline, an unlimited cell budget, and a token
+/// nobody cancels — governed and ungoverned evaluation are the same
+/// code path.
 #[derive(Clone, Debug)]
 pub struct Budget {
     /// The static per-table / per-loop caps.
@@ -90,23 +92,28 @@ pub struct Budget {
     pub max_run_cells: usize,
     /// Cooperative cancellation flag; keep a clone to cancel the run.
     pub cancel: CancelToken,
+    /// The workers shards and partitioned joins fan out on, and their
+    /// width; by default `available_parallelism` threads, process-wide.
+    pub executor: Executor,
 }
 
 impl Default for Budget {
-    /// Default limits, no deadline, unlimited cells, a fresh token.
+    /// Default limits, no deadline, unlimited cells, a fresh token, and
+    /// the process-wide executor.
     fn default() -> Budget {
         Budget {
             limits: EvalLimits::default(),
             deadline: None,
             max_run_cells: usize::MAX,
             cancel: CancelToken::new(),
+            executor: crate::pool::process_executor(),
         }
     }
 }
 
 impl Budget {
     /// A budget enforcing only the given static limits — no deadline, no
-    /// cell budget, a token nobody holds.
+    /// cell budget, a token nobody holds, the process-wide executor.
     pub fn from_limits(limits: &EvalLimits) -> Budget {
         Budget {
             limits: *limits,
@@ -135,9 +142,10 @@ impl Budget {
 
     /// Divide this budget across `sites` evaluations run one after
     /// another (the federation per-site split): the cell budget and the
-    /// deadline are divided evenly, while the cancellation token is
-    /// *shared* — cancelling the parent budget stops every site, and a
-    /// site that trips can cancel its siblings through the same token.
+    /// deadline are divided evenly, while the cancellation token and the
+    /// executor are *shared* — cancelling the parent budget stops every
+    /// site, a site that trips can cancel its siblings through the same
+    /// token, and every site fans out on the parent's workers.
     ///
     /// The per-site cell budget is the *floor* of the division, so the
     /// site budgets never sum past the parent's: a remainder of
@@ -157,6 +165,7 @@ impl Budget {
                 self.max_run_cells / n
             },
             cancel: self.cancel.clone(),
+            executor: self.executor.clone(),
         }
     }
 }
@@ -311,14 +320,21 @@ mod tests {
 
     #[test]
     fn split_divides_cells_and_deadline_but_shares_the_token() {
-        let parent = Budget::default()
-            .with_cell_budget(1000)
-            .with_deadline(Duration::from_millis(300));
+        let parent = Budget {
+            executor: Executor::new(2),
+            ..Budget::default()
+        }
+        .with_cell_budget(1000)
+        .with_deadline(Duration::from_millis(300));
         let site = parent.split(3);
         assert_eq!(site.max_run_cells, 333);
         assert_eq!(site.deadline, Some(Duration::from_millis(100)));
         parent.cancel.cancel();
         assert!(site.cancel.is_cancelled(), "split shares the parent token");
+        assert!(
+            site.executor.same_workers(&parent.executor),
+            "split shares the parent executor"
+        );
         let unlimited = Budget::default().split(8);
         assert_eq!(unlimited.max_run_cells, usize::MAX);
         assert_eq!(unlimited.deadline, None);

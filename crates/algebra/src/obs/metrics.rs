@@ -2,7 +2,7 @@
 //! counts, times, or traces.
 //!
 //! Before this module, `eval.rs` and `delta.rs` each updated raw
-//! `EvalStats` fields inline and the shard pool reported nothing; the
+//! `EvalStats` fields inline and the shard jobs reported nothing; the
 //! `Metrics` registry centralizes that bookkeeping behind one API so
 //! counter semantics (what counts as an "execution", how skipped
 //! statements are accounted) live in one place, and so the span layer of
@@ -198,7 +198,7 @@ impl Metrics {
         });
     }
 
-    /// Record a completed shard-pool job as a leaf under the open
+    /// Record a completed shard job as a leaf under the open
     /// statement span. `wall_micros` is the job's own wall time in
     /// microseconds, measured on the worker that ran it.
     pub(crate) fn shard_span(&mut self, shard: usize, tables: usize, wall_micros: u128) {

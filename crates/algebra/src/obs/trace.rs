@@ -1,7 +1,7 @@
 //! Structured evaluation spans (DESIGN.md, "Tracing and metrics").
 //!
 //! A [`Span`] records one unit of interpreter work — an assignment
-//! execution, a `while` iteration, or a shard-pool job — with enough
+//! execution, a `while` iteration, or a shard job — with enough
 //! structure to answer "where did the time go and why": the operation
 //! keyword, how many argument combinations matched, the cells read and
 //! produced, the wall time, and the delta-strategy decision
@@ -49,13 +49,13 @@ pub enum SpanKind {
     Assign,
     /// One `while` loop iteration (its body statements are children).
     WhileIter,
-    /// One shard-pool job of a parallel statement (child of the
+    /// One shard job of a parallel statement (child of the
     /// statement's span).
     Shard,
     /// One partition of a partition-parallel join (child of the
     /// statement's span); `matched` carries the partition's output rows
     /// and `shard` its partition index, recording the fan-out of a
-    /// single large join across the pool.
+    /// single large join across the executor.
     Partition,
     /// One planner rewrite decision, prepended to the trace by the
     /// `run_planned_governed_traced` so EXPLAIN output shows what the
@@ -121,7 +121,7 @@ pub struct Span {
     /// What kind of work this span covers.
     pub kind: SpanKind,
     /// Operation keyword for assignments; `"while"` for iterations,
-    /// `"shard"` for pool jobs, `"partition"` for partitioned-join
+    /// `"shard"` for shard jobs, `"partition"` for partitioned-join
     /// partitions.
     pub op: &'static str,
     /// Matched argument combinations (assignments), tables handled

@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use crate::error::Result;
-use crate::pool::ShardPool;
+use crate::pool::Executor;
 use tabular_core::{Symbol, Table};
 
 /// Resolved key columns for a fusable join: `left` is a data-column index
@@ -162,7 +162,7 @@ pub fn join_partitioned(
     s: &Table,
     cols: JoinCols,
     name: Symbol,
-    pool: &ShardPool,
+    pool: &Executor,
     shards: usize,
     poll: &(dyn Fn() -> Result<()> + Sync),
     charge: &mut dyn FnMut(usize) -> Result<()>,
@@ -198,7 +198,7 @@ pub fn join_append_partitioned(
     from_row: usize,
     s: &Table,
     cols: JoinCols,
-    pool: &ShardPool,
+    pool: &Executor,
     shards: usize,
     poll: &(dyn Fn() -> Result<()> + Sync),
     charge: &mut dyn FnMut(usize) -> Result<()>,
@@ -479,7 +479,7 @@ mod tests {
         let cols = fusable_join_cols(&r, &s, nm("A"), nm("B")).unwrap();
         let serial = join(&r, &s, cols, nm("T"));
         assert_eq!(serial, unfused(&r, &s, nm("A"), nm("B"), nm("T")));
-        let pool = ShardPool::new(2);
+        let pool = Executor::new(2);
         for shards in [1, 2, 3, 7, 8, 64] {
             let mut charged = 0usize;
             let (part, report) = join_partitioned(
@@ -513,7 +513,7 @@ mod tests {
         let cols = fusable_join_cols(&r, &s, nm("A"), nm("B")).unwrap();
         let full = join(&r, &s, cols, nm("T"));
         let r_prefix = r.retain_rows(|i| i <= 2);
-        let pool = ShardPool::new(2);
+        let pool = Executor::new(2);
         let mut acc = join(&r_prefix, &s, cols, nm("T"));
         let report =
             join_append_partitioned(&mut acc, &r, 3, &s, cols, &pool, 4, &|| Ok(()), &mut |_| {
@@ -542,7 +542,7 @@ mod tests {
         let r = Table::relational("R", &["A"], &[&["1"], &["2"]]);
         let s = Table::relational("S", &["B"], &[&["1"], &["2"]]);
         let cols = fusable_join_cols(&r, &s, nm("A"), nm("B")).unwrap();
-        let pool = ShardPool::new(2);
+        let pool = Executor::new(2);
         let trip = || {
             Err(AlgebraError::LimitExceeded {
                 what: "test poll",

@@ -1,170 +1,215 @@
-//! A persistent worker pool for sharded statement evaluation.
+//! The process's one executor: worker threads sharing one job queue. It
+//! runs service requests, statement shards (one parameterised operation
+//! applied to every matching table, paper §2), partitioned joins and the
+//! programs of multi-program requests.
 //!
-//! The interpreter fans a statement's per-table applications out across
-//! threads once enough tables match (see `EvalLimits::parallel_threshold`).
-//! Spawning OS threads per statement — the obvious `std::thread::scope`
-//! approach — costs more than the work it parallelizes on the small tables
-//! typical of `while` loop bodies, so the pool is built at most once per
-//! `run` and reused by every statement of that run, including every
-//! iteration of every loop.
-//!
-//! Jobs borrow from the caller's stack (the database being evaluated), so
-//! [`ShardPool::scoped`] provides a scoped interface over long-lived
-//! workers: it erases the job lifetime to hand the closure to a worker
-//! thread, then blocks until every submitted job has signalled completion,
-//! which restores the borrow discipline of `std::thread::scope`. Panics in
-//! jobs are caught on the worker, carried back, and resumed on the caller.
+//! While [`Executor::scoped`] waits, its caller runs the jobs of its own
+//! batch that no worker has claimed — never another batch's — so a wait
+//! only waits for jobs already running. Nested fan-out (request →
+//! multi-program → shards → partitioned join) cannot deadlock, even on
+//! one worker, and a waiting request never picks up another request.
 
 use std::any::Any;
+use std::collections::VecDeque;
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed-size pool of worker threads executing submitted closures.
-pub struct ShardPool {
-    sender: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+/// A cloneable handle to a fixed set of worker threads sharing one job
+/// queue. The workers start on the first queued job; when the last handle
+/// drops, they finish the queue and are joined.
+#[derive(Clone)]
+pub struct Executor {
+    pool: Arc<Pool>,
 }
 
-impl ShardPool {
-    /// Spawn `threads` workers (at least one).
-    pub fn new(threads: usize) -> ShardPool {
-        let threads = threads.max(1);
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        let workers = (0..threads)
-            .map(|_| {
-                let receiver = Arc::clone(&receiver);
-                std::thread::spawn(move || worker_loop(&receiver))
-            })
-            .collect();
-        ShardPool {
-            sender: Some(sender),
-            workers,
+struct Pool {
+    shared: Arc<Shared>,
+    threads: usize,
+    workers: OnceLock<Vec<JoinHandle<()>>>,
+}
+
+/// The queued batches, and whether the queue is closed.
+#[derive(Default)]
+struct Shared {
+    queue: Mutex<(VecDeque<Arc<Batch>>, bool)>,
+    ready: Condvar,
+}
+
+/// The jobs of one `scoped` call, or the one job of a `spawn`.
+struct Batch {
+    unclaimed: Mutex<Vec<Job>>,
+    /// Jobs not yet finished, and the first panic in completion order.
+    state: Mutex<(usize, Option<Box<dyn Any + Send>>)>,
+    done: Condvar,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+impl Executor {
+    /// An executor of `threads` workers (at least one).
+    pub fn new(threads: usize) -> Executor {
+        Executor {
+            pool: Arc::new(Pool {
+                shared: Arc::default(),
+                threads: threads.max(1),
+                workers: OnceLock::new(),
+            }),
         }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads: the fan-out width of statement shards
+    /// and join partitions.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.pool.threads
     }
 
-    /// Run every job on the pool and wait for all of them to finish.
-    ///
-    /// Jobs may borrow from the caller (lifetime `'s`): the call does not
-    /// return until each job has reported completion, so no borrow
-    /// escapes. If jobs panicked, the *first* panic (in completion order)
-    /// is resumed here, and only after all `n` completions have been
-    /// drained — later panics must not shadow the original failure, and
-    /// resuming early would drop the `done` receiver while jobs still
-    /// borrow the caller's stack.
+    /// Queue a detached job. A panic inside it is caught and discarded;
+    /// the worker carries on with the next job.
+    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
+        self.queue(&Batch::new(vec![Box::new(job)]), 1);
+    }
+
+    /// Run every job and return once all of them have finished. Jobs may
+    /// borrow from the caller; the caller runs unclaimed jobs of this
+    /// batch itself. The *first* panic (in completion order) is resumed
+    /// here, only after every job has finished: later panics must not
+    /// shadow it, and resuming early would free the caller's stack while
+    /// jobs still borrow it.
     pub fn scoped<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
-        let n = jobs.len();
-        if n == 0 {
+        // The caller runs at least one job, so `n - 1` claims occupy
+        // every thread that could help.
+        let claims = jobs.len().saturating_sub(1).min(self.pool.threads);
+        let batch = Batch::new(
+            jobs.into_iter()
+                // SAFETY: the transmute only erases 's for transport. Once
+                // the batch is queued, this function does not return
+                // (`queue` panics only before queueing; job panics are
+                // caught) until every job has run and been dropped, so no
+                // borrow with lifetime 's outlives `scoped`.
+                .map(|job| unsafe {
+                    std::mem::transmute::<Box<dyn FnOnce() + Send + 's>, Job>(job)
+                })
+                .collect(),
+        );
+        self.queue(&batch, claims);
+        batch.drain();
+        let wait = batch.done.wait_while(lock(&batch.state), |s| s.0 > 0);
+        let mut state = wait.unwrap_or_else(|e| e.into_inner());
+        if let Some(panic) = state.1.take() {
+            drop(state);
+            std::panic::resume_unwind(panic);
+        }
+    }
+
+    /// Queue `claims` claims on `batch`, each waking one worker.
+    fn queue(&self, batch: &Arc<Batch>, claims: usize) {
+        if claims == 0 {
             return;
         }
-        let (done, finished) = channel::<std::thread::Result<()>>();
-        for job in jobs {
-            let done = done.clone();
-            let wrapped: Box<dyn FnOnce() + Send + 's> = Box::new(move || {
-                let outcome = catch_unwind(AssertUnwindSafe(job));
-                // The receiver outlives every job (we block below), so the
-                // send only fails if the caller itself is unwinding.
-                let _ = done.send(outcome);
-            });
-            // SAFETY: the loop below blocks until `n` completions have been
-            // received, one per submitted job, so every borrow with
-            // lifetime 's is done before `scoped` returns; the transmute
-            // only erases that lifetime for transport to the worker.
-            let wrapped: Job =
-                unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 's>, Job>(wrapped) };
-            self.sender
-                .as_ref()
-                .expect("pool alive while scoped")
-                .send(wrapped)
-                .expect("workers alive while scoped");
+        // Start the workers before queueing anything, so a failed thread
+        // spawn panics while no job of a scoped batch is in the queue.
+        self.pool.workers.get_or_init(|| {
+            (0..self.pool.threads)
+                .map(|i| {
+                    let shared = Arc::clone(&self.pool.shared);
+                    std::thread::Builder::new()
+                        .name(format!("tabular-worker-{i}"))
+                        .spawn(move || work(&shared))
+                        .expect("spawn an executor worker thread")
+                })
+                .collect()
+        });
+        let mut queue = lock(&self.pool.shared.queue);
+        for _ in 0..claims {
+            queue.0.push_back(Arc::clone(batch));
+            self.pool.shared.ready.notify_one();
         }
-        drop(done);
-        let mut panic: Option<Box<dyn Any + Send>> = None;
-        for _ in 0..n {
-            match finished.recv().expect("every job reports completion") {
-                Ok(()) => {}
-                Err(p) => {
-                    if panic.is_none() {
-                        panic = Some(p);
-                    }
-                }
+    }
+}
+
+impl fmt::Debug for Executor {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Executor({} threads)", self.pool.threads)
+    }
+}
+
+/// The process-wide executor of [`crate::Budget::default`].
+pub(crate) fn process_executor() -> Executor {
+    static PROCESS: OnceLock<Executor> = OnceLock::new();
+    let threads = || std::thread::available_parallelism().map_or(1, |n| n.get());
+    PROCESS.get_or_init(|| Executor::new(threads())).clone()
+}
+
+impl Drop for Pool {
+    fn drop(&mut self) {
+        lock(&self.shared.queue).1 = true;
+        self.shared.ready.notify_all();
+        // A job may drop the last handle on a worker, which then exits
+        // once that job returns; it cannot join itself. Job panics are
+        // caught, so a worker cannot panic.
+        let me = std::thread::current().id();
+        for worker in self.workers.take().unwrap_or_default() {
+            if worker.thread().id() != me {
+                let _ = worker.join();
             }
         }
-        if let Some(p) = panic {
-            std::panic::resume_unwind(p);
-        }
     }
 }
 
-impl Drop for ShardPool {
-    fn drop(&mut self) {
-        // Closing the channel ends each worker's receive loop.
-        drop(self.sender.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-}
-
-fn worker_loop(receiver: &Mutex<Receiver<Job>>) {
-    loop {
-        let job = {
-            let guard = receiver
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.recv()
-        };
-        match job {
-            Ok(job) => job(),
-            Err(_) => break,
-        }
-    }
-}
-
-/// A pool that is built on first use, so runs that never cross the
-/// parallelism threshold spawn no threads at all.
-///
-/// The worker count is fixed at construction from
-/// [`EvalLimits::threads`](crate::EvalLimits::threads) (`0` = detect
-/// with `available_parallelism`), so N concurrent governed runs spawn
-/// N × *limit* workers instead of N × core-count — the admission knob a
-/// multi-tenant server needs.
-#[derive(Default)]
-pub(crate) struct LazyPool {
-    threads: usize,
-    pool: Option<ShardPool>,
-}
-
-impl LazyPool {
-    /// `threads == 0` means "detect at first use".
-    pub(crate) fn new(threads: usize) -> LazyPool {
-        LazyPool {
-            threads,
-            pool: None,
-        }
-    }
-
-    pub(crate) fn get(&mut self) -> &ShardPool {
-        let requested = self.threads;
-        self.pool.get_or_insert_with(|| {
-            let threads = if requested == 0 {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            } else {
-                requested
-            };
-            ShardPool::new(threads)
+impl Batch {
+    fn new(jobs: Vec<Job>) -> Arc<Batch> {
+        Arc::new(Batch {
+            state: Mutex::new((jobs.len(), None)),
+            unclaimed: Mutex::new(jobs),
+            done: Condvar::new(),
         })
+    }
+
+    /// Run unclaimed jobs of this batch until none is left.
+    fn drain(&self) {
+        // `let`-`else` drops the claim's guard before the job runs.
+        loop {
+            let Some(job) = lock(&self.unclaimed).pop() else {
+                return;
+            };
+            // The job is run and dropped before its completion counts.
+            let outcome = catch_unwind(AssertUnwindSafe(job));
+            let mut state = lock(&self.state);
+            state.0 -= 1;
+            if let Err(panic) = outcome {
+                state.1.get_or_insert(panic);
+            }
+            if state.0 == 0 {
+                self.done.notify_all();
+            }
+        }
+    }
+}
+
+/// A worker: run queued batches until the queue is closed and empty.
+fn work(shared: &Shared) {
+    loop {
+        let wait = shared
+            .ready
+            .wait_while(lock(&shared.queue), |q| q.0.is_empty() && !q.1);
+        let Some(batch) = wait.unwrap_or_else(|e| e.into_inner()).0.pop_front() else {
+            return;
+        };
+        batch.drain();
+    }
+}
+
+#[cfg(test)]
+impl Executor {
+    /// True when both handles share one set of workers.
+    pub(crate) fn same_workers(&self, other: &Executor) -> bool {
+        Arc::ptr_eq(&self.pool, &other.pool)
     }
 }
 
@@ -172,36 +217,29 @@ impl LazyPool {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc::channel;
 
-    #[test]
-    fn scoped_runs_every_job_and_blocks_until_done() {
-        let pool = ShardPool::new(4);
-        let counter = AtomicUsize::new(0);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..32)
+    fn count_jobs(counter: &AtomicUsize, n: usize) -> Vec<Box<dyn FnOnce() + Send + '_>> {
+        (0..n)
             .map(|_| {
                 Box::new(|| {
                     counter.fetch_add(1, Ordering::SeqCst);
                 }) as Box<dyn FnOnce() + Send + '_>
             })
-            .collect();
-        pool.scoped(jobs);
+            .collect()
+    }
+
+    #[test]
+    fn scoped_runs_every_job_and_blocks_until_done() {
+        let pool = Executor::new(4);
+        let counter = AtomicUsize::new(0);
+        pool.scoped(count_jobs(&counter, 32));
         assert_eq!(counter.load(Ordering::SeqCst), 32);
     }
 
     #[test]
-    fn lazy_pool_honors_the_requested_thread_count() {
-        let mut lazy = LazyPool::new(1);
-        assert_eq!(lazy.get().threads(), 1);
-        let mut lazy = LazyPool::new(3);
-        assert_eq!(lazy.get().threads(), 3);
-        // 0 = detect; whatever it resolves to, at least one worker.
-        let mut lazy = LazyPool::new(0);
-        assert!(lazy.get().threads() >= 1);
-    }
-
-    #[test]
     fn jobs_can_write_into_borrowed_slots() {
-        let pool = ShardPool::new(2);
+        let pool = Executor::new(2);
         let mut slots = vec![0u64; 8];
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
             .iter_mut()
@@ -218,22 +256,20 @@ mod tests {
 
     #[test]
     fn pool_survives_and_propagates_job_panics() {
-        let pool = ShardPool::new(2);
+        let pool = Executor::new(2);
         let boom: Vec<Box<dyn FnOnce() + Send + '_>> =
             vec![Box::new(|| panic!("job failure")) as Box<dyn FnOnce() + Send + '_>];
         let caught = catch_unwind(AssertUnwindSafe(|| pool.scoped(boom)));
         assert!(caught.is_err());
         // The pool keeps working after a job panic.
         let ok = AtomicUsize::new(0);
-        pool.scoped(vec![Box::new(|| {
-            ok.fetch_add(1, Ordering::SeqCst);
-        }) as Box<dyn FnOnce() + Send + '_>]);
+        pool.scoped(count_jobs(&ok, 1));
         assert_eq!(ok.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn two_panicking_jobs_drain_fully_and_resume_one() {
-        let pool = ShardPool::new(2);
+        let pool = Executor::new(2);
         let survivors = AtomicUsize::new(0);
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
             Box::new(|| panic!("first failure")),
@@ -259,27 +295,91 @@ mod tests {
         // jobs finished, and the pool is still fully usable.
         assert_eq!(survivors.load(Ordering::SeqCst), 2);
         let ok = AtomicUsize::new(0);
-        pool.scoped(vec![Box::new(|| {
-            ok.fetch_add(1, Ordering::SeqCst);
-        }) as Box<dyn FnOnce() + Send + '_>]);
+        pool.scoped(count_jobs(&ok, 1));
         assert_eq!(ok.load(Ordering::SeqCst), 1);
     }
 
     #[test]
     fn reuse_across_many_batches() {
-        let pool = ShardPool::new(3);
+        let pool = Executor::new(3);
         let total = AtomicUsize::new(0);
         for _ in 0..50 {
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = (0..5)
-                .map(|_| {
-                    Box::new(|| {
-                        total.fetch_add(1, Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            pool.scoped(jobs);
+            pool.scoped(count_jobs(&total, 5));
         }
         assert_eq!(total.load(Ordering::SeqCst), 250);
         assert_eq!(pool.threads(), 3);
+    }
+
+    #[test]
+    fn a_panicking_spawned_job_leaves_its_worker_running() {
+        let pool = Executor::new(1);
+        let (tx, rx) = channel();
+        pool.spawn(|| panic!("detached job failure"));
+        pool.spawn(move || tx.send(7).unwrap());
+        assert_eq!(rx.recv().unwrap(), 7, "the one worker ran the next job");
+    }
+
+    #[test]
+    fn scoped_nested_three_deep_completes_on_one_worker() {
+        let pool = Executor::new(1);
+        let leaves = AtomicUsize::new(0);
+        fn nested(pool: &Executor, leaves: &AtomicUsize, depth: usize) {
+            pool.scoped(
+                (0..3)
+                    .map(|_| {
+                        Box::new(move || {
+                            if depth == 0 {
+                                leaves.fetch_add(1, Ordering::SeqCst);
+                            } else {
+                                nested(pool, leaves, depth - 1);
+                            }
+                        }) as Box<dyn FnOnce() + Send + '_>
+                    })
+                    .collect(),
+            );
+        }
+        nested(&pool, &leaves, 2);
+        assert_eq!(leaves.load(Ordering::SeqCst), 27, "3 × 3 × 3 leaves");
+    }
+
+    #[test]
+    fn scoped_inside_a_spawned_job_completes_on_one_worker() {
+        // The only worker is busy running the spawned job, so its fan-out
+        // must be run by the job itself, not wait for a free worker.
+        let pool = Executor::new(1);
+        let (tx, rx) = channel();
+        let inner = pool.clone();
+        pool.spawn(move || {
+            let counter = AtomicUsize::new(0);
+            inner.scoped(count_jobs(&counter, 4));
+            tx.send(counter.load(Ordering::SeqCst)).unwrap();
+        });
+        assert_eq!(rx.recv().unwrap(), 4);
+    }
+
+    #[test]
+    fn the_last_handle_may_drop_inside_a_job() {
+        // The dropping worker joins the other worker, not itself.
+        let pool = Executor::new(2);
+        let last = pool.clone();
+        let (go, wait) = channel::<()>();
+        let (done, finished) = channel();
+        pool.spawn(move || {
+            wait.recv().unwrap();
+            drop(last);
+            done.send(()).unwrap();
+        });
+        drop(pool);
+        go.send(()).unwrap();
+        finished.recv().unwrap();
+    }
+
+    #[test]
+    fn a_batch_of_one_spawns_no_thread() {
+        let pool = Executor::new(2);
+        let ok = AtomicUsize::new(0);
+        pool.scoped(count_jobs(&ok, 1));
+        assert_eq!(ok.load(Ordering::SeqCst), 1);
+        assert!(pool.pool.workers.get().is_none(), "no worker started");
     }
 }

@@ -289,7 +289,7 @@ pub fn render_plan(report: &crate::plan::PlanReport) -> String {
 /// statement-level figures — how many argument combinations matched, the
 /// cells read and produced, the wall time, and the delta decision. Each
 /// line maps to one §3 statement execution (or `while` iteration, or
-/// shard-pool job).
+/// shard job).
 ///
 /// ```text
 /// while #1 [42 µs]

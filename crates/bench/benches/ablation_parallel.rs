@@ -2,11 +2,11 @@
 //! for wildcard statements fanning out over many same-named tables
 //! (SalesInfo4 at scale).
 //!
-//! Note: the evaluation fans out with `std::thread::scope` over
-//! `available_parallelism()` shards. On a single-CPU host (as in the CI
-//! container that produced EXPERIMENTS.md) the parallel path degenerates
-//! to one shard and measures pure spawning overhead (~2–5%); the ablation
-//! is meaningful on multi-core machines.
+//! Note: the evaluation fans out on the process-wide executor, one shard
+//! per worker (`available_parallelism()` of them). On a single-CPU host
+//! (as in the CI container that produced EXPERIMENTS.md) the parallel
+//! path degenerates to one shard and measures pure dispatch overhead;
+//! the ablation is meaningful on multi-core machines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tabular_algebra::{parser::parse, run_governed_traced, Budget, EvalLimits};

@@ -764,7 +764,8 @@ fn main() {
     // through the fused hash kernel, serial vs hash-partitioned across
     // 8 shards. Output is byte-identical by construction; the pinned
     // claim is the speedup. Per-shard busy time is measured inside each
-    // job, so running the 8 shards on a deliberately 1-thread pool
+    // job, so running the join as a job on a one-thread executor — whose
+    // only worker, busy with the join, then runs all 8 shards itself —
     // serializes them and isolates the serial prelude (index build +
     // exact resize + charges) as `wall − Σ busy`; the 8-core projection
     // is then `prelude + max(shard busy)`.
@@ -772,7 +773,7 @@ fn main() {
     let partition: PartitionSummary;
     {
         use tabular_algebra::ops::{self as aops, JoinCols};
-        use tabular_algebra::pool::ShardPool;
+        use tabular_algebra::pool::Executor;
 
         const PROBE_ROWS: usize = 1_000_000;
         const BUILD_ROWS: usize = 10_000;
@@ -808,22 +809,27 @@ fn main() {
         let serial_us = best_of(&|| timed(|| aops::join(&probe, &build, cols, name)).1);
         let serial = aops::join(&probe, &build, cols, name);
 
-        let pool = ShardPool::new(1); // serialize shards to isolate busy times
+        let pool = Executor::new(1);
         let mut runs: Vec<(u128, Vec<aops::PartitionShard>, tabular_core::Table)> = (0..3)
             .map(|_| {
-                let ((out, report), wall) = timed(|| {
-                    aops::join_partitioned(
-                        &probe,
-                        &build,
-                        cols,
-                        name,
-                        &pool,
-                        SHARDS,
-                        &|| Ok(()),
-                        &mut |_| Ok(()),
-                    )
-                    .unwrap()
+                let (done, result) = std::sync::mpsc::channel();
+                let (probe, build, inner) = (probe.clone(), build.clone(), pool.clone());
+                pool.spawn(move || {
+                    let _ = done.send(timed(|| {
+                        aops::join_partitioned(
+                            &probe,
+                            &build,
+                            cols,
+                            name,
+                            &inner,
+                            SHARDS,
+                            &|| Ok(()),
+                            &mut |_| Ok(()),
+                        )
+                        .unwrap()
+                    }));
                 });
+                let ((out, report), wall) = result.recv().expect("the partitioned join ran");
                 (wall, report, out)
             })
             .collect();

@@ -27,7 +27,7 @@
 //!    session, alone and together, unchanged from BENCH_9.
 //!
 //! Every request in the sweep goes through the epoll reactor and the
-//! bounded worker pool, not a per-connection thread: 64 clients cost
+//! service's one executor, not a per-connection thread: 64 clients cost
 //! 64 slab slots, not 64 server threads.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -391,7 +391,7 @@ fn main() {
          \"writer_alone_commits_per_s\": {writer_alone_rate:.1},\n  \
          \"writer_with_readers_commits_per_s\": {writer_contended_rate:.1},\n  \
          \"budget_trips\": {trips},\n  \
-         \"method\": \"in-process tabular-serve (epoll reactor + bounded worker pool) over \
+         \"method\": \"in-process tabular-serve (epoll reactor + one executor) over \
          loopback sockets; 1/4/16/64 keep-alive clients cycle 70% point projections, 20% \
          GROUP/CLEANUP/PURGE pivots, 10% fused-join TC fixpoints over a {CHAIN}-edge chain, \
          all readonly against Database::snapshot, {MIXED_SECS}s per sweep point; \

@@ -13,12 +13,12 @@
 //! offline vendor set has no async runtime; the epoll syscalls are
 //! raw `extern "C"` declarations against the libc the binary already
 //! links): one reactor thread multiplexes every connection, parses
-//! HTTP/1.1 incrementally with pipelining, and dispatches complete
-//! requests to a bounded worker pool that runs the governed query
-//! path. Connection count no longer costs a thread apiece, and a
-//! client hangup cancels its in-flight run via `EPOLLRDHUP` — see the
-//! `reactor` module internals and [`service`] for the route table and
-//! wire protocol.
+//! HTTP/1.1 incrementally with pipelining, and spawns complete requests
+//! onto the service's one [`Executor`](tabular_algebra::pool::Executor),
+//! whose [`Config::workers`] threads also run every query's fan-out.
+//! Connection count costs no thread, and a client hangup cancels its
+//! in-flight run via `EPOLLRDHUP` — see the `reactor` module internals
+//! and [`service`] for the route table and wire protocol.
 
 #![warn(missing_docs)]
 
@@ -63,8 +63,7 @@ impl Server {
     /// Serve forever on the calling thread: the epoll reactor loop.
     /// Returns only if the epoll instance itself fails.
     pub fn run(self) -> std::io::Result<()> {
-        let workers = self.service.config.workers;
-        reactor::Reactor::new(self.listener, self.service, workers)?.run()
+        reactor::Reactor::new(self.listener, self.service)?.run()
     }
 
     /// Serve on a background thread; returns the bound address and the

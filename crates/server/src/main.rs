@@ -8,8 +8,8 @@
 //! `--default-deadline-ms` and `--default-cell-budget` set the
 //! admission-control defaults applied to every query request; clients
 //! may override per request with `?deadline_ms=` / `?cell_budget=`.
-//! `--workers` sizes the query worker pool behind the epoll reactor
-//! (default: auto from the available parallelism).
+//! `--workers` sizes the service's one executor, which runs requests and
+//! their fan-out (default: auto from the available parallelism).
 
 use std::process::ExitCode;
 
@@ -21,7 +21,7 @@ const USAGE: &str = "usage: tabular-serve [--addr <host:port>] \
 --addr <host:port>          listen address (default 127.0.0.1:7878)\n\
 --default-deadline-ms <N>   admission default: per-request wall-clock deadline\n\
 --default-cell-budget <N>   admission default: per-request cumulative cell budget\n\
---workers <N>               query worker threads behind the reactor (default: auto)\n\
+--workers <N>               executor threads: run requests and their fan-out (default: auto)\n\
 Clients override per request with ?deadline_ms= / ?cell_budget= on\n\
 POST /sessions/{id}/query.";
 

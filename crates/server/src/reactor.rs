@@ -1,23 +1,24 @@
-//! A single-threaded epoll reactor with a bounded query-worker pool.
+//! A single-threaded epoll reactor that hands requests to the service's
+//! executor.
 //!
-//! PR 9's transport was a thread per keep-alive connection plus a
-//! detached 1ms-`peek` watcher thread per in-flight query; it measured
-//! ~1 037 QPS at exactly 4 clients and had no story past that. This
-//! module replaces it: one reactor thread multiplexes every connection
-//! through `epoll` (raw `extern "C"` declarations — the binary already
-//! links libc through `std`, so the crate keeps its zero-new-deps
-//! rule), accumulates bytes into per-connection buffers, parses
-//! requests incrementally through the capped [`http`](crate::http)
-//! parser, and hands complete requests to a bounded pool of worker
-//! threads that run the governed query path. Workers push encoded
-//! responses onto a completion queue and ring an `eventfd`; the
-//! reactor drains completions and writes them out.
+//! One reactor thread multiplexes every connection through `epoll`
+//! (raw `extern "C"` declarations — the binary already links libc
+//! through `std`, so the crate keeps its zero-new-deps rule),
+//! accumulates bytes into per-connection buffers, parses requests
+//! incrementally through the capped [`http`](crate::http) parser, and
+//! spawns each complete request onto the service's
+//! [`Executor`](tabular_algebra::pool::Executor) — the same workers the
+//! query's own fan-out runs on. A request job runs the governed query
+//! path inside a panic fence (a panic answers 500 and is counted in
+//! `request_panics`), pushes the encoded response onto a completion
+//! queue and rings an `eventfd`; the reactor drains completions and
+//! writes them out.
 //!
 //! **Pipelining and the ordering guarantee.** A client may send many
 //! requests without waiting for answers; the reactor parses them all
 //! into a per-connection FIFO. At most one request per connection is
-//! in flight in the pool at a time — the next is dispatched only when
-//! its predecessor's response has been queued — so responses are
+//! in flight on the executor at a time — the next is dispatched only
+//! when its predecessor's response has been queued — so responses are
 //! written strictly in request order and a session's mutating
 //! programs commit in the order the client sent them. Cross-request
 //! parallelism comes from having many connections, not from reordering
@@ -31,8 +32,7 @@
 //! connection whose in-flight run is the last thing it asked for —
 //! nothing else parsed or parseable — is treated as a mid-run
 //! disconnect: the run's [`CancelToken`] trips directly and a
-//! `disconnect_cancels` is counted. The per-request watcher thread
-//! and its 1ms `peek` poll are gone either way.
+//! `disconnect_cancels` is counted.
 //!
 //! **Backpressure.** Readiness is level-triggered, and reading is
 //! gated on two caps. A connection with [`MAX_PIPELINE`] parsed
@@ -49,14 +49,15 @@ use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 use tabular_algebra::CancelToken;
 
 use crate::http::{self, Request};
 use crate::json;
-use crate::service::Service;
+use crate::service::{Counters, Response, Service};
 
 // ---- raw epoll / eventfd bindings (Linux) --------------------------------
 //
@@ -158,77 +159,27 @@ fn error_body(msg: &str) -> String {
     format!("{{\"ok\":false,\"error\":\"{}\"}}", json::escape(msg))
 }
 
-// ---- worker pool ---------------------------------------------------------
+// ---- request jobs --------------------------------------------------------
 
-struct Job {
-    key: u64,
-    req: Box<Request>,
-    keep_alive: bool,
-    cancel: CancelToken,
-}
-
-struct Completion {
-    key: u64,
-    bytes: Vec<u8>,
-}
-
-struct WorkerPool {
-    jobs: Arc<(Mutex<VecDeque<Job>>, Condvar)>,
-    completions: Arc<Mutex<Vec<Completion>>>,
-}
+/// A request job's encoded response, keyed by its connection.
+type Completion = (u64, Vec<u8>);
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-impl WorkerPool {
-    /// Spawn `workers` query threads that drain the job queue, run the
-    /// governed path, and ring `wake_fd` with each encoded response.
-    fn start(workers: usize, wake_fd: i32, service: Arc<Service>) -> WorkerPool {
-        let pool = WorkerPool {
-            jobs: Arc::new((Mutex::new(VecDeque::new()), Condvar::new())),
-            completions: Arc::new(Mutex::new(Vec::new())),
-        };
-        for _ in 0..workers.max(1) {
-            let jobs = Arc::clone(&pool.jobs);
-            let completions = Arc::clone(&pool.completions);
-            let service = Arc::clone(&service);
-            std::thread::spawn(move || loop {
-                let job = {
-                    let (queue, available) = &*jobs;
-                    let mut queue = lock(queue);
-                    loop {
-                        match queue.pop_front() {
-                            Some(job) => break job,
-                            None => {
-                                queue = available.wait(queue).unwrap_or_else(|e| e.into_inner());
-                            }
-                        }
-                    }
-                };
-                let started = thread_cpu_us();
-                let resp = service.handle(&job.req, Some(&job.cancel));
-                let bytes =
-                    http::encode_response(resp.status, resp.body.as_bytes(), job.keep_alive);
-                service
-                    .counters
-                    .worker_busy_us
-                    .fetch_add(thread_cpu_us().saturating_sub(started), Ordering::Relaxed);
-                lock(&completions).push(Completion {
-                    key: job.key,
-                    bytes,
-                });
-                ring(wake_fd);
-            });
-        }
-        pool
-    }
-
-    fn submit(&self, job: Job) {
-        let (queue, available) = &*self.jobs;
-        lock(queue).push_back(job);
-        available.notify_one();
-    }
+/// The body of a request job behind its panic fence: `handle` answers
+/// the request, and the answer is encoded for the wire. A panic in
+/// either is caught, counted in `request_panics`, and answered 500, so
+/// the connection always gets its response and the worker thread
+/// survives for other requests and other queries' fan-out.
+fn answer(counters: &Counters, keep_alive: bool, handle: impl FnOnce() -> Response) -> Vec<u8> {
+    let encode =
+        |resp: Response| http::encode_response(resp.status, resp.body.as_bytes(), keep_alive);
+    catch_unwind(AssertUnwindSafe(|| encode(handle()))).unwrap_or_else(|_| {
+        counters.request_panics.fetch_add(1, Ordering::Relaxed);
+        encode(Response::error(500, "internal error"))
+    })
 }
 
 /// Bump the eventfd counter so `epoll_wait` returns. The write can
@@ -292,26 +243,22 @@ fn conn_at(conns: &mut [Option<Conn>], slot: usize) -> Option<&mut Conn> {
 // ---- the reactor ---------------------------------------------------------
 
 /// The event loop: owns the listener, the epoll instance, the
-/// connection slab, and the worker pool.
+/// connection slab, and the completion queue request jobs answer into.
 pub(crate) struct Reactor {
     epfd: i32,
     wake_fd: i32,
     listener: TcpListener,
     service: Arc<Service>,
-    pool: WorkerPool,
+    completions: Arc<Mutex<Vec<Completion>>>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_generation: u32,
 }
 
 impl Reactor {
-    /// Build the reactor: nonblocking listener, epoll instance,
-    /// wakeup eventfd, and `workers` query threads (0 = auto).
-    pub fn new(
-        listener: TcpListener,
-        service: Arc<Service>,
-        workers: usize,
-    ) -> std::io::Result<Reactor> {
+    /// Build the reactor: nonblocking listener, epoll instance, and
+    /// wakeup eventfd. Requests run on the service's executor.
+    pub fn new(listener: TcpListener, service: Arc<Service>) -> std::io::Result<Reactor> {
         listener.set_nonblocking(true)?;
         let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
         if epfd < 0 {
@@ -331,21 +278,12 @@ impl Reactor {
             LISTENER_KEY,
         )?;
         ep_ctl(epfd, EPOLL_CTL_ADD, wake_fd, EPOLLIN, WAKE_KEY)?;
-        let workers = if workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .max(4)
-        } else {
-            workers
-        };
-        let pool = WorkerPool::start(workers, wake_fd, Arc::clone(&service));
         Ok(Reactor {
             epfd,
             wake_fd,
             listener,
             service,
-            pool,
+            completions: Arc::default(),
             conns: Vec::new(),
             free: Vec::new(),
             next_generation: 0,
@@ -455,16 +393,16 @@ impl Reactor {
         counters.connections_open.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drain the eventfd and apply queued worker completions.
+    /// Drain the eventfd and apply queued request completions.
     fn on_wake(&mut self) {
         let mut counter = [0u8; 8];
         let _ = unsafe { read(self.wake_fd, counter.as_mut_ptr(), counter.len()) };
-        let done: Vec<Completion> = std::mem::take(&mut *lock(&self.pool.completions));
-        for completion in done {
-            let slot = (completion.key >> 32) as usize;
+        let done = std::mem::take(&mut *lock(&self.completions));
+        for (key, bytes) in done {
+            let slot = (key >> 32) as usize;
             match conn_at(&mut self.conns, slot) {
-                Some(conn) if conn.generation == completion.key as u32 => {
-                    conn.out.extend_from_slice(&completion.bytes);
+                Some(conn) if conn.generation == key as u32 => {
+                    conn.out.extend_from_slice(&bytes);
                     conn.in_flight = None;
                 }
                 // The connection died mid-run (its token was already
@@ -574,12 +512,21 @@ impl Reactor {
         if let Some(req) = conn.pending.pop_front() {
             let cancel = CancelToken::new();
             conn.in_flight = Some(cancel.clone());
-            let keep_alive = req.keep_alive();
-            self.pool.submit(Job {
-                key: key_of(slot, conn.generation),
-                req,
-                keep_alive,
-                cancel,
+            let key = key_of(slot, conn.generation);
+            let service = Arc::clone(&self.service);
+            let completions = Arc::clone(&self.completions);
+            let wake_fd = self.wake_fd;
+            self.service.executor.spawn(move || {
+                let started = thread_cpu_us();
+                let bytes = answer(&service.counters, req.keep_alive(), || {
+                    service.handle(&req, Some(&cancel))
+                });
+                service
+                    .counters
+                    .worker_busy_us
+                    .fetch_add(thread_cpu_us().saturating_sub(started), Ordering::Relaxed);
+                lock(&completions).push((key, bytes));
+                ring(wake_fd);
             });
         } else if conn.read_closed || conn.saw_eof {
             // Bytes still buffered at EOF (with parsing not otherwise
@@ -715,5 +662,31 @@ impl Drop for Reactor {
             close(self.wake_fd);
             close(self.epfd);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_request_is_answered_500_and_counted() {
+        let counters = Counters::default();
+        let bytes = answer(&counters, true, || panic!("handler failure"));
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 500 "), "{text}");
+        assert!(text.contains("connection: keep-alive"), "{text}");
+        assert!(
+            text.ends_with("\r\n\r\n{\"ok\":false,\"error\":\"internal error\"}"),
+            "{text}"
+        );
+        assert_eq!(counters.request_panics.load(Ordering::Relaxed), 1);
+
+        // A request that returns is encoded as answered, and not counted.
+        let bytes = answer(&counters, false, || Response::error(404, "no such route"));
+        let text = String::from_utf8(bytes).unwrap();
+        assert!(text.starts_with("HTTP/1.1 404 "), "{text}");
+        assert!(text.contains("connection: close"), "{text}");
+        assert_eq!(counters.request_panics.load(Ordering::Relaxed), 1);
     }
 }

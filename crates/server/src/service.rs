@@ -10,6 +10,9 @@
 //! budget is [`Budget::split`] across the statements, which run
 //! concurrently against the same snapshot and share the cancel token.
 //!
+//! Requests, and every query's fan-out (its programs, statement shards
+//! and partitioned joins), run on the service's one [`Executor`].
+//!
 //! Routes:
 //!
 //! | method & path                  | effect                              |
@@ -31,13 +34,14 @@
 //! errors are 422, broken engine invariants are 500.
 
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use tabular_algebra::{
-    parser, pretty, run_governed_traced, run_planned_governed_traced, AlgebraError, Budget,
-    CancelToken, EvalLimits, EvalStats, PlanReport, Program, Trace, TraceLevel,
+    parser, pool::Executor, pretty, run_governed_traced, run_planned_governed_traced, AlgebraError,
+    Budget, CancelToken, EvalLimits, EvalStats, PlanReport, Program, Trace, TraceLevel,
 };
 use tabular_core::{interner, io, Database};
 
@@ -54,9 +58,10 @@ pub struct Config {
     pub default_deadline_ms: Option<u64>,
     /// Admission default: cumulative cell budget per query request.
     pub default_cell_budget: Option<usize>,
-    /// Query worker threads behind the reactor (0 = auto: the
-    /// available parallelism, floored at 4 so short queries are not
-    /// head-of-line blocked behind one long fixpoint on small hosts).
+    /// Threads of the one executor that runs requests and their fan-out,
+    /// whose width this is (0 = auto: the available parallelism, floored
+    /// at 4 so short queries are not head-of-line blocked behind one long
+    /// fixpoint on small hosts).
     pub workers: usize,
 }
 
@@ -91,17 +96,20 @@ pub struct Counters {
     /// Requests parsed while an earlier request from the same
     /// connection was still queued or in flight (HTTP/1.1 pipelining).
     pub pipelined_requests: AtomicU64,
-    /// Cumulative CPU microseconds worker threads consumed executing
-    /// requests (`CLOCK_THREAD_CPUTIME_ID`, so descheduled time on an
+    /// Cumulative CPU microseconds executor threads consumed running
+    /// request jobs, fan-out jobs a request ran itself included
+    /// (`CLOCK_THREAD_CPUTIME_ID`, so descheduled time on an
     /// oversubscribed host does not count; feeds the scaling bench's
     /// multi-core projection).
     pub worker_busy_us: AtomicU64,
     /// Cumulative CPU microseconds the reactor thread consumed
     /// processing events (accept, parse, dispatch, write).
     pub reactor_busy_us: AtomicU64,
+    /// Requests whose handling panicked; each was answered 500.
+    pub request_panics: AtomicU64,
 }
 
-/// The shared service state behind the reactor and its worker pool.
+/// The shared service state behind the reactor and its executor.
 pub struct Service {
     /// Configuration the server was started with.
     pub config: Config,
@@ -109,6 +117,8 @@ pub struct Service {
     pub sessions: Sessions,
     /// Monotonic counters.
     pub counters: Counters,
+    /// The workers that run requests and every query's fan-out.
+    pub(crate) executor: Executor,
 }
 
 /// A routed response: status and JSON body (empty for 204).
@@ -124,7 +134,7 @@ impl Response {
         Response { status, body }
     }
 
-    fn error(status: u16, msg: &str) -> Response {
+    pub(crate) fn error(status: u16, msg: &str) -> Response {
         Response {
             status,
             body: format!("{{\"ok\":false,\"error\":\"{}\"}}", json::escape(msg)),
@@ -137,10 +147,16 @@ type RunOutcome = Result<(Database, EvalStats, Trace, Option<PlanReport>), Algeb
 impl Service {
     /// A service with the given configuration and no sessions.
     pub fn new(config: Config) -> Service {
+        let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = match config.workers {
+            0 => nproc.max(4),
+            n => n,
+        };
         Service {
             config,
             sessions: Sessions::default(),
             counters: Counters::default(),
+            executor: Executor::new(workers),
         }
     }
 
@@ -193,7 +209,7 @@ impl Service {
             "{{\"ok\":true,\"sessions_open\":{},\"requests\":{},\"queries\":{},\
              \"budget_trips\":{},\"disconnect_cancels\":{},\"connections_open\":{},\
              \"connections_accepted\":{},\"pipelined_requests\":{},\
-             \"worker_busy_us\":{},\"reactor_busy_us\":{}}}",
+             \"worker_busy_us\":{},\"reactor_busy_us\":{},\"request_panics\":{}}}",
             self.sessions.len(),
             self.counters.requests.load(Ordering::Relaxed),
             self.counters.queries.load(Ordering::Relaxed),
@@ -204,6 +220,7 @@ impl Service {
             self.counters.pipelined_requests.load(Ordering::Relaxed),
             self.counters.worker_busy_us.load(Ordering::Relaxed),
             self.counters.reactor_busy_us.load(Ordering::Relaxed),
+            self.counters.request_panics.load(Ordering::Relaxed),
         )
     }
 
@@ -276,7 +293,10 @@ impl Service {
         // The reactor owns disconnect detection: it trips this token
         // on EPOLLRDHUP/EOF, so no per-request watcher thread exists.
         let token = cancel.cloned().unwrap_or_else(CancelToken::new);
-        let mut budget = Budget::from_limits(&limits).with_cancel(token);
+        let mut budget = Budget {
+            executor: self.executor.clone(),
+            ..Budget::from_limits(&limits).with_cancel(token)
+        };
         if let Some(ms) = deadline_ms {
             budget = budget.with_deadline(Duration::from_millis(ms));
         }
@@ -294,26 +314,27 @@ impl Service {
             vec![run_one(&programs[0], &snapshot, &budget, want_plan)]
         } else {
             let share = budget.split(programs.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = programs
-                    .iter()
-                    .map(|program| {
-                        let share = share.clone();
-                        let snapshot = &snapshot;
-                        scope.spawn(move || run_one(program, snapshot, &share, want_plan))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(AlgebraError::Internal {
-                                what: "a query worker panicked",
-                            })
-                        })
-                    })
-                    .collect()
-            })
+            // A program that panics fails alone, as an internal error,
+            // beside its siblings' results.
+            let panicked = Err(AlgebraError::Internal {
+                what: "a query program panicked",
+            });
+            let mut outcomes: Vec<RunOutcome> = vec![panicked; programs.len()];
+            let jobs = programs
+                .iter()
+                .zip(outcomes.iter_mut())
+                .map(|(program, slot)| {
+                    let (share, snapshot) = (&share, &snapshot);
+                    Box::new(move || {
+                        if let Ok(outcome) = catch_unwind(AssertUnwindSafe(|| {
+                            run_one(program, snapshot, share, want_plan)
+                        })) {
+                            *slot = outcome;
+                        }
+                    }) as Box<dyn FnOnce() + Send + '_>
+                });
+            budget.executor.scoped(jobs.collect());
+            outcomes
         };
         // -- Commit: a single mutating program replaces the session db --
         if !readonly {

@@ -6,7 +6,7 @@
 //! read never blocks a concurrent writer — the paper's restructuring
 //! pipelines can run for seconds, and admission control (not locking)
 //! is what bounds them. Every critical section here is O(1), which is
-//! what lets the reactor's worker pool route into sessions without a
+//! what lets the executor's request jobs route into sessions without a
 //! lock ever becoming the connection-scaling bottleneck; the registry
 //! itself is read-mostly (one lookup per routed request against rare
 //! creates/removes), so it sits behind an `RwLock`.

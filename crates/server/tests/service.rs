@@ -8,8 +8,9 @@
 //! error (400), never the server's (500); chunked transfer encoding
 //! is refused with 501; pipelined requests are answered in order even
 //! past the pipeline and byte backpressure caps; a client that
-//! half-closes after a burst still gets its queued responses; and one
-//! slow-loris connection cannot stall other clients.
+//! half-closes after a burst still gets its queued responses; one
+//! slow-loris connection cannot stall other clients; and a single
+//! executor worker serves nested fan-out without deadlock.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
@@ -17,6 +18,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use tabular_algebra::{parser, run_governed_traced, Budget};
+use tabular_core::{interner, io, Database};
+use tabular_server::session::Sessions;
 use tabular_server::{json, Config, Server, Service, MAX_BUF, MAX_PIPELINE};
 
 fn start(
@@ -509,7 +513,7 @@ fn half_close_after_pipelined_burst_still_serves_the_queue() {
 
 #[test]
 fn flood_past_the_byte_cap_is_fully_served() {
-    // A sender that outpaces the worker pool parks at the reactor's
+    // A sender that outpaces the executor parks at the reactor's
     // unparsed-byte cap (EPOLLIN drops until parsing frees space)
     // instead of growing the connection buffer without bound — and
     // everything it sent must still be answered as the queue drains.
@@ -657,6 +661,7 @@ fn stats_reports_reactor_counters() {
     assert!(num("connections_accepted") >= 1.0, "{body}");
     assert!(num("worker_busy_us") >= 0.0, "{body}");
     assert!(num("reactor_busy_us") >= 0.0, "{body}");
+    assert_eq!(num("request_panics"), 0.0, "{body}");
     // The two stats requests above went out back-to-back: by the time
     // the second rendered, it had been parsed behind the first.
     assert!(num("pipelined_requests") >= 1.0, "{body}");
@@ -708,4 +713,135 @@ fn plan_and_trace_attachments_render() {
         .any(|s| { s.get("op").and_then(json::Json::as_str) == Some("TRANSPOSE") }));
     let stats = result.get("stats").unwrap();
     assert!(stats.get("op_counts").unwrap().get("TRANSPOSE").is_some());
+}
+
+/// The `tables` payload the service renders for an output database.
+fn tables_json(db: &Database) -> json::Json {
+    let tables: Vec<String> = db
+        .tables()
+        .iter()
+        .filter_map(|t| {
+            let name = t.name().text().filter(|n| !interner::is_reserved(n))?;
+            Some(format!(
+                "{{\"name\":\"{}\",\"height\":{},\"width\":{},\"csv\":\"{}\"}}",
+                json::escape(name),
+                t.height(),
+                t.width(),
+                json::escape(&io::to_csv(t)),
+            ))
+        })
+        .collect();
+    json::parse(&format!("[{}]", tables.join(","))).unwrap()
+}
+
+#[test]
+fn one_worker_serves_nested_fan_out_without_deadlock() {
+    // One executor thread runs every request and all of its fan-out:
+    // request → multi-program → SPLIT shards. Each wait must run its own
+    // batch's unclaimed jobs, or these requests never finish.
+    let config = Config {
+        addr: "127.0.0.1:0".into(),
+        workers: 1,
+        ..Config::default()
+    };
+    let (addr, service) = Server::bind(config).unwrap().spawn().unwrap();
+    let session = open_session(addr);
+    // 80 parts: SPLIT makes 80 `Parts` tables, past the default
+    // parallel threshold of 64, so the PROJECT over them is sharded.
+    let mut sales = String::from("Sales,Region,Part,Sold\n");
+    for i in 0..240 {
+        sales.push_str(&format!("r{i},g{},p{},{}\n", i % 3, i / 3, i * 7 % 50));
+    }
+    upload(addr, &session, &sales);
+    let split = "Parts <- SPLIT[on {Part}](Sales)\nParts <- PROJECT[{Region, Sold}](Parts)";
+    let pivot = "Cross <- GROUP[by {Region} on {Sold}](Sales)\n\
+                 Cross <- CLEANUP[by {Part} on {_}](Cross)\n\
+                 Cross <- PURGE[on {Sold} by {Region}](Cross)";
+    let path = format!("/sessions/{session}/query?readonly=1");
+    let requests = [
+        (path.clone(), query_body(split), vec![split]),
+        (format!("{path}&plan=1"), query_body(pivot), vec![pivot]),
+        (
+            path.clone(),
+            format!(
+                "{{\"programs\": [\"{}\", \"{}\"]}}",
+                json::escape(split),
+                json::escape(pivot)
+            ),
+            vec![split, pivot],
+        ),
+    ];
+
+    // Expected answers: the library on the same snapshot.
+    let id = Sessions::parse_id(&session).unwrap();
+    let snapshot = service.sessions.get(id).unwrap().snapshot();
+    let expect = |sources: &[&str]| -> Vec<json::Json> {
+        sources
+            .iter()
+            .map(|src| {
+                let program = parser::parse(src).unwrap();
+                let (out, ..) = run_governed_traced(&program, &snapshot, &Budget::default())
+                    .expect("library run");
+                tables_json(&out)
+            })
+            .collect()
+    };
+    let expected: Vec<Vec<json::Json>> = requests.iter().map(|(_, _, src)| expect(src)).collect();
+
+    let clients: Vec<_> = (0..2)
+        .map(|client| {
+            let requests = requests.clone();
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut writer = stream;
+                let mut answers = Vec::new();
+                for round in 0..3 {
+                    // The two clients walk the requests in opposite
+                    // orders, so different kinds overlap.
+                    for k in 0..requests.len() {
+                        let k = if client == 0 {
+                            k
+                        } else {
+                            requests.len() - 1 - k
+                        };
+                        let (path, body, _) = &requests[k];
+                        write!(
+                            writer,
+                            "POST {path} HTTP/1.1\r\nhost: t\r\ncontent-length: {}\r\n\r\n{body}",
+                            body.len()
+                        )
+                        .unwrap();
+                        let (status, resp) = read_response(&mut reader);
+                        answers.push((round, k, status, resp));
+                    }
+                }
+                answers
+            })
+        })
+        .collect();
+    for client in clients {
+        for (round, k, status, resp) in client.join().unwrap() {
+            assert_eq!(status, 200, "round {round}, request {k}: {resp}");
+            let parsed = json::parse(&resp).unwrap();
+            let results = parsed.get("results").unwrap().as_arr().unwrap();
+            let got: Vec<&json::Json> = results.iter().map(|r| r.get("tables").unwrap()).collect();
+            let want: Vec<&json::Json> = expected[k].iter().collect();
+            assert_eq!(got, want, "round {round}, request {k}");
+        }
+    }
+    // The SPLIT fan-out really was sharded on the server.
+    let (_, body) = http(addr, "POST", &path, &query_body(split));
+    let shard_jobs = json::parse(&body)
+        .unwrap()
+        .get("results")
+        .unwrap()
+        .as_arr()
+        .unwrap()[0]
+        .get("stats")
+        .unwrap()
+        .get("shard_jobs")
+        .and_then(json::Json::as_num)
+        .unwrap();
+    assert!(shard_jobs >= 1.0, "{body}");
 }

@@ -370,7 +370,7 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     // byte count must come in at or below the serial run's.
     // ------------------------------------------------------------------
     use tables_paradigm::algebra::ops;
-    use tables_paradigm::algebra::pool::ShardPool;
+    use tables_paradigm::algebra::pool::Executor;
 
     let probe_rows: Vec<Vec<String>> = (0..60_000)
         .map(|i| vec![format!("p{i}"), format!("k{}", i % 1000)])
@@ -391,7 +391,8 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     let build_rows: Vec<&[&str]> = build_rows.iter().map(Vec::as_slice).collect();
     let build = Table::relational("R", &["C", "D"], &build_rows);
     let cols = ops::JoinCols { left: 2, right: 1 };
-    let pool = ShardPool::new(4); // threads up and idle before arming
+    let pool = Executor::new(4);
+    pool.spawn(|| {}); // threads up and idle before arming
 
     ALLOCS.store(0, Ordering::SeqCst);
     BYTES.store(0, Ordering::SeqCst);

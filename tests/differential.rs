@@ -26,6 +26,7 @@ mod common;
 use proptest::prelude::*;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use tables_paradigm::algebra::pool::Executor;
 use tables_paradigm::algebra::Statement;
 use tables_paradigm::core::interner;
 use tables_paradigm::prelude::*;
@@ -535,21 +536,25 @@ proptest! {
                 for partition in [usize::MAX, 1] {
                     configs.push(EvalLimits {
                         partition_threshold: partition,
-                        threads: 2,
                         ..limits(strategy, parallel)
                     });
                 }
             }
         }
         // Baseline: Naive, serial, partitioning off.
-        let baseline = run_governed_traced(&fused, &db, &Budget::from_limits(&configs[0]));
+        let two_threads = Executor::new(2);
+        let budget = |cfg: &EvalLimits| Budget {
+            executor: two_threads.clone(),
+            ..Budget::from_limits(cfg)
+        };
+        let baseline = run_governed_traced(&fused, &db, &budget(&configs[0]));
         let expect = baseline.as_ref().ok().map(|(out, _, _)| canonicalize_fresh(&visible(out)));
         for cfg in &configs[1..] {
             let label = format!(
                 "{:?}/threshold {}/partition {}",
                 cfg.while_strategy, cfg.parallel_threshold, cfg.partition_threshold
             );
-            match (&baseline, run_governed_traced(&fused, &db, &Budget::from_limits(cfg))) {
+            match (&baseline, run_governed_traced(&fused, &db, &budget(cfg))) {
                 (Ok(_), Ok((got, stats, _))) => {
                     prop_assert!(
                         *expect.as_ref().unwrap() == canonicalize_fresh(&visible(&got)),

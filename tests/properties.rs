@@ -84,7 +84,7 @@ proptest! {
         shards in 1usize..=8,
         threads in 1usize..=4,
     ) {
-        use tables_paradigm::algebra::pool::ShardPool;
+        use tables_paradigm::algebra::pool::Executor;
         prop_assume!(r.width() >= 1 && s.width() >= 1);
         let cols = ops::JoinCols {
             left: 1 + kl % r.width(),
@@ -92,7 +92,7 @@ proptest! {
         };
         let name = Symbol::name("T");
         let serial = ops::join(&r, &s, cols, name);
-        let pool = ShardPool::new(threads);
+        let pool = Executor::new(threads);
         let (part, report) = ops::join_partitioned(
             &r, &s, cols, name, &pool, shards, &|| Ok(()), &mut |_| Ok(()),
         ).unwrap();
