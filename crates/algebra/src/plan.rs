@@ -1,12 +1,11 @@
 //! A cost-based planner for tabular algebra programs — the "query (and
 //! program) optimization" future work the paper names in §5.
 //!
-//! [`plan`] lowers a [`Program`] into an IR of per-statement op nodes
-//! annotated with table statistics — row/column counts read from the
-//! store's tables ([`Catalog::from_database`]) and fingerprint-cached
-//! cardinality estimates for intermediates ([`Shape`]) — applies a
-//! catalog of rule-based rewrites ([`Rule`]), and lowers the rewritten
-//! segments back to a `Program`:
+//! [`plan`] reads table statistics — row/column counts of the store's
+//! tables ([`Catalog::from_database`]) — and applies a catalog of
+//! rule-based rewrites ([`Rule`]) directly to the program's statement
+//! list, deriving cardinality estimates for intermediates ([`Shape`])
+//! as it walks the statements:
 //!
 //! * **copy forwarding** — `s ← op(..); T ← COPY(s)` retargets the
 //!   producer;
@@ -79,7 +78,6 @@
 
 use crate::param::Param;
 use crate::program::{Assignment, OpKind, Program, RestructureChain, Statement};
-use std::cell::RefCell;
 use std::collections::HashMap;
 use tabular_core::{interner, Database, Symbol, SymbolSet};
 
@@ -209,34 +207,6 @@ pub struct TableStats {
     /// True iff every row attribute is provably ⊥ (`false` means
     /// "unknown or has named rows" — the conservative reading).
     pub null_row_attrs: bool,
-    /// Content fingerprint of the store table, or a derived key mixing
-    /// the op and input fingerprints for intermediates — the cache key
-    /// for cardinality estimates.
-    pub fingerprint: u64,
-}
-
-/// FNV-1a over a sequence of words — derives intermediate fingerprints.
-fn mix(words: &[u64]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &w in words {
-        h ^= w;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// FNV-1a over a string, for op keywords and symbols in cache keys.
-fn key_str(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in s.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-fn key_sym(s: Symbol) -> u64 {
-    s.text().map(key_str).unwrap_or(0x9e37_79b9_7f4a_7c15)
 }
 
 /// Estimated output rows of `SELECT[A=B]` over `rows` input rows.
@@ -252,16 +222,12 @@ fn est_join_rows(rl: usize, rr: usize) -> usize {
 }
 
 /// Table statistics read once from a [`Database`]: per-name row/column
-/// counts, schemes, and row-attribute nullity, plus a fingerprint-keyed
-/// cache of cardinality estimates for intermediates.
+/// counts, schemes, and row-attribute nullity.
 pub struct Catalog {
     /// `Some(stats)` when exactly one store table bears the name (the
     /// only case where per-name statistics are meaningful under the
     /// evaluator's fan-out semantics); `None` when several do.
     base: HashMap<Symbol, Option<TableStats>>,
-    /// Fingerprint-keyed estimates for intermediate results, so repeated
-    /// sub-chains are estimated once.
-    cache: RefCell<HashMap<u64, Shape>>,
 }
 
 impl Catalog {
@@ -279,16 +245,12 @@ impl Catalog {
                     },
                     col_attrs: Some(t.col_attrs().to_vec()),
                     null_row_attrs: (1..=t.height()).all(|i| t.get(i, 0).is_null()),
-                    fingerprint: t.fingerprint(),
                 }),
                 _ => None,
             };
             base.insert(name, stats);
         }
-        Catalog {
-            base,
-            cache: RefCell::new(HashMap::new()),
-        }
+        Catalog { base }
     }
 
     /// A catalog with no statistics — every stats-gated rule stays off
@@ -296,23 +258,12 @@ impl Catalog {
     pub fn empty() -> Catalog {
         Catalog {
             base: HashMap::new(),
-            cache: RefCell::new(HashMap::new()),
         }
     }
 
     /// Statistics for a base-table name, if exactly one table bears it.
     pub fn stats(&self, name: Symbol) -> Option<&TableStats> {
         self.base.get(&name).and_then(|o| o.as_ref())
-    }
-
-    /// Look up or compute the cached cardinality estimate under `key`.
-    fn cached_estimate(&self, key: u64, compute: impl FnOnce() -> Shape) -> Shape {
-        if let Some(s) = self.cache.borrow().get(&key) {
-            return *s;
-        }
-        let s = compute();
-        self.cache.borrow_mut().insert(key, s);
-        s
     }
 }
 
@@ -378,86 +329,41 @@ impl<'a> Env<'a> {
 /// exactly; row counts may be estimates (`Shape::exact` = false).
 fn derive_stats(env: &Env<'_>, a: &Assignment) -> Option<TableStats> {
     let arg = |k: usize| -> Option<&TableStats> { env.stats(ground(a.args.get(k)?)?) };
-    let op_tag = key_str(a.op.keyword());
     match &a.op {
-        OpKind::Copy => {
-            let x = arg(0)?;
-            Some(TableStats {
-                fingerprint: mix(&[op_tag, x.fingerprint]),
-                ..x.clone()
-            })
-        }
-        OpKind::Product | OpKind::FusedJoin { .. } => {
+        OpKind::Copy => arg(0).cloned(),
+        OpKind::Product | OpKind::FusedJoin { .. } | OpKind::Union => {
             let (x, y) = (arg(0)?, arg(1)?);
             let (ca, cb) = (x.col_attrs.clone()?, y.col_attrs.clone()?);
-            let fingerprint = mix(&[op_tag, x.fingerprint, y.fingerprint]);
-            let fused = matches!(a.op, OpKind::FusedJoin { .. });
-            if fused {
-                let (pa, pb) = match &a.op {
-                    OpKind::FusedJoin { a, b } => (a.as_ground()?, b.as_ground()?),
-                    _ => unreachable!("matched fused"),
-                };
-                // Mix the join attributes into the cache key: the same
-                // operands joined on different columns estimate apart.
-                let fingerprint = mix(&[fingerprint, key_sym(pa), key_sym(pb)]);
-                let (xs, ys) = (x.shape, y.shape);
-                let shape = env.catalog.cached_estimate(fingerprint, || Shape {
-                    rows: est_join_rows(xs.rows, ys.rows),
+            let (xs, ys) = (x.shape, y.shape);
+            let (rows, exact) = match &a.op {
+                OpKind::FusedJoin { a, b } => {
+                    a.as_ground().and(b.as_ground())?;
+                    (est_join_rows(xs.rows, ys.rows), false)
+                }
+                OpKind::Union => (xs.rows.saturating_add(ys.rows), xs.exact && ys.exact),
+                _ => (xs.rows.saturating_mul(ys.rows), xs.exact && ys.exact),
+            };
+            Some(TableStats {
+                shape: Shape {
+                    rows,
                     cols: xs.cols + ys.cols,
-                    exact: false,
-                });
-                return Some(TableStats {
-                    shape,
-                    col_attrs: Some([ca, cb].concat()),
-                    null_row_attrs: x.null_row_attrs && y.null_row_attrs,
-                    fingerprint,
-                });
-            }
-            let (xs, ys) = (x.shape, y.shape);
-            let shape = env.catalog.cached_estimate(fingerprint, || Shape {
-                rows: xs.rows.saturating_mul(ys.rows),
-                cols: xs.cols + ys.cols,
-                exact: xs.exact && ys.exact,
-            });
-            Some(TableStats {
-                shape,
+                    exact,
+                },
                 col_attrs: Some([ca, cb].concat()),
                 null_row_attrs: x.null_row_attrs && y.null_row_attrs,
-                fingerprint,
-            })
-        }
-        OpKind::Union => {
-            let (x, y) = (arg(0)?, arg(1)?);
-            let (ca, cb) = (x.col_attrs.clone()?, y.col_attrs.clone()?);
-            let fingerprint = mix(&[op_tag, x.fingerprint, y.fingerprint]);
-            let (xs, ys) = (x.shape, y.shape);
-            let shape = env.catalog.cached_estimate(fingerprint, || Shape {
-                rows: xs.rows.saturating_add(ys.rows),
-                cols: xs.cols + ys.cols,
-                exact: xs.exact && ys.exact,
-            });
-            Some(TableStats {
-                shape,
-                col_attrs: Some([ca, cb].concat()),
-                null_row_attrs: x.null_row_attrs && y.null_row_attrs,
-                fingerprint,
             })
         }
         OpKind::Select { a: pa, b: pb } => {
-            let (sa, sb) = (pa.as_ground()?, pb.as_ground()?);
+            pa.as_ground().and(pb.as_ground())?;
             let x = arg(0)?;
-            let fingerprint = mix(&[op_tag, x.fingerprint, key_sym(sa), key_sym(sb)]);
-            let xs = x.shape;
-            let shape = env.catalog.cached_estimate(fingerprint, || Shape {
-                rows: est_select_rows(xs.rows),
-                cols: xs.cols,
-                exact: xs.rows == 0,
-            });
             Some(TableStats {
-                shape,
+                shape: Shape {
+                    rows: est_select_rows(x.shape.rows),
+                    cols: x.shape.cols,
+                    exact: x.shape.rows == 0,
+                },
                 col_attrs: x.col_attrs.clone(),
                 null_row_attrs: x.null_row_attrs,
-                fingerprint,
             })
         }
         _ => None,
@@ -1551,94 +1457,6 @@ fn eliminate_dead_in(stmts: &mut Vec<Statement>, report: &mut PlanReport) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The annotated IR
-// ---------------------------------------------------------------------------
-
-/// One statement in a lowered plan segment: the assignment, the indices
-/// of the nodes (within the same segment) defining each argument, and
-/// the derived cardinality estimate for its result.
-#[derive(Clone, Debug)]
-pub struct OpNode {
-    /// The planned assignment.
-    pub stmt: Assignment,
-    /// For each argument, the defining node's index in this segment
-    /// (`None` for base tables or cross-segment definitions).
-    pub defs: Vec<Option<usize>>,
-    /// Estimated result shape, when the cost model covers the op.
-    pub est: Option<Shape>,
-}
-
-/// A node of the lowered plan IR: a straight-line DAG segment, or a loop
-/// whose body is itself a sequence of nodes.
-#[derive(Clone, Debug)]
-pub enum IrNode {
-    /// A straight-line segment of assignments forming an op DAG.
-    Segment(Vec<OpNode>),
-    /// A `while cond ≠ ∅` loop.
-    Loop {
-        /// The loop condition's table name.
-        cond: Symbol,
-        /// The lowered body.
-        body: Vec<IrNode>,
-    },
-}
-
-/// Lower a program into the annotated op-DAG IR the rules traverse:
-/// straight-line segments with per-node argument edges and cardinality
-/// estimates from the catalog. `None` when the program is non-ground
-/// (the planner bails there too).
-pub fn lower_ir(program: &Program, catalog: &Catalog) -> Option<Vec<IrNode>> {
-    let mut live = SymbolSet::new();
-    read_set(&program.statements, &mut live)?;
-    let mut env = Env::new(catalog);
-    Some(lower_stmts(&program.statements, &mut env))
-}
-
-fn lower_stmts(stmts: &[Statement], env: &mut Env<'_>) -> Vec<IrNode> {
-    let mut out = Vec::new();
-    let mut seg: Vec<OpNode> = Vec::new();
-    let mut defs: HashMap<Symbol, usize> = HashMap::new();
-    for stmt in stmts {
-        match stmt {
-            Statement::Assign(a) => {
-                let d = a
-                    .args
-                    .iter()
-                    .map(|p| ground(p).and_then(|n| defs.get(&n).copied()))
-                    .collect();
-                let est = derive_stats(env, a).map(|t| t.shape);
-                env.note(stmt);
-                if let Some(t) = ground(&a.target) {
-                    defs.insert(t, seg.len());
-                }
-                seg.push(OpNode {
-                    stmt: a.clone(),
-                    defs: d,
-                    est,
-                });
-            }
-            Statement::While { cond, body } => {
-                if !seg.is_empty() {
-                    out.push(IrNode::Segment(std::mem::take(&mut seg)));
-                    defs.clear();
-                }
-                env.note(stmt);
-                let lowered = lower_stmts(body, env);
-                env.note(stmt);
-                out.push(IrNode::Loop {
-                    cond: ground(cond).unwrap_or(Symbol::Null),
-                    body: lowered,
-                });
-            }
-        }
-    }
-    if !seg.is_empty() {
-        out.push(IrNode::Segment(seg));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2032,6 +1850,18 @@ mod tests {
             r.col_attrs.as_deref(),
             Some(&[Symbol::name("A"), Symbol::name("B")][..])
         );
+        // Derived estimates: `R × T` is 6 rows × 4 columns, exactly.
+        let p = Program::new().assign(
+            Param::sym(scratch(1)),
+            OpKind::Product,
+            vec![Param::name("R"), Param::name("T")],
+        );
+        let Statement::Assign(product) = &p.statements[0] else {
+            panic!("assignment expected");
+        };
+        let est = derive_stats(&Env::new(&catalog), product).expect("product estimated");
+        assert_eq!((est.shape.rows, est.shape.cols), (6, 4));
+        assert!(est.shape.exact);
         let mut shadowed = rt_db();
         shadowed.insert(rel("R", &["A"], &[&["9"]]));
         let catalog = Catalog::from_database(&shadowed);
@@ -2076,47 +1906,6 @@ mod tests {
             .unwrap()
             .0;
         assert!(compare_visible(&a, &b));
-    }
-
-    /// The annotated IR: segments split at loops, argument edges resolve
-    /// within a segment, and estimates follow the catalog.
-    #[test]
-    fn lower_ir_annotates_segments_and_estimates() {
-        let p = Program::new()
-            .assign(
-                Param::sym(scratch(1)),
-                OpKind::Product,
-                vec![Param::name("R"), Param::name("T")],
-            )
-            .assign(
-                Param::name("Out"),
-                OpKind::Select {
-                    a: Param::name("A"),
-                    b: Param::name("B"),
-                },
-                vec![Param::sym(scratch(1))],
-            )
-            .while_nonempty(
-                Param::name("Out"),
-                Program::new().assign(
-                    Param::name("Out"),
-                    OpKind::Difference,
-                    vec![Param::name("Out"), Param::name("Out")],
-                ),
-            );
-        let db = rt_db();
-        let catalog = Catalog::from_database(&db);
-        let ir = lower_ir(&p, &catalog).expect("ground program");
-        assert_eq!(ir.len(), 2, "{ir:?}");
-        let IrNode::Segment(seg) = &ir[0] else {
-            panic!("segment expected");
-        };
-        assert_eq!(seg.len(), 2);
-        let est = seg[0].est.expect("product estimated");
-        assert_eq!((est.rows, est.cols), (6, 4));
-        assert!(est.exact);
-        assert_eq!(seg[1].defs, vec![Some(0)]);
-        assert!(matches!(ir[1], IrNode::Loop { .. }));
     }
 
     /// The statistics-free rule subset, in the order the rules were first

@@ -17,18 +17,21 @@
 //! onto the service's one [`Executor`](tabular_algebra::pool::Executor),
 //! whose [`Config::workers`] threads also run every query's fan-out.
 //! Connection count costs no thread, and a client hangup cancels its
-//! in-flight run via `EPOLLRDHUP` — see the `reactor` module internals
-//! and [`service`] for the route table and wire protocol.
+//! in-flight run via `EPOLLRDHUP`. Internally a sans-I/O state machine
+//! per connection (`conn`) decides what each connection does next and
+//! the epoll driver (`reactor`) only performs the syscalls; see
+//! [`service`] for the route table and wire protocol.
 
 #![warn(missing_docs)]
 
+mod conn;
 pub mod http;
 pub mod json;
 mod reactor;
 pub mod service;
 pub mod session;
 
-pub use reactor::{MAX_BUF, MAX_PIPELINE};
+pub use conn::{MAX_BUF, MAX_PIPELINE};
 pub use service::{Config, Response, Service};
 
 use std::net::{SocketAddr, TcpListener};

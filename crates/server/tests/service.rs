@@ -396,6 +396,20 @@ fn pipelined_requests_are_answered_in_order() {
     let session = open_session(addr);
     upload(addr, &session, "A,X\nr,a\n");
 
+    // Expected answers: the library, each program run on the state its
+    // predecessors committed, starting from the session's snapshot.
+    let id = Sessions::parse_id(&session).unwrap();
+    let mut state = service.sessions.get(id).unwrap().snapshot();
+    let expected: Vec<json::Json> = (0..5)
+        .map(|i| {
+            let program = parser::parse(&format!("Pipe{i} <- COPY(A)")).unwrap();
+            let (out, ..) =
+                run_governed_traced(&program, &state, &Budget::default()).expect("library run");
+            state = out;
+            tables_json(&state)
+        })
+        .collect();
+
     // Send a pipelined burst — several complete requests in one write,
     // no reads in between. Each query commits a distinctly named table
     // so the responses are distinguishable.
@@ -414,13 +428,16 @@ fn pipelined_requests_are_answered_in_order() {
     writer.write_all(burst.as_bytes()).unwrap();
     writer.flush().unwrap();
 
-    for i in 0..5 {
+    for (i, want) in expected.iter().enumerate() {
         let (status, body) = read_response(&mut reader);
         assert_eq!(status, 200, "response {i}: {body}");
         assert!(
             body.contains(&format!("\"name\":\"Pipe{i}\"")),
             "response {i} out of order: {body}"
         );
+        let parsed = json::parse(&body).unwrap();
+        let result = &parsed.get("results").unwrap().as_arr().unwrap()[0];
+        assert_eq!(result.get("tables"), Some(want), "response {i}");
     }
     // The commits landed in request order: the last state holds Pipe4.
     let (status, body) = http(
@@ -509,6 +526,56 @@ fn half_close_after_pipelined_burst_still_serves_the_queue() {
         0,
         "half-close cancelled a run"
     );
+}
+
+#[test]
+fn half_close_behind_a_full_pipeline_serves_the_tail() {
+    // Regression: a hangup that arrived while reading was paused at
+    // MAX_PIPELINE ended reading for good, so requests still in the
+    // socket were never answered. A slow first request holds the
+    // pipeline full while the rest of the burst and the half-close
+    // arrive.
+    let (addr, _) = start(None, None);
+    let session = open_session(addr);
+    let mut rows = String::new();
+    for i in 0..500 {
+        rows.push_str(&format!("r{i},v{i}\n"));
+    }
+    upload(addr, &session, &format!("A,X\n{rows}"));
+    upload(addr, &session, &format!("B,Y\n{rows}"));
+    upload(addr, &session, "W,K\ngo,1\n");
+    let spin =
+        query_body("while W do T <- PRODUCT(A, B) S <- COPY(A) A <- COPY(B) B <- COPY(S) end");
+    let slow = format!(
+        "POST /sessions/{session}/query?readonly=1&deadline_ms=1000 HTTP/1.1\r\n\
+         host: t\r\ncontent-length: {}\r\n\r\n{spin}",
+        spin.len()
+    );
+    let health = |n: usize| "GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n".repeat(n);
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let first = MAX_PIPELINE + 6;
+    writer
+        .write_all(format!("{slow}{}", health(first)).as_bytes())
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    writer.write_all(health(10).as_bytes()).unwrap();
+    std::thread::sleep(Duration::from_millis(150));
+    writer.write_all(health(10).as_bytes()).unwrap();
+    writer.shutdown(Shutdown::Write).unwrap();
+    let (status, body) = read_response(&mut reader);
+    assert_eq!(status, 408, "{body}");
+    for i in 0..first + 20 {
+        let (status, body) = read_response(&mut reader);
+        assert_eq!(status, 200, "response {i} after half-close: {body}");
+    }
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "bytes after the final response: {rest:?}");
 }
 
 #[test]
