@@ -36,11 +36,10 @@
 
 use crate::error::{AlgebraError, Result};
 use crate::eval::{
-    check_results, check_table_count, check_virtual_result, compute_results, replace_results,
-    table_cells, Exec,
+    charge_production, check_results, check_table_count, compute_results, replace_results,
+    run_statement, table_cells, Exec,
 };
 use crate::obs::metrics::Metrics;
-use crate::obs::trace::{DeltaDecision, SpanKind};
 use crate::ops;
 use crate::plan::read_set;
 use crate::program::{Assignment, OpKind, Statement};
@@ -129,13 +128,16 @@ struct StmtMemo {
     produced_max_cells: usize,
 }
 
-struct DeltaState {
+/// What the delta engine remembers across the iterations of one `while`
+/// loop execution: append lineage per name and one memo per body
+/// statement. The loop driver in `eval` holds it for the loop's duration.
+pub(crate) struct DeltaState {
     appends: HashMap<Symbol, AppendInfo>,
     memos: Vec<Option<StmtMemo>>,
 }
 
 impl DeltaState {
-    fn new(body_len: usize) -> DeltaState {
+    pub(crate) fn new(body_len: usize) -> DeltaState {
         DeltaState {
             appends: HashMap::new(),
             memos: (0..body_len).map(|_| None).collect(),
@@ -168,50 +170,10 @@ fn group_version(db: &Database, name: Symbol) -> u64 {
     h ^ count
 }
 
-/// Evaluate `while name ≠ ∅ do body` with delta-driven statement skipping
-/// and append-incremental recomputation. The caller has verified
-/// `body_is_delta_safe(body)`.
-pub(crate) fn run_delta_while(
-    name: Symbol,
-    body: &[Statement],
-    db: &mut Database,
-    cx: Exec<'_>,
-    metrics: &mut Metrics,
-) -> Result<()> {
-    let mut st = DeltaState::new(body.len());
-    let mut iters = 0usize;
-    while db.tables_named_iter(name).any(|t| t.height() > 0) {
-        iters += 1;
-        metrics.stats.while_iterations += 1;
-        if iters > cx.limits.max_while_iters {
-            return Err(AlgebraError::LimitExceeded {
-                what: "while iterations",
-                limit: cx.limits.max_while_iters,
-                attempted: iters,
-            });
-        }
-        metrics.begin(SpanKind::WhileIter, "while", Some(iters));
-        // Poll with the iteration span open, so a trip here is drained
-        // as an aborted `while #N` span.
-        cx.gov.poll()?;
-        let iter_start = metrics.timer();
-        let outcome = run_delta_iteration(&mut st, body, db, cx, metrics);
-        if matches!(outcome, Err(AlgebraError::BudgetExceeded { .. })) {
-            // Leave the iteration span open for the abort drain, exactly
-            // like the naive loop in `eval::run_statements`.
-            return outcome;
-        }
-        metrics.end(
-            Metrics::elapsed(iter_start).unwrap_or(0),
-            DeltaDecision::Executed,
-        );
-        outcome?;
-    }
-    Ok(())
-}
-
-/// One pass over the body of a delta `while` loop.
-fn run_delta_iteration(
+/// One pass over the body of a delta `while` loop: the per-iteration
+/// policy the loop driver (`eval::run_while`) runs when the body passes
+/// [`body_is_delta_safe`].
+pub(crate) fn run_delta_iteration(
     st: &mut DeltaState,
     body: &[Statement],
     db: &mut Database,
@@ -249,53 +211,41 @@ fn run_delta_iteration(
             })
             .collect::<Result<_>>()?;
         let read_versions: Vec<u64> = reads.iter().map(|&n| group_version(db, n)).collect();
-        if let Some(memo) = &st.memos[idx] {
-            if memo.read_versions == read_versions
-                && group_version(db, target) == memo.target_version
-            {
-                // Skipped, but the statement's logical production still
-                // counts: naive re-execution would have reproduced the
-                // memoized results and counted them again. The same goes
-                // for the run cell budget — charging the memoized size
-                // keeps the trip point identical to naive evaluation.
-                metrics.stats.while_delta_skipped += 1;
-                metrics.stats.tables_produced += memo.produced_tables;
-                metrics.stats.max_table_cells =
-                    metrics.stats.max_table_cells.max(memo.produced_max_cells);
-                cx.gov.charge_cells(memo.produced_cells)?;
-                metrics.skip_span(kw, memo.produced_tables, memo.produced_cells);
-                continue;
-            }
+        let skip = st.memos[idx].as_ref().filter(|memo| {
+            memo.read_versions == read_versions && group_version(db, target) == memo.target_version
+        });
+        if let Some(memo) = skip {
+            // Skipped, but the statement's logical production still
+            // counts: naive re-execution would have reproduced the
+            // memoized results and counted them again. The same goes for
+            // the run cell budget — charging the memoized size keeps the
+            // trip point identical to naive evaluation.
+            let (tables, cells, max_cells) = (
+                memo.produced_tables,
+                memo.produced_cells,
+                memo.produced_max_cells,
+            );
+            run_statement(kw, true, metrics, |m| {
+                m.note_matched(tables, 0);
+                charge_production(tables, cells, max_cells, cx, m)?;
+                m.stats.while_delta_skipped += 1;
+                Ok(())
+            })?;
+            continue;
         }
-        metrics.begin(SpanKind::Assign, kw, None);
-        let start = metrics.timer();
-        let outcome = run_body_statement(st, idx, a, target, reads, read_versions, db, cx, metrics);
-        let changed = match outcome {
-            Err(e) => {
+        let changed = run_statement(kw, false, metrics, |m| {
+            let outcome = run_body_statement(st, idx, a, target, reads, read_versions, db, cx, m);
+            if outcome.is_err() {
                 // A failed statement must leave no bookkeeping claiming
-                // its output is current: a retry with larger limits
-                // would otherwise delta-skip against a stale memo (or
-                // extend stale append lineage) and disagree with naive
+                // its output is current: a retry with larger limits would
+                // otherwise delta-skip against a stale memo (or extend
+                // stale append lineage) and disagree with naive
                 // re-evaluation.
                 st.memos[idx] = None;
                 st.appends.remove(&target);
-                if matches!(e, AlgebraError::BudgetExceeded { .. }) {
-                    // Leave the span open for the abort drain; an
-                    // interrupted statement is not an execution.
-                    return Err(e);
-                }
-                let micros = Metrics::elapsed(start);
-                metrics.record_op(kw, micros);
-                metrics.end(micros.unwrap_or(0), DeltaDecision::Executed);
-                return Err(e);
             }
-            Ok(changed) => {
-                let micros = Metrics::elapsed(start);
-                metrics.record_op(kw, micros);
-                metrics.end(micros.unwrap_or(0), DeltaDecision::Executed);
-                changed
-            }
-        };
+            outcome
+        })?;
         if changed {
             dirty.insert(target);
         }
@@ -335,9 +285,12 @@ fn run_body_statement(
             metrics.stats.join_fused += 1;
             metrics.note_fusion("fused-join");
         }
-        check_virtual_result(inc.out_cells_after, cx, metrics)?;
+        // The commit happens in place instead of materializing: account
+        // the one full-size table naive re-execution would produce.
+        let cells = inc.out_cells_after;
+        charge_production(1, cells, cells, cx, metrics)?;
         // `plan_incremental` only returns a plan when the memo and its
-        // cached output exist; a budget trip in `check_virtual_result`
+        // cached output exist; a budget trip in `charge_production`
         // above returns before these are touched, but if the invariant
         // ever breaks on this partial-state path it must fail the run,
         // not the process.
@@ -541,7 +494,7 @@ impl IncPlan {
     /// to the serial append — and returns its per-partition report (empty
     /// for every other path). The partitioned path polls the governor
     /// between partition chunks but charges nothing: the delta commit is
-    /// fully pre-charged by `check_virtual_result` before `apply` runs.
+    /// fully pre-charged by `charge_production` before `apply` runs.
     fn apply(self, out: &mut Table, cx: Exec<'_>) -> Result<Vec<ops::PartitionShard>> {
         match self {
             IncPlan::Product { r, s, base } => ops::product_append(out, &r, base + 1, &s),

@@ -15,10 +15,11 @@
 //! so programs fail cleanly instead of diverging; the limits are
 //! engineering guards, not semantics (DESIGN.md §4).
 
+use crate::delta::DeltaState;
 use crate::error::{AlgebraError, Result};
 use crate::governor::{Budget, Governor, PartialRun};
 use crate::obs::metrics::Metrics;
-use crate::obs::trace::{DeltaDecision, SpanKind, Trace, TraceLevel};
+use crate::obs::trace::{DeltaDecision, Span, SpanKind, Trace, TraceLevel};
 use crate::ops;
 use crate::param::{denote_set, denote_single, denote_target, match_name, Bindings};
 use crate::pool::Executor;
@@ -74,9 +75,9 @@ pub struct EvalLimits {
     pub partition_threshold: usize,
     /// `while` loop evaluation strategy.
     pub while_strategy: WhileStrategy,
-    /// Observability level: `Off` (no timing), `Counters` (per-op stats,
-    /// the default), or `Spans` (stats plus the structured trace
-    /// returned by [`run_governed_traced`]).
+    /// Observability level: `Counters` (per-op stats, the default) or
+    /// `Spans` (stats plus the structured trace returned by
+    /// [`run_governed_traced`]).
     pub trace: TraceLevel,
 }
 
@@ -108,8 +109,8 @@ pub struct EvalStats {
     /// is timed exactly once — body statements of a `while` are timed by
     /// the body pass only, never additionally by the enclosing loop — so
     /// the values sum to at most [`EvalStats::total_micros`] (pinned by
-    /// a regression test on a 3-deep nested program). Empty at
-    /// [`TraceLevel::Off`].
+    /// a regression test on a 3-deep nested program). Delta-skipped
+    /// statements are not timed and add nothing here.
     pub op_micros: BTreeMap<&'static str, u128>,
     /// Wall time of the whole run, in microseconds.
     pub total_micros: u128,
@@ -135,7 +136,8 @@ pub struct EvalStats {
     pub partition_shards: usize,
     /// Body statements skipped by the delta `while` strategy because
     /// neither their inputs nor their own output changed since their last
-    /// execution.
+    /// execution. Only completed skips count: a skip whose cell charge
+    /// trips the run budget is the interrupted work, not a skip.
     pub while_delta_skipped: usize,
     /// `while` loop executions that requested the delta strategy but fell
     /// back to naive re-evaluation (body not provably delta-safe).
@@ -270,7 +272,7 @@ pub fn run_planned_governed_traced(
         stats.plans_rewritten = report.statements_rewritten;
         stats.plan_rules_applied = report.rules_applied();
     };
-    let spans = budget.limits.trace == crate::obs::TraceLevel::Spans;
+    let spans = budget.limits.trace == TraceLevel::Spans;
     match run_governed_traced(&planned, db, budget) {
         Ok((state, mut stats, mut trace)) => {
             stamp(&mut stats);
@@ -305,25 +307,13 @@ pub fn run_planned_governed_traced(
 /// rewrote. Ids continue past the evaluation spans' (uniqueness is what
 /// the tree builder needs, not ordering).
 fn prepend_plan_spans(trace: &mut Trace, report: &crate::plan::PlanReport) {
-    use crate::obs::trace::{DeltaDecision, Span, SpanKind};
     let base = trace.spans().map(|s| s.id).max().unwrap_or(0);
     let est = |v: Option<u128>| v.map_or(0, |c| usize::try_from(c).unwrap_or(usize::MAX));
     for (k, d) in report.decisions.iter().enumerate().rev() {
-        trace.prepend(Span {
-            id: base + 1 + k as u64,
-            parent: None,
-            kind: SpanKind::Plan,
-            op: d.rule.name(),
-            matched: 0,
-            input_cells: est(d.before_cells),
-            output_cells: est(d.after_cells),
-            micros: 0,
-            cow_copies: 0,
-            decision: DeltaDecision::Executed,
-            fusion: None,
-            shard: None,
-            iteration: None,
-        });
+        let mut span = Span::new(base + 1 + k as u64, None, SpanKind::Plan, d.rule.name());
+        span.input_cells = est(d.before_cells);
+        span.output_cells = est(d.after_cells);
+        trace.prepend(span);
     }
 }
 
@@ -350,75 +340,104 @@ pub(crate) fn run_statements(
         // aborting here leaves a state a statement prefix explains.
         cx.gov.poll()?;
         match stmt {
-            Statement::Assign(a) => run_timed_assignment(a, db, cx, metrics)?,
+            Statement::Assign(a) => {
+                run_statement(a.op.keyword(), false, metrics, |m| {
+                    run_assignment(a, db, cx, m)
+                })?;
+            }
             Statement::While { cond, body } => {
                 let name = denote_target(cond, &Bindings::new())
                     .map_err(|_| AlgebraError::BadWhileCondition)?;
-                let delta = cx.limits.while_strategy == WhileStrategy::Delta;
-                if delta && crate::delta::body_is_delta_safe(body) {
-                    crate::delta::run_delta_while(name, body, db, cx, metrics)?;
-                    continue;
-                }
-                let decision = if delta {
-                    metrics.stats.while_fallback_naive += 1;
-                    DeltaDecision::FallbackNaive
-                } else {
-                    DeltaDecision::Executed
-                };
-                let mut iters = 0usize;
-                while db.tables_named_iter(name).any(|t| t.height() > 0) {
-                    iters += 1;
-                    metrics.stats.while_iterations += 1;
-                    if iters > cx.limits.max_while_iters {
-                        return Err(AlgebraError::LimitExceeded {
-                            what: "while iterations",
-                            limit: cx.limits.max_while_iters,
-                            attempted: iters,
-                        });
-                    }
-                    metrics.begin(SpanKind::WhileIter, "while", Some(iters));
-                    // Poll with the iteration span open, so a trip here
-                    // is drained as an aborted `while #N` span.
-                    cx.gov.poll()?;
-                    let start = metrics.timer();
-                    let outcome = run_statements(body, db, cx, metrics);
-                    if matches!(outcome, Err(AlgebraError::BudgetExceeded { .. })) {
-                        // Leave the iteration span open: the abort drain
-                        // (`Metrics::abort_open`) marks it `aborted`.
-                        return outcome;
-                    }
-                    metrics.end(Metrics::elapsed(start).unwrap_or(0), decision);
-                    outcome?;
-                }
+                run_while(name, body, db, cx, metrics)?;
             }
         }
     }
     Ok(())
 }
 
-/// Execute one assignment with its span and per-op accounting. The
-/// single `elapsed` reading here is the *only* place a statement is
-/// timed — it feeds both `EvalStats::op_micros` and the statement's
-/// span, so the two sinks reconcile exactly and nothing is counted
-/// twice.
-pub(crate) fn run_timed_assignment(
-    a: &Assignment,
+/// Evaluate `while name ≠ ∅ do body` (paper §3.6): re-run the body until
+/// no table named `name` has a data row. This is the one loop driver;
+/// the strategy only picks what runs per iteration — the plain body pass,
+/// or, under [`WhileStrategy::Delta`] on a body that passes
+/// `delta::body_is_delta_safe`, the delta engine's pass, which skips and
+/// incrementally recomputes statements against the [`DeltaState`] held
+/// here for the loop's duration.
+fn run_while(
+    name: Symbol,
+    body: &[Statement],
     db: &mut Database,
     cx: Exec<'_>,
     metrics: &mut Metrics,
 ) -> Result<()> {
-    metrics.begin(SpanKind::Assign, a.op.keyword(), None);
-    let start = metrics.timer();
-    let outcome = run_assignment(a, db, cx, metrics);
+    let delta = cx.limits.while_strategy == WhileStrategy::Delta;
+    let mut delta_state =
+        (delta && crate::delta::body_is_delta_safe(body)).then(|| DeltaState::new(body.len()));
+    let decision = if delta && delta_state.is_none() {
+        metrics.stats.while_fallback_naive += 1;
+        DeltaDecision::FallbackNaive
+    } else {
+        DeltaDecision::Executed
+    };
+    let mut iters = 0usize;
+    while db.tables_named_iter(name).any(|t| t.height() > 0) {
+        iters += 1;
+        metrics.stats.while_iterations += 1;
+        if iters > cx.limits.max_while_iters {
+            return Err(AlgebraError::LimitExceeded {
+                what: "while iterations",
+                limit: cx.limits.max_while_iters,
+                attempted: iters,
+            });
+        }
+        metrics.begin(SpanKind::WhileIter, "while", Some(iters));
+        // Poll with the iteration span open, so a trip here is drained as
+        // an aborted `while #N` span.
+        cx.gov.poll()?;
+        let start = Metrics::timer();
+        let outcome = match &mut delta_state {
+            Some(st) => crate::delta::run_delta_iteration(st, body, db, cx, metrics),
+            None => run_statements(body, db, cx, metrics),
+        };
+        if matches!(outcome, Err(AlgebraError::BudgetExceeded { .. })) {
+            // Leave the iteration span open: the abort drain
+            // (`Metrics::abort_open`) marks it `aborted`.
+            return outcome;
+        }
+        metrics.end(Metrics::elapsed(start), decision);
+        outcome?;
+    }
+    Ok(())
+}
+
+/// Run one assignment statement's `body` inside its `Assign` span — the
+/// one statement wrapper, shared by plain and delta evaluation. An
+/// execution is timed once, and that single reading feeds both
+/// `EvalStats::op_micros` and the span, so the two sinks reconcile
+/// exactly and nothing is counted twice. A delta skip (`skipped`) is not
+/// an execution: it takes no clock reading, records 0 µs and no op
+/// count. On a budget trip the span stays open for the abort drain and
+/// nothing is recorded, so partial stats agree across strategies at the
+/// trip point.
+pub(crate) fn run_statement<T>(
+    op: &'static str,
+    skipped: bool,
+    metrics: &mut Metrics,
+    body: impl FnOnce(&mut Metrics) -> Result<T>,
+) -> Result<T> {
+    metrics.begin(SpanKind::Assign, op, None);
+    let start = (!skipped).then(Metrics::timer);
+    let outcome = body(metrics);
     if matches!(outcome, Err(AlgebraError::BudgetExceeded { .. })) {
-        // An interrupted statement is not an execution: leave its span
-        // open for the abort drain and record no op count or timing, so
-        // partial stats agree across strategies at the trip point.
         return outcome;
     }
-    let micros = Metrics::elapsed(start);
-    metrics.record_op(a.op.keyword(), micros);
-    metrics.end(micros.unwrap_or(0), DeltaDecision::Executed);
+    match start {
+        Some(start) => {
+            let micros = Metrics::elapsed(start);
+            metrics.record_op(op, micros);
+            metrics.end(micros, DeltaDecision::Executed);
+        }
+        None => metrics.end(0, DeltaDecision::DeltaSkipped),
+    }
     outcome
 }
 
@@ -527,7 +546,7 @@ pub(crate) fn compute_results(
                 let chunks: Vec<&[(&Table, Bindings, Symbol)]> = work.chunks(chunk).collect();
                 // Per-shard result slot: (tables, fusion counters, the
                 // job's wall time in microseconds — the unit
-                // `Metrics::shard_span` records into the trace).
+                // `Metrics::leaf_span` records into the trace).
                 type ShardWallMicros = u128;
                 type ShardSlot = Option<(Result<Vec<Table>>, FusionCounts, ShardWallMicros)>;
                 let mut slots: Vec<ShardSlot> = vec![None; chunks.len()];
@@ -575,7 +594,7 @@ pub(crate) fn compute_results(
                         });
                     };
                     fusion.absorb(counts);
-                    metrics.shard_span(shard, slice.len(), micros);
+                    metrics.leaf_span(SpanKind::Shard, shard, slice.len(), micros);
                     results.extend(out?);
                 }
             } else {
@@ -649,6 +668,11 @@ fn presize_product(t1: &Table, t2: &Table, limits: &EvalLimits) -> Result<()> {
         .saturating_mul(t2.height())
         .saturating_add(1)
         .saturating_mul(t1.width() + t2.width() + 1);
+    check_table_cells(cells, limits)
+}
+
+/// Enforce `max_cells` on one table of `cells` cells.
+fn check_table_cells(cells: usize, limits: &EvalLimits) -> Result<()> {
     if cells > limits.max_cells {
         return Err(AlgebraError::LimitExceeded {
             what: "cells per table",
@@ -722,28 +746,6 @@ fn eval_fused_join(
     Ok(ops::select(&prod, a, b, target))
 }
 
-/// Pre-size the grouped intermediate a `FUSEDRESTRUCTURE` fallback is
-/// about to materialize — `GROUP` output is `(m + headers + 1) ×
-/// (|𝒞| + m·|ℬ| + 1)` cells, known before any allocation — so a blown
-/// `max_cells` fails exactly as the staged `GROUP` statement would,
-/// without the buffer ever reaching the allocator.
-fn presize_group(
-    t: &Table,
-    group_by: &SymbolSet,
-    group_on: &SymbolSet,
-    limits: &EvalLimits,
-) -> Result<()> {
-    let cells = ops::grouped_cells(t, group_by, group_on);
-    if cells > limits.max_cells {
-        return Err(AlgebraError::LimitExceeded {
-            what: "cells per table",
-            limit: limits.max_cells,
-            attempted: cells,
-        });
-    }
-    Ok(())
-}
-
 /// Evaluate one `FUSEDRESTRUCTURE` argument table. The operation is
 /// *defined* as the staged `GROUP → CLEAN-UP (→ PURGE)` pipeline; when
 /// the clean-up and purge parameters are rigid (table-independent — the
@@ -751,7 +753,7 @@ fn presize_group(
 /// kernel is attempted, and whenever it applies it produces the identical
 /// table without the grouped intermediate — so the governor's cell charge
 /// (in [`check_results`]) reflects the actual fused output, and only the
-/// fallback needs the [`presize_group`] guard.
+/// fallback pre-sizes its grouped intermediate.
 fn eval_fused_restructure(
     op: &OpKind,
     t: &Table,
@@ -795,7 +797,11 @@ fn eval_fused_restructure(
         }
     }
     fusion.restructure_unfused += 1;
-    presize_group(t, &g_by, &g_on, limits)?;
+    // Pre-size the grouped intermediate — `GROUP` output is
+    // `(m + headers + 1) × (|𝒞| + m·|ℬ| + 1)` cells, known before any
+    // allocation — so a blown `max_cells` fails exactly as the staged
+    // `GROUP` statement would, without the buffer reaching the allocator.
+    check_table_cells(ops::grouped_cells(t, &g_by, &g_on), limits)?;
     let grouped = ops::group(t, &g_by, &g_on, target);
     let c_by = denote_set(cleanup_by, &grouped, bindings);
     let c_on = denote_set(cleanup_on, &grouped, bindings);
@@ -810,56 +816,37 @@ fn eval_fused_restructure(
     }
 }
 
-/// Record shape statistics for produced tables, enforce the per-table
-/// cell limit, and charge the statement's total production against the
-/// run cell budget. Charging happens once per statement on the
-/// evaluating thread, after the per-table checks, so the cumulative
-/// total — and therefore the budget trip point — is deterministic
-/// across strategies and shard configurations. Cells a partitioned join
-/// already charged mid-statement (its per-partition admission control)
-/// are subtracted here, so the statement's cumulative charge is
-/// identical with partitioning on or off.
+/// [`charge_production`] for materialized results.
 pub(crate) fn check_results(results: &[Table], cx: Exec<'_>, metrics: &mut Metrics) -> Result<()> {
-    metrics.stats.tables_produced += results.len();
-    let mut total = 0usize;
-    for t in results {
-        let cells = table_cells(t);
-        total += cells;
-        metrics.stats.max_table_cells = metrics.stats.max_table_cells.max(cells);
-        if cells > cx.limits.max_cells {
-            return Err(AlgebraError::LimitExceeded {
-                what: "cells per table",
-                limit: cx.limits.max_cells,
-                attempted: cells,
-            });
-        }
-    }
-    let precharged = metrics.take_precharged();
-    cx.gov.charge_cells(total.saturating_sub(precharged))?;
-    metrics.note_output(total);
-    Ok(())
+    let cells = results.iter().map(table_cells);
+    let max = cells.clone().max().unwrap_or(0);
+    charge_production(results.len(), cells.sum(), max, cx, metrics)
 }
 
-/// The [`check_results`] accounting for a result the delta strategy
-/// commits in place instead of materializing: one table of `cells` total
-/// cells. Charging the full (not delta) size keeps `tables_produced`,
-/// `max_table_cells`, and the run cell budget in agreement with naive
-/// re-execution.
-pub(crate) fn check_virtual_result(
+/// Account one statement's production — `tables` tables of `cells` total
+/// cells, the largest of `max_cells` — in the shape statistics, enforce
+/// the per-table cell limit, and charge the run cell budget. Charging
+/// happens once per statement on the evaluating thread, after the
+/// per-table check, so the cumulative total — and therefore the budget
+/// trip point — is deterministic across strategies and shard
+/// configurations. A delta commit in place and a delta skip account what
+/// naive re-execution would have produced, so `tables_produced`,
+/// `max_table_cells` and the trip point agree between strategies. Cells
+/// a partitioned join already charged mid-statement (its per-partition
+/// admission control) are subtracted, so the statement's cumulative
+/// charge is identical with partitioning on or off.
+pub(crate) fn charge_production(
+    tables: usize,
     cells: usize,
+    max_cells: usize,
     cx: Exec<'_>,
     metrics: &mut Metrics,
 ) -> Result<()> {
-    metrics.stats.tables_produced += 1;
-    metrics.stats.max_table_cells = metrics.stats.max_table_cells.max(cells);
-    if cells > cx.limits.max_cells {
-        return Err(AlgebraError::LimitExceeded {
-            what: "cells per table",
-            limit: cx.limits.max_cells,
-            attempted: cells,
-        });
-    }
-    cx.gov.charge_cells(cells)?;
+    metrics.stats.tables_produced += tables;
+    metrics.stats.max_table_cells = metrics.stats.max_table_cells.max(max_cells);
+    check_table_cells(max_cells, cx.limits)?;
+    let precharged = metrics.take_precharged();
+    cx.gov.charge_cells(cells.saturating_sub(precharged))?;
     metrics.note_output(cells);
     Ok(())
 }
@@ -1342,20 +1329,6 @@ mod tests {
         );
         let json = trace.to_json();
         assert!(json.contains("\"op\":\"GROUP\""));
-    }
-
-    #[test]
-    fn trace_off_records_no_timing_at_all() {
-        let p = crate::parser::parse("T <- COPY(Sales)").unwrap();
-        let l = EvalLimits {
-            trace: TraceLevel::Off,
-            ..EvalLimits::default()
-        };
-        let (_, stats, trace) =
-            run_governed_traced(&p, &fixtures::sales_info1(), &Budget::from_limits(&l)).unwrap();
-        assert!(trace.is_empty());
-        assert!(stats.op_micros.is_empty());
-        assert_eq!(stats.op_counts.get("COPY"), Some(&1));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! The registry is deliberately single-threaded: shard jobs measure
 //! their own wall time into their result slots and the evaluating thread
 //! records the spans after the scoped join, so no synchronization is
-//! needed on the hot path and `TraceLevel::Off` costs only a branch.
+//! needed on the hot path. At the default [`TraceLevel::Counters`] the
+//! span calls return at once, so one clock reading per executed
+//! statement is all the timing layer costs.
 
 use crate::eval::EvalStats;
 use crate::obs::trace::{DeltaDecision, Span, SpanKind, Trace, TraceLevel};
@@ -25,32 +27,33 @@ use std::time::Instant;
 /// and so helpers like `compute_results` can annotate the span currently
 /// open without threading a handle through every call.
 struct Pending {
-    id: u64,
-    parent: Option<u64>,
-    kind: SpanKind,
-    op: &'static str,
-    matched: usize,
-    input_cells: usize,
-    output_cells: usize,
-    fusion: Option<&'static str>,
-    iteration: Option<usize>,
-    /// Process-wide CoW-copy total when the span opened; `end` differences
-    /// against it so the span shows how many cell buffers its work (child
-    /// spans included) actually materialized.
+    span: Span,
+    /// Process-wide CoW-copy total when the span opened; closing
+    /// differences against it so the span shows how many cell buffers its
+    /// work (child spans included) actually materialized.
     cow_base: u64,
+}
+
+impl Pending {
+    fn close(mut self, micros: u128, decision: DeltaDecision) -> Span {
+        self.span.micros = micros;
+        self.span.decision = decision;
+        self.span.cow_copies = tabular_core::stats::cow_copies().saturating_sub(self.cow_base);
+        self.span
+    }
 }
 
 /// Single sink for interpreter statistics and spans (see module docs).
 pub(crate) struct Metrics {
     /// The public counters, exactly as `run_governed_traced` returns them.
     pub(crate) stats: EvalStats,
-    level: TraceLevel,
+    spans: bool,
     trace: Trace,
     stack: Vec<Pending>,
     next_id: u64,
     /// Cells the current statement's partitioned joins already charged
     /// against the governor (per-partition admission control);
-    /// `check_results` takes this and charges only the remainder.
+    /// `charge_production` takes this and charges only the remainder.
     precharged_cells: usize,
 }
 
@@ -58,7 +61,7 @@ impl Metrics {
     pub(crate) fn new(level: TraceLevel) -> Metrics {
         Metrics {
             stats: EvalStats::default(),
-            level,
+            spans: level == TraceLevel::Spans,
             trace: Trace::new(),
             stack: Vec::new(),
             next_id: 0,
@@ -67,7 +70,7 @@ impl Metrics {
     }
 
     /// Note cells a partitioned join charged mid-statement, so the
-    /// statement-level charge in `check_results` can subtract them.
+    /// statement-level charge can subtract them.
     pub(crate) fn precharge(&mut self, cells: usize) {
         self.precharged_cells += cells;
     }
@@ -88,36 +91,33 @@ impl Metrics {
         self.stats.partitioned_joins += 1;
         self.stats.partition_shards += report.len();
         for (shard, p) in report.iter().enumerate() {
-            self.partition_span(shard, p.rows, p.wall_micros);
+            self.leaf_span(SpanKind::Partition, shard, p.rows, p.wall_micros);
         }
     }
 
-    /// True when spans are being recorded.
-    pub(crate) fn spans_enabled(&self) -> bool {
-        self.level == TraceLevel::Spans
-    }
-
-    /// A timestamp for per-op timing, unless the level is `Off`.
-    pub(crate) fn timer(&self) -> Option<Instant> {
-        (self.level >= TraceLevel::Counters).then(Instant::now)
+    /// A timestamp for per-op timing.
+    pub(crate) fn timer() -> Instant {
+        Instant::now()
     }
 
     /// Elapsed µs of a [`Metrics::timer`] timestamp.
-    pub(crate) fn elapsed(start: Option<Instant>) -> Option<u128> {
-        start.map(|s| s.elapsed().as_micros())
+    pub(crate) fn elapsed(start: Instant) -> u128 {
+        start.elapsed().as_micros()
     }
 
-    /// Count one execution of `op`; add its wall time when timed.
-    pub(crate) fn record_op(&mut self, op: &'static str, micros: Option<u128>) {
+    /// Count one execution of `op` and add its wall time.
+    pub(crate) fn record_op(&mut self, op: &'static str, micros: u128) {
         *self.stats.op_counts.entry(op).or_default() += 1;
-        if let Some(us) = micros {
-            *self.stats.op_micros.entry(op).or_default() += us;
-        }
+        *self.stats.op_micros.entry(op).or_default() += micros;
     }
 
     fn alloc_id(&mut self) -> u64 {
         self.next_id += 1;
         self.next_id
+    }
+
+    fn open_id(&self) -> Option<u64> {
+        self.stack.last().map(|p| p.span.id)
     }
 
     /// Open a span (no-op below [`TraceLevel::Spans`]). Every `begin`
@@ -126,21 +126,13 @@ impl Metrics {
     /// except on a budget trip, where [`Metrics::abort_open`] drains
     /// them into the partial trace as `aborted` spans.
     pub(crate) fn begin(&mut self, kind: SpanKind, op: &'static str, iteration: Option<usize>) {
-        if !self.spans_enabled() {
+        if !self.spans {
             return;
         }
-        let parent = self.stack.last().map(|p| p.id);
-        let id = self.alloc_id();
+        let mut span = Span::new(self.alloc_id(), self.open_id(), kind, op);
+        span.iteration = iteration;
         self.stack.push(Pending {
-            id,
-            parent,
-            kind,
-            op,
-            matched: 0,
-            input_cells: 0,
-            output_cells: 0,
-            fusion: None,
-            iteration,
+            span,
             cow_base: tabular_core::stats::cow_copies(),
         });
     }
@@ -149,15 +141,15 @@ impl Metrics {
     /// the total cells of the matched inputs.
     pub(crate) fn note_matched(&mut self, combos: usize, input_cells: usize) {
         if let Some(p) = self.stack.last_mut() {
-            p.matched = combos;
-            p.input_cells = input_cells;
+            p.span.matched = combos;
+            p.span.input_cells = input_cells;
         }
     }
 
     /// Annotate the open span with the total cells it produced.
     pub(crate) fn note_output(&mut self, cells: usize) {
         if let Some(p) = self.stack.last_mut() {
-            p.output_cells += cells;
+            p.span.output_cells += cells;
         }
     }
 
@@ -167,112 +159,39 @@ impl Metrics {
     /// reported conservatively.
     pub(crate) fn note_fusion(&mut self, decision: &'static str) {
         if let Some(p) = self.stack.last_mut() {
-            if p.fusion != Some("fallback-unfused") {
-                p.fusion = Some(decision);
+            if p.span.fusion != Some("fallback-unfused") {
+                p.span.fusion = Some(decision);
             }
         }
     }
 
     /// Close the innermost open span with its wall time and decision.
     pub(crate) fn end(&mut self, micros: u128, decision: DeltaDecision) {
-        if !self.spans_enabled() {
-            return;
+        if let Some(p) = self.stack.pop() {
+            self.trace.push(p.close(micros, decision));
         }
-        let Some(p) = self.stack.pop() else {
-            return;
-        };
-        self.trace.push(Span {
-            id: p.id,
-            parent: p.parent,
-            kind: p.kind,
-            op: p.op,
-            matched: p.matched,
-            input_cells: p.input_cells,
-            output_cells: p.output_cells,
-            micros,
-            cow_copies: tabular_core::stats::cow_copies().saturating_sub(p.cow_base),
-            decision,
-            fusion: p.fusion,
-            shard: None,
-            iteration: p.iteration,
-        });
     }
 
-    /// Record a completed shard job as a leaf under the open
-    /// statement span. `wall_micros` is the job's own wall time in
-    /// microseconds, measured on the worker that ran it.
-    pub(crate) fn shard_span(&mut self, shard: usize, tables: usize, wall_micros: u128) {
-        if !self.spans_enabled() {
+    /// Record a completed leaf under the open statement span: a shard job
+    /// ([`SpanKind::Shard`], `matched` tables handled) or one partition
+    /// of a partitioned join ([`SpanKind::Partition`], `matched` output
+    /// rows). `wall_micros` is the work's own wall time in microseconds,
+    /// measured on the worker that ran it.
+    pub(crate) fn leaf_span(
+        &mut self,
+        kind: SpanKind,
+        shard: usize,
+        matched: usize,
+        wall_micros: u128,
+    ) {
+        if !self.spans {
             return;
         }
-        let parent = self.stack.last().map(|p| p.id);
-        let id = self.alloc_id();
-        self.trace.push(Span {
-            id,
-            parent,
-            kind: SpanKind::Shard,
-            op: "shard",
-            matched: tables,
-            input_cells: 0,
-            output_cells: 0,
-            micros: wall_micros,
-            cow_copies: 0,
-            decision: DeltaDecision::Executed,
-            fusion: None,
-            shard: Some(shard),
-            iteration: None,
-        });
-    }
-
-    /// Record one partition of a partitioned join as a leaf under the
-    /// open statement span: `rows` output rows written, `wall_micros`
-    /// the partition's count + scatter jobs' wall time in microseconds.
-    pub(crate) fn partition_span(&mut self, shard: usize, rows: usize, wall_micros: u128) {
-        if !self.spans_enabled() {
-            return;
-        }
-        let parent = self.stack.last().map(|p| p.id);
-        let id = self.alloc_id();
-        self.trace.push(Span {
-            id,
-            parent,
-            kind: SpanKind::Partition,
-            op: "partition",
-            matched: rows,
-            input_cells: 0,
-            output_cells: 0,
-            micros: wall_micros,
-            cow_copies: 0,
-            decision: DeltaDecision::Executed,
-            fusion: None,
-            shard: Some(shard),
-            iteration: None,
-        });
-    }
-
-    /// Record a delta-skipped statement as a zero-time leaf span carrying
-    /// the memoized shape of what naive re-execution would reproduce.
-    pub(crate) fn skip_span(&mut self, op: &'static str, tables: usize, output_cells: usize) {
-        if !self.spans_enabled() {
-            return;
-        }
-        let parent = self.stack.last().map(|p| p.id);
-        let id = self.alloc_id();
-        self.trace.push(Span {
-            id,
-            parent,
-            kind: SpanKind::Assign,
-            op,
-            matched: tables,
-            input_cells: 0,
-            output_cells,
-            micros: 0,
-            cow_copies: 0,
-            decision: DeltaDecision::DeltaSkipped,
-            fusion: None,
-            shard: None,
-            iteration: None,
-        });
+        let mut span = Span::new(self.alloc_id(), self.open_id(), kind, kind.as_str());
+        span.matched = matched;
+        span.micros = wall_micros;
+        span.shard = Some(shard);
+        self.trace.push(span);
     }
 
     /// Drain every still-open span into the trace as `aborted`,
@@ -283,25 +202,8 @@ impl Metrics {
     /// never completed; recording a partial reading would break the
     /// span/stats reconciliation invariant).
     pub(crate) fn abort_open(&mut self) {
-        if !self.spans_enabled() {
-            return;
-        }
         while let Some(p) = self.stack.pop() {
-            self.trace.push(Span {
-                id: p.id,
-                parent: p.parent,
-                kind: p.kind,
-                op: p.op,
-                matched: p.matched,
-                input_cells: p.input_cells,
-                output_cells: p.output_cells,
-                micros: 0,
-                cow_copies: tabular_core::stats::cow_copies().saturating_sub(p.cow_base),
-                decision: DeltaDecision::Aborted,
-                fusion: p.fusion,
-                shard: None,
-                iteration: p.iteration,
-            });
+            self.trace.push(p.close(0, DeltaDecision::Aborted));
         }
     }
 
@@ -316,24 +218,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn off_records_no_spans_and_no_timers() {
-        let mut m = Metrics::new(TraceLevel::Off);
-        assert!(m.timer().is_none());
-        m.begin(SpanKind::Assign, "COPY", None);
-        m.note_matched(1, 4);
-        m.end(5, DeltaDecision::Executed);
-        m.record_op("COPY", None);
-        let (stats, trace) = m.into_parts();
-        assert!(trace.is_empty());
-        assert_eq!(stats.op_counts.get("COPY"), Some(&1));
-        assert!(stats.op_micros.is_empty());
-    }
-
-    #[test]
     fn counters_time_without_spans() {
         let mut m = Metrics::new(TraceLevel::Counters);
-        assert!(m.timer().is_some());
-        m.record_op("COPY", Some(3));
+        m.record_op("COPY", 3);
         let (stats, trace) = m.into_parts();
         assert!(trace.is_empty());
         assert_eq!(stats.op_micros.get("COPY"), Some(&3));
@@ -362,10 +249,13 @@ mod tests {
         m.begin(SpanKind::Assign, "PRODUCT", None);
         m.note_matched(2, 10);
         m.note_output(6);
-        m.shard_span(0, 1, 2);
-        m.partition_span(1, 5, 3);
+        m.leaf_span(SpanKind::Shard, 0, 1, 2);
+        m.leaf_span(SpanKind::Partition, 1, 5, 3);
         m.end(7, DeltaDecision::Executed);
-        m.skip_span("SELECT", 1, 4);
+        m.begin(SpanKind::Assign, "SELECT", None);
+        m.note_matched(1, 0);
+        m.note_output(4);
+        m.end(0, DeltaDecision::DeltaSkipped);
         m.end(20, DeltaDecision::Executed);
         let (_, trace) = m.into_parts();
         let spans: Vec<_> = trace.spans().collect();
@@ -378,7 +268,7 @@ mod tests {
             .find(|s| s.kind == SpanKind::WhileIter)
             .unwrap();
         // `Span::micros` is wall time in MICROseconds on every span kind:
-        // the value handed to `shard_span`/`partition_span` lands
+        // the value handed to `leaf_span` lands
         // unscaled in the span's µs field (the jobs store
         // `elapsed().as_micros()`, not nanoseconds — regression for a
         // comment that claimed "wall ns").

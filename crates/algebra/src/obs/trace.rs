@@ -14,11 +14,12 @@
 //!
 //! Tracing is gated by [`TraceLevel`] on `EvalLimits::trace`:
 //!
-//! * [`TraceLevel::Off`] — no spans *and* no per-op timing; the
-//!   interpreter takes no timestamps on the statement path.
-//! * [`TraceLevel::Counters`] — the historical `EvalStats` behavior:
-//!   per-op counts and wall time, no spans. This is the default.
+//! * [`TraceLevel::Counters`] — per-op counts and wall time in
+//!   `EvalStats`, no spans. This is the default.
 //! * [`TraceLevel::Spans`] — counters plus the span ring buffer.
+//!
+//! Every span is built by `Span::new`; the recorders fill in the
+//! measurements they own.
 //!
 //! A span's `micros` is the *same measurement* that feeds
 //! `EvalStats::op_micros`, so per-op totals over a complete trace
@@ -31,11 +32,7 @@ use std::fmt::Write;
 /// How much observability the interpreter records (see module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
-    /// No spans, no per-op timing: the statement path takes no
-    /// timestamps at all.
-    Off,
-    /// Per-operation counts and wall time in `EvalStats` (the historical
-    /// behavior), no spans.
+    /// Per-operation counts and wall time in `EvalStats`, no spans.
     #[default]
     Counters,
     /// Counters plus structured spans in a bounded ring buffer.
@@ -69,7 +66,7 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             SpanKind::Assign => "assign",
             SpanKind::WhileIter => "while-iter",
@@ -140,7 +137,9 @@ pub struct Span {
     /// Table cell-buffer copies that materialized under copy-on-write
     /// while this span was open (inclusive of child spans; measured by
     /// differencing the process-wide [`tabular_core::stats`] counter, so
-    /// concurrent evaluations can bleed in). 0 for skip and shard spans.
+    /// concurrent evaluations can bleed in). 0 for shard and partition
+    /// spans; a delta skip copies nothing, so its span reads 0 barring
+    /// that bleed.
     pub cow_copies: u64,
     /// Delta-strategy decision.
     pub decision: DeltaDecision,
@@ -156,6 +155,29 @@ pub struct Span {
     pub shard: Option<usize>,
     /// 1-based iteration number for [`SpanKind::WhileIter`] spans.
     pub iteration: Option<usize>,
+}
+
+impl Span {
+    /// A span of `kind` with every measurement zero and decision
+    /// [`DeltaDecision::Executed`] — the one place spans are built; the
+    /// recorders set the fields their work measured.
+    pub(crate) fn new(id: u64, parent: Option<u64>, kind: SpanKind, op: &'static str) -> Span {
+        Span {
+            id,
+            parent,
+            kind,
+            op,
+            matched: 0,
+            input_cells: 0,
+            output_cells: 0,
+            micros: 0,
+            cow_copies: 0,
+            decision: DeltaDecision::Executed,
+            fusion: None,
+            shard: None,
+            iteration: None,
+        }
+    }
 }
 
 /// A bounded ring buffer of completed [`Span`]s.
@@ -205,7 +227,8 @@ impl Trace {
         self.spans.len()
     }
 
-    /// True when no spans were recorded (e.g. `TraceLevel::Off`).
+    /// True when no spans were recorded (e.g. at
+    /// [`TraceLevel::Counters`]).
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
     }
@@ -373,7 +396,6 @@ mod tests {
 
     #[test]
     fn levels_are_ordered() {
-        assert!(TraceLevel::Off < TraceLevel::Counters);
         assert!(TraceLevel::Counters < TraceLevel::Spans);
         assert_eq!(TraceLevel::default(), TraceLevel::Counters);
     }

@@ -73,22 +73,16 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("naive", len), &db, |b, db| {
             b.iter(|| run_governed_traced(&ta_program, db, &naive).unwrap().0);
         });
-        // Tracing-overhead ablation on the same workload: `Off` removes
-        // all timing from the statement path and must stay within noise
-        // (<5%) of the default `Counters` delta rows above; `Spans` adds
-        // the ring-buffer span layer.
-        for (label, level) in [
-            ("trace_off", TraceLevel::Off),
-            ("trace_spans", TraceLevel::Spans),
-        ] {
-            let l = Budget::from_limits(&EvalLimits {
-                trace: level,
-                ..EvalLimits::default()
-            });
-            g.bench_with_input(BenchmarkId::new(label, len), &db, |b, db| {
-                b.iter(|| run_governed_traced(&ta_program, db, &l).unwrap().0);
-            });
-        }
+        // Tracing-overhead ablation on the same workload: `Spans` adds
+        // the ring-buffer span layer to the default `Counters` delta rows
+        // above.
+        let spans = Budget::from_limits(&EvalLimits {
+            trace: TraceLevel::Spans,
+            ..EvalLimits::default()
+        });
+        g.bench_with_input(BenchmarkId::new("trace_spans", len), &db, |b, db| {
+            b.iter(|| run_governed_traced(&ta_program, db, &spans).unwrap().0);
+        });
     }
     g.finish();
 }

@@ -16,12 +16,14 @@
 //! `tabular_algebra::Budget`; when a resource trips, the run fails with
 //! the structured `BudgetExceeded` error and `--stats`/`--trace` print
 //! the *partial* statistics and trace collected up to the trip (the
-//! interrupted span is marked `← budget tripped`).
+//! interrupted span is marked `← budget tripped`). A tripped `--plan` run
+//! prints no plan section; its `--trace` view still leads with the
+//! planner's decisions.
 
 use std::process::ExitCode;
 use tables_paradigm::algebra::{
-    parser, pretty, run_governed_traced, AlgebraError, Budget, EvalLimits, EvalStats, Trace,
-    TraceLevel,
+    parser, pretty, run_governed_traced, run_planned_governed_traced, AlgebraError, Budget,
+    EvalLimits, EvalStats, Trace, TraceLevel,
 };
 use tables_paradigm::core::{interner, io, Database, Symbol};
 
@@ -106,7 +108,7 @@ fn load_database(paths: &[String]) -> Result<Database, String> {
 fn execute(command: &str, opts: &Options) -> Result<String, String> {
     let source = std::fs::read_to_string(&opts.program_path)
         .map_err(|e| format!("{}: {e}", opts.program_path))?;
-    let mut program = parser::parse(&source).map_err(|e| e.to_string())?;
+    let program = parser::parse(&source).map_err(|e| e.to_string())?;
 
     if command == "fmt" {
         return Ok(pretty::render(&program));
@@ -116,12 +118,6 @@ fn execute(command: &str, opts: &Options) -> Result<String, String> {
     }
 
     let db = load_database(&opts.tables)?;
-    let mut plan_section = String::new();
-    if opts.plan {
-        let (planned, report) = tables_paradigm::algebra::plan(&program, &db);
-        program = planned;
-        plan_section = format!("-- plan --\n{}", pretty::render_plan(&report));
-    }
     let limits = EvalLimits {
         trace: if opts.trace {
             TraceLevel::Spans
@@ -137,7 +133,16 @@ fn execute(command: &str, opts: &Options) -> Result<String, String> {
     if let Some(cells) = opts.cell_budget {
         budget = budget.with_cell_budget(cells);
     }
-    let (result, stats, trace) = match run_governed_traced(&program, &db, &budget) {
+    let outcome = if opts.plan {
+        run_planned_governed_traced(&program, &db, &budget).map(|(result, stats, trace, report)| {
+            let plan = format!("-- plan --\n{}", pretty::render_plan(&report));
+            (result, stats, trace, plan)
+        })
+    } else {
+        run_governed_traced(&program, &db, &budget)
+            .map(|(result, stats, trace)| (result, stats, trace, String::new()))
+    };
+    let (result, stats, trace, plan_section) = match outcome {
         Ok(parts) => parts,
         // A budget trip still reports the partial stats and trace it
         // carries — the graceful-degradation contract of the governor.
@@ -147,7 +152,6 @@ fn execute(command: &str, opts: &Options) -> Result<String, String> {
                 unreachable!("matched BudgetExceeded above");
             };
             msg.push('\n');
-            msg.push_str(&plan_section);
             msg.push_str(&render_observability(opts, &partial.stats, &partial.trace));
             return Err(msg);
         }

@@ -798,6 +798,7 @@ fn cell_budget_trips_on_the_delta_skip_charge_path() {
     // executed once then skip-charged; 180 cells admits 3 charges and
     // trips on the 4th — during the third consecutive skip.
     let mut msgs = Vec::new();
+    let mut chains = Vec::new();
     for strategy in [WhileStrategy::Delta, WhileStrategy::Naive] {
         let mut lim = limits(strategy, usize::MAX);
         lim.max_while_iters = usize::MAX;
@@ -818,8 +819,21 @@ fn cell_budget_trips_on_the_delta_skip_charge_path() {
         }
         assert_partial_trace(&partial.trace, &format!("{strategy:?} skip charge"));
         msgs.push(msg);
+        // The interrupted work, innermost first: the statement, then its
+        // iteration.
+        let chain: Vec<_> = partial
+            .trace
+            .spans()
+            .filter(|s| s.decision == tables_paradigm::algebra::DeltaDecision::Aborted)
+            .map(|s| (s.kind, s.op, s.iteration))
+            .collect();
+        chains.push(chain);
     }
     assert_eq!(msgs[0], msgs[1], "skip charges keep the naive trip point");
+    assert_eq!(
+        chains[0], chains[1],
+        "a trip during a delta skip aborts the statement, as naive does"
+    );
 }
 
 // ---------------------------------------------------------------------
