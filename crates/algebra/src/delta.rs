@@ -277,7 +277,8 @@ fn run_body_statement(
     // under the target name, the commit happens *in place* with zero
     // buffer copies; when a later statement double-buffered over it, the
     // cached handle (sole owner by then) is extended and swapped back in.
-    if let Some(inc) = plan_incremental(st, idx, a, &reads, &read_versions, db) {
+    if let Some(inc) = plan_incremental(st, idx, a, &reads, &read_versions, db, cx) {
+        let inc = inc?;
         if matches!(inc.plan, IncPlan::Join { .. }) {
             // The incremental plan is the hash-join kernel probing only
             // the delta rows: record the fusion decision exactly as the
@@ -470,14 +471,13 @@ fn plain_relational(t: &Table) -> bool {
 enum IncPlan {
     /// Append `r`'s rows after `base` crossed with all of `s`.
     Product { r: Table, s: Table, base: usize },
-    /// Probe `r`'s rows after `base` against the hash index of `s`'s key
-    /// column — the fused-join mirror of [`IncPlan::Product`], appending
-    /// only the matching pairs.
+    /// Scatter a join whose appended probe rows [`plan_incremental`]
+    /// already counted — the fused-join mirror of [`IncPlan::Product`],
+    /// appending only the matching pairs. `partitioned` when those rows
+    /// reached the partition threshold.
     Join {
-        r: Table,
-        s: Table,
-        base: usize,
-        cols: ops::JoinCols,
+        probe: ops::JoinProbe,
+        partitioned: bool,
     },
     /// Append `r`'s raw storage rows after `base` (rename and copy leave
     /// data rows untouched — only the attribute row differs, and that is
@@ -488,33 +488,21 @@ enum IncPlan {
 }
 
 impl IncPlan {
-    /// Commit the plan into the cached output. A `Join` whose delta
-    /// reaches [`crate::EvalLimits::partition_threshold`] probe rows runs
-    /// the partition-parallel append on the run's executor — byte-identical
-    /// to the serial append — and returns its per-partition report (empty
-    /// for every other path). The partitioned path polls the governor
-    /// between partition chunks but charges nothing: the delta commit is
-    /// fully pre-charged by `charge_production` before `apply` runs.
+    /// Commit the plan into the cached output. A `Join` only scatters:
+    /// its probe was counted (and its index built) by
+    /// [`plan_incremental`], and the whole output was admitted by
+    /// `charge_production` before `apply` runs, so the scatter polls the
+    /// governor but charges nothing. Returns the join's per-range report
+    /// when its delta reached [`crate::EvalLimits::partition_threshold`]
+    /// probe rows, and an empty one for every other path.
     fn apply(self, out: &mut Table, cx: Exec<'_>) -> Result<Vec<ops::PartitionShard>> {
         match self {
             IncPlan::Product { r, s, base } => ops::product_append(out, &r, base + 1, &s),
-            IncPlan::Join { r, s, base, cols } => {
-                let delta_rows = r.height().saturating_sub(base);
-                if delta_rows >= cx.limits.partition_threshold.max(1) {
-                    let gov = cx.gov;
-                    return ops::join_append_partitioned(
-                        out,
-                        &r,
-                        base + 1,
-                        &s,
-                        cols,
-                        cx.pool,
-                        cx.pool.threads(),
-                        &|| gov.poll(),
-                        &mut |_| Ok(()),
-                    );
+            IncPlan::Join { probe, partitioned } => {
+                let report = probe.scatter(out, cx.pool, &|| cx.gov.poll())?;
+                if partitioned {
+                    return Ok(report);
                 }
-                ops::join_append(out, &r, base + 1, &s, cols);
             }
             IncPlan::TailRows { r, base } => out.append_rows(|rows| {
                 rows.reserve_rows(r.height() - base);
@@ -552,7 +540,8 @@ struct Incremental {
 /// would interleave), the new output is the cached one plus the rows
 /// contributed by the input's delta. Planning only reads; the caller
 /// commits. Width guards are defensive: under valid append lineage the
-/// input's attribute row — hence every derived shape — is unchanged.
+/// input's attribute row — hence every derived shape — is unchanged. A
+/// join's count pass polls the governor, so planning can fail.
 fn plan_incremental(
     st: &DeltaState,
     idx: usize,
@@ -560,7 +549,8 @@ fn plan_incremental(
     reads: &[Symbol],
     read_versions: &[u64],
     db: &Database,
-) -> Option<Incremental> {
+    cx: Exec<'_>,
+) -> Option<Result<Incremental>> {
     let memo = st.memos[idx].as_ref()?;
     let out_old = memo.cached_output.as_ref()?;
     let base_height = out_old.height();
@@ -622,14 +612,20 @@ fn plan_incremental(
             let base = base_of(0, r)?;
             // Count the matches now so the governor charge
             // (`out_cells_after`) reflects the actual join output before
-            // any row materializes.
-            let new_rows = ops::count_join_matches(r, base + 1, s, cols);
+            // any row materializes; `apply` only scatters.
+            let fanout = crate::eval::join_fanout(cx, r.height() - base);
+            let poll = || cx.gov.poll();
+            let counted =
+                ops::JoinProbe::count(r, base + 1, s, cols, cx.pool, fanout.unwrap_or(1), &poll);
+            let probe = match counted {
+                Ok(probe) => probe,
+                Err(e) => return Some(Err(e)),
+            };
+            let new_rows = probe.rows();
             (
                 IncPlan::Join {
-                    r: r.clone(),
-                    s: s.clone(),
-                    base,
-                    cols,
+                    probe,
+                    partitioned: fanout.is_some(),
                 },
                 new_rows,
             )
@@ -745,12 +741,12 @@ fn plan_incremental(
         }
         _ => return None,
     };
-    Some(Incremental {
+    Some(Ok(Incremental {
         plan,
         new_rows,
         base_height,
         out_cells_after: (base_height + new_rows + 1) * (out_width + 1),
-    })
+    }))
 }
 
 #[cfg(test)]

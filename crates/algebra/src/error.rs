@@ -110,7 +110,7 @@ impl std::fmt::Display for AlgebraError {
                 if *resource == crate::governor::RESOURCE_CANCELLED {
                     write!(f, "evaluation cancelled cooperatively")
                 } else {
-                    write!(f, "{resource} budget exceeded: spent {spent} of {limit}")
+                    write!(f, "{resource} exceeded: spent {spent} of {limit}")
                 }
             }
             AlgebraError::Arity { op, expected, got } => {

@@ -65,13 +65,15 @@ pub struct EvalLimits {
     /// the only visible difference is the choice of fresh tag values —
     /// determinacy up to isomorphism, as in §4.1 condition (iv).
     pub parallel_threshold: usize,
-    /// Partition a `FUSEDJOIN` (or its delta-incremental append) across
-    /// the run's [`Budget::executor`] once the probe side has at least
-    /// this many rows (`probe rows >= threshold`, inclusive; a threshold
-    /// of 0 behaves as 1, since an empty probe has nothing to partition). The
-    /// partitioned kernel is byte-identical to the serial one — pinned
-    /// by the `partitioning_on_and_off_agree` oracle — so the gate is
-    /// purely a cost choice. `usize::MAX` disables partitioning.
+    /// Run a `FUSEDJOIN` (or its delta-incremental step) as one probe
+    /// range per thread of the run's [`Budget::executor`] once the probe
+    /// side has at least this many rows (`probe rows >= threshold`,
+    /// inclusive; a threshold of 0 behaves as 1, since an empty probe has
+    /// nothing to partition); below it the kernel runs as one range on
+    /// the calling thread. The output and the budget trip point are the
+    /// same either way — pinned by the `partitioning_on_and_off_agree`
+    /// oracle — so the gate is purely a cost choice. `usize::MAX`
+    /// disables partitioning.
     pub partition_threshold: usize,
     /// `while` loop evaluation strategy.
     pub while_strategy: WhileStrategy,
@@ -462,7 +464,7 @@ pub(crate) fn table_cells(t: &Table) -> usize {
 /// Restructure-fusion outcomes tallied away from the metrics registry:
 /// `apply_unary` runs inside shard jobs without `Metrics` access, so
 /// each job accumulates locally and the evaluating thread merges the
-/// counts (and notes the span's fusion decision) after the scoped join.
+/// counts (and notes the span's fusion decision) after the fan-out.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct FusionCounts {
     pub(crate) restructure_fused: usize,
@@ -537,64 +539,39 @@ pub(crate) fn compute_results(
             input_cells = work.iter().map(|(t, _, _)| table_cells(t)).sum();
             if work.len() >= limits.parallel_threshold.max(2) {
                 // Purely functional per-table applications: shard across
-                // the run's executor, then splice results back in input
-                // order. Each job clocks its own wall time into its slot
-                // so the evaluating thread can record shard spans without
+                // the run's executor; `map` returns the shards' results in
+                // input order. Each job clocks its own wall time so the
+                // evaluating thread can record shard spans without
                 // cross-thread metrics.
                 let shards = cx.pool.threads().min(work.len());
                 let chunk = work.len().div_ceil(shards);
-                let chunks: Vec<&[(&Table, Bindings, Symbol)]> = work.chunks(chunk).collect();
-                // Per-shard result slot: (tables, fusion counters, the
-                // job's wall time in microseconds — the unit
-                // `Metrics::leaf_span` records into the trace).
-                type ShardWallMicros = u128;
-                type ShardSlot = Option<(Result<Vec<Table>>, FusionCounts, ShardWallMicros)>;
-                let mut slots: Vec<ShardSlot> = vec![None; chunks.len()];
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-                    .iter()
-                    .zip(slots.iter_mut())
-                    .map(|(slice, slot)| {
-                        let slice = *slice;
-                        let op = &a.op;
-                        Box::new(move || {
-                            let start = Instant::now();
-                            let mut local = Vec::new();
-                            let mut counts = FusionCounts::default();
-                            let out = slice
-                                .iter()
-                                .try_for_each(|(t, bindings, target)| {
-                                    // Poll between tables so a sharded
-                                    // statement stops mid-fan-out.
-                                    cx.gov.poll()?;
-                                    apply_unary(
-                                        op,
-                                        t,
-                                        *target,
-                                        bindings,
-                                        limits,
-                                        &mut local,
-                                        &mut counts,
-                                    )
-                                })
-                                .map(|()| local);
-                            *slot = Some((out, counts, start.elapsed().as_micros()));
-                        }) as Box<dyn FnOnce() + Send + '_>
-                    })
-                    .collect();
-                cx.pool.scoped(jobs);
-                metrics.stats.shard_jobs += chunks.len();
-                for (shard, (slot, slice)) in slots.into_iter().zip(&chunks).enumerate() {
-                    // Every job writes its slot before the scoped join
-                    // returns; if one didn't (an executor bug — e.g. a job
-                    // lost to a governor trip racing the join), fail the
-                    // run, not the process.
-                    let Some((out, counts, micros)) = slot else {
-                        return Err(AlgebraError::Internal {
-                            what: "a shard job finished without reporting a result",
-                        });
-                    };
+                let outcomes = cx.pool.map(work.chunks(chunk), |slice| {
+                    let start = Instant::now();
+                    let mut local = Vec::new();
+                    let mut counts = FusionCounts::default();
+                    let out = slice
+                        .iter()
+                        .try_for_each(|(t, bindings, target)| {
+                            // Poll between tables so a sharded statement
+                            // stops mid-fan-out.
+                            cx.gov.poll()?;
+                            apply_unary(
+                                &a.op,
+                                t,
+                                *target,
+                                bindings,
+                                limits,
+                                &mut local,
+                                &mut counts,
+                            )
+                        })
+                        .map(|()| local);
+                    (out, counts, slice.len(), start.elapsed().as_micros())
+                });
+                metrics.stats.shard_jobs += outcomes.len();
+                for (shard, (out, counts, tables, micros)) in outcomes.into_iter().enumerate() {
                     fusion.absorb(counts);
-                    metrics.leaf_span(SpanKind::Shard, shard, slice.len(), micros);
+                    metrics.leaf_span(SpanKind::Shard, shard, tables, micros);
                     results.extend(out?);
                 }
             } else {
@@ -687,10 +664,15 @@ fn check_table_cells(cells: usize, limits: &EvalLimits) -> Result<()> {
 /// *defined* as `SELECT[A=B](PRODUCT(R, S))`; when both attributes are
 /// rigid symbols resolving to exactly one column on opposite operands
 /// ([`ops::fusable_join_cols`]), the hash-join kernel produces the
-/// identical table without materializing the product — so the governor's
-/// cell charge (in [`check_results`]) reflects the actual join output,
-/// not the product pre-size, and only the fallback path needs the
-/// [`presize_product`] guard.
+/// identical table without materializing the product, and only the
+/// fallback path needs the [`presize_product`] guard.
+///
+/// Admission happens between the kernel's count and scatter passes, for
+/// the whole output table and whatever the fan-out: the per-table cell
+/// check, then one run-budget charge of its exact cells, recorded as
+/// precharged so [`charge_production`] charges only the statement's
+/// remainder. The trip point is therefore the same with partitioning on
+/// or off, and the same as the delta engine's incremental step.
 #[allow(clippy::too_many_arguments)]
 fn eval_fused_join(
     t1: &Table,
@@ -707,34 +689,20 @@ fn eval_fused_join(
         if let Some(cols) = ops::fusable_join_cols(t1, t2, a, b) {
             metrics.stats.join_fused += 1;
             metrics.note_fusion("fused-join");
-            if t1.height() >= limits.partition_threshold.max(1) {
-                // Partition-parallel kernel: byte-identical output, but
-                // the governor is charged per-partition *during* the
-                // join (admission before the buffer grows), so record
-                // what was already charged and let `check_results`
-                // charge only the remainder — cumulative charges stay
-                // identical to the serial path.
-                let gov = cx.gov;
-                let mut precharged = 0usize;
-                let (out, report) = ops::join_partitioned(
-                    t1,
-                    t2,
-                    cols,
-                    target,
-                    cx.pool,
-                    cx.pool.threads(),
-                    &|| gov.poll(),
-                    &mut |cells| {
-                        gov.charge_cells(cells)?;
-                        precharged += cells;
-                        Ok(())
-                    },
-                )?;
+            let fanout = join_fanout(cx, t1.height());
+            let poll = || cx.gov.poll();
+            let probe =
+                ops::JoinProbe::count(t1, 1, t2, cols, cx.pool, fanout.unwrap_or(1), &poll)?;
+            let mut out = ops::product_header(t1, t2, target);
+            let cells = (probe.rows() + 1) * (out.width() + 1);
+            check_table_cells(cells, limits)?;
+            cx.gov.charge_cells(cells)?;
+            metrics.precharge(cells);
+            let report = probe.scatter(&mut out, cx.pool, &poll)?;
+            if fanout.is_some() {
                 metrics.note_partitioned(&report);
-                metrics.precharge(precharged);
-                return Ok(out);
             }
-            return Ok(ops::join(t1, t2, cols, target));
+            return Ok(out);
         }
     }
     metrics.stats.join_unfused += 1;
@@ -744,6 +712,14 @@ fn eval_fused_join(
     let a = denote_single(pa, &prod, bindings, "FUSEDJOIN left")?;
     let b = denote_single(pb, &prod, bindings, "FUSEDJOIN right")?;
     Ok(ops::select(&prod, a, b, target))
+}
+
+/// The fan-out of a `FUSEDJOIN` kernel run over `probe_rows` probe rows:
+/// the executor's thread count once the probe reaches
+/// [`EvalLimits::partition_threshold`], else `None` — one range on the
+/// calling thread, recorded in no partition counter or span.
+pub(crate) fn join_fanout(cx: Exec<'_>, probe_rows: usize) -> Option<usize> {
+    (probe_rows >= cx.limits.partition_threshold.max(1)).then(|| cx.pool.threads())
 }
 
 /// Evaluate one `FUSEDRESTRUCTURE` argument table. The operation is
@@ -823,18 +799,18 @@ pub(crate) fn check_results(results: &[Table], cx: Exec<'_>, metrics: &mut Metri
     charge_production(results.len(), cells.sum(), max, cx, metrics)
 }
 
-/// Account one statement's production — `tables` tables of `cells` total
-/// cells, the largest of `max_cells` — in the shape statistics, enforce
-/// the per-table cell limit, and charge the run cell budget. Charging
-/// happens once per statement on the evaluating thread, after the
-/// per-table check, so the cumulative total — and therefore the budget
-/// trip point — is deterministic across strategies and shard
-/// configurations. A delta commit in place and a delta skip account what
-/// naive re-execution would have produced, so `tables_produced`,
-/// `max_table_cells` and the trip point agree between strategies. Cells
-/// a partitioned join already charged mid-statement (its per-partition
-/// admission control) are subtracted, so the statement's cumulative
-/// charge is identical with partitioning on or off.
+/// Admit one statement's production — `tables` tables of `cells` total
+/// cells, the largest of `max_cells`: enforce the per-table cell limit,
+/// charge the run cell budget, then account it in the shape statistics.
+/// Charging happens on the evaluating thread, after the per-table check,
+/// so the cumulative total — and therefore the budget trip point — is
+/// deterministic across strategies and shard configurations. A delta
+/// commit in place and a delta skip account what naive re-execution
+/// would have produced, so `tables_produced`, `max_table_cells` and the
+/// trip point agree between strategies; a statement that trips adds
+/// nothing to either statistic, on every path. Cells a fused join already
+/// charged between its count and scatter passes (`eval_fused_join`) are
+/// subtracted, so each cell is charged once.
 pub(crate) fn charge_production(
     tables: usize,
     cells: usize,
@@ -842,11 +818,11 @@ pub(crate) fn charge_production(
     cx: Exec<'_>,
     metrics: &mut Metrics,
 ) -> Result<()> {
-    metrics.stats.tables_produced += tables;
-    metrics.stats.max_table_cells = metrics.stats.max_table_cells.max(max_cells);
     check_table_cells(max_cells, cx.limits)?;
     let precharged = metrics.take_precharged();
     cx.gov.charge_cells(cells.saturating_sub(precharged))?;
+    metrics.stats.tables_produced += tables;
+    metrics.stats.max_table_cells = metrics.stats.max_table_cells.max(max_cells);
     metrics.note_output(cells);
     Ok(())
 }
@@ -1473,8 +1449,8 @@ mod tests {
         );
         // The cumulative governor charge is identical with partitioning
         // on or off: a budget of exactly the produced cells passes both
-        // ways, one cell less trips both ways (per-partition charges
-        // plus the remainder equal the serial statement charge).
+        // ways, one cell less trips both ways (the join's admission
+        // charge plus the remainder equal the statement's cells).
         let t_cells = (t.height() + 1) * (t.width() + 1);
         for l in [&serial_limits, &part_limits] {
             let ok = Budget::from_limits(l).with_cell_budget(t_cells);
@@ -1483,6 +1459,19 @@ mod tests {
             let err = run_governed_traced(&p, &db, &trip).unwrap_err();
             assert!(matches!(err, AlgebraError::BudgetExceeded { .. }), "{err}");
         }
+        // One trip point: under half the output's cells both kernels trip
+        // at the same cumulative spend, on a two-thread executor.
+        let trips: Vec<String> = [&serial_limits, &part_limits]
+            .into_iter()
+            .map(|l| {
+                let half = Budget {
+                    executor: Executor::new(2),
+                    ..Budget::from_limits(l).with_cell_budget(t_cells / 2)
+                };
+                run_governed_traced(&p, &db, &half).unwrap_err().to_string()
+            })
+            .collect();
+        assert_eq!(trips[0], trips[1], "serial and partitioned trip points");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! `EvalStats::op_micros` (no double counting: each statement is timed
 //! once and the one reading feeds both sinks).
 //!
-//! The registry is deliberately single-threaded: shard jobs measure
-//! their own wall time into their result slots and the evaluating thread
-//! records the spans after the scoped join, so no synchronization is
+//! The registry is deliberately single-threaded: shard jobs return their
+//! own wall time with their results and the evaluating thread records
+//! the spans after the fan-out, so no synchronization is
 //! needed on the hot path. At the default [`TraceLevel::Counters`] the
 //! span calls return at once, so one clock reading per executed
 //! statement is all the timing layer costs.
@@ -51,9 +51,10 @@ pub(crate) struct Metrics {
     trace: Trace,
     stack: Vec<Pending>,
     next_id: u64,
-    /// Cells the current statement's partitioned joins already charged
-    /// against the governor (per-partition admission control);
-    /// `charge_production` takes this and charges only the remainder.
+    /// Cells the current statement's fused joins already charged against
+    /// the governor (admission between the kernel's count and scatter
+    /// passes); `charge_production` takes this and charges only the
+    /// remainder.
     precharged_cells: usize,
 }
 
@@ -69,7 +70,7 @@ impl Metrics {
         }
     }
 
-    /// Note cells a partitioned join charged mid-statement, so the
+    /// Note cells a fused join charged mid-statement, so the
     /// statement-level charge can subtract them.
     pub(crate) fn precharge(&mut self, cells: usize) {
         self.precharged_cells += cells;
@@ -81,9 +82,10 @@ impl Metrics {
         std::mem::take(&mut self.precharged_cells)
     }
 
-    /// Account one partitioned join: bump the stats counters and record
-    /// one partition span per shard under the open statement span. A
-    /// no-op on an empty report (the join took the serial path).
+    /// Account one join whose probe reached the partition threshold:
+    /// bump the stats counters and record one partition span per probe
+    /// range under the open statement span. A no-op on an empty report
+    /// (a delta step that did not reach the threshold, or no join).
     pub(crate) fn note_partitioned(&mut self, report: &[crate::ops::PartitionShard]) {
         if report.is_empty() {
             return;

@@ -15,6 +15,19 @@
 //! (repeated attributes, attributes spanning one operand, `A = A`) must
 //! fall back to the unfused `product` + `select` pipeline, because weak
 //! equality then compares entry *sets* spanning both operands.
+//!
+//! There is one kernel, in two passes. [`JoinProbe::count`] builds the
+//! index of `σ` once and counts the matches of each contiguous range of
+//! probe rows; the caller reads the total ([`JoinProbe::rows`]) and may
+//! refuse it before any output exists. [`JoinProbe::scatter`] then
+//! appends the rows into one exact-size extension, each range writing
+//! its own window. A fresh join scatters from probe row 1 into the
+//! product's header ([`product_header`](crate::ops::product_header));
+//! the delta engine's incremental step scatters the appended probe rows
+//! into its cached output. With one range both
+//! passes run on the calling thread; with more they fan out on the
+//! executor, and the output is the same bytes either way, because
+//! ranges are contiguous and windows are placed by prefix sums.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -65,251 +78,148 @@ pub fn fusable_join_cols(r: &Table, s: &Table, a: Symbol, b: Symbol) -> Option<J
     }
 }
 
-/// `T ← FUSEDJOIN_{A=B}(R, S)`: the fused evaluation of
-/// `SELECT_{A=B}(PRODUCT(R, S))` on columns resolved by
-/// [`fusable_join_cols`]. Output equals the unfused pipeline exactly
-/// (header, row order, row attributes) but peak allocation is
-/// `O(|ρ| + |σ| + |output|)`.
-pub fn join(r: &Table, s: &Table, cols: JoinCols, name: Symbol) -> Table {
-    let width = r.width() + s.width();
-    let mut t = Table::new(name, 0, width);
-    for j in 1..=r.width() {
-        t.set(0, j, r.col_attr(j));
-    }
-    for j in 1..=s.width() {
-        t.set(0, r.width() + j, s.col_attr(j));
-    }
-    join_append(&mut t, r, 1, s, cols);
-    t
-}
-
-/// Append to `acc` the joined rows `ρᵢ × σₖ` with matching keys, for every
-/// `i ≥ from_row`, in the left-major order [`join`] (and `product`) use.
-/// Returns the number of rows appended.
-///
-/// This is the incremental step of the delta `while` strategy, mirroring
-/// [`product_append`](crate::ops::product_append): when `ρ` has only grown
-/// by appended rows and `σ` is unchanged, probing the new rows alone
-/// produces exactly the join's new output.
-pub fn join_append(
-    acc: &mut Table,
-    r: &Table,
-    from_row: usize,
-    s: &Table,
-    cols: JoinCols,
-) -> usize {
-    debug_assert_eq!(
-        acc.width(),
-        r.width() + s.width(),
-        "join_append width mismatch"
-    );
-    if from_row > r.height() {
-        return 0;
-    }
-    let index = build_index(s, cols.right);
-    acc.append_rows(|rows| {
-        let mut appended = 0;
-        for i in from_row..=r.height() {
-            let Some(matches) = index.get(&r.get(i, cols.left)) else {
-                continue;
-            };
-            for &k in matches {
-                let attr = r.get(i, 0).join(s.get(k, 0)).unwrap_or_else(|| r.get(i, 0));
-                rows.push_row_parts(attr, r.data_row(i), s.data_row(k));
-            }
-            appended += matches.len();
-        }
-        appended
-    })
-}
-
-/// Probe rows processed between governor polls inside a partition, so a
+/// Probe rows processed between governor polls inside a range, so a
 /// cancellation or deadline trip is observed promptly even when one
-/// partition is large.
+/// range is large.
 const POLL_STRIDE: usize = 4096;
 
-/// Per-shard observability from a partitioned join: how many output rows
-/// the shard produced and how long its jobs ran (probe-count plus scatter
-/// passes, wall time in microseconds on the worker that ran them).
+/// Per-range observability of a join: how many output rows the range
+/// produced and how long its count and scatter jobs ran.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PartitionShard {
-    /// Output rows this shard wrote.
+    /// Output rows this range wrote.
     pub rows: usize,
-    /// Wall time of the shard's count + scatter jobs, in microseconds.
+    /// Wall time of the range's count + scatter jobs, in microseconds.
     pub wall_micros: u128,
 }
 
-/// Partition-parallel [`join`]: split the probe side `ρ` into `shards`
-/// contiguous row ranges, build **one** shared hash index of `σ`, probe
-/// the ranges in parallel on `pool`, and splice the per-range outputs
-/// back in exact left-major order. The output is **byte-identical** to
-/// [`join`] — same header, same row order, same row attributes — because
-/// range `p` writes precisely the rows the serial loop would have
-/// emitted for probe rows in that range, into the exact offsets a prefix
-/// sum over the per-range match counts assigns.
-///
-/// `poll` is called between `POLL_STRIDE`-row chunks on every worker
-/// (cooperative cancellation / deadline checks); `charge` is called once
-/// per partition with the data cells that partition is about to
-/// materialize, *before* the output buffer grows — the governor's
-/// admission control, per-partition as PRs 5–6 charged per statement.
-/// The first error in shard order wins, so trips are deterministic.
-///
-/// Returns the joined table and one [`PartitionShard`] per range.
-#[allow(clippy::too_many_arguments)]
-pub fn join_partitioned(
-    r: &Table,
-    s: &Table,
-    cols: JoinCols,
-    name: Symbol,
-    pool: &Executor,
-    shards: usize,
-    poll: &(dyn Fn() -> Result<()> + Sync),
-    charge: &mut dyn FnMut(usize) -> Result<()>,
-) -> Result<(Table, Vec<PartitionShard>)> {
-    let width = r.width() + s.width();
-    let mut t = Table::new(name, 0, width);
-    for j in 1..=r.width() {
-        t.set(0, j, r.col_attr(j));
-    }
-    for j in 1..=s.width() {
-        t.set(0, r.width() + j, s.col_attr(j));
-    }
-    let report = join_append_partitioned(&mut t, r, 1, s, cols, pool, shards, poll, charge)?;
-    Ok((t, report))
+/// One contiguous range of probe rows `lo..hi`, with its match count and
+/// the wall time of its count job.
+struct ProbeRange {
+    lo: usize,
+    hi: usize,
+    rows: usize,
+    micros: u128,
 }
 
-/// Partition-parallel [`join_append`]: the incremental delta step, run
-/// across `pool` exactly like [`join_partitioned`] (which is this
-/// function starting from probe row 1 on a fresh header). Appends, for
-/// every probe row `i ≥ from_row`, the joined rows in serial left-major
-/// order, byte-identical to [`join_append`].
-///
-/// Two passes per shard over its probe range: count matches (so a prefix
-/// sum can pre-size the output buffer exactly and hand each shard a
-/// disjoint `&mut` window), then scatter the rows. On error the
-/// accumulator may hold a partially written (⊥-padded) extension; every
-/// caller aborts the run and discards the database on `Err`, so no
-/// partially joined table is ever observable.
-#[allow(clippy::too_many_arguments)]
-pub fn join_append_partitioned(
-    acc: &mut Table,
-    r: &Table,
-    from_row: usize,
-    s: &Table,
+/// A counted join: the hash index of the build side `σ`, and the matches
+/// of each probe range of `ρ`. Nothing of the output exists yet, so the
+/// caller can admit or refuse [`JoinProbe::rows`] before
+/// [`JoinProbe::scatter`] writes them. The operands are held as handles
+/// (O(1) clones sharing the store's buffers), so a counted probe can
+/// outlive the borrow it was counted from.
+pub struct JoinProbe {
+    r: Table,
+    s: Table,
     cols: JoinCols,
-    pool: &Executor,
-    shards: usize,
-    poll: &(dyn Fn() -> Result<()> + Sync),
-    charge: &mut dyn FnMut(usize) -> Result<()>,
-) -> Result<Vec<PartitionShard>> {
-    debug_assert_eq!(
-        acc.width(),
-        r.width() + s.width(),
-        "join_append width mismatch"
-    );
-    if from_row > r.height() {
-        return Ok(Vec::new());
-    }
-    let index = build_index(s, cols.right);
-    let probe_rows = r.height() + 1 - from_row;
-    let shards = shards.clamp(1, probe_rows);
-    let per_shard = probe_rows.div_ceil(shards);
-    let ranges: Vec<(usize, usize)> = (0..shards)
-        .map(|p| {
-            let lo = from_row + p * per_shard;
-            (lo, (lo + per_shard).min(r.height() + 1))
-        })
-        .take_while(|&(lo, hi)| lo < hi)
-        .collect();
+    index: HashMap<Symbol, Vec<usize>>,
+    ranges: Vec<ProbeRange>,
+}
 
-    // Pass 1: count matches per range, in parallel. Each shard re-probes
-    // in pass 2 rather than buffering match lists: re-probing costs a
-    // second scan of the shared index, but keeps the kernel's allocation
-    // at exactly the output size — partitioning must never raise peak
-    // memory over the serial kernel (alloc-regression guard 8).
-    let mut counts: Vec<Option<(Result<usize>, u128)>> = vec![None; ranges.len()];
-    {
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = counts
-            .iter_mut()
-            .zip(&ranges)
-            .map(|(slot, &(lo, hi))| {
-                let index = &index;
-                Box::new(move || {
-                    let start = Instant::now();
-                    let mut n = 0usize;
-                    let mut out = Ok(());
-                    for i in lo..hi {
-                        if (i - lo) % POLL_STRIDE == 0 {
-                            if let Err(e) = poll() {
-                                out = Err(e);
-                                break;
-                            }
-                        }
-                        n += index.get(&r.get(i, cols.left)).map_or(0, Vec::len);
-                    }
-                    *slot = Some((out.map(|()| n), start.elapsed().as_micros()));
-                }) as Box<dyn FnOnce() + Send + '_>
+impl JoinProbe {
+    /// The count pass of `FUSEDJOIN_{A=B}(ρ, σ)` for the probe rows
+    /// `from_row..=ρ.height()`: build the index of `σ`'s key column once,
+    /// split the probe rows into at most `shards` contiguous ranges, and
+    /// count each range's matches on `pool` (one range runs on the
+    /// calling thread). `poll` is called every 4 096 rows of each range;
+    /// the first error in range order wins.
+    pub fn count(
+        r: &Table,
+        from_row: usize,
+        s: &Table,
+        cols: JoinCols,
+        pool: &Executor,
+        shards: usize,
+        poll: &(dyn Fn() -> Result<()> + Sync),
+    ) -> Result<JoinProbe> {
+        let index = build_index(s, cols.right);
+        let end = r.height() + 1;
+        let per_range = end.saturating_sub(from_row).div_ceil(shards.max(1)).max(1);
+        let spans = (from_row..end)
+            .step_by(per_range)
+            .map(|lo| (lo, (lo + per_range).min(end)));
+        let counted = pool.map(spans, |(lo, hi)| {
+            let start = Instant::now();
+            let rows = (lo..hi).try_fold(0, |n, i| {
+                if (i - lo) % POLL_STRIDE == 0 {
+                    poll()?;
+                }
+                Ok(n + index.get(&r.get(i, cols.left)).map_or(0, Vec::len))
+            })?;
+            let micros = start.elapsed().as_micros();
+            Ok(ProbeRange {
+                lo,
+                hi,
+                rows,
+                micros,
             })
-            .collect();
-        pool.scoped(jobs);
-    }
-    let mut shard_rows = Vec::with_capacity(ranges.len());
-    let mut shard_micros = Vec::with_capacity(ranges.len());
-    for slot in counts {
-        let (n, micros) = slot.expect("partition count job did not run");
-        shard_rows.push(n?);
-        shard_micros.push(micros);
-    }
-
-    // Admission control before the buffer grows: charge each partition's
-    // data cells in shard order on the evaluating thread.
-    let row_width = acc.width() + 1;
-    for &rows in &shard_rows {
-        charge(rows * row_width)?;
+        });
+        Ok(JoinProbe {
+            r: r.clone(),
+            s: s.clone(),
+            cols,
+            index,
+            ranges: counted.into_iter().collect::<Result<_>>()?,
+        })
     }
 
-    // Pass 2: one exact-size extension, then scatter in parallel into
-    // disjoint per-shard row windows. Offsets come from the prefix sum of
-    // the pass-1 counts, so shard p's window starts exactly where the
-    // serial loop would have been when reaching probe row `ranges[p].0`.
-    // The extension is handed out uninitialized — prefilling it with ⊥
-    // would serially memset the exact bytes the shards are about to
-    // write in parallel, and on a 1M-row join that memset alone rivals a
-    // shard's whole scatter.
-    let total_rows: usize = shard_rows.iter().sum();
-    let mut writes: Vec<Option<(Result<()>, u128)>> = vec![None; ranges.len()];
-    // SAFETY: `scoped` drains every submitted job before returning, and
-    // each job either writes its entire window (pass 1 counted exactly
-    // `rows` matches for its range, and `r`/`s`/`index` are unchanged
-    // between passes) or, after an error mid-range, ⊥-fills the window's
-    // remainder before returning — so the whole extension is initialized
-    // when the closure completes.
-    unsafe {
-        acc.append_rows_uninit(total_rows, |fresh| {
-            let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(ranges.len());
-            let mut rest = fresh;
-            for ((slot, &(lo, hi)), &rows) in writes.iter_mut().zip(&ranges).zip(&shard_rows) {
-                let (mine, tail) = rest.split_at_mut(rows * row_width);
-                rest = tail;
-                let index = &index;
-                jobs.push(Box::new(move || {
+    /// Output rows the scatter pass will append.
+    pub fn rows(&self) -> usize {
+        self.ranges.iter().map(|p| p.rows).sum()
+    }
+
+    /// The scatter pass: append to `acc` the joined rows `ρᵢ × σₖ` with
+    /// matching keys for every counted probe row, in the left-major order
+    /// (and with the left-biased row-attribute join) of `product`. The
+    /// output grows by one extension of exactly [`JoinProbe::rows`] rows;
+    /// each range writes its own window, on `pool` when there are
+    /// several. Returns one [`PartitionShard`] per range.
+    ///
+    /// On error `acc` may hold a ⊥-padded extension; every caller aborts
+    /// the run and discards the database on `Err`, so no partially
+    /// joined table is ever observable.
+    pub fn scatter(
+        self,
+        acc: &mut Table,
+        pool: &Executor,
+        poll: &(dyn Fn() -> Result<()> + Sync),
+    ) -> Result<Vec<PartitionShard>> {
+        let JoinProbe {
+            r,
+            s,
+            cols,
+            index,
+            ranges,
+        } = &self;
+        debug_assert_eq!(acc.width(), r.width() + s.width(), "join width mismatch");
+        let row_width = acc.width() + 1;
+        let total = self.rows();
+        // SAFETY: `map` returns only after every job has run, and each job
+        // either writes its entire window (the count pass counted exactly
+        // `rows` matches for its range over the same operands and index)
+        // or, after an error mid-range, ⊥-fills the window's remainder —
+        // so the whole extension is initialized when the closure returns.
+        // A panicking job is resumed by `map` before the extension
+        // commits, which leaves `acc` unchanged.
+        let outcomes = unsafe {
+            acc.append_rows_uninit(total, |fresh| {
+                let mut rest = fresh;
+                let windows = ranges.iter().map(|range| {
+                    let (mine, tail) =
+                        std::mem::take(&mut rest).split_at_mut(range.rows * row_width);
+                    rest = tail;
+                    (range, mine)
+                });
+                pool.map(windows, |(range, mine)| {
                     let start = Instant::now();
-                    let mut off = 0usize;
-                    let mut out = Ok(());
-                    'scatter: for i in lo..hi {
-                        if (i - lo) % POLL_STRIDE == 0 {
-                            if let Err(e) = poll() {
-                                out = Err(e);
-                                break 'scatter;
-                            }
+                    let mut rows = mine.chunks_exact_mut(row_width);
+                    let out = (range.lo..range.hi).try_for_each(|i| {
+                        if (i - range.lo) % POLL_STRIDE == 0 {
+                            poll()?;
                         }
-                        let Some(matches) = index.get(&r.get(i, cols.left)) else {
-                            continue;
-                        };
-                        for &k in matches {
+                        for &k in index.get(&r.get(i, cols.left)).into_iter().flatten() {
                             let attr = r.get(i, 0).join(s.get(k, 0)).unwrap_or_else(|| r.get(i, 0));
-                            let dst = &mut mine[off..off + row_width];
+                            let dst = rows.next().expect("the count pass sized the window");
                             dst[0].write(attr);
                             for (d, &v) in dst[1..].iter_mut().zip(r.data_row(i)) {
                                 d.write(v);
@@ -317,45 +227,22 @@ pub fn join_append_partitioned(
                             for (d, &v) in dst[r.width() + 1..].iter_mut().zip(s.data_row(k)) {
                                 d.write(v);
                             }
-                            off += row_width;
                         }
-                    }
-                    debug_assert!(out.is_err() || off == rows * row_width);
-                    // Initialization guarantee on the error path: the
-                    // run is aborting, but the buffer must still hold
-                    // only valid symbols when the extension commits.
-                    for cell in &mut mine[off..] {
+                        Ok(())
+                    });
+                    debug_assert!(out.is_err() || rows.len() == 0);
+                    for cell in rows.flatten() {
                         cell.write(Symbol::Null);
                     }
-                    *slot = Some((out, start.elapsed().as_micros()));
-                }));
-            }
-            pool.scoped(jobs);
-        });
+                    out.map(|()| PartitionShard {
+                        rows: range.rows,
+                        wall_micros: range.micros + start.elapsed().as_micros(),
+                    })
+                })
+            })
+        };
+        outcomes.into_iter().collect()
     }
-    let mut report = Vec::with_capacity(ranges.len());
-    for ((slot, rows), probe_micros) in writes.into_iter().zip(shard_rows).zip(shard_micros) {
-        let (outcome, micros) = slot.expect("partition scatter job did not run");
-        outcome?;
-        report.push(PartitionShard {
-            rows,
-            wall_micros: probe_micros + micros,
-        });
-    }
-    Ok(report)
-}
-
-/// Count the rows [`join_append`] would append, without appending. Used by
-/// the delta planner to size the output (and charge the governor) before
-/// committing to the incremental plan.
-pub fn count_join_matches(r: &Table, from_row: usize, s: &Table, cols: JoinCols) -> usize {
-    if from_row > r.height() {
-        return 0;
-    }
-    let index = build_index(s, cols.right);
-    (from_row..=r.height())
-        .map(|i| index.get(&r.get(i, cols.left)).map_or(0, Vec::len))
-        .sum()
 }
 
 /// Hash the build side's key column: key symbol → ascending row indices.
@@ -372,7 +259,7 @@ fn build_index(s: &Table, key_col: usize) -> HashMap<Symbol, Vec<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{product, select};
+    use crate::ops::{product, product_header, select};
 
     fn nm(x: &str) -> Symbol {
         Symbol::name(x)
@@ -380,6 +267,24 @@ mod tests {
 
     fn unfused(r: &Table, s: &Table, a: Symbol, b: Symbol, name: Symbol) -> Table {
         select(&product(r, s, nm("scratch")), a, b, name)
+    }
+
+    /// A fresh join: the header plus a scatter from probe row 1.
+    fn join_on(
+        r: &Table,
+        s: &Table,
+        cols: JoinCols,
+        pool: &Executor,
+        shards: usize,
+    ) -> (Table, Vec<PartitionShard>) {
+        let probe = JoinProbe::count(r, 1, s, cols, pool, shards, &|| Ok(())).unwrap();
+        let mut t = product_header(r, s, nm("T"));
+        let report = probe.scatter(&mut t, pool, &|| Ok(())).unwrap();
+        (t, report)
+    }
+
+    fn join(r: &Table, s: &Table, cols: JoinCols) -> Table {
+        join_on(r, s, cols, &Executor::new(1), 1).0
     }
 
     #[test]
@@ -419,7 +324,7 @@ mod tests {
             &[&["2", "x"], &["2", "y"], &["8", "z"], &["9", "w"]],
         );
         let cols = fusable_join_cols(&r, &s, nm("B"), nm("C")).unwrap();
-        let fused = join(&r, &s, cols, nm("T"));
+        let fused = join(&r, &s, cols);
         let reference = unfused(&r, &s, nm("B"), nm("C"), nm("T"));
         assert_eq!(fused, reference);
         assert_eq!(fused.height(), 5); // 2×{x,y} twice + 8×z once
@@ -431,30 +336,42 @@ mod tests {
         let r = Table::from_grid(&[&["R", "A"], &["_", "_"], &["_", "v"]]).unwrap();
         let s = Table::from_grid(&[&["S", "B"], &["_", "_"], &["_", "w"]]).unwrap();
         let cols = fusable_join_cols(&r, &s, nm("A"), nm("B")).unwrap();
-        let fused = join(&r, &s, cols, nm("T"));
+        let fused = join(&r, &s, cols);
         assert_eq!(fused, unfused(&r, &s, nm("A"), nm("B"), nm("T")));
         assert_eq!(fused.height(), 1); // only ⊥ ⋈ ⊥
     }
 
     #[test]
-    fn join_append_from_row_matches_tail_of_full_join() {
-        let r = Table::relational("R", &["A"], &[&["1"], &["2"], &["1"]]);
+    fn scatter_from_row_matches_tail_of_full_join() {
+        let r = Table::relational("R", &["A"], &[&["1"], &["2"], &["1"], &["2"], &["3"]]);
         let s = Table::relational("S", &["B"], &[&["1"], &["2"], &["1"]]);
         let cols = fusable_join_cols(&r, &s, nm("A"), nm("B")).unwrap();
-        let full = join(&r, &s, cols, nm("T"));
-        // Rebuild incrementally: first two probe rows, then the third.
+        let full = join(&r, &s, cols);
         let r_prefix = r.retain_rows(|i| i <= 2);
-        let mut acc = join(&r_prefix, &s, cols, nm("T"));
-        let added = join_append(&mut acc, &r, 3, &s, cols);
-        assert_eq!(acc, full);
-        assert_eq!(added, 2);
-        assert_eq!(count_join_matches(&r, 3, &s, cols), 2);
-        assert_eq!(count_join_matches(&r, 1, &s, cols), full.height());
-        assert_eq!(count_join_matches(&r, 4, &s, cols), 0);
+        let pool = Executor::new(2);
+        for shards in [1, 4] {
+            // Rebuild incrementally: the first two probe rows, then the rest.
+            let mut acc = join(&r_prefix, &s, cols);
+            let probe = JoinProbe::count(&r, 3, &s, cols, &pool, shards, &|| Ok(())).unwrap();
+            assert_eq!(probe.rows(), 3);
+            let report = probe.scatter(&mut acc, &pool, &|| Ok(())).unwrap();
+            assert_eq!(acc, full, "shards={shards}");
+            // 3 probe rows: the range count is clamped to them.
+            assert_eq!(report.len(), shards.min(3));
+            assert_eq!(report.iter().map(|sh| sh.rows).sum::<usize>(), 3);
+            // Empty tail: no ranges, no rows, accumulator untouched.
+            let probe = JoinProbe::count(&r, 6, &s, cols, &pool, shards, &|| Ok(())).unwrap();
+            assert_eq!(probe.rows(), 0);
+            assert!(probe
+                .scatter(&mut acc, &pool, &|| Ok(()))
+                .unwrap()
+                .is_empty());
+            assert_eq!(acc, full);
+        }
     }
 
     #[test]
-    fn join_partitioned_is_byte_identical_for_every_shard_count() {
+    fn every_shard_count_is_byte_identical() {
         // Messy probe: ⊥ keys, duplicate keys, rows with no match, row
         // attributes that exercise the informational join.
         let r = Table::from_grid(&[
@@ -477,67 +394,22 @@ mod tests {
         ])
         .unwrap();
         let cols = fusable_join_cols(&r, &s, nm("A"), nm("B")).unwrap();
-        let serial = join(&r, &s, cols, nm("T"));
+        let serial = join(&r, &s, cols);
         assert_eq!(serial, unfused(&r, &s, nm("A"), nm("B"), nm("T")));
         let pool = Executor::new(2);
         for shards in [1, 2, 3, 7, 8, 64] {
-            let mut charged = 0usize;
-            let (part, report) = join_partitioned(
-                &r,
-                &s,
-                cols,
-                nm("T"),
-                &pool,
-                shards,
-                &|| Ok(()),
-                &mut |cells| {
-                    charged += cells;
-                    Ok(())
-                },
-            )
-            .unwrap();
+            let (part, report) = join_on(&r, &s, cols, &pool, shards);
             assert_eq!(part, serial, "shards={shards}");
-            // Shard count clamps to the probe height; reported rows sum
-            // to the output and charges cover exactly the data cells.
+            // The range count clamps to the probe height; reported rows
+            // sum to the output.
             assert_eq!(report.len(), shards.min(r.height()));
             let rows: usize = report.iter().map(|sh| sh.rows).sum();
             assert_eq!(rows, serial.height());
-            assert_eq!(charged, serial.height() * (serial.width() + 1));
         }
     }
 
     #[test]
-    fn join_append_partitioned_matches_serial_tail() {
-        let r = Table::relational("R", &["A"], &[&["1"], &["2"], &["1"], &["2"], &["3"]]);
-        let s = Table::relational("S", &["B"], &[&["1"], &["2"], &["1"]]);
-        let cols = fusable_join_cols(&r, &s, nm("A"), nm("B")).unwrap();
-        let full = join(&r, &s, cols, nm("T"));
-        let r_prefix = r.retain_rows(|i| i <= 2);
-        let pool = Executor::new(2);
-        let mut acc = join(&r_prefix, &s, cols, nm("T"));
-        let report =
-            join_append_partitioned(&mut acc, &r, 3, &s, cols, &pool, 4, &|| Ok(()), &mut |_| {
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(acc, full);
-        assert_eq!(report.len(), 3); // 3 probe rows, shard count clamped
-        assert_eq!(
-            report.iter().map(|sh| sh.rows).sum::<usize>(),
-            count_join_matches(&r, 3, &s, cols)
-        );
-        // Empty tail: no shards, no rows, accumulator untouched.
-        let report =
-            join_append_partitioned(&mut acc, &r, 6, &s, cols, &pool, 4, &|| Ok(()), &mut |_| {
-                Ok(())
-            })
-            .unwrap();
-        assert!(report.is_empty());
-        assert_eq!(acc, full);
-    }
-
-    #[test]
-    fn join_partitioned_propagates_poll_and_charge_errors() {
+    fn both_passes_propagate_poll_errors() {
         use crate::error::AlgebraError;
         let r = Table::relational("R", &["A"], &[&["1"], &["2"]]);
         let s = Table::relational("S", &["B"], &[&["1"], &["2"]]);
@@ -550,19 +422,17 @@ mod tests {
                 attempted: 1,
             })
         };
-        let err =
-            join_partitioned(&r, &s, cols, nm("T"), &pool, 2, &trip, &mut |_| Ok(())).unwrap_err();
-        assert!(matches!(err, AlgebraError::LimitExceeded { what, .. } if what == "test poll"));
-        // A charge refusal aborts before the output buffer grows.
-        let err = join_partitioned(&r, &s, cols, nm("T"), &pool, 2, &|| Ok(()), &mut |_| {
-            Err(AlgebraError::LimitExceeded {
-                what: "test charge",
-                limit: 0,
-                attempted: 1,
-            })
-        })
-        .unwrap_err();
-        assert!(matches!(err, AlgebraError::LimitExceeded { what, .. } if what == "test charge"));
+        let is_trip = |e: AlgebraError| matches!(e, AlgebraError::LimitExceeded { what, .. } if what == "test poll");
+        let Err(err) = JoinProbe::count(&r, 1, &s, cols, &pool, 2, &trip) else {
+            panic!("the count pass must fail on a poll error");
+        };
+        assert!(is_trip(err));
+        let probe = JoinProbe::count(&r, 1, &s, cols, &pool, 2, &|| Ok(())).unwrap();
+        let mut t = product_header(&r, &s, nm("T"));
+        assert!(is_trip(probe.scatter(&mut t, &pool, &trip).unwrap_err()));
+        // The extension committed ⊥-padded: every cell is initialized.
+        assert_eq!(t.height(), 2);
+        assert!(t.data_row(1).iter().all(|c| c.is_null()));
     }
 
     #[test]
@@ -570,7 +440,7 @@ mod tests {
         let r = Table::from_grid(&[&["R", "A"], &["p", "1"], &["_", "2"]]).unwrap();
         let s = Table::from_grid(&[&["S", "B"], &["q", "1"], &["p", "2"]]).unwrap();
         let cols = fusable_join_cols(&r, &s, nm("A"), nm("B")).unwrap();
-        let fused = join(&r, &s, cols, nm("T"));
+        let fused = join(&r, &s, cols);
         assert_eq!(fused, unfused(&r, &s, nm("A"), nm("B"), nm("T")));
         // p ⋈ q has no join: the left row attribute wins (left-biased rule).
         assert_eq!(fused.get(1, 0), nm("p"));

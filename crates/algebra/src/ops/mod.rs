@@ -28,16 +28,13 @@ pub mod transpose;
 pub use dual::{
     col_group, col_merge, col_project, col_select, col_select_const, col_split, dualize,
 };
-pub use join::{
-    count_join_matches, fusable_join_cols, join, join_append, join_append_partitioned,
-    join_partitioned, JoinCols, PartitionShard,
-};
+pub use join::{fusable_join_cols, JoinCols, JoinProbe, PartitionShard};
 pub use redundancy::{classical_union, cleanup, purge};
 pub use restructure::{collapse, group, merge, split};
 pub use restructure_fused::{fused_restructure, grouped_cells, RestructureSpec};
 pub use tagging::{set_new, tuple_new};
 pub use traditional::{
-    copy, difference, intersect, product, product_append, project, rename, select, select_const,
-    union,
+    copy, difference, intersect, product, product_append, product_header, project, rename, select,
+    select_const, union,
 };
 pub use transpose::{switch, transpose};

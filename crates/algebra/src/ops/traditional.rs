@@ -141,15 +141,18 @@ pub fn intersect(r: &Table, s: &Table, name: Symbol) -> Table {
 /// otherwise — the left-biased resolution is documented in DESIGN.md since
 /// the extended abstract's diagram does not pin it down.
 pub fn product(r: &Table, s: &Table, name: Symbol) -> Table {
-    let width = r.width() + s.width();
-    let mut t = Table::new(name, 0, width);
-    for j in 1..=r.width() {
-        t.set(0, j, r.col_attr(j));
-    }
-    for j in 1..=s.width() {
-        t.set(0, r.width() + j, s.col_attr(j));
-    }
+    let mut t = product_header(r, s, name);
     product_append(&mut t, r, 1, s);
+    t
+}
+
+/// The attribute row of `R × S`, named `name` and holding no data rows:
+/// the column attributes of `ρ`, then those of `σ`.
+pub fn product_header(r: &Table, s: &Table, name: Symbol) -> Table {
+    let mut t = Table::new(name, 0, r.width() + s.width());
+    for (j, &a) in r.col_attrs().iter().chain(s.col_attrs()).enumerate() {
+        t.set(0, j + 1, a);
+    }
     t
 }
 

@@ -1,13 +1,17 @@
 //! The process's one executor: worker threads sharing one job queue. It
-//! runs service requests, statement shards (one parameterised operation
-//! applied to every matching table, paper §2), partitioned joins and the
-//! programs of multi-program requests.
+//! has two calls. [`Executor::spawn`] queues a detached job (a service
+//! request). [`Executor::map`] fans a function out over a list of items
+//! and returns the results in input order: statement shards (one
+//! parameterised operation applied to every matching table, paper §2),
+//! the count and scatter passes of a join, and the programs of a
+//! multi-program request.
 //!
-//! While [`Executor::scoped`] waits, its caller runs the jobs of its own
-//! batch that no worker has claimed — never another batch's — so a wait
-//! only waits for jobs already running. Nested fan-out (request →
-//! multi-program → shards → partitioned join) cannot deadlock, even on
-//! one worker, and a waiting request never picks up another request.
+//! While `map` waits, its caller runs the jobs of its own batch that no
+//! worker has claimed — never another batch's — so a wait only waits for
+//! jobs already running. Nested fan-out (request → multi-program →
+//! shards → join ranges) cannot deadlock, even on one worker, and a
+//! waiting request never picks up another request. A batch of one runs
+//! on the caller and starts no worker.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -39,7 +43,7 @@ struct Shared {
     ready: Condvar,
 }
 
-/// The jobs of one `scoped` call, or the one job of a `spawn`.
+/// The jobs of one `map` call, or the one job of a `spawn`.
 struct Batch {
     unclaimed: Mutex<Vec<Job>>,
     /// Jobs not yet finished, and the first panic in completion order.
@@ -75,13 +79,42 @@ impl Executor {
         self.queue(&Batch::new(vec![Box::new(job)]), 1);
     }
 
+    /// Apply `f` to every item as one batch of jobs and return the
+    /// results in input order. `f` and the items may borrow from the
+    /// caller, which runs its batch's unclaimed jobs itself. The first
+    /// panic (in completion order) is resumed only after the whole batch
+    /// has drained.
+    pub fn map<T: Send, R: Send>(
+        &self,
+        items: impl IntoIterator<Item = T>,
+        f: impl Fn(T) -> R + Sync,
+    ) -> Vec<R> {
+        let f = &f;
+        let items: Vec<T> = items.into_iter().collect();
+        let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+        self.scoped(
+            items
+                .into_iter()
+                .zip(&mut results)
+                .map(|(item, slot)| {
+                    Box::new(move || *slot = Some(f(item))) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect(),
+        );
+        // `scoped` returned without a panic, so every job stored its result.
+        results
+            .into_iter()
+            .map(|r| r.expect("every job ran"))
+            .collect()
+    }
+
     /// Run every job and return once all of them have finished. Jobs may
     /// borrow from the caller; the caller runs unclaimed jobs of this
     /// batch itself. The *first* panic (in completion order) is resumed
     /// here, only after every job has finished: later panics must not
     /// shadow it, and resuming early would free the caller's stack while
     /// jobs still borrow it.
-    pub fn scoped<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
+    fn scoped<'s>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 's>>) {
         // The caller runs at least one job, so `n - 1` claims occupy
         // every thread that could help.
         let claims = jobs.len().saturating_sub(1).min(self.pool.threads);
@@ -340,6 +373,21 @@ mod tests {
         }
         nested(&pool, &leaves, 2);
         assert_eq!(leaves.load(Ordering::SeqCst), 27, "3 × 3 × 3 leaves");
+    }
+
+    #[test]
+    fn map_nested_on_one_worker_returns_results_in_input_order() {
+        let pool = Executor::new(1);
+        let rows = pool.map(0..4u64, |i| pool.map(0..3u64, |j| i * 10 + j));
+        assert_eq!(
+            rows,
+            vec![
+                vec![0, 1, 2],
+                vec![10, 11, 12],
+                vec![20, 21, 22],
+                vec![30, 31, 32]
+            ]
+        );
     }
 
     #[test]

@@ -794,35 +794,36 @@ fn main() {
         );
         drop((probe_rows, build_rows));
         let cols = JoinCols { left: 2, right: 1 };
-        let name = Symbol::name("T");
+        // The one join kernel: count, then scatter into a fresh header.
+        fn join(
+            probe: &tabular_core::Table,
+            build: &tabular_core::Table,
+            cols: JoinCols,
+            pool: &Executor,
+            shards: usize,
+        ) -> (tabular_core::Table, Vec<aops::PartitionShard>) {
+            let counted =
+                aops::JoinProbe::count(probe, 1, build, cols, pool, shards, &|| Ok(())).unwrap();
+            let mut out = aops::product_header(probe, build, Symbol::name("T"));
+            let report = counted.scatter(&mut out, pool, &|| Ok(())).unwrap();
+            (out, report)
+        }
 
         // Best-of-3 throughout this section: on a single-vCPU host a
         // descheduled thread inflates any wall-clock sample by tens of
         // milliseconds, so the minimum — not the median — is the sample
         // closest to the true cost.
         let best_of = |f: &dyn Fn() -> u128| (0..3).map(|_| f()).min().unwrap();
-        let serial_us = best_of(&|| timed(|| aops::join(&probe, &build, cols, name)).1);
-        let serial = aops::join(&probe, &build, cols, name);
-
         let pool = Executor::new(1);
+        let serial_us = best_of(&|| timed(|| join(&probe, &build, cols, &pool, 1)).1);
+        let serial = join(&probe, &build, cols, &pool, 1).0;
+
         let mut runs: Vec<(u128, Vec<aops::PartitionShard>, tabular_core::Table)> = (0..3)
             .map(|_| {
                 let (done, result) = std::sync::mpsc::channel();
                 let (probe, build, inner) = (probe.clone(), build.clone(), pool.clone());
                 pool.spawn(move || {
-                    let _ = done.send(timed(|| {
-                        aops::join_partitioned(
-                            &probe,
-                            &build,
-                            cols,
-                            name,
-                            &inner,
-                            SHARDS,
-                            &|| Ok(()),
-                            &mut |_| Ok(()),
-                        )
-                        .unwrap()
-                    }));
+                    let _ = done.send(timed(|| join(&probe, &build, cols, &inner, SHARDS)));
                 });
                 let ((out, report), wall) = result.recv().expect("the partitioned join ran");
                 (wall, report, out)

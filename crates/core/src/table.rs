@@ -504,13 +504,14 @@ impl Table {
     /// `width + 1` chunk is one storage row, attribute first. Splitting
     /// the slice into disjoint row ranges (`split_at_mut`) lets
     /// independent workers write their ranges in parallel. Unlike
-    /// [`Table::append_rows`], which grows the buffer geometrically as
-    /// rows arrive, this pays the copy-on-write materialization and
-    /// exactly one allocation up front — and, unlike a ⊥-prefilled
-    /// `resize`, never serially memsets storage the caller is about to
-    /// overwrite anyway (on large joins that memset *is* the serial
-    /// prelude). The new length is committed only after `f` returns, so
-    /// a panicking `f` leaves the table's contents unchanged.
+    /// [`Table::append_rows`], which may grow the buffer several times as
+    /// rows arrive, this pays the copy-on-write materialization and at
+    /// most one allocation up front (amortized like `Vec::reserve`, so
+    /// repeated appends to one table stay linear) — and, unlike a
+    /// ⊥-prefilled `resize`, never serially memsets storage the caller
+    /// is about to overwrite anyway (on large joins that memset *is* the
+    /// serial prelude). The new length is committed only after `f`
+    /// returns, so a panicking `f` leaves the table's contents unchanged.
     ///
     /// # Safety
     ///
@@ -526,7 +527,7 @@ impl Table {
         let n = rows * (self.width + 1);
         let cells = self.cells_mut();
         let start = cells.len();
-        cells.reserve_exact(n);
+        cells.reserve(n);
         let out = f(&mut cells.spare_capacity_mut()[..n]);
         // SAFETY: the capacity holds `start + n` cells and the contract
         // requires `f` to have initialized all `n` new ones.

@@ -314,27 +314,16 @@ impl Service {
             vec![run_one(&programs[0], &snapshot, &budget, want_plan)]
         } else {
             let share = budget.split(programs.len());
-            // A program that panics fails alone, as an internal error,
-            // beside its siblings' results.
-            let panicked = Err(AlgebraError::Internal {
-                what: "a query program panicked",
-            });
-            let mut outcomes: Vec<RunOutcome> = vec![panicked; programs.len()];
-            let jobs = programs
-                .iter()
-                .zip(outcomes.iter_mut())
-                .map(|(program, slot)| {
-                    let (share, snapshot) = (&share, &snapshot);
-                    Box::new(move || {
-                        if let Ok(outcome) = catch_unwind(AssertUnwindSafe(|| {
-                            run_one(program, snapshot, share, want_plan)
-                        })) {
-                            *slot = outcome;
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                });
-            budget.executor.scoped(jobs.collect());
-            outcomes
+            budget.executor.map(&programs, |program| {
+                // A program that panics fails alone, as an internal
+                // error, beside its siblings' results.
+                catch_unwind(AssertUnwindSafe(|| {
+                    run_one(program, &snapshot, &share, want_plan)
+                }))
+                .unwrap_or(Err(AlgebraError::Internal {
+                    what: "a query program panicked",
+                }))
+            })
         };
         // -- Commit: a single mutating program replaces the session db --
         if !readonly {

@@ -47,10 +47,11 @@ tabular fmt <program.ta>\n\
 --deadline-ms <N>   fail the run once N milliseconds of wall time pass\n\
 --cell-budget <N>   fail the run once it has produced N cumulative cells\n\
                     (cells per table: (height+1)*(width+1))\n\
-On a trip the run exits with error `<resource> budget exceeded: spent <S> of <L>`\n\
-(or `evaluation cancelled cooperatively`); the error carries the partial\n\
-statistics and trace, which --stats/--trace print with the interrupted span\n\
-marked `← budget tripped`.";
+On a trip the run exits with error `<resource> exceeded: spent <S> of <L>`\n\
+(e.g. `run cell budget exceeded: spent 5200 of 5000`, or `evaluation\n\
+cancelled cooperatively`); the error carries the partial statistics and\n\
+trace, which --stats/--trace print with the interrupted span marked\n\
+`← budget tripped`.";
 
 fn parse_args(args: &[String]) -> Result<(String, Options), String> {
     let mut it = args.iter();
@@ -362,7 +363,7 @@ mod tests {
         .unwrap();
         let err = execute(&cmd, &opts).unwrap_err();
         assert!(
-            err.contains("run cell budget budget exceeded"),
+            err.contains("run cell budget exceeded: spent "),
             "error line:\n{err}"
         );
         assert!(err.contains("-- statistics --"), "partial stats:\n{err}");

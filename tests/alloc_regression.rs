@@ -362,12 +362,13 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
 
     // ------------------------------------------------------------------
     // Guard 8: partitioning a join must not raise peak allocation. The
-    // serial kernel grows its output geometrically row by row (the
-    // counting allocator sees every realloc growth delta, which sum to
-    // roughly the final capacity); the partitioned kernel pre-counts
-    // matches per shard and reserves the extension exactly once before
-    // scattering, so with the pool spawned *before* arming, its armed
-    // byte count must come in at or below the serial run's.
+    // kernel counts the matches of every probe range and reserves the
+    // output extension once, re-probing in the scatter pass instead of
+    // buffering match lists, so with the pool spawned *before* arming a
+    // 4-shard run allocates what the 1-shard run does plus the fan-out's
+    // own bookkeeping: a range, a job and a result slot per range, at
+    // most `RANGE_BOOKKEEPING` bytes for each range beyond the first.
+    // Buffering the 60 000 rows' matches would cost hundreds of KB.
     // ------------------------------------------------------------------
     use tables_paradigm::algebra::ops;
     use tables_paradigm::algebra::pool::Executor;
@@ -394,35 +395,25 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     let pool = Executor::new(4);
     pool.spawn(|| {}); // threads up and idle before arming
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let serial = ops::join(&probe, &build, cols, Symbol::name("T"));
-    ARMED.store(false, Ordering::SeqCst);
-    let serial_bytes = BYTES.load(Ordering::SeqCst);
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    BYTES.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let (partitioned, _report) = ops::join_partitioned(
-        &probe,
-        &build,
-        cols,
-        Symbol::name("T"),
-        &pool,
-        4,
-        &|| Ok(()),
-        &mut |_| Ok(()),
-    )
-    .unwrap();
-    ARMED.store(false, Ordering::SeqCst);
-    let partitioned_bytes = BYTES.load(Ordering::SeqCst);
+    let join = |shards: usize| {
+        ALLOCS.store(0, Ordering::SeqCst);
+        BYTES.store(0, Ordering::SeqCst);
+        ARMED.store(true, Ordering::SeqCst);
+        let counted = ops::JoinProbe::count(&probe, 1, &build, cols, &pool, shards, &|| Ok(()));
+        let counted = counted.unwrap();
+        let mut out = ops::product_header(&probe, &build, Symbol::name("T"));
+        counted.scatter(&mut out, &pool, &|| Ok(())).unwrap();
+        ARMED.store(false, Ordering::SeqCst);
+        (out, BYTES.load(Ordering::SeqCst))
+    };
+    let (serial, serial_bytes) = join(1);
+    let (partitioned, partitioned_bytes) = join(4);
 
     assert_eq!(partitioned, serial, "partitioned join output must match");
+    const RANGE_BOOKKEEPING: usize = 1024;
     assert!(
-        partitioned_bytes <= serial_bytes,
-        "partitioning must not raise peak allocation: the exact pre-sized \
-         resize should undercut serial geometric growth (partitioned \
-         {partitioned_bytes} vs serial {serial_bytes} bytes)"
+        partitioned_bytes <= serial_bytes + 3 * RANGE_BOOKKEEPING,
+        "partitioning must not raise peak allocation (4 shards \
+         {partitioned_bytes} vs 1 shard {serial_bytes} bytes)"
     );
 }

@@ -741,8 +741,8 @@ fn tc_fused_program() -> tables_paradigm::prelude::Program {
 }
 
 /// The delta engine's incremental *partitioned in-place append* commits
-/// through `Database::update_named` with the governor charging per
-/// partition — the engine path with the most partial state in flight
+/// through `Database::update_named` after the governor admitted the
+/// step's whole output — the engine path with the most partial state in flight
 /// when a budget trips. The trip must land after incremental appends
 /// have begun and still degrade into a clean partial report.
 #[test]

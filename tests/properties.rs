@@ -70,18 +70,17 @@ proptest! {
     // Partition-parallel join ≡ serial join, byte for byte.
     // ------------------------------------------------------------------
 
-    /// `join_partitioned` must equal `join` exactly — header, row order,
-    /// row attributes — on arbitrary messy operands (⊥ keys join ⊥ keys,
-    /// duplicated keys fan out, data in attribute positions) for every
-    /// shard count 1..=8 and pool size, with the per-shard row counts
-    /// summing to the output height.
+    /// The join kernel must equal a nested-loop join exactly — header,
+    /// row order, row attributes — on arbitrary messy operands (⊥ keys
+    /// join ⊥ keys, duplicated keys fan out, data in attribute positions)
+    /// for every shard count 1..=8 and pool size, with the per-range row
+    /// counts summing to the output height.
     #[test]
     fn join_partitioned_matches_join_exactly(
         r in arb_table(),
         s in arb_table(),
         kl in 0usize..8,
         kr in 0usize..8,
-        shards in 1usize..=8,
         threads in 1usize..=4,
     ) {
         use tables_paradigm::algebra::pool::Executor;
@@ -91,14 +90,36 @@ proptest! {
             right: 1 + kr % s.width(),
         };
         let name = Symbol::name("T");
-        let serial = ops::join(&r, &s, cols, name);
+        // Reference: every row pair in left-major order, keys compared as
+        // plain symbols, the left-biased row-attribute join.
+        let mut reference = Table::new(name, 0, r.width() + s.width());
+        for j in 1..=r.width() {
+            reference.set(0, j, r.col_attr(j));
+        }
+        for j in 1..=s.width() {
+            reference.set(0, r.width() + j, s.col_attr(j));
+        }
+        for i in 1..=r.height() {
+            for k in 1..=s.height() {
+                if r.get(i, cols.left) == s.get(k, cols.right) {
+                    let attr = r.get(i, 0).join(s.get(k, 0)).unwrap_or_else(|| r.get(i, 0));
+                    let mut row = vec![attr];
+                    row.extend_from_slice(r.data_row(i));
+                    row.extend_from_slice(s.data_row(k));
+                    reference.push_row(row);
+                }
+            }
+        }
         let pool = Executor::new(threads);
-        let (part, report) = ops::join_partitioned(
-            &r, &s, cols, name, &pool, shards, &|| Ok(()), &mut |_| Ok(()),
-        ).unwrap();
-        prop_assert_eq!(&part, &serial, "partitioned join must be byte-identical");
-        prop_assert_eq!(report.iter().map(|p| p.rows).sum::<usize>(), serial.height());
-        prop_assert!(report.len() <= shards);
+        for shards in 1..=8 {
+            let probe = ops::JoinProbe::count(&r, 1, &s, cols, &pool, shards, &|| Ok(())).unwrap();
+            prop_assert_eq!(probe.rows(), reference.height());
+            let mut part = ops::product_header(&r, &s, name);
+            let report = probe.scatter(&mut part, &pool, &|| Ok(())).unwrap();
+            prop_assert_eq!(&part, &reference, "the kernel must be byte-identical at {} shards", shards);
+            prop_assert_eq!(report.iter().map(|p| p.rows).sum::<usize>(), reference.height());
+            prop_assert!(report.len() <= shards);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -470,7 +491,10 @@ proptest! {
         prop_assert_eq!(cols.left, 1);
         prop_assert_eq!(cols.right, 1);
         let name = Symbol::name("T");
-        let fused = ops::join(&r, &s, cols, name);
+        let pool = tables_paradigm::algebra::pool::Executor::new(1);
+        let probe = ops::JoinProbe::count(&r, 1, &s, cols, &pool, 1, &|| Ok(())).unwrap();
+        let mut fused = ops::product_header(&r, &s, name);
+        probe.scatter(&mut fused, &pool, &|| Ok(())).unwrap();
         let pipeline = ops::select(&ops::product(&r, &s, name), ka, kb, name);
         prop_assert_eq!(fused, pipeline);
     }
