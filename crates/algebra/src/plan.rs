@@ -4,8 +4,9 @@
 //! [`plan`] reads table statistics — row/column counts of the store's
 //! tables ([`Catalog::from_database`]) — and applies a catalog of
 //! rule-based rewrites ([`Rule`]) directly to the program's statement
-//! list, deriving cardinality estimates for intermediates ([`Shape`])
-//! as it walks the statements:
+//! list. Every site rule runs on one walk over the statements, which
+//! derives cardinality estimates for intermediates ([`Shape`]) as it goes
+//! and knows, inside a `while` body, which names are read outside it:
 //!
 //! * **copy forwarding** — `s ← op(..); T ← COPY(s)` retargets the
 //!   producer;
@@ -30,10 +31,10 @@
 //! * **restructuring fusion** — contiguous `GROUP → CLEANUP (→ PURGE)`
 //!   chains become [`OpKind::FusedRestructure`];
 //! * **dead-scratch elimination** — unread reserved-name assignments are
-//!   dropped to a fixpoint, *except* the program's final top-level
-//!   assignment, whose target is the program's product even when it
-//!   lives in the reserved namespace (OLAP pivots write through reserved
-//!   output names).
+//!   dropped to a fixpoint over the whole program, *except* the
+//!   program's final top-level assignment, whose target is the program's
+//!   product even when it lives in the reserved namespace (OLAP pivots
+//!   write through reserved output names).
 //!
 //! # Soundness
 //!
@@ -41,6 +42,14 @@
 //! differential oracles check (canonical forms after fresh-tag
 //! renumbering); most are byte-identical on the visible store:
 //!
+//! * A rule rewrites an intermediate away only when it is **single-use**:
+//!   a reserved-namespace name read exactly once in the statement list
+//!   being walked and nowhere outside it — not after an enclosing loop,
+//!   not in an enclosing loop's condition, not elsewhere in an enclosing
+//!   body. Reserved names are reachable from the textual syntax (a quoted
+//!   name may hold the tag character), so a program may well read a
+//!   scratch after the loop that writes it. One function decides this
+//!   for every rule.
 //! * Pushdown through `PRODUCT` is byte-identical: when no `A`- or
 //!   `B`-named column lies on the other operand, a product row's entry
 //!   sets under `A`/`B` equal the contributing operand row's entry sets,
@@ -82,11 +91,11 @@ use std::collections::HashMap;
 use tabular_core::{interner, Database, Symbol, SymbolSet};
 
 /// True if the symbol lives in the reserved scratch namespace.
-pub(crate) fn is_scratch(s: Symbol) -> bool {
+fn is_scratch(s: Symbol) -> bool {
     s.text().is_some_and(interner::is_reserved)
 }
 
-pub(crate) fn ground(p: &Param) -> Option<Symbol> {
+fn ground(p: &Param) -> Option<Symbol> {
     p.as_ground()
 }
 
@@ -191,8 +200,27 @@ impl Shape {
     /// The grid-cell count `(rows+1) × (cols+1)` — the cost unit the
     /// planner minimizes, matching what the governor charges per table.
     pub fn cells(&self) -> u128 {
-        (self.rows as u128 + 1) * (self.cols as u128 + 1)
+        cells_of(self.rows as u128, self.cols)
     }
+}
+
+/// Grid-cell cost of a `rows × cols` data region (attribute row/column
+/// included), saturating — the one cell count every estimate uses.
+fn cells_of(rows: u128, cols: usize) -> u128 {
+    rows.saturating_add(1).saturating_mul(cols as u128 + 1)
+}
+
+/// Estimated output rows of `SELECT[A=B]` over `rows` input rows.
+fn est_select_rows(rows: u128) -> u128 {
+    (rows / 4).max(rows.min(1))
+}
+
+/// Estimated output rows of a fused join over a `product`-row cross
+/// product whose larger operand has `larger` rows: the textbook
+/// `|R|·|S| / max(V(A,R), V(B,S))` with distinct-counts approximated by
+/// the row counts.
+fn est_join_rows(product: u128, larger: u128) -> u128 {
+    product / larger.max(1)
 }
 
 /// Statistics for one table name, read from the store or derived for an
@@ -207,18 +235,6 @@ pub struct TableStats {
     /// True iff every row attribute is provably ⊥ (`false` means
     /// "unknown or has named rows" — the conservative reading).
     pub null_row_attrs: bool,
-}
-
-/// Estimated output rows of `SELECT[A=B]` over `rows` input rows.
-fn est_select_rows(rows: usize) -> usize {
-    (rows / 4).max(rows.min(1))
-}
-
-/// Estimated output rows of a fused join of `rl × rr` rows: the textbook
-/// `|R|·|S| / max(V(A,R), V(B,S))` with distinct-counts approximated by
-/// the row counts.
-fn est_join_rows(rl: usize, rr: usize) -> usize {
-    rl.saturating_mul(rr) / rl.max(rr).max(1)
 }
 
 /// Table statistics read once from a [`Database`]: per-name row/column
@@ -290,14 +306,6 @@ impl<'a> Env<'a> {
         }
     }
 
-    fn invalidate(&mut self, name: Symbol) {
-        self.known.insert(name, None);
-    }
-
-    fn set(&mut self, name: Symbol, stats: TableStats) {
-        self.known.insert(name, Some(stats));
-    }
-
     /// Record a statement's effect: derive statistics for its target when
     /// the op admits a derivation, invalidate otherwise; a `while`
     /// invalidates everything its body writes (the loop may run any
@@ -308,16 +316,14 @@ impl<'a> Env<'a> {
                 let Some(target) = ground(&a.target) else {
                     return;
                 };
-                match derive_stats(self, a) {
-                    Some(st) => self.set(target, st),
-                    None => self.invalidate(target),
-                }
+                let stats = derive_stats(self, a);
+                self.known.insert(target, stats);
             }
             Statement::While { body, .. } => {
                 let mut w = SymbolSet::new();
                 write_set(body, &mut w);
                 for n in w.iter() {
-                    self.invalidate(n);
+                    self.known.insert(n, None);
                 }
             }
         }
@@ -338,7 +344,9 @@ fn derive_stats(env: &Env<'_>, a: &Assignment) -> Option<TableStats> {
             let (rows, exact) = match &a.op {
                 OpKind::FusedJoin { a, b } => {
                     a.as_ground().and(b.as_ground())?;
-                    (est_join_rows(xs.rows, ys.rows), false)
+                    let product = xs.rows.saturating_mul(ys.rows) as u128;
+                    let larger = xs.rows.max(ys.rows) as u128;
+                    (est_join_rows(product, larger) as usize, false)
                 }
                 OpKind::Union => (xs.rows.saturating_add(ys.rows), xs.exact && ys.exact),
                 _ => (xs.rows.saturating_mul(ys.rows), xs.exact && ys.exact),
@@ -358,7 +366,7 @@ fn derive_stats(env: &Env<'_>, a: &Assignment) -> Option<TableStats> {
             let x = arg(0)?;
             Some(TableStats {
                 shape: Shape {
-                    rows: est_select_rows(x.shape.rows),
+                    rows: est_select_rows(x.shape.rows as u128) as usize,
                     cols: x.shape.cols,
                     exact: x.shape.rows == 0,
                 },
@@ -524,73 +532,109 @@ fn plan_with_catalog(
     rules: &[Rule],
 ) -> (Program, PlanReport) {
     let mut report = PlanReport::default();
-    let mut live = SymbolSet::new();
-    if read_set(&program.statements, &mut live).is_none() {
+    if read_set(&program.statements, &mut SymbolSet::new()).is_none() {
         return (program.clone(), report);
     }
     let mut out = program.clone();
     for &rule in rules {
-        match rule {
-            Rule::ForwardCopy => forward_copies_in(&mut out.statements, &mut report),
-            Rule::PushdownSelect => {
-                pushdown_in(&mut out.statements, &mut Env::new(catalog), &mut report);
+        let site_rule: SiteRule = match rule {
+            Rule::ForwardCopy => forward_copy,
+            Rule::PushdownSelect => pushdown_select,
+            Rule::ReorderJoins => reorder_joins,
+            Rule::FuseJoin => fuse_join,
+            Rule::SinkRestructure => sink_restructure,
+            Rule::FuseRestructure => fuse_restructure,
+            Rule::EliminateDead => {
+                eliminate_dead(&mut out.statements, &mut report);
+                continue;
             }
-            Rule::ReorderJoins => {
-                reorder_in(&mut out.statements, &mut Env::new(catalog), &mut report);
-            }
-            Rule::FuseJoin => {
-                fuse_joins_in(&mut out.statements, &mut Env::new(catalog), &mut report);
-            }
-            Rule::SinkRestructure => sink_in(&mut out.statements, &mut report),
-            Rule::FuseRestructure => fuse_restructure_in(&mut out.statements, &mut report),
-            Rule::EliminateDead => eliminate_dead_in(&mut out.statements, &mut report),
-        }
+        };
+        let mut ctx = Ctx {
+            env: Env::new(catalog),
+            report: &mut report,
+            outer: SymbolSet::new(),
+        };
+        walk(&mut out.statements, &mut ctx, site_rule);
     }
     (out, report)
 }
 
 // ---------------------------------------------------------------------------
-// The statistics-threaded walk
+// The rewrite walk
 // ---------------------------------------------------------------------------
 
-/// A site-rewrite callback for [`walk_stats`]: given the statement list,
-/// the current index, the statistics environment, and the report, fire at
-/// most one rewrite and say whether anything changed.
-type RewriteFn<'a> =
-    dyn FnMut(&mut Vec<Statement>, usize, &mut Env<'_>, &mut PlanReport) -> bool + 'a;
+/// What a site rule sees besides the statements: the statistics at the
+/// current program point, the report, and the names read outside the
+/// segment being walked.
+struct Ctx<'a> {
+    env: Env<'a>,
+    report: &'a mut PlanReport,
+    /// Every name read outside the current segment: by another statement
+    /// of an enclosing segment (before or after the loop) or as an
+    /// enclosing loop's condition. Empty at the top level.
+    outer: SymbolSet,
+}
 
-/// Walk a statement list with the statistics environment: at each index,
-/// try a rewrite (re-examining the site when one fires), recurse into
-/// `while` bodies with loop-written names invalidated (before *and*
-/// after — mid-loop derivations hold per iteration, but not at exit),
-/// and record each assignment's derived statistics.
-fn walk_stats(
-    stmts: &mut Vec<Statement>,
-    env: &mut Env<'_>,
-    report: &mut PlanReport,
-    try_rewrite: &mut RewriteFn<'_>,
-) {
+/// A site rule: fire at most one rewrite at `stmts[i]` and say whether
+/// anything changed (the walk then re-examines the same index).
+type SiteRule = fn(&mut Vec<Statement>, usize, &mut Ctx<'_>) -> bool;
+
+/// The one rewrite walk, shared by every site rule. At each index it
+/// tries the rule, then records the statement's effect on the
+/// statistics. A `while` body is walked with the loop-written names
+/// invalidated before *and* after (mid-loop derivations hold per
+/// iteration, but not at exit) and with the names read outside the body
+/// — the loop condition and every other statement of the segment — added
+/// to [`Ctx::outer`].
+fn walk(stmts: &mut Vec<Statement>, ctx: &mut Ctx<'_>, rule: SiteRule) {
     let mut i = 0;
     while i < stmts.len() {
-        if try_rewrite(stmts, i, env, report) {
+        if rule(stmts, i, ctx) {
             continue;
         }
-        if matches!(stmts[i], Statement::While { .. }) {
-            if let Statement::While { body, .. } = &mut stmts[i] {
-                let mut w = SymbolSet::new();
-                write_set(body, &mut w);
-                for n in w.iter() {
-                    env.invalidate(n);
-                }
-                walk_stats(body, env, report, try_rewrite);
-                for n in w.iter() {
-                    env.invalidate(n);
-                }
-            }
-        } else {
-            env.note(&stmts[i]);
+        ctx.env.note(&stmts[i]);
+        let (before, rest) = stmts.split_at_mut(i);
+        if let Some((Statement::While { cond, body }, after)) = rest.split_first_mut() {
+            let mut outer = ctx.outer.clone();
+            outer.insert(ground(cond).expect("checked ground"));
+            read_set(before, &mut outer);
+            read_set(after, &mut outer);
+            let enclosing = std::mem::replace(&mut ctx.outer, outer);
+            walk(body, ctx, rule);
+            ctx.outer = enclosing;
+            ctx.env.note(&stmts[i]);
         }
         i += 1;
+    }
+}
+
+/// The single-use test, the only place that decides whether a rule may
+/// rewrite a scratch away: `s` is a reserved name read exactly once in
+/// the segment and nowhere outside it.
+fn single_use(stmts: &[Statement], s: Symbol, ctx: &Ctx<'_>) -> bool {
+    is_scratch(s) && count_reads(stmts, s) == 1 && !ctx.outer.contains(s)
+}
+
+/// The scratch `producer` pipes into `consumer`: its target is the
+/// consumer's only argument and [`single_use`].
+fn piped(
+    stmts: &[Statement],
+    ctx: &Ctx<'_>,
+    producer: &Assignment,
+    consumer: &Assignment,
+) -> Option<Symbol> {
+    let s = ground(&producer.target)?;
+    let [arg] = consumer.args.as_slice() else {
+        return None;
+    };
+    (arg.as_ground() == Some(s) && single_use(stmts, s, ctx)).then_some(s)
+}
+
+/// The assignments at `i` and `i + 1`.
+fn pair(stmts: &[Statement], i: usize) -> Option<(&Assignment, &Assignment)> {
+    match (stmts.get(i)?, stmts.get(i + 1)?) {
+        (Statement::Assign(p), Statement::Assign(c)) => Some((p, c)),
+        _ => None,
     }
 }
 
@@ -598,53 +642,29 @@ fn walk_stats(
 // Rule: forward-copy
 // ---------------------------------------------------------------------------
 
-fn forward_copies_in(stmts: &mut Vec<Statement>, report: &mut PlanReport) {
-    let mut i = 1;
-    while i < stmts.len() {
-        let fusable = {
-            let (head, tail) = stmts.split_at(i);
-            match (head.last().expect("i >= 1"), &tail[0]) {
-                (Statement::Assign(p), Statement::Assign(c)) => {
-                    let produced = p.target.as_ground();
-                    let copied = match (&c.op, c.args.as_slice()) {
-                        (OpKind::Copy, [arg]) => arg.as_ground(),
-                        _ => None,
-                    };
-                    match (produced, copied) {
-                        (Some(s), Some(src))
-                            if s == src && is_scratch(s) && count_reads(stmts, s) == 1 =>
-                        {
-                            Some((c.target.clone(), s))
-                        }
-                        _ => None,
-                    }
-                }
-                _ => None,
-            }
-        };
-        if let Some((new_target, s)) = fusable {
-            if let Statement::Assign(Assignment { target, .. }) = &mut stmts[i - 1] {
-                *target = new_target;
-            }
-            stmts.remove(i);
-            report.note(
-                Rule::ForwardCopy,
-                site_name(s),
-                "retargeted producer over single-use scratch copy",
-                None,
-                None,
-                1,
-            );
-        } else {
-            if let Statement::While { body, .. } = &mut stmts[i] {
-                forward_copies_in(body, report);
-            }
-            i += 1;
-        }
+/// `s ← op(..); T ← COPY(s)` at `i` with `s` single-use: the producer
+/// writes `T` and the copy goes.
+fn forward_copy(stmts: &mut Vec<Statement>, i: usize, ctx: &mut Ctx<'_>) -> bool {
+    let Some((p, c)) = pair(stmts, i).filter(|(_, c)| matches!(c.op, OpKind::Copy)) else {
+        return false;
+    };
+    let Some(s) = piped(stmts, ctx, p, c) else {
+        return false;
+    };
+    let target = c.target.clone();
+    stmts.remove(i + 1);
+    if let Statement::Assign(p) = &mut stmts[i] {
+        p.target = target;
     }
-    if let Some(Statement::While { body, .. }) = stmts.first_mut() {
-        forward_copies_in(body, report);
-    }
+    ctx.report.note(
+        Rule::ForwardCopy,
+        site_name(s),
+        "retargeted producer over single-use scratch copy",
+        None,
+        None,
+        1,
+    );
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -652,54 +672,44 @@ fn forward_copies_in(stmts: &mut Vec<Statement>, report: &mut PlanReport) {
 // ---------------------------------------------------------------------------
 
 /// Does the `(i, i+1)` pair form `s ← op(..); t ← SELECT[a=b](s)` with `s`
-/// a ground single-read scratch and `a`, `b` ground? Returns the ground
-/// scratch and selection attributes.
-fn select_over_scratch(stmts: &[Statement], i: usize) -> Option<(Symbol, Symbol, Symbol)> {
-    let (Statement::Assign(p), Statement::Assign(c)) = (stmts.get(i)?, stmts.get(i + 1)?) else {
-        return None;
-    };
+/// single-use and `a`, `b` ground? Returns the pair and the selection
+/// attributes.
+fn select_over_scratch<'s>(
+    stmts: &'s [Statement],
+    i: usize,
+    ctx: &Ctx<'_>,
+) -> Option<(&'s Assignment, &'s Assignment, Symbol, Symbol)> {
+    let (p, c) = pair(stmts, i)?;
     let OpKind::Select { a, b } = &c.op else {
         return None;
     };
     let (sa, sb) = (a.as_ground()?, b.as_ground()?);
-    let s = ground(&p.target)?;
-    let [arg] = c.args.as_slice() else {
-        return None;
-    };
-    if arg.as_ground() != Some(s) || !is_scratch(s) || count_reads(stmts, s) != 1 {
-        return None;
-    }
-    Some((s, sa, sb))
+    piped(stmts, ctx, p, c)?;
+    Some((p, c, sa, sb))
 }
 
 fn scheme_has(attrs: &[Symbol], a: Symbol, b: Symbol) -> bool {
     attrs.iter().any(|&x| x == a || x == b)
 }
 
-fn pushdown_at(
-    stmts: &mut Vec<Statement>,
-    i: usize,
-    env: &mut Env<'_>,
-    report: &mut PlanReport,
-) -> bool {
-    let Some((_, sa, sb)) = select_over_scratch(stmts, i) else {
+fn pushdown_select(stmts: &mut Vec<Statement>, i: usize, ctx: &mut Ctx<'_>) -> bool {
+    let Some((p, c, sa, sb)) = select_over_scratch(stmts, i, ctx) else {
         return false;
     };
-    let (Statement::Assign(p), Statement::Assign(c)) = (&stmts[i], &stmts[i + 1]) else {
-        unreachable!("checked by select_over_scratch");
-    };
     let site = ground(&c.target).map(site_name).unwrap_or_default();
-    let OpKind::Select { a: pa, b: pb } = c.op.clone() else {
-        unreachable!("checked by select_over_scratch");
+    let before = derive_stats(&ctx.env, p).map(|t| t.shape.cells());
+    let filter = |f: Symbol, arg: &Param| {
+        Statement::Assign(Assignment {
+            target: Param::sym(f),
+            op: c.op.clone(),
+            args: vec![arg.clone()],
+        })
     };
-    let before = derive_stats(env, p).map(|t| t.shape.cells());
-    match &p.op {
-        OpKind::Product => {
-            let [px, py] = p.args.as_slice() else {
-                return false;
+    let (new, detail) = match (&p.op, p.args.as_slice()) {
+        (OpKind::Product, [px, py]) => {
+            let attrs_of = |arg: &Param| -> Option<Vec<Symbol>> {
+                ctx.env.stats(ground(arg)?)?.col_attrs.clone()
             };
-            let attrs_of =
-                |arg: &Param| -> Option<Vec<Symbol>> { env.stats(ground(arg)?)?.col_attrs.clone() };
             // Push into the operand that provably holds *all* columns named
             // `a` or `b` — i.e. the other operand has none of either.
             let side = if attrs_of(py).is_some_and(|ys| !scheme_has(&ys, sa, sb)) {
@@ -710,66 +720,39 @@ fn pushdown_at(
                 return false;
             };
             let f = Symbol::fresh_name();
-            let filter = Statement::Assign(Assignment {
-                target: Param::sym(f),
-                op: OpKind::Select { a: pa, b: pb },
-                args: vec![p.args[side].clone()],
-            });
-            let mut prod_args = p.args.clone();
-            prod_args[side] = Param::sym(f);
+            let mut args = p.args.clone();
+            args[side] = Param::sym(f);
             let product = Statement::Assign(Assignment {
                 target: c.target.clone(),
                 op: OpKind::Product,
-                args: prod_args,
+                args,
             });
-            report.note(
-                Rule::PushdownSelect,
-                site,
+            (
+                vec![filter(f, &p.args[side]), product],
                 format!(
                     "pushed SELECT[{sa}={sb}] below PRODUCT into {} operand",
                     if side == 0 { "left" } else { "right" }
                 ),
-                before,
-                None,
-                2,
-            );
-            stmts.splice(i..i + 2, [filter, product]);
-            true
+            )
         }
-        OpKind::Union => {
-            let [px, py] = p.args.as_slice() else {
-                return false;
-            };
+        (OpKind::Union, [px, py]) => {
             let (f1, f2) = (Symbol::fresh_name(), Symbol::fresh_name());
-            let filter = |f: Symbol, arg: &Param| {
-                Statement::Assign(Assignment {
-                    target: Param::sym(f),
-                    op: OpKind::Select {
-                        a: pa.clone(),
-                        b: pb.clone(),
-                    },
-                    args: vec![arg.clone()],
-                })
-            };
             let union = Statement::Assign(Assignment {
                 target: c.target.clone(),
                 op: OpKind::Union,
                 args: vec![Param::sym(f1), Param::sym(f2)],
             });
-            let new = [filter(f1, px), filter(f2, py), union];
-            report.note(
-                Rule::PushdownSelect,
-                site,
+            (
+                vec![filter(f1, px), filter(f2, py), union],
                 format!("distributed SELECT[{sa}={sb}] into both UNION branches"),
-                before,
-                None,
-                2,
-            );
-            stmts.splice(i..i + 2, new);
-            true
+            )
         }
-        _ => false,
-    }
+        _ => return false,
+    };
+    ctx.report
+        .note(Rule::PushdownSelect, site, detail, before, None, 2);
+    stmts.splice(i..i + 2, new);
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -790,37 +773,26 @@ fn occurrence_split(a: Symbol, b: Symbol, left: &[Symbol], right: &[Symbol]) -> 
     a != b && (occ == (1, 0, 0, 1) || occ == (0, 1, 1, 0))
 }
 
-fn fuse_join_at(
-    stmts: &mut Vec<Statement>,
-    i: usize,
-    env: &mut Env<'_>,
-    report: &mut PlanReport,
-) -> bool {
-    let Some((_, sa, sb)) = select_over_scratch(stmts, i) else {
+fn fuse_join(stmts: &mut Vec<Statement>, i: usize, ctx: &mut Ctx<'_>) -> bool {
+    let Some((p, c, sa, sb)) = select_over_scratch(stmts, i, ctx) else {
         return false;
-    };
-    let (Statement::Assign(p), Statement::Assign(c)) = (&stmts[i], &stmts[i + 1]) else {
-        unreachable!("checked by select_over_scratch");
     };
     if !matches!(p.op, OpKind::Product) {
         return false;
     }
-    let OpKind::Select { a: pa, b: pb } = c.op.clone() else {
-        unreachable!("checked by select_over_scratch");
-    };
     let site = ground(&c.target).map(site_name).unwrap_or_default();
-    let stats_of = |arg: &Param| -> Option<(Shape, Vec<Symbol>)> {
-        let t = env.stats(ground(arg)?)?;
-        Some((t.shape, t.col_attrs.clone()?))
+    let stats_of = |arg: &Param| -> Option<(usize, Vec<Symbol>)> {
+        let t = ctx.env.stats(ground(arg)?)?;
+        Some((t.shape.rows, t.col_attrs.clone()?))
     };
     let (mut before, mut after) = (None, None);
     if let [px, py] = p.args.as_slice() {
-        if let (Some((xs, xa)), Some((ys, ya))) = (stats_of(px), stats_of(py)) {
+        if let (Some((xr, xa)), Some((yr, ya))) = (stats_of(px), stats_of(py)) {
             if !occurrence_split(sa, sb, &xa, &ya) {
                 // Statistics prove the kernel condition fails: the fused
                 // form would fall back to the staged pipeline anyway, so
                 // keep the materialized product (and say so in the plan).
-                report.note(
+                ctx.report.note(
                     Rule::FuseJoin,
                     site,
                     format!("kept PRODUCT+SELECT materialized: [{sa}={sb}] does not split across operands"),
@@ -831,16 +803,20 @@ fn fuse_join_at(
                 return false;
             }
             let cols = xa.len() + ya.len();
-            before = Some(cells_of(xs.rows.saturating_mul(ys.rows) as u128, cols));
-            after = Some(cells_of(est_join_rows(xs.rows, ys.rows) as u128, cols));
+            let product = xr.saturating_mul(yr) as u128;
+            before = Some(cells_of(product, cols));
+            after = Some(cells_of(est_join_rows(product, xr.max(yr) as u128), cols));
         }
     }
-    let fused = Assignment {
-        target: c.target.clone(),
-        op: OpKind::FusedJoin { a: pa, b: pb },
-        args: p.args.clone(),
+    let OpKind::Select { a, b } = c.op.clone() else {
+        unreachable!("checked by select_over_scratch");
     };
-    report.note(
+    let fused = Statement::Assign(Assignment {
+        target: c.target.clone(),
+        op: OpKind::FusedJoin { a, b },
+        args: p.args.clone(),
+    });
+    ctx.report.note(
         Rule::FuseJoin,
         site,
         match before {
@@ -853,31 +829,8 @@ fn fuse_join_at(
         after,
         2,
     );
-    stmts[i] = Statement::Assign(fused);
-    stmts.remove(i + 1);
+    stmts.splice(i..i + 2, [fused]);
     true
-}
-
-/// Grid-cell cost of a `rows × cols` data region (attribute row/column
-/// included), saturating.
-fn cells_of(rows: u128, cols: usize) -> u128 {
-    rows.saturating_add(1).saturating_mul(cols as u128 + 1)
-}
-
-fn pushdown_in(stmts: &mut Vec<Statement>, env: &mut Env<'_>, report: &mut PlanReport) {
-    walk_stats(stmts, env, report, &mut |s, i, e, r| {
-        pushdown_at(s, i, e, r)
-    });
-}
-
-fn fuse_joins_in(stmts: &mut Vec<Statement>, env: &mut Env<'_>, report: &mut PlanReport) {
-    walk_stats(stmts, env, report, &mut |s, i, e, r| {
-        fuse_join_at(s, i, e, r)
-    });
-}
-
-fn reorder_in(stmts: &mut Vec<Statement>, env: &mut Env<'_>, report: &mut PlanReport) {
-    walk_stats(stmts, env, report, &mut |s, i, e, r| reorder_at(s, i, e, r));
 }
 
 // ---------------------------------------------------------------------------
@@ -895,7 +848,7 @@ struct Leaf {
 
 /// A detected left-deep product chain: `stmts[i..end]` computes the
 /// product of `leaves` (optionally followed by a closing `SELECT`) into
-/// `final_target`, with every intermediate a single-read ground scratch.
+/// `final_target`, with every intermediate a single-use scratch.
 struct Chain {
     end: usize,
     leaves: Vec<Leaf>,
@@ -903,7 +856,7 @@ struct Chain {
     final_target: Param,
 }
 
-fn detect_chain(stmts: &[Statement], i: usize, env: &Env<'_>) -> Option<Chain> {
+fn detect_chain(stmts: &[Statement], i: usize, ctx: &Ctx<'_>) -> Option<Chain> {
     let Statement::Assign(first) = stmts.get(i)? else {
         return None;
     };
@@ -911,7 +864,7 @@ fn detect_chain(stmts: &[Statement], i: usize, env: &Env<'_>) -> Option<Chain> {
         return None;
     }
     let s0 = ground(&first.target)?;
-    if !is_scratch(s0) || count_reads(stmts, s0) != 1 {
+    if !single_use(stmts, s0, ctx) {
         return None;
     }
     let mut leaf_params = vec![first.args[0].clone(), first.args[1].clone()];
@@ -935,7 +888,7 @@ fn detect_chain(stmts: &[Statement], i: usize, env: &Env<'_>) -> Option<Chain> {
         leaf_params.push(a.args[1].clone());
         last_target = a.target.clone();
         j += 1;
-        if is_scratch(t) && count_reads(stmts, t) == 1 {
+        if single_use(stmts, t, ctx) {
             prev = t;
         } else {
             closed = true;
@@ -968,7 +921,7 @@ fn detect_chain(stmts: &[Statement], i: usize, env: &Env<'_>) -> Option<Chain> {
     let mut leaves = Vec::with_capacity(leaf_params.len());
     let mut named = 0usize;
     for p in leaf_params {
-        let st = env.stats(ground(&p)?)?;
+        let st = ctx.env.stats(ground(&p)?)?;
         if !st.shape.exact {
             return None;
         }
@@ -999,11 +952,6 @@ fn product_rows(leaves: &[Leaf]) -> u128 {
     leaves.iter().fold(1, |rows, l| rows.saturating_mul(l.rows))
 }
 
-/// Estimated cells of materializing the product of `leaves`.
-fn product_cells(leaves: &[Leaf]) -> u128 {
-    cells_of(product_rows(leaves), leaves.iter().map(|l| l.cols).sum())
-}
-
 /// Column attributes of the product of `leaves`, in column order.
 fn product_attrs(leaves: &[Leaf]) -> Vec<Symbol> {
     leaves
@@ -1018,17 +966,16 @@ fn splits(select: Option<(Symbol, Symbol)>, left: &[Leaf], right: &[Leaf]) -> bo
     select.is_some_and(|(a, b)| occurrence_split(a, b, &product_attrs(left), &product_attrs(right)))
 }
 
-/// Estimated cells of the chain's last join `left × right`, carrying the
-/// closing selection (costed as a fused join where [`splits`] holds).
-fn root_cost(left: &[Leaf], right: &[Leaf], select: Option<(Symbol, Symbol)>) -> u128 {
+/// Estimated cells of the join `left × right`, carrying `select` when
+/// it closes the chain (costed as a fused join where [`splits`] holds).
+fn join_cost(left: &[Leaf], right: &[Leaf], select: Option<(Symbol, Symbol)>) -> u128 {
     let (l, r) = (product_rows(left), product_rows(right));
     let rows = l.saturating_mul(r);
     let cols = left.iter().chain(right).map(|x| x.cols).sum();
     if splits(select, left, right) {
-        cells_of(rows / l.max(r).max(1), cols)
+        cells_of(est_join_rows(rows, l.max(r)), cols)
     } else if select.is_some() {
-        let sel_rows = (rows / 4).max(rows.min(1));
-        cells_of(rows, cols).saturating_add(cells_of(sel_rows, cols))
+        cells_of(rows, cols).saturating_add(cells_of(est_select_rows(rows), cols))
     } else {
         cells_of(rows, cols)
     }
@@ -1042,15 +989,12 @@ fn bracket(leaves: &[Leaf], select: Option<(Symbol, Symbol)>) -> Vec<Vec<(u128, 
     let n = leaves.len();
     let mut best = vec![vec![(0u128, 0usize); n]; n];
     for len in 2..=n {
+        let select = if len == n { select } else { None };
         for i in 0..=n - len {
             let j = i + len - 1;
             best[i][j] = (i..j)
                 .map(|k| {
-                    let own = if len == n {
-                        root_cost(&leaves[..=k], &leaves[k + 1..], select)
-                    } else {
-                        product_cells(&leaves[i..=j])
-                    };
+                    let own = join_cost(&leaves[i..=k], &leaves[k + 1..=j], select);
                     let below = best[i][k].0.saturating_add(best[k + 1][j].0);
                     (below.saturating_add(own), k)
                 })
@@ -1090,13 +1034,8 @@ fn emit_bracket(
     (t, format!("({l} ⋈ {r})"))
 }
 
-fn reorder_at(
-    stmts: &mut Vec<Statement>,
-    i: usize,
-    env: &mut Env<'_>,
-    report: &mut PlanReport,
-) -> bool {
-    let Some(chain) = detect_chain(stmts, i, env) else {
+fn reorder_joins(stmts: &mut Vec<Statement>, i: usize, ctx: &mut Ctx<'_>) -> bool {
+    let Some(chain) = detect_chain(stmts, i, ctx) else {
         return false;
     };
     let leaves = &chain.leaves;
@@ -1108,10 +1047,12 @@ fn reorder_at(
         )
     });
     // The written chain is the left-deep bracketing.
-    let written = (2..n).map(|j| product_cells(&leaves[..j])).fold(
-        root_cost(&leaves[..n - 1], &leaves[n - 1..], sel_syms),
-        u128::saturating_add,
-    );
+    let written = (2..=n)
+        .map(|j| {
+            let select = if j == n { sel_syms } else { None };
+            join_cost(&leaves[..j - 1], &leaves[j - 1..j], select)
+        })
+        .fold(0, u128::saturating_add);
     let best = bracket(leaves, sel_syms);
     let (best_cost, k) = best[0][n - 1];
     if best_cost >= written {
@@ -1160,7 +1101,7 @@ fn reorder_at(
     let site = ground(&chain.final_target)
         .map(site_name)
         .unwrap_or_default();
-    report.note(
+    ctx.report.note(
         Rule::ReorderJoins,
         site,
         format!("re-associated {n}-way product chain as {l} ⋈ {r}"),
@@ -1176,230 +1117,144 @@ fn reorder_at(
 // Rule: sink-restructure
 // ---------------------------------------------------------------------------
 
-/// Find a `CLEANUP`/`PURGE` consumer separated from its single-read
-/// scratch producer by independent rigid assignments; returns
-/// `(producer, consumer)` indices.
-fn find_sink(stmts: &[Statement]) -> Option<(usize, usize)> {
-    for i in 0..stmts.len() {
-        let Statement::Assign(p) = &stmts[i] else {
-            continue;
-        };
-        let wants_cleanup = match &p.op {
-            OpKind::Group { .. } => true,
-            OpKind::CleanUp { .. } => false,
-            _ => continue,
-        };
-        let Some(s) = ground(&p.target) else {
-            continue;
-        };
-        if !is_scratch(s) || count_reads(stmts, s) != 1 {
-            continue;
-        }
-        // Locate the single read of `s` at this level, past at least one
-        // intervening statement.
-        let Some(j) = stmts[i + 1..]
-            .iter()
-            .position(|st| count_reads(std::slice::from_ref(st), s) > 0)
-            .map(|off| i + 1 + off)
-        else {
-            continue;
-        };
-        if j == i + 1 {
-            continue; // already adjacent: fusion's job
-        }
-        let Statement::Assign(c) = &stmts[j] else {
-            continue; // the read is a `while` condition or inside a body
-        };
-        let shape_ok = match (&c.op, wants_cleanup) {
-            (OpKind::CleanUp { by, on }, true) => by.is_rigid() && on.is_rigid(),
-            (OpKind::Purge { on, by }, false) => on.is_rigid() && by.is_rigid(),
-            _ => false,
-        };
-        let Some(tc) = ground(&c.target) else {
-            continue;
-        };
-        if !shape_ok || c.args.len() != 1 {
-            continue;
-        }
-        // Every intervening statement must be a rigid ground assignment
-        // independent of the consumer: it neither reads nor writes the
-        // consumer's target, doesn't write the piped scratch, and can
-        // only fail on resource limits (so moving the consumer across it
-        // shifts at most a budget trip point).
-        let independent = stmts[i + 1..j].iter().all(|st| {
-            let Statement::Assign(m) = st else {
-                return false;
-            };
-            if matches!(m.op, OpKind::TupleNew { .. } | OpKind::SetNew { .. }) {
-                return false;
-            }
-            let Some(mt) = ground(&m.target) else {
-                return false;
-            };
-            mt != tc
-                && mt != s
-                && m.args.iter().all(|a| ground(a).is_some_and(|n| n != tc))
-                && op_params(&m.op).iter().all(|p| p.is_rigid())
-        });
-        if independent {
-            return Some((i, j));
-        }
+/// A `GROUP` (`CLEANUP`) at `i` whose single-use scratch is read by a
+/// `CLEANUP` (`PURGE`) later in the segment, separated from it only by
+/// independent rigid assignments: sink the reader next to its producer.
+fn sink_restructure(stmts: &mut Vec<Statement>, i: usize, ctx: &mut Ctx<'_>) -> bool {
+    let Some(Statement::Assign(p)) = stmts.get(i) else {
+        return false;
+    };
+    let wants_cleanup = match &p.op {
+        OpKind::Group { .. } => true,
+        OpKind::CleanUp { .. } => false,
+        _ => return false,
+    };
+    let Some(s) = ground(&p.target).filter(|&s| single_use(stmts, s, ctx)) else {
+        return false;
+    };
+    // Locate the single read of `s` at this level, past at least one
+    // intervening statement.
+    let Some(j) = stmts[i + 1..]
+        .iter()
+        .position(|st| count_reads(std::slice::from_ref(st), s) > 0)
+        .map(|off| i + 1 + off)
+    else {
+        return false;
+    };
+    if j == i + 1 {
+        return false; // already adjacent: fusion's job
     }
-    None
-}
-
-fn sink_in(stmts: &mut Vec<Statement>, report: &mut PlanReport) {
-    let mut fuel = stmts.len().saturating_mul(stmts.len()) + 8;
-    while fuel > 0 {
-        fuel -= 1;
-        let Some((i, j)) = find_sink(stmts) else {
-            break;
+    let Statement::Assign(c) = &stmts[j] else {
+        return false; // the read is a `while` condition or inside a body
+    };
+    let shape_ok = match (&c.op, wants_cleanup) {
+        (OpKind::CleanUp { by, on }, true) => by.is_rigid() && on.is_rigid(),
+        (OpKind::Purge { on, by }, false) => on.is_rigid() && by.is_rigid(),
+        _ => false,
+    };
+    let Some(tc) = ground(&c.target) else {
+        return false;
+    };
+    if !shape_ok || c.args.len() != 1 {
+        return false;
+    }
+    // Every intervening statement must be a rigid ground assignment
+    // independent of the consumer: it neither reads nor writes the
+    // consumer's target, doesn't write the piped scratch, and can
+    // only fail on resource limits (so moving the consumer across it
+    // shifts at most a budget trip point).
+    let independent = stmts[i + 1..j].iter().all(|st| {
+        let Statement::Assign(m) = st else {
+            return false;
         };
-        let c = stmts.remove(j);
-        if let Statement::Assign(a) = &c {
-            let site = ground(&a.target).map(site_name).unwrap_or_default();
-            report.note(
-                Rule::SinkRestructure,
-                site,
-                format!(
-                    "sank {} next to its producer across {} independent statements",
-                    a.op.keyword(),
-                    j - i - 1
-                ),
-                None,
-                None,
-                1,
-            );
+        if matches!(m.op, OpKind::TupleNew { .. } | OpKind::SetNew { .. }) {
+            return false;
         }
-        stmts.insert(i + 1, c);
+        let Some(mt) = ground(&m.target) else {
+            return false;
+        };
+        mt != tc
+            && mt != s
+            && m.args.iter().all(|a| ground(a).is_some_and(|n| n != tc))
+            && op_params(&m.op).iter().all(|p| p.is_rigid())
+    });
+    if !independent {
+        return false;
     }
-    for stmt in stmts.iter_mut() {
-        if let Statement::While { body, .. } = stmt {
-            sink_in(body, report);
-        }
-    }
+    let detail = format!(
+        "sank {} next to its producer across {} independent statements",
+        c.op.keyword(),
+        j - i - 1
+    );
+    let consumer = stmts.remove(j);
+    stmts.insert(i + 1, consumer);
+    ctx.report
+        .note(Rule::SinkRestructure, site_name(tc), detail, None, None, 1);
+    true
 }
 
 // ---------------------------------------------------------------------------
 // Rule: fuse-restructure
 // ---------------------------------------------------------------------------
 
-/// Does `consumer`'s single argument read exactly `producer`'s target,
-/// with that target a scratch name read nowhere else in the segment?
-fn pipes_scratch(stmts: &[Statement], producer: &Assignment, consumer: &Assignment) -> bool {
-    let Some(s) = producer.target.as_ground() else {
+/// `GROUP → CLEANUP (→ PURGE)` at `i`, each piping its single-use scratch
+/// into the next: one fused restructure.
+fn fuse_restructure(stmts: &mut Vec<Statement>, i: usize, ctx: &mut Ctx<'_>) -> bool {
+    let Some((g, c)) = pair(stmts, i) else {
         return false;
     };
-    let [arg] = consumer.args.as_slice() else {
+    let (
+        OpKind::Group {
+            by: group_by,
+            on: group_on,
+        },
+        OpKind::CleanUp {
+            by: cleanup_by,
+            on: cleanup_on,
+        },
+    ) = (&g.op, &c.op)
+    else {
         return false;
     };
-    arg.as_ground() == Some(s) && is_scratch(s) && count_reads(stmts, s) == 1
-}
-
-/// The 2-op fusion of `stmts[i-1]; stmts[i]`, if they form a
-/// `GROUP → CLEANUP` chain over a single-read scratch.
-fn restructure_prefix(stmts: &[Statement], i: usize) -> Option<Assignment> {
-    let (Statement::Assign(g), Statement::Assign(c)) = (&stmts[i - 1], &stmts[i]) else {
-        return None;
-    };
-    let OpKind::Group {
-        by: group_by,
-        on: group_on,
-    } = &g.op
-    else {
-        return None;
-    };
-    let OpKind::CleanUp {
-        by: cleanup_by,
-        on: cleanup_on,
-    } = &c.op
-    else {
-        return None;
-    };
-    if !cleanup_by.is_rigid() || !cleanup_on.is_rigid() || !pipes_scratch(stmts, g, c) {
-        return None;
+    if !cleanup_by.is_rigid() || !cleanup_on.is_rigid() || piped(stmts, ctx, g, c).is_none() {
+        return false;
     }
-    Some(Assignment {
-        target: c.target.clone(),
+    let purge = pair(stmts, i + 1).and_then(|(c, pu)| match &pu.op {
+        OpKind::Purge { on, by }
+            if on.is_rigid() && by.is_rigid() && piped(stmts, ctx, c, pu).is_some() =>
+        {
+            Some((pu, on.clone(), by.clone()))
+        }
+        _ => None,
+    });
+    let (target, n, detail) = match &purge {
+        Some((pu, ..)) => (
+            &pu.target,
+            3,
+            "fused GROUP→CLEANUP→PURGE into single-pass restructure",
+        ),
+        None => (
+            &c.target,
+            2,
+            "fused GROUP→CLEANUP into single-pass restructure",
+        ),
+    };
+    let site = ground(target).map(site_name).unwrap_or_default();
+    let fused = Statement::Assign(Assignment {
+        target: target.clone(),
         op: OpKind::FusedRestructure(Box::new(RestructureChain {
             group_by: group_by.clone(),
             group_on: group_on.clone(),
             cleanup_by: cleanup_by.clone(),
             cleanup_on: cleanup_on.clone(),
-            purge: None,
+            purge: purge.map(|(_, on, by)| (on, by)),
         })),
         args: g.args.clone(),
-    })
-}
-
-/// Extend a 2-op fusion at `i` to the 3-op chain, if `stmts[i+1]` is a
-/// `PURGE` consuming the clean-up's single-read scratch result.
-fn restructure_extend(stmts: &[Statement], i: usize, two: &Assignment) -> Option<Assignment> {
-    let (Statement::Assign(c), Statement::Assign(pu)) = (&stmts[i], stmts.get(i + 1)?) else {
-        return None;
-    };
-    let OpKind::Purge { on, by } = &pu.op else {
-        return None;
-    };
-    if !on.is_rigid() || !by.is_rigid() || !pipes_scratch(stmts, c, pu) {
-        return None;
-    }
-    let OpKind::FusedRestructure(chain) = two.op.clone() else {
-        unreachable!("restructure_prefix builds a FusedRestructure");
-    };
-    Some(Assignment {
-        target: pu.target.clone(),
-        op: OpKind::FusedRestructure(Box::new(RestructureChain {
-            purge: Some((on.clone(), by.clone())),
-            ..*chain
-        })),
-        args: two.args.clone(),
-    })
-}
-
-fn fuse_restructure_in(stmts: &mut Vec<Statement>, report: &mut PlanReport) {
-    let mut i = 1;
-    while i < stmts.len() {
-        let Some(two) = restructure_prefix(stmts, i) else {
-            if let Statement::While { body, .. } = &mut stmts[i] {
-                fuse_restructure_in(body, report);
-            }
-            i += 1;
-            continue;
-        };
-        let site = ground(&two.target).map(site_name).unwrap_or_default();
-        match restructure_extend(stmts, i, &two) {
-            Some(three) => {
-                let site = ground(&three.target).map(site_name).unwrap_or_default();
-                stmts[i - 1] = Statement::Assign(three);
-                stmts.remove(i);
-                stmts.remove(i);
-                report.note(
-                    Rule::FuseRestructure,
-                    site,
-                    "fused GROUP→CLEANUP→PURGE into single-pass restructure",
-                    None,
-                    None,
-                    3,
-                );
-            }
-            None => {
-                stmts[i - 1] = Statement::Assign(two);
-                stmts.remove(i);
-                report.note(
-                    Rule::FuseRestructure,
-                    site,
-                    "fused GROUP→CLEANUP into single-pass restructure",
-                    None,
-                    None,
-                    2,
-                );
-            }
-        }
-    }
-    if let Some(Statement::While { body, .. }) = stmts.first_mut() {
-        fuse_restructure_in(body, report);
-    }
+    });
+    stmts.splice(i..i + n, [fused]);
+    ctx.report
+        .note(Rule::FuseRestructure, site, detail, None, None, n);
+    true
 }
 
 // ---------------------------------------------------------------------------
@@ -1426,7 +1281,9 @@ fn drop_dead(stmts: &mut Vec<Statement>, live: &SymbolSet, dropped: &mut usize) 
     changed
 }
 
-fn eliminate_dead_in(stmts: &mut Vec<Statement>, report: &mut PlanReport) {
+/// Drop unread scratch assignments to a fixpoint over the whole program
+/// (reads anywhere keep a scratch alive, so no segment bookkeeping).
+fn eliminate_dead(stmts: &mut Vec<Statement>, report: &mut PlanReport) {
     let mut dropped = 0usize;
     loop {
         let mut live = SymbolSet::new();
@@ -2276,5 +2133,72 @@ mod tests {
             .while_nonempty(Param::name("W"), pivot_chain());
         let opt = plan_with_rules(&p, None, &[Rule::FuseRestructure]).0;
         assert_eq!(opt.len(), 3, "{opt:?}");
+    }
+
+    /// A scratch that a loop body writes and reads once is still not
+    /// single-use when it is also read after the loop or as the loop's
+    /// condition: no rule may rewrite it away. The programs are parsed
+    /// from text, whose quoted names reach the reserved namespace. Each
+    /// rule alone and the full pipeline must leave the result unchanged,
+    /// and each rule does fire on the same loop without the outside read.
+    #[test]
+    fn scratch_read_outside_its_loop_is_not_rewritten() {
+        let db = Database::from_tables([
+            rel("Seed", &["K"], &[&["go"]]),
+            rel(
+                "A",
+                &["X", "Y"],
+                &[&["1", "1"], &["2", "3"], &["4", "4"], &["5", "6"]],
+            ),
+            rel("B", &["Z"], &[&["1"], &["4"]]),
+            rel("C", &["V"], &[&["k"]]),
+            fixtures::sales_relation(),
+        ]);
+        let check = |src: &str, rule: Rule| {
+            let p = crate::parser::parse(src).unwrap();
+            let want = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
+            for rules in [&[rule][..], &ALL_RULES[..]] {
+                let planned = plan_with_rules(&p, Some(&db), rules).0;
+                let got = run_governed_traced(&planned, &db, &Budget::default());
+                assert!(
+                    got.is_ok_and(|(got, _, _)| compare_visible(&want, &got)),
+                    "{rule:?} via {rules:?} changed the result of\n{src}"
+                );
+            }
+        };
+        let cases = [
+            (Rule::ForwardCopy, "T <- COPY(\"\u{1F}s\")"),
+            (Rule::PushdownSelect, "T <- SELECT[X = Y](\"\u{1F}s\")"),
+            (Rule::FuseJoin, "T <- SELECT[X = Z](\"\u{1F}s\")"),
+            (Rule::ReorderJoins, "T <- PRODUCT(\"\u{1F}s\", C)"),
+        ]
+        .map(|(rule, read)| (rule, format!("\"\u{1F}s\" <- PRODUCT(A, B)\n{read}")));
+        let group = "\"\u{1F}s\" <- GROUP[by {Region} on {Sold}](Sales)";
+        let cleanup = "T <- CLEANUP[by {Part} on {_}](\"\u{1F}s\")";
+        let restructure = [
+            (
+                Rule::SinkRestructure,
+                format!("{group}\nM <- COPY(A)\n{cleanup}"),
+            ),
+            (Rule::FuseRestructure, format!("{group}\n{cleanup}")),
+        ];
+        for (rule, body) in cases.into_iter().chain(restructure) {
+            let looped = format!("W <- COPY(Seed)\nwhile W do\n{body}\nW <- DIFFERENCE(W, W)\nend");
+            let alone = crate::parser::parse(&looped).unwrap();
+            let (_, report) = plan_with_rules(&alone, Some(&db), &[rule]);
+            assert!(
+                report.statements_rewritten > 0,
+                "{rule:?} fires on\n{looped}"
+            );
+            check(&format!("{looped}\nU <- COPY(\"\u{1F}s\")"), rule);
+        }
+        check(
+            "\"\u{1F}s\" <- COPY(Seed)
+             while \"\u{1F}s\" do
+               \"\u{1F}s\" <- DIFFERENCE(Seed, Seed)
+               T <- COPY(\"\u{1F}s\")
+             end",
+            Rule::ForwardCopy,
+        );
     }
 }

@@ -46,7 +46,7 @@ use std::collections::VecDeque;
 use tabular_algebra::CancelToken;
 
 use crate::http::{self, Request};
-use crate::json;
+use crate::service::error_object;
 
 /// Epoll interest bits, numbered as in `<sys/epoll.h>`, so the driver
 /// can register the machine's answer as it is.
@@ -253,8 +253,7 @@ impl Conn {
 }
 
 fn error_response(status: u16, msg: &str) -> Vec<u8> {
-    let body = format!("{{\"ok\":false,\"error\":\"{}\"}}", json::escape(msg));
-    http::encode_response(status, body.as_bytes(), false)
+    http::encode_response(status, error_object(msg).as_bytes(), false)
 }
 
 #[cfg(test)]

@@ -137,9 +137,15 @@ impl Response {
     pub(crate) fn error(status: u16, msg: &str) -> Response {
         Response {
             status,
-            body: format!("{{\"ok\":false,\"error\":\"{}\"}}", json::escape(msg)),
+            body: error_object(msg),
         }
     }
+}
+
+/// `{"ok":false,"error":…}`: the one writer of an error object, for
+/// whole error bodies and for a failed program's entry in `results`.
+pub(crate) fn error_object(msg: &str) -> String {
+    format!("{{\"ok\":false,\"error\":\"{}\"}}", json::escape(msg))
 }
 
 type RunOutcome = Result<(Database, EvalStats, Trace, Option<PlanReport>), AlgebraError>;
@@ -402,23 +408,12 @@ impl Service {
                     }
                     results.push('}');
                 }
-                Err(e @ AlgebraError::Internal { .. }) => {
-                    any_internal = true;
-                    write!(
-                        results,
-                        "{{\"ok\":false,\"error\":\"{}\"}}",
-                        json::escape(&e.to_string())
-                    )
-                    .unwrap();
-                }
                 Err(e) => {
-                    any_invalid = true;
-                    write!(
-                        results,
-                        "{{\"ok\":false,\"error\":\"{}\"}}",
-                        json::escape(&e.to_string())
-                    )
-                    .unwrap();
+                    match e {
+                        AlgebraError::Internal { .. } => any_internal = true,
+                        _ => any_invalid = true,
+                    }
+                    results.push_str(&error_object(&e.to_string()));
                 }
             }
         }

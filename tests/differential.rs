@@ -800,6 +800,33 @@ fn reorder_chain(
     ]
 }
 
+/// Splice a fusable chain with scratch `\u{1F}fo{n}` into the body of the
+/// program's first loop. With `read_after`, also copy that scratch into
+/// the visible table `Kept` right after the loop: the chain's scratch is
+/// then read outside the body, so it is not single-use and no rule may
+/// rewrite it away.
+fn splice_into_loop(program: &mut Program, chain: Vec<Statement>, n: usize, read_after: bool) {
+    use tables_paradigm::algebra::Assignment;
+    let Some(w) = program
+        .statements
+        .iter()
+        .position(|s| matches!(s, Statement::While { .. }))
+    else {
+        return;
+    };
+    if let Statement::While { body, .. } = &mut program.statements[w] {
+        body.splice(0..0, chain);
+    }
+    if read_after {
+        let read = Statement::Assign(Assignment {
+            target: Param::name("Kept"),
+            op: OpKind::Copy,
+            args: vec![Param::sym(Symbol::name(&format!("\u{1F}fo{n}")))],
+        });
+        program.statements.insert(w + 1, read);
+    }
+}
+
 /// A resource trip: outcomes the planner is allowed to *shift* (fusing
 /// and reordering change which intermediates materialize, so one side
 /// may exhaust `max_cells`/`max_tables` where the other proceeds).
@@ -822,8 +849,10 @@ proptest! {
     /// product chain spliced into the prologue (always executed, exact
     /// store statistics available) and the loop body (statistics
     /// invalidated by the loop — the planner must stay conservative
-    /// there). Errors must match exactly, except that a resource trip on
-    /// one side tolerates the other side proceeding: planning changes
+    /// there); in a third of the cases the body chain's scratch is also
+    /// read after the loop, so it is not single-use. Errors must match
+    /// exactly, except that a resource trip on one side tolerates the
+    /// other side proceeding: planning changes
     /// which intermediates materialize, in either direction (fusion
     /// skips the staged product; reordering mints different
     /// intermediates). Planning is deterministic, so the decision
@@ -838,7 +867,8 @@ proptest! {
         ),
         (t2, l1, l2, l3) in (0usize..5, 0usize..6, 0usize..6, 0usize..6),
         (a2, b2) in (0usize..4, 0usize..4),
-        (t3, x3, y3, a3, b3) in (0usize..5, 0usize..6, 0usize..6, 0usize..4, 0usize..4),
+        (t3, x3, y3, a3, b3, keep) in
+            (0usize..5, 0usize..6, 0usize..6, 0usize..4, 0usize..4, 0usize..3),
     ) {
         let mut program = parse(&src).unwrap_or_else(|e| {
             panic!("generated program must parse: {e}\n{src}")
@@ -848,15 +878,8 @@ proptest! {
             0, TARGETS[t2], SOURCES[l1], SOURCES[l2], SOURCES[l3], ATTRS[a2], ATTRS[b2],
         ));
         program.statements.splice(0..0, head);
-        if let Some(Statement::While { body, .. }) = program
-            .statements
-            .iter_mut()
-            .find(|s| matches!(s, Statement::While { .. }))
-        {
-            let inner =
-                fusable_chain(5, TARGETS[t3], SOURCES[x3], SOURCES[y3], ATTRS[a3], ATTRS[b3]);
-            body.splice(0..0, inner);
-        }
+        let inner = fusable_chain(5, TARGETS[t3], SOURCES[x3], SOURCES[y3], ATTRS[a3], ATTRS[b3]);
+        splice_into_loop(&mut program, inner, 5, keep == 0);
 
         let configs = [
             limits(WhileStrategy::Naive, usize::MAX),
@@ -926,15 +949,18 @@ proptest! {
     /// preserves the visible semantics of the program — the rule-level
     /// refinement of `planner_on_and_off_agree` (which only checks the
     /// composed pipeline, where a later rule could mask an earlier
-    /// rule's bug).
+    /// rule's bug). Programs get a fusable and a reorderable chain in
+    /// the prologue and a fusable chain in the loop body, whose scratch
+    /// is sometimes also read after the loop.
     #[test]
     fn each_planner_rule_preserves_semantics(
         src in arb_program(),
         db in arb_input(),
         (t1, x1, y1) in (0usize..5, 0usize..6, 0usize..6),
-        (a1, b1) in (0usize..4, 0usize..4),
         (t2, l1, l2, l3) in (0usize..5, 0usize..6, 0usize..6, 0usize..6),
-        (a2, b2) in (0usize..4, 0usize..4),
+        ((a1, b1), (a2, b2)) in ((0usize..4, 0usize..4), (0usize..4, 0usize..4)),
+        (t3, x3, y3, a3, b3, keep) in
+            (0usize..5, 0usize..6, 0usize..6, 0usize..4, 0usize..4, 0usize..3),
     ) {
         use tables_paradigm::algebra::{plan_with_rules, ALL_RULES};
 
@@ -946,6 +972,8 @@ proptest! {
             1, TARGETS[t2], SOURCES[l1], SOURCES[l2], SOURCES[l3], ATTRS[a2], ATTRS[b2],
         ));
         program.statements.splice(0..0, head);
+        let inner = fusable_chain(5, TARGETS[t3], SOURCES[x3], SOURCES[y3], ATTRS[a3], ATTRS[b3]);
+        splice_into_loop(&mut program, inner, 5, keep == 0);
 
         let cfg = limits(WhileStrategy::Naive, usize::MAX);
         let baseline = run_governed_traced(&program, &db, &Budget::from_limits(&cfg));

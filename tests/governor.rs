@@ -781,6 +781,45 @@ fn cell_budget_trips_inside_the_delta_incremental_partitioned_append() {
     assert!(stats.partitioned_joins >= 1);
 }
 
+/// The fused transitive closure trips each cell budget at one point
+/// across all eight engine configurations — naive/delta × sharded or
+/// not × partitioned joins or not: the same error string and the same
+/// partial `tables_produced`/`max_table_cells`. The budgets span an
+/// early trip to one deep into the fixpoint.
+#[test]
+fn fused_trip_points_agree_across_strategies_sharding_and_partitioning() {
+    let db = chain_db(24);
+    for cells in [3_000, 8_000, 20_000, 50_000] {
+        let mut trips = Vec::new();
+        for strategy in [WhileStrategy::Naive, WhileStrategy::Delta] {
+            for parallel in [1, usize::MAX] {
+                for partition in [1, usize::MAX] {
+                    let mut lim = limits(strategy, parallel);
+                    lim.partition_threshold = partition;
+                    let budget = Budget::from_limits(&lim).with_cell_budget(cells);
+                    let err = run_governed_traced(&tc_fused_program(), &db, &budget).unwrap_err();
+                    let msg = err.to_string();
+                    let (resource, _, _, partial) = unwrap_trip(err);
+                    assert_eq!(resource, governor::RESOURCE_RUN_CELLS);
+                    let at = (
+                        msg,
+                        partial.stats.tables_produced,
+                        partial.stats.max_table_cells,
+                    );
+                    trips.push(((strategy, parallel, partition), at));
+                }
+            }
+        }
+        let (_, first) = &trips[0];
+        for (config, at) in &trips[1..] {
+            assert_eq!(
+                at, first,
+                "{cells}-cell budget trips elsewhere under {config:?}"
+            );
+        }
+    }
+}
+
 /// After the first iteration every body statement delta-skips, and each
 /// skip still charges the memoized production (keeping the trip point
 /// identical to naive re-execution) — so the budget trips *during a
