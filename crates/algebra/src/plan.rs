@@ -1336,6 +1336,22 @@ mod tests {
         strip(a).equiv(&strip(b))
     }
 
+    /// The paper's `Sales` relation under the name `R` the restructuring
+    /// tests read.
+    fn sales_as_r() -> Database {
+        let mut sales = tabular_core::fixtures::sales_relation();
+        sales.set_name(Symbol::name("R"));
+        Database::from_tables([sales])
+    }
+
+    /// Both runs wrote a non-empty `Out`, so comparing them is not vacuous.
+    fn assert_out_written(a: &Database, b: &Database) {
+        for db in [a, b] {
+            let out = db.table_str("Out").expect("the run writes Out");
+            assert!(out.height() > 0, "Out is empty:\n{out}");
+        }
+    }
+
     fn rel(name: &str, attrs: &[&str], rows: &[&[&str]]) -> Table {
         Table::relational(name, attrs, rows)
     }
@@ -1601,7 +1617,7 @@ mod tests {
                 },
                 vec![Param::sym(scratch(1))],
             );
-        let db = Database::from_tables([tabular_core::fixtures::sales_relation()]);
+        let db = sales_as_r();
         let (planned, report) = plan(&p, &db);
         assert_eq!(planned.len(), 2, "{planned:?}");
         assert!(report
@@ -1620,6 +1636,7 @@ mod tests {
         let b = run_governed_traced(&planned, &db, &Budget::default())
             .unwrap()
             .0;
+        assert_out_written(&a, &b);
         assert!(compare_visible(&a, &b));
     }
 
@@ -2042,11 +2059,12 @@ mod tests {
         );
         assert_eq!(a.args, vec![Param::name("R")]);
 
-        let db = Database::from_tables([fixtures::sales_relation()]);
+        let db = sales_as_r();
         let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
         let b = run_governed_traced(&opt, &db, &Budget::default())
             .unwrap()
             .0;
+        assert_out_written(&a, &b);
         assert!(compare_visible(&a, &b));
     }
 
@@ -2069,11 +2087,12 @@ mod tests {
             OpKind::FusedRestructure(chain) if chain.purge.is_none()
         ));
 
-        let db = Database::from_tables([fixtures::sales_relation()]);
+        let db = sales_as_r();
         let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
         let b = run_governed_traced(&opt, &db, &Budget::default())
             .unwrap()
             .0;
+        assert_out_written(&a, &b);
         assert!(compare_visible(&a, &b));
     }
 

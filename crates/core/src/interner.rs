@@ -112,6 +112,20 @@ impl Pool {
         self.strings.read()[i.0 as usize]
     }
 
+    /// Append the string of each handle `ids` yields to `out` (`None`
+    /// stays `None`), all under one read of the pool: the batch form of
+    /// [`Pool::resolve`] for loops over many cells, such as rendering a
+    /// table. `ids` runs under the pool's lock, so it must neither
+    /// intern nor resolve.
+    pub fn resolve_batch(
+        &self,
+        ids: impl Iterator<Item = Option<Istr>>,
+        out: &mut Vec<Option<&'static str>>,
+    ) {
+        let strings = self.strings.read();
+        out.extend(ids.map(|i| i.map(|i| strings[i.0 as usize])));
+    }
+
     /// Mint a string that has never been interned before and intern it.
     ///
     /// Fresh strings use a reserved unit-separator prefix (`\u{1F}`), which

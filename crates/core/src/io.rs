@@ -7,31 +7,134 @@
 //! defaults), so sorts round-trip exactly.
 
 use crate::error::CoreError;
-use crate::symbol::{parse_cell, render_cell, Symbol};
+use crate::interner;
+use crate::symbol::{cell_tag, parse_cell, Symbol};
 use crate::table::Table;
+use std::fmt::Write as _;
+
+/// The longest rendering, in bytes, that [`write_json_csv_cached`] keeps with a
+/// table's shared cell buffer. Longer ones are written straight into the
+/// caller's buffer on every call and never stored, so the memory a
+/// session holds for renderings stays at most this per table.
+pub const MAX_CACHED_RENDER: usize = 1 << 20;
+
+/// How [`write_csv`] escapes the CSV it writes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Escape {
+    /// Plain CSV, as [`to_csv`] returns it.
+    Csv,
+    /// The CSV escaped as the body of a JSON string (RFC 8259): between
+    /// two `"` it is a JSON string whose value is the plain CSV.
+    Json,
+}
 
 /// Render a table as CSV (RFC-4180-style quoting; cells in the grid cell
 /// syntax).
 pub fn to_csv(t: &Table) -> String {
     let mut out = String::new();
-    for i in 0..=t.height() {
-        for j in 0..=t.width() {
-            if j > 0 {
-                out.push(',');
-            }
-            let cell = render_cell(t.get(i, j), i == 0 || j == 0);
-            out.push_str(&quote(&cell));
-        }
-        out.push('\n');
-    }
+    write_csv(t, Escape::Csv, &mut out);
     out
 }
 
-fn quote(cell: &str) -> String {
-    if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-        format!("\"{}\"", cell.replace('"', "\"\""))
-    } else {
-        cell.to_owned()
+/// Append `t`'s CSV to `out`, escaped as `escape` says: the one cell
+/// writer. Each cell's sort tag ([`cell_tag`]), its CSV quoting (a cell
+/// holding `,`, `"`, `\n` or `\r` is quoted, with `"` doubled) and, in
+/// [`Escape::Json`], its JSON escaping are decided in one pass over its
+/// text, with no allocation per cell. Symbols are resolved a chunk of
+/// cells at a time, under one read of the interner per chunk.
+pub fn write_csv(t: &Table, escape: Escape, out: &mut String) {
+    let newline = match escape {
+        Escape::Csv => "\n",
+        Escape::Json => "\\n",
+    };
+    let last_col = t.width();
+    let (mut i, mut j) = (0, 0);
+    let cells = t.cells();
+    let mut texts = Vec::with_capacity(cells.len().min(RESOLVE_CHUNK));
+    for chunk in cells.chunks(RESOLVE_CHUNK) {
+        texts.clear();
+        interner::pool().resolve_batch(chunk.iter().map(|s| s.istr()), &mut texts);
+        for (&sym, text) in chunk.iter().zip(&texts) {
+            if j > 0 {
+                out.push(',');
+            }
+            let text = text.unwrap_or("_");
+            write_cell(cell_tag(sym, text, i == 0 || j == 0), text, escape, out);
+            if j == last_col {
+                out.push_str(newline);
+                (i, j) = (i + 1, 0);
+            } else {
+                j += 1;
+            }
+        }
+    }
+}
+
+/// How many cells [`write_csv`] resolves per read of the interner: few
+/// enough that interning threads wait only briefly, many enough that the
+/// lock is not taken per cell.
+const RESOLVE_CHUNK: usize = 256;
+
+/// Append `t`'s CSV, escaped as a JSON string body, to `out`, from the
+/// rendering cached with the table's shared cell buffer (see the
+/// [`crate::table`] module docs). On a miss it renders with [`write_csv`] and
+/// stores the bytes unless they exceed [`MAX_CACHED_RENDER`]. Returns
+/// whether the cached rendering was used.
+pub fn write_json_csv_cached(t: &Table, out: &mut String) -> bool {
+    let cache = t.rendered();
+    if let Some(rendered) = cache.get() {
+        out.push_str(rendered);
+        return true;
+    }
+    let start = out.len();
+    write_csv(t, Escape::Json, out);
+    if out.len() - start <= MAX_CACHED_RENDER {
+        // A concurrent miss may have stored the same bytes first.
+        let _ = cache.set(out[start..].into());
+    }
+    false
+}
+
+/// One cell: `tag` (ASCII, never quoted or escaped) then `text`, quoted
+/// if CSV needs it.
+fn write_cell(tag: &str, text: &str, escape: Escape, out: &mut String) {
+    let bytes = text.as_bytes();
+    let quoted = bytes
+        .iter()
+        .any(|&b| matches!(b, b',' | b'"' | b'\n' | b'\r'));
+    let quote = match escape {
+        Escape::Csv => "\"",
+        Escape::Json => "\\\"",
+    };
+    if quoted {
+        out.push_str(quote);
+    }
+    out.push_str(tag);
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // are whole UTF-8 sequences.
+    let mut run = 0;
+    for (k, &b) in bytes.iter().enumerate() {
+        let escaped = match (escape, b) {
+            // A `"` only occurs in a quoted cell, where CSV doubles it.
+            (Escape::Csv, b'"') => "\"\"",
+            (Escape::Json, b'"') => "\\\"\\\"",
+            (Escape::Json, b'\\') => "\\\\",
+            (Escape::Json, b'\n') => "\\n",
+            (Escape::Json, b'\r') => "\\r",
+            (Escape::Json, b'\t') => "\\t",
+            (Escape::Json, 0..=0x1f) => "\\u00",
+            _ => continue,
+        };
+        out.push_str(&text[run..k]);
+        out.push_str(escaped);
+        if escaped == "\\u00" {
+            write!(out, "{b:02x}").expect("writing to a String cannot fail");
+        }
+        run = k + 1;
+    }
+    out.push_str(&text[run..]);
+    if quoted {
+        out.push_str(quote);
     }
 }
 
@@ -157,6 +260,45 @@ mod tests {
         assert!(csv.contains("\"v:a,b\""));
         let back = from_csv(&csv).unwrap();
         assert_eq!(back, t);
+    }
+
+    #[test]
+    fn carriage_returns_round_trip() {
+        // An unquoted `\r` is dropped on reading, so a cell holding one
+        // must be quoted.
+        let t = Table::from_grid(&[&["T", "A"], &["_", "a\rb"]]).unwrap();
+        let csv = to_csv(&t);
+        assert_eq!(csv, "T,A\n_,\"a\rb\"\n");
+        assert_eq!(from_csv(&csv).unwrap(), t);
+    }
+
+    #[test]
+    fn json_mode_escapes_the_csv_once() {
+        let t = Table::from_grid(&[&["T", "A"], &["_", "say \"hi\"\t\u{1}\\"]]).unwrap();
+        let mut out = String::new();
+        write_csv(&t, Escape::Json, &mut out);
+        assert_eq!(out, r#"T,A\n_,\"say \"\"hi\"\"\t\u0001\\\"\n"#);
+    }
+
+    #[test]
+    fn cached_rendering_is_shared_and_cleared_by_writes() {
+        let mut t = fixtures::sales_relation();
+        let (mut first, mut second) = (String::new(), String::new());
+        assert!(
+            !write_json_csv_cached(&t, &mut first),
+            "a fresh table misses"
+        );
+        let snapshot = t.clone();
+        assert!(
+            write_json_csv_cached(&snapshot, &mut second),
+            "a clone shares it"
+        );
+        assert_eq!(first, second);
+        t.set(1, 1, Symbol::value("washers"));
+        let mut third = String::new();
+        assert!(!write_json_csv_cached(&t, &mut third), "a write clears it");
+        assert!(third.contains("washers"));
+        assert!(write_json_csv_cached(&snapshot, &mut String::new()));
     }
 
     #[test]

@@ -69,8 +69,13 @@ impl Symbol {
 
     /// The underlying string, or `None` for ⊥.
     pub fn text(self) -> Option<&'static str> {
+        self.istr().map(Istr::as_str)
+    }
+
+    /// The interned handle of a name or value, or `None` for ⊥.
+    pub fn istr(self) -> Option<Istr> {
         match self {
-            Symbol::Name(i) | Symbol::Value(i) => Some(i.as_str()),
+            Symbol::Name(i) | Symbol::Value(i) => Some(i),
             Symbol::Null => None,
         }
     }
@@ -177,24 +182,22 @@ pub fn parse_cell(cell: &str, default_sort: fn(&str) -> Symbol) -> Symbol {
 /// Render a symbol in the grid cell syntax, round-tripping through
 /// [`parse_cell`] with the given positional default.
 pub fn render_cell(sym: Symbol, default_is_name: bool) -> String {
+    let text = sym.text().unwrap_or("_");
+    format!("{}{text}", cell_tag(sym, text, default_is_name))
+}
+
+/// The sort tag (`""`, `"n:"` or `"v:"`) that precedes `text`, the text
+/// of `sym` (`"_"` for ⊥), in the grid cell syntax: the one tag decision
+/// behind [`render_cell`] and the CSV cell writer of [`crate::io`]. A
+/// symbol is tagged when its sort differs from the positional default or
+/// its text would read as ⊥ or as a tag.
+pub fn cell_tag(sym: Symbol, text: &str, default_is_name: bool) -> &'static str {
     match sym {
-        Symbol::Null => "_".to_owned(),
-        Symbol::Name(i) => {
-            let s = i.as_str();
-            if default_is_name && !needs_tag(s) {
-                s.to_owned()
-            } else {
-                format!("n:{s}")
-            }
-        }
-        Symbol::Value(i) => {
-            let s = i.as_str();
-            if !default_is_name && !needs_tag(s) {
-                s.to_owned()
-            } else {
-                format!("v:{s}")
-            }
-        }
+        Symbol::Null => "",
+        Symbol::Name(_) if default_is_name && !needs_tag(text) => "",
+        Symbol::Name(_) => "n:",
+        Symbol::Value(_) if !default_is_name && !needs_tag(text) => "",
+        Symbol::Value(_) => "v:",
     }
 }
 

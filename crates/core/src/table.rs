@@ -26,6 +26,16 @@
 //! 64-bit content [`fingerprint`](Table::fingerprint), computed on first
 //! demand and invalidated by mutation, which the database's dedup index
 //! and the delta evaluator's version tracking key on.
+//!
+//! The shared buffer also holds the table's rendering: its CSV escaped
+//! as a JSON string body, written on first demand by
+//! [`io::write_json_csv_cached`](crate::io::write_json_csv_cached). It lives with the
+//! cells rather than on the handle because the handles that render it
+//! (a query's output snapshot) are dropped after each request, while the
+//! buffer stays with the session. Any mutation clears it, a
+//! copy-on-write copy starts without it, and a rendering longer than
+//! [`io::MAX_CACHED_RENDER`](crate::io::MAX_CACHED_RENDER) bytes is never
+//! stored.
 
 use crate::error::CoreError;
 use crate::symbol::{parse_cell, Symbol};
@@ -36,12 +46,13 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Cloning is O(1): the cell buffer is [`Arc`]-shared and copied only on
 /// mutation (copy-on-write). The derived `Clone` also carries the cached
-/// fingerprint, so clones of a fingerprinted table stay fingerprinted.
+/// fingerprint, so clones of a fingerprinted table stay fingerprinted,
+/// and shares the buffer's cached rendering.
 #[derive(Clone, Debug)]
 pub struct Table {
     height: usize,
     width: usize,
-    cells: Arc<Vec<Symbol>>,
+    cells: Arc<Cells>,
     /// Cached content fingerprint; set on first demand, cleared by any
     /// mutation. Cloned together with the handle.
     fp: OnceLock<u64>,
@@ -62,7 +73,7 @@ impl PartialEq for Table {
                 return false;
             }
         }
-        self.cells == other.cells
+        self.cells.syms == other.cells.syms
     }
 }
 
@@ -72,7 +83,38 @@ impl std::hash::Hash for Table {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.height.hash(state);
         self.width.hash(state);
-        self.cells.hash(state);
+        self.cells.syms.hash(state);
+    }
+}
+
+/// The shared cell buffer: the row-major symbols and their cached
+/// rendering (see the module docs). Equality and hashing of tables look
+/// at the symbols only.
+struct Cells {
+    syms: Vec<Symbol>,
+    rendered: OnceLock<Box<str>>,
+}
+
+impl Cells {
+    fn new(syms: Vec<Symbol>) -> Cells {
+        Cells {
+            syms,
+            rendered: OnceLock::new(),
+        }
+    }
+}
+
+/// The copy [`Arc::make_mut`] makes of a shared buffer: the symbols
+/// only, since the copy is about to be written.
+impl Clone for Cells {
+    fn clone(&self) -> Cells {
+        Cells::new(self.syms.clone())
+    }
+}
+
+impl std::fmt::Debug for Cells {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.syms.fmt(f)
     }
 }
 
@@ -95,27 +137,35 @@ impl Table {
         Table {
             height,
             width,
-            cells: Arc::new(cells),
+            cells: Arc::new(Cells::new(cells)),
             fp: OnceLock::new(),
         }
     }
 
     /// Mutable access to the cell buffer: invalidates the cached
-    /// fingerprint and materializes a private copy iff the buffer is
-    /// shared (counted in [`crate::stats::cow_copies`]).
+    /// fingerprint and rendering and materializes a private copy iff the
+    /// buffer is shared (counted in [`crate::stats::cow_copies`]).
     fn cells_mut(&mut self) -> &mut Vec<Symbol> {
         self.fp.take();
         if Arc::get_mut(&mut self.cells).is_none() {
             crate::stats::record_cow_copy();
         }
-        Arc::make_mut(&mut self.cells)
+        let cells = Arc::make_mut(&mut self.cells);
+        cells.rendered.take();
+        &mut cells.syms
     }
 
     /// Replace the cell buffer wholesale (structural rebuilds like
     /// [`Table::push_col`]); not a copy-on-write event.
     fn replace_cells(&mut self, cells: Vec<Symbol>) {
         self.fp.take();
-        self.cells = Arc::new(cells);
+        self.cells = Arc::new(Cells::new(cells));
+    }
+
+    /// The rendering cached with the shared cell buffer (see the module
+    /// docs); [`crate::io`] fills and reads it.
+    pub(crate) fn rendered(&self) -> &OnceLock<Box<str>> {
+        &self.cells.rendered
     }
 
     /// The 64-bit content fingerprint: an FNV-1a-style hash over the
@@ -135,7 +185,7 @@ impl Table {
             };
             mix(self.height as u64);
             mix(self.width as u64);
-            for &s in self.cells.iter() {
+            for &s in self.cells.syms.iter() {
                 mix(match s {
                     Symbol::Null => 0,
                     Symbol::Name(i) => 1 | (u64::from(i.index()) << 2),
@@ -260,13 +310,13 @@ impl Table {
             i <= self.height && j <= self.width,
             "get({i},{j}) out of bounds"
         );
-        self.cells[self.idx(i, j)]
+        self.cells.syms[self.idx(i, j)]
     }
 
     /// Checked variant of [`Table::get`].
     pub fn try_get(&self, i: usize, j: usize) -> Result<Symbol, CoreError> {
         if i <= self.height && j <= self.width {
-            Ok(self.cells[self.idx(i, j)])
+            Ok(self.cells.syms[self.idx(i, j)])
         } else {
             Err(CoreError::OutOfBounds {
                 row: i,
@@ -294,7 +344,7 @@ impl Table {
 
     /// The table name `τ₀⁰`.
     pub fn name(&self) -> Symbol {
-        self.cells[0]
+        self.cells.syms[0]
     }
 
     /// Rename the table.
@@ -304,13 +354,13 @@ impl Table {
 
     /// The column attributes `τ₀^(>0)` (length = width).
     pub fn col_attrs(&self) -> &[Symbol] {
-        &self.cells[1..=self.width]
+        &self.cells.syms[1..=self.width]
     }
 
     /// The column attribute of data column `j ∈ 1..=width`.
     pub fn col_attr(&self, j: usize) -> Symbol {
         assert!((1..=self.width).contains(&j));
-        self.cells[j]
+        self.cells.syms[j]
     }
 
     /// The row attributes `τ_(>0)⁰` (length = height).
@@ -328,13 +378,13 @@ impl Table {
     pub fn data_row(&self, i: usize) -> &[Symbol] {
         assert!((1..=self.height).contains(&i));
         let start = self.idx(i, 1);
-        &self.cells[start..start + self.width]
+        &self.cells.syms[start..start + self.width]
     }
 
     /// The full storage row `i` (row attribute followed by data entries).
     pub fn storage_row(&self, i: usize) -> &[Symbol] {
         let start = self.idx(i, 0);
-        &self.cells[start..start + self.width + 1]
+        &self.cells.syms[start..start + self.width + 1]
     }
 
     /// The full storage column `j` (attribute followed by data entries).
@@ -352,10 +402,16 @@ impl Table {
         SymbolSet::from_iter((1..=self.height).map(|i| self.get(i, 0)))
     }
 
+    /// The row-major cell buffer: row `i` is
+    /// `cells()[i * (width + 1)..(i + 1) * (width + 1)]`.
+    pub(crate) fn cells(&self) -> &[Symbol] {
+        &self.cells.syms
+    }
+
     /// Every symbol occurring anywhere in the table (incl. attributes and
     /// the name), ⊥ included.
     pub fn symbols(&self) -> impl Iterator<Item = Symbol> + '_ {
-        self.cells.iter().copied()
+        self.cells.syms.iter().copied()
     }
 
     /// True if the table has the *shape* of a relation: pairwise-distinct
@@ -543,7 +599,7 @@ impl Table {
         let old_w = self.width + 1;
         let mut cells = Vec::with_capacity((self.height + 1) * (old_w + 1));
         for (i, &extra) in col.iter().enumerate() {
-            cells.extend_from_slice(&self.cells[i * old_w..(i + 1) * old_w]);
+            cells.extend_from_slice(&self.cells.syms[i * old_w..(i + 1) * old_w]);
             cells.push(extra);
         }
         self.replace_cells(cells);
@@ -626,7 +682,7 @@ impl Table {
         Table::from_parts(
             self.height,
             self.width,
-            self.cells.iter().map(|&s| f(s)).collect(),
+            self.cells.syms.iter().map(|&s| f(s)).collect(),
         )
     }
 

@@ -107,6 +107,12 @@ pub struct Counters {
     pub reactor_busy_us: AtomicU64,
     /// Requests whose handling panicked; each was answered 500.
     pub request_panics: AtomicU64,
+    /// Answered tables copied from the rendering cached with their
+    /// shared cell buffer.
+    pub render_cache_hits: AtomicU64,
+    /// Answered tables rendered afresh (first render since the buffer
+    /// was written, or too long to cache).
+    pub render_cache_misses: AtomicU64,
 }
 
 /// The shared service state behind the reactor and its executor.
@@ -215,7 +221,8 @@ impl Service {
             "{{\"ok\":true,\"sessions_open\":{},\"requests\":{},\"queries\":{},\
              \"budget_trips\":{},\"disconnect_cancels\":{},\"connections_open\":{},\
              \"connections_accepted\":{},\"pipelined_requests\":{},\
-             \"worker_busy_us\":{},\"reactor_busy_us\":{},\"request_panics\":{}}}",
+             \"worker_busy_us\":{},\"reactor_busy_us\":{},\"request_panics\":{},\
+             \"render_cache_hits\":{},\"render_cache_misses\":{}}}",
             self.sessions.len(),
             self.counters.requests.load(Ordering::Relaxed),
             self.counters.queries.load(Ordering::Relaxed),
@@ -227,6 +234,8 @@ impl Service {
             self.counters.worker_busy_us.load(Ordering::Relaxed),
             self.counters.reactor_busy_us.load(Ordering::Relaxed),
             self.counters.request_panics.load(Ordering::Relaxed),
+            self.counters.render_cache_hits.load(Ordering::Relaxed),
+            self.counters.render_cache_misses.load(Ordering::Relaxed),
         )
     }
 
@@ -365,13 +374,19 @@ impl Service {
                         first = false;
                         write!(
                             results,
-                            "{{\"name\":\"{}\",\"height\":{},\"width\":{},\"csv\":\"{}\"}}",
+                            "{{\"name\":\"{}\",\"height\":{},\"width\":{},\"csv\":\"",
                             json::escape(name),
                             t.height(),
                             t.width(),
-                            json::escape(&io::to_csv(t)),
                         )
                         .unwrap();
+                        let counter = if io::write_json_csv_cached(t, &mut results) {
+                            &self.counters.render_cache_hits
+                        } else {
+                            &self.counters.render_cache_misses
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        results.push_str("\"}");
                     }
                     results.push_str("],\"stats\":");
                     results.push_str(&stats_json(stats));

@@ -782,8 +782,9 @@ fn plan_and_trace_attachments_render() {
     assert!(stats.get("op_counts").unwrap().get("TRANSPOSE").is_some());
 }
 
-/// The `tables` payload the service renders for an output database.
-fn tables_json(db: &Database) -> json::Json {
+/// The `tables` array body the service renders for an output database,
+/// built from the uncached renderer.
+fn tables_payload(db: &Database) -> String {
     let tables: Vec<String> = db
         .tables()
         .iter()
@@ -798,7 +799,89 @@ fn tables_json(db: &Database) -> json::Json {
             ))
         })
         .collect();
-    json::parse(&format!("[{}]", tables.join(","))).unwrap()
+    tables.join(",")
+}
+
+/// The `tables` payload the service renders for an output database.
+fn tables_json(db: &Database) -> json::Json {
+    json::parse(&format!("[{}]", tables_payload(db))).unwrap()
+}
+
+#[test]
+fn untouched_tables_are_rendered_once_per_commit() {
+    let (addr, service) = start(None, None);
+    let session = open_session(addr);
+    let mut sales = String::from("Sales,Part,Region,Sold\n");
+    for i in 0..200 {
+        sales.push_str(&format!("_,p{i},r{},{}\n", i % 4, i * 7 % 50));
+    }
+    // A quoted field keeps its `\r`, `"` and `,`: the cached bytes must
+    // escape them exactly as the uncached renderer does.
+    sales.push_str("_,\"odd\r\"\"part\"\"\",\"r,0\",\\\n");
+    upload(addr, &session, &sales);
+    upload(addr, &session, "E,K\n_,k\n");
+    let id = Sessions::parse_id(&session).unwrap();
+    let counters = || {
+        let c = &service.counters;
+        (
+            c.render_cache_hits.load(Ordering::Relaxed),
+            c.render_cache_misses.load(Ordering::Relaxed),
+        )
+    };
+    // Runs `src` on the server and checks the answer's `tables` bytes
+    // against the library's uncached rendering of the same run; returns
+    // the (hits, misses) the request added.
+    let ask = |src: &str, readonly: bool| -> (u64, u64) {
+        let snapshot = service.sessions.get(id).unwrap().snapshot();
+        let program = parser::parse(src).unwrap();
+        let out = run_governed_traced(&program, &snapshot, &Budget::default())
+            .unwrap()
+            .0;
+        let want = format!("\"tables\":[{}],\"stats\":", tables_payload(&out));
+        let (hits, misses) = counters();
+        let path = if readonly {
+            "/query?readonly=1"
+        } else {
+            "/query"
+        };
+        let (status, body) = http(
+            addr,
+            "POST",
+            &format!("/sessions/{session}{path}"),
+            &query_body(src),
+        );
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains(&want), "{src}: {body}");
+        let (h, m) = counters();
+        (h - hits, m - misses)
+    };
+    let read = "P <- PROJECT[{Part, Sold}](Sales)";
+
+    // The first read renders Sales, E and P; the second copies Sales and
+    // E from their shared buffers and renders only its fresh P.
+    assert_eq!(ask(read, true), (0, 3));
+    assert_eq!(ask(read, true), (2, 1));
+    // A commit that rewrites Sales renders the new Sales once, and that
+    // rendering is the one the session keeps.
+    assert_eq!(
+        ask("Sales <- SELECTCONST[Region = v:r1](Sales)", false),
+        (1, 1)
+    );
+    assert_eq!(ask(read, true), (2, 1));
+    assert_eq!(ask(read, true), (2, 1));
+
+    let (_, body) = http(addr, "GET", "/stats", "");
+    let stats = json::parse(&body).unwrap();
+    assert_eq!(
+        stats.get("render_cache_hits").and_then(json::Json::as_num),
+        Some(7.0)
+    );
+    assert_eq!(
+        stats
+            .get("render_cache_misses")
+            .and_then(json::Json::as_num),
+        Some(7.0)
+    );
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! one per run and the delta `while` strategy leans on handle sharing
 //! every iteration, so a regression that silently reintroduces deep
 //! copies would erase the engine's advantage without failing any
-//! functional test. Two guards here:
+//! functional test. The first two guards:
 //!
 //! 1. A counting `#[global_allocator]` proves `Database::snapshot` hits
 //!    the allocator **zero** times, no matter how large the database.
@@ -13,7 +13,11 @@
 //!    whose body statements stop writing never materializes a cell
 //!    buffer: snapshots stay handle-only when nobody writes.
 //!
-//! This file deliberately holds a single `#[test]`: both guards read
+//! Later guards pin the other allocation promises of the storage engine
+//! and its kernels (pre-size trips, fused joins and restructures,
+//! partitioned joins, cached renderings).
+//!
+//! This file deliberately holds a single `#[test]`: the guards read
 //! process-global counters, and a sibling test running on another thread
 //! would perturb them.
 
@@ -416,4 +420,38 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         "partitioning must not raise peak allocation (4 shards \
          {partitioned_bytes} vs 1 shard {serial_bytes} bytes)"
     );
+
+    // ------------------------------------------------------------------
+    // Guard 9: rendering an untouched table whose shared buffer already
+    // holds its rendering copies those bytes: the output buffer is the
+    // only allocation, however many cells the table has. A snapshot's
+    // handle finds the rendering its source stored.
+    // ------------------------------------------------------------------
+    use tables_paradigm::core::io;
+
+    let sales = fixtures::make_sales_relation(250, 4);
+    io::write_json_csv_cached(&sales, &mut String::new());
+    let snapshot = sales.clone();
+    ALLOCS.store(0, Ordering::SeqCst);
+    BYTES.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let mut out = String::new();
+    let hit = io::write_json_csv_cached(&snapshot, &mut out);
+    ARMED.store(false, Ordering::SeqCst);
+
+    assert!(
+        hit,
+        "the second render of an untouched table is a cache hit"
+    );
+    assert_eq!(
+        ALLOCS.load(Ordering::SeqCst),
+        1,
+        "a cached render allocates only its output buffer, not per cell"
+    );
+    assert_eq!(BYTES.load(Ordering::SeqCst), out.len());
+    assert_eq!(out.len(), {
+        let mut fresh = String::new();
+        io::write_csv(&sales, io::Escape::Json, &mut fresh);
+        fresh.len()
+    });
 }

@@ -797,3 +797,108 @@ fn group_and_fused_restructure_pin_the_singleton_table() {
         "cross-tab is one header + one data row:\n{fused}"
     );
 }
+
+// ----------------------------------------------------------------------
+// Render oracle: the service answers each table with the JSON-escaped CSV
+// cached in its shared cell buffer. The fused writer must produce exactly
+// the bytes of the two-step `json::escape(&to_csv(t))`, and a cached
+// rendering must never outlive a write.
+// ----------------------------------------------------------------------
+
+/// Text pieces that exercise every branch of the cell writer: sort tags
+/// and ⊥ spellings, CSV specials, JSON escapes, other control
+/// characters and non-ASCII text.
+const RENDER_PIECES: &[&str] = &[
+    "a", "Sales", "_", "⊥", "n:", "v:", ",", "\"", "\n", "\r", "\t", "\u{1}", "\u{1f}", "\\", " ",
+    "京", "é😀",
+];
+
+fn arb_render_symbol() -> impl Strategy<Value = Symbol> {
+    let text = || {
+        proptest::collection::vec(0..RENDER_PIECES.len(), 0..4)
+            .prop_map(|ix| ix.iter().map(|&k| RENDER_PIECES[k]).collect::<String>())
+    };
+    prop_oneof![
+        1 => Just(Symbol::Null),
+        3 => text().prop_map(|s| Symbol::name(&s)),
+        3 => text().prop_map(|s| Symbol::value(&s)),
+    ]
+}
+
+/// A table of 0–3 data rows and columns over [`arb_render_symbol`],
+/// name included.
+fn arb_render_table() -> impl Strategy<Value = Table> {
+    (0usize..4, 0usize..4).prop_flat_map(|(h, w)| {
+        proptest::collection::vec(arb_render_symbol(), (h + 1) * (w + 1)).prop_map(move |cells| {
+            let mut t = Table::new(cells[0], h, w);
+            for (k, &s) in cells.iter().enumerate().skip(1) {
+                t.set(k / (w + 1), k % (w + 1), s);
+            }
+            t
+        })
+    })
+}
+
+/// One write through public mutator number `which`.
+fn mutate(t: &mut Table, which: usize, s: Symbol) {
+    let width = t.width();
+    match which {
+        0 => t.set(t.height(), width, s),
+        1 => t.set_name(s),
+        2 => t.push_row(vec![s; width + 1]),
+        3 => t.append_rows(|rows| rows.push_row(&vec![s; width + 1])),
+        _ => t.push_col(vec![s; t.height() + 1]),
+    }
+}
+
+/// The cached JSON-mode rendering of `t` and whether it was a hit.
+fn cached(t: &Table) -> (bool, String) {
+    let mut out = String::new();
+    let hit = tables_paradigm::core::io::write_json_csv_cached(t, &mut out);
+    (hit, out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn render_oracle_cached_equals_fresh(
+        t in arb_render_table(),
+        s in arb_render_symbol(),
+        which in 0usize..5,
+    ) {
+        use tables_paradigm::core::io::{to_csv, write_csv, Escape};
+        use tabular_server::json;
+        let fresh = |t: &Table| json::escape(&to_csv(t));
+
+        // The fused JSON mode is the two-step rendering, byte for byte.
+        let mut fused = String::new();
+        write_csv(&t, Escape::Json, &mut fused);
+        prop_assert_eq!(&fused, &fresh(&t));
+
+        // The first render fills the cache; the handle and its clones
+        // then copy the same bytes.
+        prop_assert_eq!(cached(&t), (false, fused.clone()));
+        prop_assert_eq!(cached(&t), (true, fused.clone()));
+        let clone = t.clone();
+        prop_assert_eq!(cached(&clone), (true, fused.clone()));
+
+        // A write through a shared handle copies the buffer, and the copy
+        // starts without a rendering; the original keeps its own.
+        let mut written = t.clone();
+        mutate(&mut written, which, s);
+        prop_assert!(!written.shares_cells_with(&t));
+        prop_assert_eq!(cached(&written), (false, fresh(&written)));
+        prop_assert_eq!(cached(&written), (true, fresh(&written)));
+        prop_assert_eq!(cached(&t), (true, fused.clone()));
+
+        // A write to the sole owner of a rendered buffer clears it. (The
+        // runner keeps a clone of `t`, so `t` itself is never the sole
+        // owner: rebuild the buffer.)
+        let mut owned = t.map_symbols(|s| s);
+        prop_assert_eq!(cached(&owned), (false, fused.clone()));
+        prop_assert_eq!(cached(&owned), (true, fused));
+        mutate(&mut owned, which, s);
+        prop_assert_eq!(cached(&owned), (false, fresh(&written)));
+    }
+}
