@@ -451,17 +451,26 @@ fn classify_change(old: &[&Table], new: &[Table]) -> Change {
 }
 
 /// True when `t` is in the shape where classical union degenerates to
-/// exact row-set union: pairwise-distinct column attributes, ⊥ row
-/// attributes, and no ⊥ data entries. Under these conditions the join
-/// performed by purge/clean-up succeeds only between *identical* rows
-/// ([`Symbol::join`] is equality away from ⊥), so deduplicating storage
-/// rows reproduces the full union → purge → clean-up pipeline.
-fn plain_relational(t: &Table) -> bool {
+/// exact row-set union over whole storage rows: pairwise-distinct column
+/// attributes and no ⊥ data entries. Row attributes may be anything, ⊥
+/// or not, so CSV uploads (whose first column is the row attribute)
+/// qualify.
+///
+/// Why: classical union is union → purge on the scheme by ∅ → clean-up by
+/// the scheme on every row attribute (paper §3.4). With equal, distinct
+/// column attributes on both sides, the union holds two columns per
+/// attribute, one per operand, and every row has ⊥ in the other
+/// operand's copy, so purge by ∅ joins exactly those complementary
+/// pairs: the left rows, then the right rows, each keeping its row
+/// attribute. Clean-up then keys its groups on (row attribute, data).
+/// Over ⊥-free data [`Symbol::join`] is equality, so a group is a set of
+/// identical storage rows, merged into its first member. That is
+/// first-occurrence deduplication of storage rows, row attribute
+/// included: two rows with equal data and different row attributes both
+/// stay, which is what the incremental union's `seen` set hashes.
+fn row_set_shaped(t: &Table) -> bool {
     t.scheme().len() == t.width()
-        && (1..=t.height()).all(|i| {
-            let row = t.storage_row(i);
-            row[0].is_null() && row[1..].iter().all(|c| !c.is_null())
-        })
+        && (1..=t.height()).all(|i| t.data_row(i).iter().all(|c| !c.is_null()))
 }
 
 /// How to extend the cached output (see [`plan_incremental`]). Operand
@@ -662,8 +671,8 @@ fn plan_incremental(
             let s = single(reads[1])?;
             if out_width != s.width()
                 || out_old.col_attrs() != s.col_attrs()
-                || !plain_relational(out_old)
-                || !plain_relational(s)
+                || !row_set_shaped(out_old)
+                || !row_set_shaped(s)
             {
                 return None;
             }
@@ -1117,6 +1126,19 @@ mod tests {
         assert_eq!(stats.while_fallback_naive, 0);
         assert_eq!(naive.table_str("S").unwrap(), delta.table_str("S").unwrap());
         assert_eq!(delta.table_str("S").unwrap().height(), 2);
+    }
+
+    #[test]
+    fn uploads_are_row_set_shaped() {
+        // A CSV upload carries its row attributes in the first column;
+        // they do not matter to the union's shape, ⊥ data and repeated
+        // column attributes do.
+        let upload = tabular_core::io::from_csv("E,A,B\ne0,x,y\ne1,x,y\n_,y,z\n").unwrap();
+        assert!(row_set_shaped(&upload));
+        let holes = tabular_core::io::from_csv("E,A,B\ne0,x,_\n").unwrap();
+        assert!(!row_set_shaped(&holes));
+        let repeated = tabular_core::io::from_csv("E,A,A\ne0,x,y\n").unwrap();
+        assert!(!row_set_shaped(&repeated));
     }
 
     #[test]

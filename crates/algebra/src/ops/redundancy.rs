@@ -5,7 +5,12 @@
 //! row attribute lies in `ℬ`, whenever all rows of a group are subsumed by
 //! a common tuple; the group is then replaced by the *least* such tuple.
 //! Clean-up generalizes duplicate-row elimination; purge is its
-//! column-wise dual via transposition.
+//! column-wise dual: by the duality principle (§3.3) it *is*
+//! `transpose ∘ clean-up ∘ transpose`, but it is computed column-natively
+//! (one row-major scan, no transposed copy), and the duality is the
+//! oracle that pins it (`purge_is_the_transposed_cleanup` in the property
+//! suite), not the execution plan. Classical union, union → purge →
+//! clean-up, inherits the single scan.
 //!
 //! Deterministic refinement (documented in DESIGN.md): the least common
 //! subsuming tuple is computed as the componentwise informational join
@@ -58,10 +63,14 @@ pub fn cleanup(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) -> Table
         group_of_row[i] = Some(g);
     }
 
-    // Componentwise join per group.
+    // Componentwise join per group of two or more rows (`None`: the
+    // group keeps its rows, a singleton or one without a join).
     let joined: Vec<Option<Vec<Symbol>>> = groups
         .iter()
         .map(|g| {
+            if g.rows.len() < 2 {
+                return None;
+            }
             let mut acc = r.storage_row(g.rows[0]).to_vec();
             for &i in &g.rows[1..] {
                 for (a, &b) in acc.iter_mut().zip(r.storage_row(i)) {
@@ -75,10 +84,13 @@ pub fn cleanup(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) -> Table
         })
         .collect();
 
-    let mut t = Table::new(name, 0, r.width());
-    for j in 1..=r.width() {
-        t.set(0, j, r.col_attr(j));
+    if joined.iter().all(Option::is_none) {
+        return renamed(r, name);
     }
+
+    let mut header = r.storage_row(0).to_vec();
+    header[0] = name;
+    let mut t = Table::from_parts(0, r.width(), header);
     t.append_rows(|rows| {
         for i in 1..=r.height() {
             match group_of_row[i] {
@@ -104,13 +116,107 @@ pub fn cleanup(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) -> Table
 /// that agree on their entries in the rows whose row attribute lies in
 /// `by` are replaced by their join when it exists.
 ///
-/// Implemented, per the paper's duality principle (§3.3), as
-/// `transpose ∘ clean-up ∘ transpose`.
+/// Column-native: the result is exactly `transpose ∘ clean-up ∘
+/// transpose` (the duality of §3.3, which the property suite keeps as
+/// the oracle), computed without materializing either transposed copy.
+/// Participating columns are grouped by (column attribute, entries in
+/// the `by` rows); the groups with more than one member are joined
+/// componentwise in one row-major scan; each merged column is emitted at
+/// its first member's position, and a group whose join conflicts keeps
+/// its original columns.
 pub fn purge(r: &Table, on: &SymbolSet, by: &SymbolSet, name: Symbol) -> Table {
-    let flipped = r.transpose();
-    let cleaned = cleanup(&flipped, by, on, name);
-    let mut t = cleaned.transpose();
-    t.set_name(name);
+    let cols = r.cols_in(on);
+    let by_rows = r.rows_in(by);
+
+    // Each participating column's key, flat: its attribute, then its
+    // entries in the `by` rows.
+    let k = by_rows.len() + 1;
+    let keys: Vec<Symbol> = cols
+        .iter()
+        .flat_map(|&j| {
+            std::iter::once(r.col_attr(j)).chain(by_rows.iter().map(move |&i| r.get(i, j)))
+        })
+        .collect();
+    let mut group_of_key: std::collections::HashMap<&[Symbol], usize> =
+        std::collections::HashMap::with_capacity(cols.len());
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for (c, key) in keys.chunks_exact(k).enumerate() {
+        let g = *group_of_key.entry(key).or_insert_with(|| {
+            members.push(Vec::new());
+            members.len() - 1
+        });
+        members[g].push(cols[c]);
+    }
+
+    // Join every multi-member group in one row-major scan: `acc` holds
+    // one accumulator column per merging group, row-major.
+    let merging: Vec<&Vec<usize>> = members.iter().filter(|m| m.len() > 1).collect();
+    let slots = merging.len();
+    let mut slot_of_col: Vec<Option<usize>> = vec![None; r.width() + 1];
+    for (m, cols) in merging.iter().enumerate() {
+        for &j in cols.iter() {
+            slot_of_col[j] = Some(m);
+        }
+    }
+    let scan: Vec<(usize, usize)> = (1..=r.width())
+        .filter_map(|j| slot_of_col[j].map(|m| (j, m)))
+        .collect();
+    let mut acc = vec![Symbol::Null; (r.height() + 1) * slots];
+    let mut joins = vec![true; slots];
+    for i in 0..=r.height() {
+        let row = r.storage_row(i);
+        let acc_row = &mut acc[i * slots..(i + 1) * slots];
+        for &(j, m) in &scan {
+            // `Symbol::join`, with ⊥ (most cells of a grouped table)
+            // skipped first.
+            let cell = row[j];
+            if cell.is_null() {
+                continue;
+            }
+            let slot = &mut acc_row[m];
+            if slot.is_null() {
+                *slot = cell;
+            } else if *slot != cell {
+                joins[m] = false;
+            }
+        }
+    }
+
+    if !joins.contains(&true) {
+        return renamed(r, name);
+    }
+
+    // Output columns: untouched and conflicting columns as they are, a
+    // merged group once, at its first member.
+    enum Src {
+        Col(usize),
+        Merged(usize),
+    }
+    let out: Vec<Src> = (1..=r.width())
+        .filter_map(|j| match slot_of_col[j] {
+            Some(m) if joins[m] => (merging[m][0] == j).then_some(Src::Merged(m)),
+            _ => Some(Src::Col(j)),
+        })
+        .collect();
+    let mut cells = Vec::with_capacity((r.height() + 1) * (out.len() + 1));
+    for i in 0..=r.height() {
+        let row = r.storage_row(i);
+        cells.push(if i == 0 { name } else { row[0] });
+        cells.extend(out.iter().map(|src| match *src {
+            Src::Col(j) => row[j],
+            Src::Merged(m) => acc[i * slots + m],
+        }));
+    }
+    Table::from_parts(r.height(), out.len(), cells)
+}
+
+/// `r` under `name`, for a redundancy removal that merges nothing: the
+/// result shares `r`'s cell buffer unless the name differs.
+fn renamed(r: &Table, name: Symbol) -> Table {
+    let mut t = r.clone();
+    if t.name() != name {
+        t.set_name(name);
+    }
     t
 }
 

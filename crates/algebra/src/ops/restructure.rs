@@ -28,50 +28,44 @@ pub fn group(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) -> Table {
     let m = r.height();
     let width = c_cols.len() + m * b_cols.len();
 
-    let mut t = Table::new(name, 0, width);
-    // Attribute row: C attributes, then m copies of the on-attributes.
-    for (k, &j) in c_cols.iter().enumerate() {
-        t.set(0, k + 1, r.col_attr(j));
-    }
-    for block in 0..m {
-        for (k, &j) in b_cols.iter().enumerate() {
-            t.set(
-                0,
-                c_cols.len() + block * b_cols.len() + k + 1,
-                r.col_attr(j),
-            );
-        }
-    }
     // One header row per grouping attribute, leftmost occurrence first.
     let mut seen = SymbolSet::new();
+    let mut headers = Vec::new();
     for j in r.cols_in(by) {
         let a = r.col_attr(j);
-        if seen.contains(a) {
-            continue;
+        if !seen.contains(a) {
+            seen.insert(a);
+            headers.push((a, j));
         }
-        seen.insert(a);
-        let mut row = vec![Symbol::Null; width + 1];
-        row[0] = a;
-        for (block, i) in (1..=m).enumerate() {
-            for k in 0..b_cols.len() {
-                row[c_cols.len() + block * b_cols.len() + k + 1] = r.get(i, j);
-            }
+    }
+
+    // The whole output in one row-major buffer.
+    let blank = |n: usize| std::iter::repeat_n(Symbol::Null, n);
+    let mut cells = Vec::with_capacity((headers.len() + m + 1) * (width + 1));
+    // Attribute row: C attributes, then m copies of the on-attributes.
+    cells.push(name);
+    cells.extend(c_cols.iter().map(|&j| r.col_attr(j)));
+    for _ in 0..m {
+        cells.extend(b_cols.iter().map(|&j| r.col_attr(j)));
+    }
+    // Header rows: ρᵢ(a) repeated across copy block i.
+    for &(a, j) in &headers {
+        cells.push(a);
+        cells.extend(blank(c_cols.len()));
+        for i in 1..=m {
+            cells.extend(std::iter::repeat_n(r.get(i, j), b_cols.len()));
         }
-        t.push_row(row);
     }
     // Data rows: C entries plus the on-entries in this row's own block.
-    for (block, i) in (1..=m).enumerate() {
-        let mut row = vec![Symbol::Null; width + 1];
-        row[0] = r.get(i, 0);
-        for (k, &j) in c_cols.iter().enumerate() {
-            row[k + 1] = r.get(i, j);
-        }
-        for (k, &j) in b_cols.iter().enumerate() {
-            row[c_cols.len() + block * b_cols.len() + k + 1] = r.get(i, j);
-        }
-        t.push_row(row);
+    for i in 1..=m {
+        let row = r.storage_row(i);
+        cells.push(row[0]);
+        cells.extend(c_cols.iter().map(|&j| row[j]));
+        cells.extend(blank((i - 1) * b_cols.len()));
+        cells.extend(b_cols.iter().map(|&j| row[j]));
+        cells.extend(blank((m - i) * b_cols.len()));
     }
-    t
+    Table::from_parts(headers.len() + m, width, cells)
 }
 
 /// `T ← MERGE on ℬ by 𝒜 (R)` (Figure 5) — the inverse of grouping.

@@ -8,7 +8,7 @@
 
 use crate::error::CoreError;
 use crate::interner;
-use crate::symbol::{cell_tag, parse_cell, Symbol};
+use crate::symbol::cell_tag;
 use crate::table::Table;
 use std::fmt::Write as _;
 
@@ -141,35 +141,7 @@ fn write_cell(tag: &str, text: &str, escape: Escape, out: &mut String) {
 /// Parse a table from CSV produced by [`to_csv`] (or hand-written in the
 /// same convention). All records must have the same field count.
 pub fn from_csv(src: &str) -> Result<Table, CoreError> {
-    let records = parse_records(src)?;
-    if records.is_empty() || records[0].is_empty() {
-        return Err(CoreError::EmptyGrid);
-    }
-    let width = records[0].len() - 1;
-    for (i, rec) in records.iter().enumerate() {
-        if rec.len() != width + 1 {
-            return Err(CoreError::RaggedGrid {
-                row: i,
-                got: rec.len(),
-                expected: width + 1,
-            });
-        }
-    }
-    let mut t = Table::new(Symbol::Null, records.len() - 1, width);
-    for (i, rec) in records.iter().enumerate() {
-        for (j, cell) in rec.iter().enumerate() {
-            if crate::interner::is_reserved(cell) {
-                return Err(CoreError::ReservedSymbol(cell.clone()));
-            }
-            let default: fn(&str) -> Symbol = if i == 0 || j == 0 {
-                Symbol::name
-            } else {
-                Symbol::value
-            };
-            t.set(i, j, parse_cell(cell, default));
-        }
-    }
-    Ok(t)
+    Table::from_records(&parse_records(src)?)
 }
 
 /// A minimal RFC-4180 record parser (quotes, escaped quotes, embedded
@@ -228,6 +200,7 @@ fn parse_records(src: &str) -> Result<Vec<Vec<String>>, CoreError> {
 mod tests {
     use super::*;
     use crate::fixtures;
+    use crate::symbol::Symbol;
 
     #[test]
     fn fixtures_round_trip() {

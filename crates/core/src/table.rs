@@ -131,9 +131,17 @@ impl Table {
         Table::from_parts(height, width, cells)
     }
 
-    /// Wrap a freshly built cell buffer in a handle (no fingerprint yet).
-    fn from_parts(height: usize, width: usize, cells: Vec<Symbol>) -> Table {
-        debug_assert_eq!(cells.len(), (height + 1) * (width + 1));
+    /// Wrap a freshly built row-major cell buffer of `(height + 1) ×
+    /// (width + 1)` cells (row 0 is the name and the column attributes,
+    /// column 0 the row attributes) in a handle. This is how bulk
+    /// kernels emit a table they built in one pass, without a per-cell
+    /// [`Table::set`]. Panics if the buffer has the wrong length.
+    pub fn from_parts(height: usize, width: usize, cells: Vec<Symbol>) -> Table {
+        assert_eq!(
+            cells.len(),
+            (height + 1) * (width + 1),
+            "from_parts: buffer length does not match {height}×{width}"
+        );
         Table {
             height,
             width,
@@ -219,15 +227,24 @@ impl Table {
     /// assert_eq!(t.width(), 2);
     /// ```
     pub fn from_grid(grid: &[&[&str]]) -> Result<Table, CoreError> {
-        if grid.is_empty() || grid[0].is_empty() {
+        Table::from_records(grid)
+    }
+
+    /// [`Table::from_grid`] over any rows of strings (the CSV reader's
+    /// owned records too): checks the shape, then parses every cell into
+    /// one row-major buffer.
+    pub(crate) fn from_records<R: AsRef<[S]>, S: AsRef<str>>(
+        grid: &[R],
+    ) -> Result<Table, CoreError> {
+        if grid.is_empty() || grid[0].as_ref().is_empty() {
             return Err(CoreError::EmptyGrid);
         }
-        let ncols = grid[0].len();
+        let ncols = grid[0].as_ref().len();
         for (i, row) in grid.iter().enumerate() {
-            if row.len() != ncols {
+            if row.as_ref().len() != ncols {
                 return Err(CoreError::RaggedGrid {
                     row: i,
-                    got: row.len(),
+                    got: row.as_ref().len(),
                     expected: ncols,
                 });
             }
@@ -236,9 +253,10 @@ impl Table {
         let width = ncols - 1;
         let mut cells = Vec::with_capacity(grid.len() * ncols);
         for (i, row) in grid.iter().enumerate() {
-            for (j, cell) in row.iter().enumerate() {
+            for (j, cell) in row.as_ref().iter().enumerate() {
+                let cell = cell.as_ref();
                 if crate::interner::is_reserved(cell) {
-                    return Err(CoreError::ReservedSymbol((*cell).to_owned()));
+                    return Err(CoreError::ReservedSymbol(cell.to_owned()));
                 }
                 let default: fn(&str) -> Symbol = if i == 0 || j == 0 {
                     Symbol::name
@@ -256,32 +274,28 @@ impl Table {
     /// embedding of a relation into the tabular model (paper §1,
     /// SalesInfo1; §4.1 canonical representation).
     pub fn relational(name: &str, attrs: &[&str], rows: &[&[&str]]) -> Table {
-        let mut t = Table::new(Symbol::name(name), rows.len(), attrs.len());
-        for (j, a) in attrs.iter().enumerate() {
-            t.set(0, j + 1, Symbol::name(a));
-        }
+        let mut cells = Vec::with_capacity((rows.len() + 1) * (attrs.len() + 1));
+        cells.push(Symbol::name(name));
+        cells.extend(attrs.iter().map(|a| Symbol::name(a)));
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.len(), attrs.len(), "relational row {i} arity mismatch");
-            for (j, cell) in row.iter().enumerate() {
-                t.set(i + 1, j + 1, parse_cell(cell, Symbol::value));
-            }
+            cells.push(Symbol::Null);
+            cells.extend(row.iter().map(|cell| parse_cell(cell, Symbol::value)));
         }
-        t
+        Table::from_parts(rows.len(), attrs.len(), cells)
     }
 
     /// Like [`Table::relational`] but with already-built symbols.
     pub fn relational_syms(name: Symbol, attrs: &[Symbol], rows: &[Vec<Symbol>]) -> Table {
-        let mut t = Table::new(name, rows.len(), attrs.len());
-        for (j, a) in attrs.iter().enumerate() {
-            t.set(0, j + 1, *a);
-        }
+        let mut cells = Vec::with_capacity((rows.len() + 1) * (attrs.len() + 1));
+        cells.push(name);
+        cells.extend_from_slice(attrs);
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(row.len(), attrs.len(), "relational row {i} arity mismatch");
-            for (j, cell) in row.iter().enumerate() {
-                t.set(i + 1, j + 1, *cell);
-            }
+            cells.push(Symbol::Null);
+            cells.extend_from_slice(row);
         }
-        t
+        Table::from_parts(rows.len(), attrs.len(), cells)
     }
 
     // ------------------------------------------------------------------
@@ -644,11 +658,10 @@ impl Table {
         if i == k {
             return;
         }
-        for j in 0..=self.width {
-            let (a, b) = (self.get(i, j), self.get(k, j));
-            self.set(i, j, b);
-            self.set(k, j, a);
-        }
+        let stride = self.width + 1;
+        let (lo, hi) = (i.min(k), i.max(k));
+        let (head, tail) = self.cells_mut().split_at_mut(hi * stride);
+        head[lo * stride..(lo + 1) * stride].swap_with_slice(&mut tail[..stride]);
     }
 
     /// Swap columns `j` and `l` (either may be 0).
@@ -657,24 +670,24 @@ impl Table {
         if j == l {
             return;
         }
-        for i in 0..=self.height {
-            let (a, b) = (self.get(i, j), self.get(i, l));
-            self.set(i, j, b);
-            self.set(i, l, a);
+        let stride = self.width + 1;
+        for row in self.cells_mut().chunks_exact_mut(stride) {
+            row.swap(j, l);
         }
     }
 
     /// Matrix transposition: rows become columns (paper §3.3). The table
     /// name stays at (0,0); column attributes become row attributes and
-    /// vice versa.
+    /// vice versa. Built in one pass: storage row `j` of the result is
+    /// storage column `j` of `self`.
     pub fn transpose(&self) -> Table {
-        let mut t = Table::new(self.name(), self.width, self.height);
-        for i in 0..=self.height {
-            for j in 0..=self.width {
-                t.set(j, i, self.get(i, j));
-            }
+        let stride = self.width + 1;
+        let src = self.cells();
+        let mut cells = Vec::with_capacity(src.len());
+        for j in 0..stride {
+            cells.extend(src[j..].iter().step_by(stride));
         }
-        t
+        Table::from_parts(self.width, self.height, cells)
     }
 
     /// Apply `f` to every cell (used by tests for genericity morphisms).

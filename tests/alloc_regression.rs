@@ -454,4 +454,56 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         io::write_csv(&sales, io::Escape::Json, &mut fresh);
         fresh.len()
     });
+
+    // ------------------------------------------------------------------
+    // Guard 10: PURGE touches each cell once and copies no buffer. The
+    // pivot's intermediate, GROUP of a 72-part × 4-region `Sales` whose
+    // rows carry upload-style row attributes (`r0`, `r1`, …; clean-up on
+    // ⊥ leaves every row), is about 289 × 289 cells; purging its `Sold`
+    // columns by `Region` must allocate less than one copy of that cell
+    // buffer. A purge staged as transpose → clean-up → transpose
+    // materializes a transposed copy of the whole input.
+    // ------------------------------------------------------------------
+    let mut csv = String::from("Sales,Region,Part,Sold\n");
+    for row in 0..72 * 4 {
+        let (p, r) = (row / 4, row % 4);
+        csv.push_str(&format!("r{row},region{r},part{p},{}\n", 100 + row));
+    }
+    let sales = io::from_csv(&csv).unwrap();
+    let (region, sold) = (
+        SymbolSet::from_iter([Symbol::name("Region")]),
+        SymbolSet::from_iter([Symbol::name("Sold")]),
+    );
+    let grouped = ops::group(&sales, &region, &sold, Symbol::name("P"));
+    let cleaned = ops::cleanup(
+        &grouped,
+        &SymbolSet::from_iter([Symbol::name("Part")]),
+        &SymbolSet::from_iter([Symbol::Null]),
+        Symbol::name("P"),
+    );
+    let input_bytes =
+        (cleaned.height() + 1) * (cleaned.width() + 1) * std::mem::size_of::<Symbol>();
+    assert!(
+        cleaned.height() >= 288 && cleaned.width() >= 288,
+        "the pivot intermediate keeps one row and one Sold column per sale \
+         ({}×{})",
+        cleaned.height(),
+        cleaned.width()
+    );
+
+    BYTES.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let purged = ops::purge(&cleaned, &sold, &region, Symbol::name("P"));
+    ARMED.store(false, Ordering::SeqCst);
+    let purge_bytes = BYTES.load(Ordering::SeqCst);
+
+    assert_eq!(purged.height(), cleaned.height());
+    assert_eq!(purged.width(), 1 + 4, "Part and one Sold per region");
+    assert!(
+        purge_bytes < input_bytes,
+        "PURGE must not copy its input ({purge_bytes} bytes allocated; \
+         one copy of the {}×{} input is {input_bytes} bytes)",
+        cleaned.height(),
+        cleaned.width()
+    );
 }

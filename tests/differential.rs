@@ -203,27 +203,46 @@ fn arb_program() -> impl Strategy<Value = String> {
         })
 }
 
-/// A small input database: two relational tables sharing attribute `B`,
-/// two more overlapping tables, an empty one, and the loop counters.
+/// A small input database: two tables sharing attribute `B`, two more
+/// overlapping tables, an empty one, and the loop counters. The four
+/// data tables are shaped like CSV uploads: each row's attribute is ⊥ or
+/// one of `e1..e3`, and a table may end with a *twin* of its first row
+/// (equal data, another row attribute) and an exact duplicate of it, so
+/// an accumulator can start out holding a duplicate storage row.
 fn arb_input() -> impl Strategy<Value = Database> {
-    let rel = |max: usize| proptest::collection::vec((0usize..4, 0usize..4), 0..max);
+    let rel = |max: usize| {
+        (
+            proptest::collection::vec((0usize..4, 0usize..4, 0usize..4), 0..max),
+            0u8..4,
+        )
+    };
     (rel(6), rel(6), rel(4), rel(4)).prop_map(|(r, s, t, u)| {
-        let table = |name: &str, attrs: [&str; 2], rows: &[(usize, usize)]| {
-            let tuples: Vec<Vec<Symbol>> = rows
-                .iter()
-                .map(|(a, b)| {
-                    vec![
-                        Symbol::value(&format!("v{a}")),
-                        Symbol::value(&format!("v{b}")),
-                    ]
-                })
-                .collect();
-            Table::relational_syms(
-                Symbol::name(name),
-                &[Symbol::name(attrs[0]), Symbol::name(attrs[1])],
-                &tuples,
-            )
-        };
+        let table =
+            |name: &str, attrs: [&str; 2], (rows, extra): &(Vec<(usize, usize, usize)>, u8)| {
+                let mut rows = rows.clone();
+                if let Some(&(a, b, k)) = rows.first() {
+                    if extra & 1 != 0 {
+                        rows.push((a, b, k + 1));
+                    }
+                    if extra & 2 != 0 {
+                        rows.push((a, b, k));
+                    }
+                }
+                let mut cells = vec![
+                    Symbol::name(name),
+                    Symbol::name(attrs[0]),
+                    Symbol::name(attrs[1]),
+                ];
+                for &(a, b, k) in &rows {
+                    cells.push(match k % 4 {
+                        0 => Symbol::Null,
+                        k => Symbol::name(&format!("e{k}")),
+                    });
+                    cells.push(Symbol::value(&format!("v{a}")));
+                    cells.push(Symbol::value(&format!("v{b}")));
+                }
+                Table::from_parts(rows.len(), 2, cells)
+            };
         let counter = |name: &str| Table::relational(name, &["K"], &[&["go"]]);
         Database::from_tables([
             table("R", ["A", "B"], &r),
@@ -342,6 +361,59 @@ proptest! {
                     )));
                 }
             }
+        }
+    }
+}
+
+/// Transitive closure over `R` (the service's `tc` class): `TC` grows by
+/// `CLASSICALUNION(TC, Frontier)` every iteration, the append-incremental
+/// union under the delta strategy.
+const CLOSURE_SRC: &str = "TC <- COPY(R)
+Frontier <- COPY(R)
+while Frontier do
+  RTC <- RENAME[A -> A0](TC)
+  RTC <- RENAME[B -> B0](RTC)
+  Matched <- FUSEDJOIN[B0 = A](RTC, R)
+  Step <- PROJECT[{A0, B}](Matched)
+  Step <- RENAME[A0 -> A](Step)
+  Frontier <- DIFFERENCE(Step, TC)
+  TC <- CLASSICALUNION(TC, Frontier)
+end";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The incremental union over upload-shaped tables: a closure whose
+    /// edges carry row attributes, twins (equal data, another row
+    /// attribute) and duplicate rows must come out the same under every
+    /// strategy and shard configuration. Its frontier rows keep the row
+    /// attribute of the path they extend, so the accumulator meets rows
+    /// whose data it already holds under another row attribute, which
+    /// the union must keep.
+    #[test]
+    fn closure_over_uploads_agrees(db in arb_input()) {
+        let program = parse(CLOSURE_SRC).expect("closure program parses");
+        let configs = [
+            limits(WhileStrategy::Naive, usize::MAX),
+            limits(WhileStrategy::Naive, 1),
+            limits(WhileStrategy::Delta, usize::MAX),
+            limits(WhileStrategy::Delta, 1),
+        ]
+        .map(|l| EvalLimits { max_while_iters: 16, ..l });
+        let run = |cfg: &EvalLimits| {
+            run_governed_traced(&program, &db, &Budget::from_limits(cfg))
+                .map(|(out, _, _)| canonicalize_fresh(&out))
+                .map_err(|e| e.to_string())
+        };
+        let baseline = run(&configs[0]);
+        prop_assert!(baseline.is_ok(), "closure over a 4-node graph converges: {:?}", baseline);
+        for cfg in &configs[1..] {
+            prop_assert_eq!(
+                &run(cfg),
+                &baseline,
+                "closure diverges under {:?}/threshold {}",
+                cfg.while_strategy, cfg.parallel_threshold
+            );
         }
     }
 }

@@ -388,18 +388,23 @@ proptest! {
     // ------------------------------------------------------------------
 
     #[test]
-    fn purge_is_the_transposed_cleanup(t in arb_table()) {
-        let on = t.scheme();
-        let by = t.row_scheme();
-        let direct = ops::purge(&t, &on, &by, t.name());
+    fn purge_is_the_transposed_cleanup(
+        t in prop_oneof![arb_table(), arb_purge_table()],
+        on in arb_attr_choice(),
+        by in arb_attr_choice(),
+    ) {
+        // The column-native purge must be byte-identical to the duality
+        // it implements, for any `on`/`by`: empty, holding ⊥, naming
+        // attributes the table lacks, or the table's own (row) scheme.
+        let on = on.unwrap_or_else(|| t.scheme());
+        let by = by.unwrap_or_else(|| t.row_scheme());
+        let direct = ops::purge(&t, &on, &by, Symbol::name("P"));
         let via_transpose = {
-            let flipped = t.transpose();
-            let cleaned = ops::cleanup(&flipped, &by, &on, t.name());
-            let mut back = cleaned.transpose();
-            back.set_name(t.name());
-            back
+            let flipped = transpose_by_cells(&t);
+            let cleaned = ops::cleanup(&flipped, &by, &on, Symbol::name("P"));
+            transpose_by_cells(&cleaned)
         };
-        prop_assert_eq!(direct, via_transpose);
+        prop_assert_eq!(direct, via_transpose, "on {:?} by {:?} over:\n{}", on, by, t);
     }
 
     // ------------------------------------------------------------------
@@ -796,6 +801,77 @@ fn group_and_fused_restructure_pin_the_singleton_table() {
         2,
         "cross-tab is one header + one data row:\n{fused}"
     );
+}
+
+// ----------------------------------------------------------------------
+// Purge oracle: the column-native purge against the transposed clean-up.
+// ----------------------------------------------------------------------
+
+/// The §3.3 transposition, cell by cell: an oracle independent of
+/// `Table::transpose`'s one-pass buffer.
+fn transpose_by_cells(t: &Table) -> Table {
+    let mut out = Table::new(t.name(), t.width(), t.height());
+    for i in 0..=t.height() {
+        for j in 0..=t.width() {
+            out.set(j, i, t.get(i, j));
+        }
+    }
+    out
+}
+
+/// An attribute set for `PURGE[on … by …]`: `None` stands for the
+/// table's own scheme (or row scheme); otherwise 0–3 symbols from the
+/// pool, which may be ⊥, absent from the table, or empty, with ⊥ added
+/// on demand.
+fn arb_attr_choice() -> impl Strategy<Value = Option<SymbolSet>> {
+    prop_oneof![
+        1 => Just(None),
+        3 => (proptest::collection::vec(arb_symbol(), 0..4), 0u8..2).prop_map(
+            |(syms, null)| {
+                let mut set = SymbolSet::from_iter(syms);
+                if null == 1 {
+                    set.insert(Symbol::Null);
+                }
+                Some(set)
+            }
+        ),
+    ]
+}
+
+/// A table where purge has work to do: 0–4 data rows and 0–5 columns,
+/// column and row attributes from {A, B, ⊥}, so attributes repeat, and
+/// data from {v0, v1, ⊥}, so groups both join and conflict.
+fn arb_purge_table() -> impl Strategy<Value = Table> {
+    let attr = || {
+        prop_oneof![
+            Just(Symbol::name("A")),
+            Just(Symbol::name("B")),
+            Just(Symbol::Null)
+        ]
+    };
+    let datum = || {
+        prop_oneof![
+            2 => Just(Symbol::Null),
+            1 => Just(Symbol::value("v0")),
+            1 => Just(Symbol::value("v1")),
+        ]
+    };
+    (0usize..5, 0usize..6).prop_flat_map(move |(h, w)| {
+        (
+            proptest::collection::vec(attr(), w),
+            proptest::collection::vec(attr(), h),
+            proptest::collection::vec(datum(), h * w),
+        )
+            .prop_map(move |(cols, rows, data)| {
+                let mut cells = vec![Symbol::name("T")];
+                cells.extend(cols);
+                for (i, &a) in rows.iter().enumerate() {
+                    cells.push(a);
+                    cells.extend_from_slice(&data[i * w..(i + 1) * w]);
+                }
+                Table::from_parts(h, w, cells)
+            })
+    })
 }
 
 // ----------------------------------------------------------------------
