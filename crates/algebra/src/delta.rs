@@ -30,9 +30,18 @@
 //!   the per-iteration cost of the hot product/select chain from
 //!   `O(|R|·|S|)` into `O(|ΔR|·|S|)` with no per-iteration copy of the
 //!   accumulated output.
+//! * **row indexes along append lineage** — the accumulator of a
+//!   self-accumulating `CLASSICALUNION` and the right operand of a
+//!   `DIFFERENCE` that grows by appends get a hash index of their storage
+//!   rows ([`RowIndex`]), built once and then extended by each append's
+//!   new rows. The union absorbs its delta against it, and `DIFFERENCE`
+//!   filters only its cached output and its left operand's new rows
+//!   ([`incremental_difference`]), so a closure iteration costs the new
+//!   rows, not the closure so far (semi-naive evaluation).
 //!
-//! Append lineage and per-statement memos live only for the duration of
-//! one `while` loop execution; re-entering a loop starts fresh.
+//! Append lineage, row indexes and per-statement memos live only for the
+//! duration of one `while` loop execution; re-entering a loop starts
+//! fresh.
 
 use crate::error::{AlgebraError, Result};
 use crate::eval::{
@@ -44,6 +53,7 @@ use crate::ops;
 use crate::plan::read_set;
 use crate::program::{Assignment, OpKind, Statement};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use tabular_core::{Database, Symbol, SymbolSet, Table};
 
 /// True when a `while` body is eligible for delta-driven evaluation
@@ -128,11 +138,141 @@ struct StmtMemo {
     produced_max_cells: usize,
 }
 
+/// A hash index over the storage rows of one name's single table, valid
+/// for exactly one group version of that name. [`DeltaState`] keeps it
+/// current along append lineage: an append extends it by the appended
+/// rows, any other change to the name drops it.
+///
+/// The index owns copies of its rows, in one flat arena. A handle on the
+/// table's buffer would make every in-place append to that table a
+/// copy-on-write copy. Rows with equal hashes are chained through `next`,
+/// so indexing a row allocates nothing of its own.
+struct RowIndex {
+    /// The group version the index describes.
+    version: u64,
+    /// Rows of the indexed table covered so far, duplicates included.
+    height: usize,
+    /// Cells per storage row: the table's width plus the row attribute.
+    stride: usize,
+    /// The distinct storage rows, in first-occurrence order.
+    rows: Vec<Symbol>,
+    /// Row hash → the last distinct row indexed with that hash.
+    heads: HashMap<u64, usize, BuildHasherDefault<PreHashed>>,
+    /// Per distinct row, the previous row with the same hash, or
+    /// [`NO_ROW`].
+    next: Vec<usize>,
+    /// Some row repeats an earlier one.
+    duplicates: bool,
+    /// Some data entry is ⊥.
+    null_data: bool,
+}
+
+const NO_ROW: usize = usize::MAX;
+
+impl RowIndex {
+    /// An empty index of rows of `stride` cells, sized for `rows` rows.
+    fn new(stride: usize, rows: usize, version: u64) -> RowIndex {
+        RowIndex {
+            version,
+            height: 0,
+            stride,
+            rows: Vec::with_capacity(rows * stride),
+            heads: HashMap::with_capacity_and_hasher(rows, Default::default()),
+            next: Vec::with_capacity(rows),
+            duplicates: false,
+            null_data: false,
+        }
+    }
+
+    fn build(t: &Table, version: u64) -> RowIndex {
+        let mut index = RowIndex::new(t.width() + 1, t.height(), version);
+        index.extend(t, 0);
+        index
+    }
+
+    /// Index `t`'s rows after `base` and note their flags.
+    fn extend(&mut self, t: &Table, base: usize) {
+        for i in base + 1..=t.height() {
+            let row = t.storage_row(i);
+            self.null_data |= row[1..].iter().any(|c| c.is_null());
+            self.duplicates |= !self.insert(row);
+        }
+        self.height = t.height();
+    }
+
+    fn contains(&self, row: &[Symbol]) -> bool {
+        self.find(row_hash(row), row)
+    }
+
+    fn find(&self, hash: u64, row: &[Symbol]) -> bool {
+        let mut at = self.heads.get(&hash).copied().unwrap_or(NO_ROW);
+        while at != NO_ROW {
+            if &self.rows[at * self.stride..(at + 1) * self.stride] == row {
+                return true;
+            }
+            at = self.next[at];
+        }
+        false
+    }
+
+    /// Add `row` unless it is present; true if it was added.
+    fn insert(&mut self, row: &[Symbol]) -> bool {
+        let hash = row_hash(row);
+        if self.find(hash, row) {
+            return false;
+        }
+        let id = self.next.len();
+        self.rows.extend_from_slice(row);
+        let prev = self.heads.insert(hash, id).unwrap_or(NO_ROW);
+        self.next.push(prev);
+        true
+    }
+}
+
+/// A well-mixed 64-bit hash of a storage row: a multiply-rotate fold of
+/// the cells' [`Symbol::code`]s, finished by MurmurHash3's `fmix64` so
+/// that both the bucket bits and the control bits of the hash table
+/// vary.
+fn row_hash(row: &[Symbol]) -> u64 {
+    let mut h: u64 = 0;
+    for s in row {
+        h = (h.rotate_left(5) ^ s.code()).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
+}
+
+/// The hasher of [`RowIndex::heads`], whose keys are already
+/// [`row_hash`]es: it passes them through.
+#[derive(Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x;
+    }
+}
+
 /// What the delta engine remembers across the iterations of one `while`
-/// loop execution: append lineage per name and one memo per body
-/// statement. The loop driver in `eval` holds it for the loop's duration.
+/// loop execution: append lineage and row indexes per name, and one memo
+/// per body statement. The loop driver in `eval` holds it for the loop's
+/// duration.
 pub(crate) struct DeltaState {
     appends: HashMap<Symbol, AppendInfo>,
+    indexes: HashMap<Symbol, RowIndex>,
     memos: Vec<Option<StmtMemo>>,
 }
 
@@ -140,6 +280,7 @@ impl DeltaState {
     pub(crate) fn new(body_len: usize) -> DeltaState {
         DeltaState {
             appends: HashMap::new(),
+            indexes: HashMap::new(),
             memos: (0..body_len).map(|_| None).collect(),
         }
     }
@@ -151,6 +292,102 @@ impl DeltaState {
         let info = self.appends.get(&name)?;
         (info.from == last_seen && info.to == current).then_some(info.base_height)
     }
+
+    /// Record that `name` became `t` by appending rows to its version
+    /// `info.from`, and extend its row index by those rows when the index
+    /// describes that version (dropping it otherwise).
+    fn record_append(&mut self, name: Symbol, info: AppendInfo, t: &Table) {
+        match self.indexes.get_mut(&name) {
+            Some(index)
+                if index.version == info.from
+                    && index.height == info.base_height
+                    && index.stride == t.width() + 1 =>
+            {
+                index.extend(t, info.base_height);
+                index.version = info.to;
+            }
+            _ => {
+                self.indexes.remove(&name);
+            }
+        }
+        self.appends.insert(name, info);
+    }
+
+    /// Drop the lineage and the row index of `name`: it was replaced, or
+    /// a statement writing it failed.
+    fn forget(&mut self, name: Symbol) {
+        self.appends.remove(&name);
+        self.indexes.remove(&name);
+    }
+
+    /// The row index of `name` if it describes `version`.
+    fn index(&self, name: Symbol, version: u64) -> Option<&RowIndex> {
+        self.indexes.get(&name).filter(|ix| ix.version == version)
+    }
+
+    /// Build the row index that an arm of this statement probes, when it
+    /// is missing: the accumulator of a self-accumulating
+    /// `CLASSICALUNION`, and the right operand of a `DIFFERENCE` whose
+    /// last change was an append. Built once, the index then follows
+    /// the name's appends ([`DeltaState::record_append`]); names that are
+    /// replaced rather than grown never get one.
+    fn prepare_index(
+        &mut self,
+        idx: usize,
+        a: &Assignment,
+        reads: &[Symbol],
+        read_versions: &[u64],
+        db: &Database,
+    ) {
+        let slot = match a.op {
+            OpKind::ClassicalUnion
+                if self.memos[idx]
+                    .as_ref()
+                    .is_some_and(|m| m.target_version == read_versions[0]) =>
+            {
+                0
+            }
+            OpKind::Difference
+                if self
+                    .appends
+                    .get(&reads[1])
+                    .is_some_and(|info| info.to == read_versions[1]) =>
+            {
+                1
+            }
+            _ => return,
+        };
+        let (name, version) = (reads[slot], read_versions[slot]);
+        if self.index(name, version).is_none() {
+            if let Some(t) = single(db, name) {
+                self.indexes.insert(name, RowIndex::build(t, version));
+            }
+        }
+    }
+}
+
+/// Commit `results` as the new group of `target`. One table replacing
+/// the target's only table takes its slot in the store
+/// ([`Database::update_named`]), so the store's indexes are patched
+/// rather than rebuilt; any other group goes through `replace_results`.
+/// The two differ only in where the table sits in the store's order.
+fn commit(results: Vec<Table>, target: Symbol, db: &mut Database) {
+    let results = match <[Table; 1]>::try_from(results) {
+        Ok([t]) if t.name() == target && single(db, target).is_some() => {
+            db.update_named(target, |old| *old = t);
+            return;
+        }
+        Ok([t]) => vec![t],
+        Err(results) => results,
+    };
+    replace_results(results, db);
+}
+
+/// The table named `name` when it is the only one of its name.
+fn single(db: &Database, name: Symbol) -> Option<&Table> {
+    let mut it = db.tables_named_iter(name);
+    let t = it.next()?;
+    it.next().is_none().then_some(t)
 }
 
 /// The version of a name: an order-dependent fold of the cached
@@ -242,7 +479,7 @@ pub(crate) fn run_delta_iteration(
                 // stale append lineage) and disagree with naive
                 // re-evaluation.
                 st.memos[idx] = None;
-                st.appends.remove(&target);
+                st.forget(target);
             }
             outcome
         })?;
@@ -271,6 +508,7 @@ fn run_body_statement(
     metrics: &mut Metrics,
 ) -> Result<bool> {
     let old_version = group_version(db, target);
+    st.prepare_index(idx, a, &reads, &read_versions, db);
 
     // Append-incremental fast path: extend the statement's cached output
     // by exactly the delta rows. When the cached table is still in place
@@ -315,7 +553,7 @@ fn run_body_statement(
                 // The correct output equals the cached table, but a later
                 // writer replaced the target since: put the cached handle
                 // back (an O(1) insert, no cells move).
-                replace_results(vec![cached.clone()], db);
+                commit(vec![cached.clone()], target, db);
                 (true, cached)
             }
         } else if in_place {
@@ -343,19 +581,20 @@ fn run_body_statement(
             let mut out = cached;
             let report = inc.plan.apply(&mut out, cx)?;
             metrics.note_partitioned(&report);
-            replace_results(vec![out.clone()], db);
+            // Fingerprint before cloning, so the memo's handle carries
+            // the fold that the next append continues.
+            out.fingerprint();
+            commit(vec![out.clone()], target, db);
             (true, out)
         };
         let final_version = if changed {
             let v = group_version(db, target);
-            st.appends.insert(
-                target,
-                AppendInfo {
-                    from: from_version,
-                    to: v,
-                    base_height,
-                },
-            );
+            let info = AppendInfo {
+                from: from_version,
+                to: v,
+                base_height,
+            };
+            st.record_append(target, info, &new_output);
             v
         } else {
             old_version
@@ -368,10 +607,19 @@ fn run_body_statement(
             produced_cells: inc.out_cells_after,
             produced_max_cells: inc.out_cells_after,
         });
+        metrics.stats.while_delta_incremental += 1;
         return Ok(changed);
     }
 
-    let results = compute_results(a, db, cx, metrics)?;
+    let difference = incremental_difference(st, idx, a, target, &reads, &read_versions, db);
+    let incremental = difference.is_some();
+    let results = match difference {
+        Some((out, input_cells)) => {
+            metrics.note_matched(1, input_cells);
+            vec![out]
+        }
+        None => compute_results(a, db, cx, metrics)?,
+    };
     check_results(&results, cx, metrics)?;
     let produced_tables = results.len();
     let produced_cells = results.iter().map(table_cells).sum();
@@ -385,29 +633,29 @@ fn run_body_statement(
         classify_change(&db.tables_named(target), &results)
     };
     // Keep a handle on a single-table output for future incremental
-    // plans; cloning shares the cell buffer, so this is O(1).
-    let cached_output = (results.len() == 1).then(|| results[0].clone());
+    // plans; cloning shares the cell buffer, so this is O(1). The
+    // fingerprint is taken first (the insert below needs it anyway) so
+    // that the cached handle carries the fold its appends continue.
+    let cached_output = (results.len() == 1).then(|| {
+        results[0].fingerprint();
+        results[0].clone()
+    });
 
     let changed = !matches!(change, Change::Unchanged);
     if changed {
-        replace_results(results, db);
+        commit(results, target, db);
         check_table_count(db, cx.limits)?;
         let new_version = group_version(db, target);
-        match change {
-            Change::Append { base_height } => {
-                st.appends.insert(
-                    target,
-                    AppendInfo {
-                        from: old_version,
-                        to: new_version,
-                        base_height,
-                    },
-                );
+        match (change, single(db, target)) {
+            (Change::Append { base_height }, Some(t)) => {
+                let info = AppendInfo {
+                    from: old_version,
+                    to: new_version,
+                    base_height,
+                };
+                st.record_append(target, info, t);
             }
-            Change::Replaced => {
-                st.appends.remove(&target);
-            }
-            Change::Unchanged => unreachable!("changed implies a real change"),
+            _ => st.forget(target),
         }
     }
     st.memos[idx] = Some(StmtMemo {
@@ -418,6 +666,9 @@ fn run_body_statement(
         produced_cells,
         produced_max_cells,
     });
+    if incremental {
+        metrics.stats.while_delta_incremental += 1;
+    }
     Ok(changed)
 }
 
@@ -492,8 +743,8 @@ enum IncPlan {
     /// data rows untouched — only the attribute row differs, and that is
     /// already in the cached output).
     TailRows { r: Table, base: usize },
-    /// Append these already-computed rows.
-    Rows(Vec<Vec<Symbol>>),
+    /// Append these already-computed storage rows, concatenated.
+    Rows(Vec<Symbol>),
 }
 
 impl IncPlan {
@@ -519,12 +770,15 @@ impl IncPlan {
                     rows.push_row(r.storage_row(i));
                 }
             }),
-            IncPlan::Rows(new_rows) => out.append_rows(|rows| {
-                rows.reserve_rows(new_rows.len());
-                for row in &new_rows {
-                    rows.push_row(row);
-                }
-            }),
+            IncPlan::Rows(new_rows) => {
+                let stride = out.width() + 1;
+                out.append_rows(|rows| {
+                    rows.reserve_rows(new_rows.len() / stride);
+                    for row in new_rows.chunks_exact(stride) {
+                        rows.push_row(row);
+                    }
+                });
+            }
         }
         Ok(Vec::new())
     }
@@ -564,11 +818,7 @@ fn plan_incremental(
     let out_old = memo.cached_output.as_ref()?;
     let base_height = out_old.height();
     let out_width = out_old.width();
-    let single = |name: Symbol| -> Option<&Table> {
-        let mut it = db.tables_named_iter(name);
-        let t = it.next()?;
-        it.next().is_none().then_some(t)
-    };
+    let single = |name: Symbol| single(db, name);
     // The argument's previous height when it grew purely by appends (its
     // full current height means "unchanged": no delta rows to process).
     let base_of = |slot: usize, t: &Table| -> Option<usize> {
@@ -661,39 +911,37 @@ fn plan_incremental(
             // The self-accumulation pattern `TC ← TC ∪ Δ`: the left
             // operand must be exactly this statement's previous output
             // (by version), and both operands must be in the shape where
-            // classical union is exact row-set union. The right operand
-            // is absorbed in full — no lineage needed on it — so the step
-            // costs O(|TC| + |Δ|) hashing instead of the full
+            // classical union is exact row-set union. The accumulator's
+            // shape is read off its row index (flags kept current on
+            // append) and the right operand is absorbed in full, so the
+            // step costs O(|Δ|) instead of the full
             // union → purge → clean-up pipeline.
             if read_versions[0] != memo.target_version {
                 return None;
             }
+            let acc = st.index(reads[0], read_versions[0])?;
             let s = single(reads[1])?;
             if out_width != s.width()
                 || out_old.col_attrs() != s.col_attrs()
-                || !row_set_shaped(out_old)
+                || acc.duplicates
+                || acc.null_data
                 || !row_set_shaped(s)
             {
+                // Duplicate accumulator rows would be merged by the
+                // union, so the append model does not apply.
                 return None;
             }
-            let mut seen: std::collections::HashSet<&[Symbol]> =
-                std::collections::HashSet::with_capacity(out_old.height() + s.height());
-            for i in 1..=out_old.height() {
-                if !seen.insert(out_old.storage_row(i)) {
-                    // The accumulator holds duplicate rows; union would
-                    // merge them, so the append model does not apply.
-                    return None;
-                }
-            }
-            let mut rows = Vec::new();
+            // The rows new to the accumulator, each once, in `s`'s order:
+            // exactly the arena of an index over them.
+            let mut fresh = RowIndex::new(out_width + 1, s.height(), 0);
             for k in 1..=s.height() {
                 let row = s.storage_row(k);
-                if seen.insert(row) {
-                    rows.push(row.to_vec());
+                if !acc.contains(row) {
+                    fresh.insert(row);
                 }
             }
-            let new_rows = rows.len();
-            (IncPlan::Rows(rows), new_rows)
+            let new_rows = fresh.next.len();
+            (IncPlan::Rows(fresh.rows), new_rows)
         }
         OpKind::Select { a: pa, b: pb } if pa.is_rigid() && pb.is_rigid() => {
             let sa = pa.as_ground()?;
@@ -704,14 +952,15 @@ fn plan_incremental(
             }
             let base = base_of(0, r)?;
             let mut rows = Vec::new();
+            let mut new_rows = 0;
             for i in base + 1..=r.height() {
                 if r.row_entries_named(i, sa)
                     .weakly_equal(&r.row_entries_named(i, sb))
                 {
-                    rows.push(r.storage_row(i).to_vec());
+                    rows.extend_from_slice(r.storage_row(i));
+                    new_rows += 1;
                 }
             }
-            let new_rows = rows.len();
             (IncPlan::Rows(rows), new_rows)
         }
         OpKind::SelectConst { a: pa, v: pv } if pa.is_rigid() && pv.is_rigid() => {
@@ -723,12 +972,13 @@ fn plan_incremental(
             }
             let base = base_of(0, r)?;
             let mut rows = Vec::new();
+            let mut new_rows = 0;
             for i in base + 1..=r.height() {
                 if r.row_entries_named(i, sa).contains(sv) {
-                    rows.push(r.storage_row(i).to_vec());
+                    rows.extend_from_slice(r.storage_row(i));
+                    new_rows += 1;
                 }
             }
-            let new_rows = rows.len();
             (IncPlan::Rows(rows), new_rows)
         }
         OpKind::Project { attrs } if attrs.is_rigid() => {
@@ -738,14 +988,12 @@ fn plan_incremental(
                 return None;
             }
             let base = base_of(0, r)?;
-            let mut rows = Vec::with_capacity(r.height() - base);
+            let new_rows = r.height() - base;
+            let mut rows = Vec::with_capacity(new_rows * (cols.len() + 1));
             for i in base + 1..=r.height() {
-                let mut row = Vec::with_capacity(cols.len() + 1);
-                row.push(r.get(i, 0));
-                row.extend(cols.iter().map(|&j| r.get(i, j)));
-                rows.push(row);
+                rows.push(r.get(i, 0));
+                rows.extend(cols.iter().map(|&j| r.get(i, j)));
             }
-            let new_rows = rows.len();
             (IncPlan::Rows(rows), new_rows)
         }
         _ => return None,
@@ -756,6 +1004,81 @@ fn plan_incremental(
         base_height,
         out_cells_after: (base_height + new_rows + 1) * (out_width + 1),
     }))
+}
+
+/// `DIFFERENCE(R, S)` against the row index of `S`, with the input
+/// cells of both operands for the statement's span. Applies when both
+/// operands are single tables with the same pairwise-distinct column
+/// attributes, where [`ops::difference`] matches whole storage rows, and
+/// `S` has a current index ([`DeltaState::prepare_index`]); otherwise
+/// `None`, and the statement runs [`ops::difference`].
+///
+/// When the statement's previous output is cached and since then `R`
+/// and `S` each grew by appends or stayed unchanged, the output is the
+/// cached rows not in `S`, followed by `R`'s appended rows not in `S`.
+/// Difference is a row-wise filter, "keep a row of `R` not matched by
+/// any row of `S`", so with `R = R₀ · ΔR` the output is
+/// `(R₀ \ S) · (ΔR \ S)` in `R`'s row order, which is
+/// [`ops::difference`]'s order. And `S ⊇ S₀` gives
+/// `R₀ \ S = (R₀ \ S₀) \ S`: the cached rows are filtered again,
+/// since rows appended to `S` may match them. Otherwise all of `R` is
+/// filtered against the index. Both cost one probe per filtered row,
+/// not a hash of `S`.
+fn incremental_difference(
+    st: &DeltaState,
+    idx: usize,
+    a: &Assignment,
+    target: Symbol,
+    reads: &[Symbol],
+    read_versions: &[u64],
+    db: &Database,
+) -> Option<(Table, usize)> {
+    if !matches!(a.op, OpKind::Difference) {
+        return None;
+    }
+    let r = single(db, reads[0])?;
+    let s = single(db, reads[1])?;
+    if !ops::traditional::aligned_distinct_schemes(r, s) {
+        return None;
+    }
+    let index = st.index(reads[1], read_versions[1])?;
+    // The cached output and the first of `R`'s rows not yet filtered
+    // into it, when both operands only grew since it was computed.
+    let cached = st.memos[idx].as_ref().and_then(|memo| {
+        let out = memo.cached_output.as_ref()?;
+        // The operand's previous height if it grew by appends or stayed
+        // unchanged (its full height: no new rows).
+        let base_of = |slot: usize, t: &Table| {
+            if read_versions[slot] == memo.read_versions[slot] {
+                Some(t.height())
+            } else {
+                st.append_base(reads[slot], memo.read_versions[slot], read_versions[slot])
+            }
+        };
+        base_of(1, s)?;
+        let base = base_of(0, r)?;
+        (out.width() == r.width()).then_some((out, base + 1))
+    });
+    let mut cells = Vec::with_capacity(r.width() + 1);
+    cells.push(target);
+    cells.extend_from_slice(r.col_attrs());
+    let mut height = 0;
+    let mut keep = |row: &[Symbol]| {
+        if !index.contains(row) {
+            cells.extend_from_slice(row);
+            height += 1;
+        }
+    };
+    let first_new = match cached {
+        Some((out, first_new)) => {
+            (1..=out.height()).for_each(|i| keep(out.storage_row(i)));
+            first_new
+        }
+        None => 1,
+    };
+    (first_new..=r.height()).for_each(|i| keep(r.storage_row(i)));
+    let input_cells = table_cells(r) + table_cells(s);
+    Some((Table::from_parts(height, r.width(), cells), input_cells))
 }
 
 #[cfg(test)]
@@ -1126,6 +1449,61 @@ mod tests {
         assert_eq!(stats.while_fallback_naive, 0);
         assert_eq!(naive.table_str("S").unwrap(), delta.table_str("S").unwrap());
         assert_eq!(delta.table_str("S").unwrap().height(), 2);
+    }
+
+    #[test]
+    fn incremental_union_declines_once_null_data_is_appended() {
+        // `S ← S ∪ Mix` over four iterations: Mix brings a plain row
+        // (naive first run), another plain row (the incremental arm
+        // builds S's row index), a ⊥-holding row (not row-set shaped: the
+        // naive union appends it, and the index notes ⊥ data as it
+        // extends), then a plain row again, which the incremental arm
+        // must decline: its precondition is read off the index flags.
+        let p = parse(
+            "while W do
+               S <- CLASSICALUNION(S, Mix)
+               Mix <- COPY(M2)
+               M2 <- COPY(M3)
+               M3 <- COPY(M4)
+               W <- COPY(W2)
+               W2 <- COPY(W3)
+               W3 <- COPY(W4)
+               W4 <- DIFFERENCE(W4, W4)
+             end",
+        )
+        .unwrap();
+        let mk = || {
+            Database::from_tables([
+                Table::relational("S", &["A", "B"], &[&["1", "2"]]),
+                Table::relational("Mix", &["A", "B"], &[&["a", "b"]]),
+                Table::relational("M2", &["A", "B"], &[&["c", "d"]]),
+                Table::relational("M3", &["A", "B"], &[&["x", "_"]]),
+                Table::relational("M4", &["A", "B"], &[&["x", "y"]]),
+                Table::relational("W", &["K"], &[&["go"]]),
+                Table::relational("W2", &["K"], &[&["go2"]]),
+                Table::relational("W3", &["K"], &[&["go3"]]),
+                Table::relational("W4", &["K"], &[&["go4"]]),
+            ])
+        };
+        let (naive, _, _) = run_governed_traced(
+            &p,
+            &mk(),
+            &Budget::from_limits(&limits(WhileStrategy::Naive)),
+        )
+        .unwrap();
+        let (delta, stats, _) = run_governed_traced(
+            &p,
+            &mk(),
+            &Budget::from_limits(&limits(WhileStrategy::Delta)),
+        )
+        .unwrap();
+        assert_eq!(stats.while_iterations, 4);
+        assert_eq!(naive.table_str("S").unwrap(), delta.table_str("S").unwrap());
+        assert_eq!(delta.table_str("S").unwrap().height(), 5);
+        // The union runs incrementally in iteration 2 only; no other
+        // statement has an incremental arm here (every COPY source is
+        // replaced, not appended to).
+        assert_eq!(stats.while_delta_incremental, 1, "{stats:?}");
     }
 
     #[test]

@@ -141,6 +141,12 @@ pub struct EvalStats {
     /// execution. Only completed skips count: a skip whose cell charge
     /// trips the run budget is the interrupted work, not a skip.
     pub while_delta_skipped: usize,
+    /// Body statements the delta `while` strategy executed by an
+    /// incremental arm: an append of only the rows its inputs' deltas
+    /// contribute, or a `DIFFERENCE` filtered through a row index kept
+    /// along append lineage. Like skips, these are delta-only and 0 under
+    /// naive evaluation.
+    pub while_delta_incremental: usize,
     /// `while` loop executions that requested the delta strategy but fell
     /// back to naive re-evaluation (body not provably delta-safe).
     pub while_fallback_naive: usize,

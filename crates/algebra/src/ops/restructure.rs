@@ -8,6 +8,7 @@
 //! example exactly and are validated by the inverse-pair property tests.
 
 use crate::error::{AlgebraError, Result};
+use std::collections::HashMap;
 use tabular_core::{Symbol, SymbolSet, Table};
 
 /// `T ← GROUP by 𝒜 on ℬ (R)` (Figure 4).
@@ -165,41 +166,41 @@ pub fn merge(r: &Table, on: &SymbolSet, by: &SymbolSet, name: Symbol) -> Table {
 pub fn split(r: &Table, on: &SymbolSet, name: Symbol) -> Vec<Table> {
     let a_cols = r.cols_in(on);
     let rest = r.cols_not_in(on);
+    let stride = rest.len() + 1;
 
-    let mut combos: Vec<Vec<Symbol>> = Vec::new();
-    let mut members: Vec<Vec<usize>> = Vec::new();
+    // One buffer per combination, in first-occurrence order: the header
+    // rows are written when the combination first appears, each data row
+    // is appended to its combination's buffer, and the height is counted
+    // alongside.
+    let mut group_of: HashMap<Vec<Symbol>, usize> = HashMap::new();
+    let mut outputs: Vec<(usize, Vec<Symbol>)> = Vec::new();
+    let mut key: Vec<Symbol> = Vec::with_capacity(a_cols.len());
     for i in 1..=r.height() {
-        let key: Vec<Symbol> = a_cols.iter().map(|&j| r.get(i, j)).collect();
-        match combos.iter().position(|c| *c == key) {
-            Some(p) => members[p].push(i),
+        key.clear();
+        key.extend(a_cols.iter().map(|&j| r.get(i, j)));
+        let g = match group_of.get(key.as_slice()) {
+            Some(&g) => g,
             None => {
-                combos.push(key);
-                members.push(vec![i]);
+                let mut cells = Vec::with_capacity((a_cols.len() + 2) * stride);
+                cells.push(name);
+                cells.extend(rest.iter().map(|&j| r.col_attr(j)));
+                for (&j, &v) in a_cols.iter().zip(&key) {
+                    cells.push(r.col_attr(j));
+                    cells.extend(std::iter::repeat_n(v, rest.len()));
+                }
+                group_of.insert(key.clone(), outputs.len());
+                outputs.push((a_cols.len(), cells));
+                outputs.len() - 1
             }
-        }
+        };
+        let (height, cells) = &mut outputs[g];
+        cells.push(r.get(i, 0));
+        cells.extend(rest.iter().map(|&j| r.get(i, j)));
+        *height += 1;
     }
-
-    combos
-        .iter()
-        .zip(&members)
-        .map(|(combo, rows)| {
-            let mut t = Table::new(name, 0, rest.len());
-            for (k, &j) in rest.iter().enumerate() {
-                t.set(0, k + 1, r.col_attr(j));
-            }
-            for (k, &j) in a_cols.iter().enumerate() {
-                let mut row = vec![combo[k]; rest.len() + 1];
-                row[0] = r.col_attr(j);
-                t.push_row(row);
-            }
-            for &i in rows {
-                let mut row = Vec::with_capacity(rest.len() + 1);
-                row.push(r.get(i, 0));
-                row.extend(rest.iter().map(|&j| r.get(i, j)));
-                t.push_row(row);
-            }
-            t
-        })
+    outputs
+        .into_iter()
+        .map(|(height, cells)| Table::from_parts(height, rest.len(), cells))
         .collect()
 }
 

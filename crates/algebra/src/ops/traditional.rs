@@ -80,7 +80,7 @@ pub fn difference(r: &Table, s: &Table, name: Symbol) -> Table {
 /// attributes are pairwise distinct — the precondition for reducing row
 /// matching (mutual subsumption + row-attribute equality) to storage-row
 /// equality.
-fn aligned_distinct_schemes(r: &Table, s: &Table) -> bool {
+pub(crate) fn aligned_distinct_schemes(r: &Table, s: &Table) -> bool {
     r.width() == s.width() && r.col_attrs() == s.col_attrs() && r.scheme().len() == r.width()
 }
 

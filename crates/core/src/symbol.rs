@@ -72,6 +72,18 @@ impl Symbol {
         self.istr().map(Istr::as_str)
     }
 
+    /// A distinct integer per symbol, valid for the process lifetime: the
+    /// sort in the low two bits (⊥ is 0), the interner index above.
+    /// Content hashes (table fingerprints, row indexes) fold it instead
+    /// of hashing the enum, which is what makes them process-local.
+    pub fn code(self) -> u64 {
+        match self {
+            Symbol::Null => 0,
+            Symbol::Name(i) => 1 | (u64::from(i.index()) << 2),
+            Symbol::Value(i) => 2 | (u64::from(i.index()) << 2),
+        }
+    }
+
     /// The interned handle of a name or value, or `None` for ⊥.
     pub fn istr(self) -> Option<Istr> {
         match self {

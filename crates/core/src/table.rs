@@ -23,9 +23,15 @@
 //! Mutation goes through [`Arc::make_mut`] — the buffer is copied lazily,
 //! only when it is actually shared (copy-on-write; materializations are
 //! counted in [`crate::stats::cow_copies`]). Each handle also caches a
-//! 64-bit content [`fingerprint`](Table::fingerprint), computed on first
-//! demand and invalidated by mutation, which the database's dedup index
-//! and the delta evaluator's version tracking key on.
+//! 64-bit content [`fingerprint`](Table::fingerprint), which the
+//! database's dedup index and the delta evaluator's version tracking key
+//! on. The cache holds the fold over the cells in row-major order; the
+//! dimensions are mixed in only when the fingerprint is read. So
+//! appending rows ([`Table::append_rows`], [`Table::append_rows_uninit`],
+//! [`Table::push_row`]) continues a cached fold over the new cells alone,
+//! and an accumulator that grows by appends is re-fingerprinted in time
+//! proportional to the new rows. Every other mutation drops the cache; the
+//! next read folds all the cells again.
 //!
 //! The shared buffer also holds the table's rendering: its CSV escaped
 //! as a JSON string body, written on first demand by
@@ -46,16 +52,17 @@ use std::sync::{Arc, OnceLock};
 ///
 /// Cloning is O(1): the cell buffer is [`Arc`]-shared and copied only on
 /// mutation (copy-on-write). The derived `Clone` also carries the cached
-/// fingerprint, so clones of a fingerprinted table stay fingerprinted,
-/// and shares the buffer's cached rendering.
+/// fingerprint fold, so clones of a fingerprinted table stay
+/// fingerprinted, and shares the buffer's cached rendering.
 #[derive(Clone, Debug)]
 pub struct Table {
     height: usize,
     width: usize,
     cells: Arc<Cells>,
-    /// Cached content fingerprint; set on first demand, cleared by any
-    /// mutation. Cloned together with the handle.
-    fp: OnceLock<u64>,
+    /// Cached fold of the cells for [`Table::fingerprint`]; set on first
+    /// demand, continued by appends, cleared by any other mutation.
+    /// Cloned together with the handle.
+    fold: OnceLock<u64>,
 }
 
 impl PartialEq for Table {
@@ -67,8 +74,9 @@ impl PartialEq for Table {
         if Arc::ptr_eq(&self.cells, &other.cells) {
             return true;
         }
-        // Already-computed fingerprints give a cheap negative.
-        if let (Some(a), Some(b)) = (self.fp.get(), other.fp.get()) {
+        // Already-computed cell folds give a cheap negative (the
+        // dimensions are equal by now).
+        if let (Some(a), Some(b)) = (self.fold.get(), other.fold.get()) {
             if a != b {
                 return false;
             }
@@ -146,7 +154,7 @@ impl Table {
             height,
             width,
             cells: Arc::new(Cells::new(cells)),
-            fp: OnceLock::new(),
+            fold: OnceLock::new(),
         }
     }
 
@@ -154,7 +162,7 @@ impl Table {
     /// fingerprint and rendering and materializes a private copy iff the
     /// buffer is shared (counted in [`crate::stats::cow_copies`]).
     fn cells_mut(&mut self) -> &mut Vec<Symbol> {
-        self.fp.take();
+        self.fold.take();
         if Arc::get_mut(&mut self.cells).is_none() {
             crate::stats::record_cow_copy();
         }
@@ -166,7 +174,7 @@ impl Table {
     /// Replace the cell buffer wholesale (structural rebuilds like
     /// [`Table::push_col`]); not a copy-on-write event.
     fn replace_cells(&mut self, cells: Vec<Symbol>) {
-        self.fp.take();
+        self.fold.take();
         self.cells = Arc::new(Cells::new(cells));
     }
 
@@ -176,32 +184,29 @@ impl Table {
         &self.cells.rendered
     }
 
-    /// The 64-bit content fingerprint: an FNV-1a-style hash over the
-    /// dimensions and every cell, computed once and cached until the next
-    /// mutation. Symbols hash by their interner index, which is stable for
-    /// the lifetime of the process (fingerprints are *not* stable across
-    /// processes and never serialized). Equal tables have equal
-    /// fingerprints; the converse holds only modulo 64-bit collisions, so
-    /// exact code paths (dedup, set semantics) use the fingerprint as a
-    /// filter and confirm with `==`.
+    /// The 64-bit content fingerprint: an FNV-1a-style fold over every
+    /// cell in row-major order ([`Symbol::code`]), with the height and
+    /// the width mixed in last. The fold is computed once and cached;
+    /// appends continue it over their new cells, any other mutation drops
+    /// it (see the module docs). Symbol codes are stable for the lifetime
+    /// of the process, not across processes, so fingerprints are never
+    /// serialized. Equal tables have equal fingerprints; the converse
+    /// holds only modulo 64-bit collisions, so exact code paths (dedup,
+    /// set semantics) use the fingerprint as a filter and confirm with
+    /// `==`.
     pub fn fingerprint(&self) -> u64 {
-        *self.fp.get_or_init(|| {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut mix = |x: u64| {
-                h ^= x;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            };
-            mix(self.height as u64);
-            mix(self.width as u64);
-            for &s in self.cells.syms.iter() {
-                mix(match s {
-                    Symbol::Null => 0,
-                    Symbol::Name(i) => 1 | (u64::from(i.index()) << 2),
-                    Symbol::Value(i) => 2 | (u64::from(i.index()) << 2),
-                });
-            }
-            h
-        })
+        let fold = *self
+            .fold
+            .get_or_init(|| fold_cells(FNV_OFFSET, &self.cells.syms));
+        fold_codes(fold, [self.height as u64, self.width as u64])
+    }
+
+    /// Extend a fold taken before an append over the cells from `start`
+    /// on. With no fold cached there is nothing to continue.
+    fn continue_fold(&mut self, fold: Option<u64>, start: usize) {
+        if let Some(h) = fold {
+            let _ = self.fold.set(fold_cells(h, &self.cells.syms[start..]));
+        }
     }
 
     /// True if the two handles share one cell buffer (no copy has
@@ -534,29 +539,27 @@ impl Table {
     /// Append a data row: `row[0]` is the row attribute, `row[1..]` the
     /// data entries. Length must be `width + 1`.
     pub fn push_row(&mut self, row: Vec<Symbol>) {
-        assert_eq!(row.len(), self.width + 1, "push_row arity mismatch");
-        self.cells_mut().extend(row);
-        self.height += 1;
+        self.push_row_slice(&row);
     }
 
     /// Append a data row given as a slice (row attribute first), avoiding
     /// the caller-side `Vec` of [`Table::push_row`].
     pub fn push_row_slice(&mut self, row: &[Symbol]) {
-        assert_eq!(row.len(), self.width + 1, "push_row arity mismatch");
-        self.cells_mut().extend_from_slice(row);
-        self.height += 1;
+        self.append_rows(|rows| rows.push_row(row));
     }
 
     /// Append a batch of data rows through a [`RowAppender`], paying the
-    /// copy-on-write materialization, fingerprint invalidation, and
-    /// shared-buffer check **once** for the whole batch instead of once
-    /// per row. The row-building loops of the algebra (products, unions,
-    /// clean-ups) run through this; per-row [`Table::push_row`] costs an
-    /// atomic uniqueness check on every call, which is measurable at
-    /// product scale.
+    /// copy-on-write materialization and shared-buffer check **once** for
+    /// the whole batch instead of once per row, and continuing a cached
+    /// fingerprint fold over the new cells. The row-building loops of the
+    /// algebra (products, unions, clean-ups) run through this; per-row
+    /// [`Table::push_row`] costs an atomic uniqueness check on every call,
+    /// which is measurable at product scale.
     pub fn append_rows<R>(&mut self, f: impl FnOnce(&mut RowAppender<'_>) -> R) -> R {
         let width = self.width;
+        let fold = self.fold.take();
         let cells = self.cells_mut();
+        let start = cells.len();
         let mut appender = RowAppender {
             cells,
             width,
@@ -565,6 +568,7 @@ impl Table {
         let out = f(&mut appender);
         let added = appender.added;
         self.height += added;
+        self.continue_fold(fold, start);
         out
     }
 
@@ -595,6 +599,7 @@ impl Table {
         f: impl FnOnce(&mut [std::mem::MaybeUninit<Symbol>]) -> R,
     ) -> R {
         let n = rows * (self.width + 1);
+        let fold = self.fold.take();
         let cells = self.cells_mut();
         let start = cells.len();
         cells.reserve(n);
@@ -603,6 +608,7 @@ impl Table {
         // requires `f` to have initialized all `n` new ones.
         unsafe { cells.set_len(start + n) };
         self.height += rows;
+        self.continue_fold(fold, start);
         out
     }
 
@@ -904,6 +910,21 @@ impl RowAppender<'_> {
         );
         self.added += 1;
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a over 64-bit codes: the fingerprint's one mixing step.
+fn fold_codes(mut h: u64, codes: impl IntoIterator<Item = u64>) -> u64 {
+    for x in codes {
+        h ^= x;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn fold_cells(h: u64, cells: &[Symbol]) -> u64 {
+    fold_codes(h, cells.iter().map(|s| s.code()))
 }
 
 fn cmp_syms(a: &[Symbol], b: &[Symbol]) -> std::cmp::Ordering {

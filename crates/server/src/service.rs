@@ -506,8 +506,8 @@ pub fn stats_json(s: &EvalStats) -> String {
         out,
         "}},\"total_micros\":{},\"while_iterations\":{},\"tables_produced\":{},\
          \"max_table_cells\":{},\"shard_jobs\":{},\"partitioned_joins\":{},\
-         \"partition_shards\":{},\"while_delta_skipped\":{},\"while_fallback_naive\":{},\
-         \"join_fused\":{},\"join_unfused\":{},\"restructure_fused\":{},\
+         \"partition_shards\":{},\"while_delta_skipped\":{},\"while_delta_incremental\":{},\
+         \"while_fallback_naive\":{},\"join_fused\":{},\"join_unfused\":{},\"restructure_fused\":{},\
          \"restructure_unfused\":{},\"snapshots\":{},\"cow_copies\":{},\
          \"plans_rewritten\":{},\"plan_rules_applied\":{}}}",
         s.total_micros,
@@ -518,6 +518,7 @@ pub fn stats_json(s: &EvalStats) -> String {
         s.partitioned_joins,
         s.partition_shards,
         s.while_delta_skipped,
+        s.while_delta_incremental,
         s.while_fallback_naive,
         s.join_fused,
         s.join_unfused,

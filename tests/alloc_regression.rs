@@ -15,7 +15,8 @@
 //!
 //! Later guards pin the other allocation promises of the storage engine
 //! and its kernels (pre-size trips, fused joins and restructures,
-//! partitioned joins, cached renderings).
+//! partitioned joins, cached renderings, the column-native purge, and the
+//! semi-naive closure).
 //!
 //! This file deliberately holds a single `#[test]`: the guards read
 //! process-global counters, and a sibling test running on another thread
@@ -505,5 +506,62 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
          one copy of the {}×{} input is {input_bytes} bytes)",
         cleaned.height(),
         cleaned.width()
+    );
+
+    // ------------------------------------------------------------------
+    // Guard 11: a semi-naive closure allocates in proportion to what it
+    // builds, not to what it re-reads. The service's transitive closure
+    // over a 120-edge uploaded chain (7 260 paths) runs 120 iterations;
+    // every accumulator grows by appends, and the union and the
+    // frontier's DIFFERENCE probe row indexes that grow with them. The
+    // whole run must allocate less than CLOSURE_FACTOR copies of the
+    // final `TC` cell buffer: it measures about 32 (the accumulators and
+    // their doubling growth, the row index, and the join's per-iteration
+    // index of the 120 edges). Rebuilding a hash set of `TC` in each
+    // iteration, for the union and again for the difference, measures
+    // about 210.
+    // ------------------------------------------------------------------
+    const CLOSURE_FACTOR: usize = 50;
+    let mut csv = String::from("E,A,B\n");
+    for i in 0..120 {
+        csv.push_str(&format!("e{i},n{i},n{}\n", i + 1));
+    }
+    let edges = Database::from_tables([io::from_csv(&csv).unwrap()]);
+    let closure = parse(
+        "TC <- COPY(E)
+         Frontier <- COPY(E)
+         while Frontier do
+           EStep <- COPY(E)
+           RTC <- RENAME[A -> A0](TC)
+           RTC <- RENAME[B -> B0](RTC)
+           Matched <- FUSEDJOIN[B0 = A](RTC, EStep)
+           Step <- PROJECT[{A0, B}](Matched)
+           Step <- RENAME[A0 -> A](Step)
+           Frontier <- DIFFERENCE(Step, TC)
+           TC <- CLASSICALUNION(TC, Frontier)
+         end",
+    )
+    .unwrap();
+    let limits = EvalLimits {
+        while_strategy: WhileStrategy::Delta,
+        max_while_iters: 200,
+        ..EvalLimits::default()
+    };
+    BYTES.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let (out, run_stats, _) =
+        run_governed_traced(&closure, &edges, &Budget::from_limits(&limits)).unwrap();
+    ARMED.store(false, Ordering::SeqCst);
+    let closure_bytes = BYTES.load(Ordering::SeqCst);
+
+    let tc = out.table_str("TC").unwrap();
+    assert_eq!(tc.height(), 120 * 121 / 2);
+    assert!(run_stats.while_delta_incremental > 0);
+    let tc_bytes = (tc.height() + 1) * (tc.width() + 1) * std::mem::size_of::<Symbol>();
+    assert!(
+        closure_bytes < CLOSURE_FACTOR * tc_bytes,
+        "the closure allocated {closure_bytes} bytes, {:.0} copies of the \
+         final TC cell buffer ({tc_bytes} bytes); the bound is {CLOSURE_FACTOR}",
+        closure_bytes as f64 / tc_bytes as f64
     );
 }
