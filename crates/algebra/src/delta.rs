@@ -45,8 +45,8 @@
 
 use crate::error::{AlgebraError, Result};
 use crate::eval::{
-    charge_production, check_results, check_table_count, compute_results, replace_results,
-    run_statement, table_cells, Exec,
+    charge_production, check_results, check_table_count, compute_results, run_statement,
+    table_cells, Exec,
 };
 use crate::obs::metrics::Metrics;
 use crate::ops;
@@ -163,8 +163,6 @@ struct RowIndex {
     next: Vec<usize>,
     /// Some row repeats an earlier one.
     duplicates: bool,
-    /// Some data entry is ⊥.
-    null_data: bool,
 }
 
 const NO_ROW: usize = usize::MAX;
@@ -180,7 +178,6 @@ impl RowIndex {
             heads: HashMap::with_capacity_and_hasher(rows, Default::default()),
             next: Vec::with_capacity(rows),
             duplicates: false,
-            null_data: false,
         }
     }
 
@@ -190,12 +187,10 @@ impl RowIndex {
         index
     }
 
-    /// Index `t`'s rows after `base` and note their flags.
+    /// Index `t`'s rows after `base`, noting whether any repeats.
     fn extend(&mut self, t: &Table, base: usize) {
         for i in base + 1..=t.height() {
-            let row = t.storage_row(i);
-            self.null_data |= row[1..].iter().any(|c| c.is_null());
-            self.duplicates |= !self.insert(row);
+            self.duplicates |= !self.insert(t.storage_row(i));
         }
         self.height = t.height();
     }
@@ -285,12 +280,24 @@ impl DeltaState {
         }
     }
 
-    /// The previous height of `name` if its group went from the version
-    /// this statement last read to the current one purely by appending
-    /// rows.
-    fn append_base(&self, name: Symbol, last_seen: u64, current: u64) -> Option<usize> {
-        let info = self.appends.get(&name)?;
-        (info.from == last_seen && info.to == current).then_some(info.base_height)
+    /// The previous height of argument `slot`, whose current table is
+    /// `t`, when its group went from the version `memo` last read to the
+    /// current one purely by appending rows; `t`'s full height when the
+    /// version is unchanged (no delta rows to process).
+    fn append_base(
+        &self,
+        memo: &StmtMemo,
+        reads: &[Symbol],
+        read_versions: &[u64],
+        slot: usize,
+        t: &Table,
+    ) -> Option<usize> {
+        let last_seen = memo.read_versions[slot];
+        if read_versions[slot] == last_seen {
+            return Some(t.height());
+        }
+        let info = self.appends.get(&reads[slot])?;
+        (info.from == last_seen && info.to == read_versions[slot]).then_some(info.base_height)
     }
 
     /// Record that `name` became `t` by appending rows to its version
@@ -364,23 +371,6 @@ impl DeltaState {
             }
         }
     }
-}
-
-/// Commit `results` as the new group of `target`. One table replacing
-/// the target's only table takes its slot in the store
-/// ([`Database::update_named`]), so the store's indexes are patched
-/// rather than rebuilt; any other group goes through `replace_results`.
-/// The two differ only in where the table sits in the store's order.
-fn commit(results: Vec<Table>, target: Symbol, db: &mut Database) {
-    let results = match <[Table; 1]>::try_from(results) {
-        Ok([t]) if t.name() == target && single(db, target).is_some() => {
-            db.update_named(target, |old| *old = t);
-            return;
-        }
-        Ok([t]) => vec![t],
-        Err(results) => results,
-    };
-    replace_results(results, db);
 }
 
 /// The table named `name` when it is the only one of its name.
@@ -553,7 +543,7 @@ fn run_body_statement(
                 // The correct output equals the cached table, but a later
                 // writer replaced the target since: put the cached handle
                 // back (an O(1) insert, no cells move).
-                commit(vec![cached.clone()], target, db);
+                db.replace(vec![cached.clone()]);
                 (true, cached)
             }
         } else if in_place {
@@ -584,7 +574,7 @@ fn run_body_statement(
             // Fingerprint before cloning, so the memo's handle carries
             // the fold that the next append continues.
             out.fingerprint();
-            commit(vec![out.clone()], target, db);
+            db.replace(vec![out.clone()]);
             (true, out)
         };
         let final_version = if changed {
@@ -626,7 +616,7 @@ fn run_body_statement(
     let produced_max_cells = results.iter().map(table_cells).max().unwrap_or(0);
 
     // An empty result set (no argument combination matched) leaves the
-    // database untouched, exactly as the naive replace does.
+    // database untouched, exactly as `Database::replace` does.
     let change = if results.is_empty() {
         Change::Unchanged
     } else {
@@ -643,7 +633,7 @@ fn run_body_statement(
 
     let changed = !matches!(change, Change::Unchanged);
     if changed {
-        commit(results, target, db);
+        db.replace(results);
         check_table_count(db, cx.limits)?;
         let new_version = group_version(db, target);
         match (change, single(db, target)) {
@@ -703,25 +693,26 @@ fn classify_change(old: &[&Table], new: &[Table]) -> Change {
 
 /// True when `t` is in the shape where classical union degenerates to
 /// exact row-set union over whole storage rows: pairwise-distinct column
-/// attributes and no ⊥ data entries. Row attributes may be anything, ⊥
-/// or not, so CSV uploads (whose first column is the row attribute)
-/// qualify.
+/// attributes. Row attributes and data entries may be anything, ⊥ or
+/// not, so CSV uploads (whose first column is the row attribute) and
+/// tables with holes qualify.
 ///
 /// Why: classical union is union → purge on the scheme by ∅ → clean-up by
 /// the scheme on every row attribute (paper §3.4). With equal, distinct
 /// column attributes on both sides, the union holds two columns per
 /// attribute, one per operand, and every row has ⊥ in the other
-/// operand's copy, so purge by ∅ joins exactly those complementary
-/// pairs: the left rows, then the right rows, each keeping its row
-/// attribute. Clean-up then keys its groups on (row attribute, data).
-/// Over ⊥-free data [`Symbol::join`] is equality, so a group is a set of
-/// identical storage rows, merged into its first member. That is
-/// first-occurrence deduplication of storage rows, row attribute
+/// operand's copy. Purge by ∅ groups columns on their attribute alone,
+/// so each group is one such pair, and the pair always joins: in every
+/// row at least one of the two entries is ⊥. Purge therefore leaves the
+/// left rows, then the right rows, each with its own row attribute and
+/// data, ⊥ included. Clean-up by the whole scheme then groups rows on
+/// their whole storage row, comparing ⊥ as a plain symbol, so a group is
+/// a set of identical storage rows, merged into its first member. That
+/// is first-occurrence deduplication of storage rows, row attribute
 /// included: two rows with equal data and different row attributes both
-/// stay, which is what the incremental union's `seen` set hashes.
+/// stay, which is what the accumulator's [`RowIndex`] computes.
 fn row_set_shaped(t: &Table) -> bool {
     t.scheme().len() == t.width()
-        && (1..=t.height()).all(|i| t.data_row(i).iter().all(|c| !c.is_null()))
 }
 
 /// How to extend the cached output (see [`plan_incremental`]). Operand
@@ -819,15 +810,7 @@ fn plan_incremental(
     let base_height = out_old.height();
     let out_width = out_old.width();
     let single = |name: Symbol| single(db, name);
-    // The argument's previous height when it grew purely by appends (its
-    // full current height means "unchanged": no delta rows to process).
-    let base_of = |slot: usize, t: &Table| -> Option<usize> {
-        if read_versions[slot] == memo.read_versions[slot] {
-            Some(t.height())
-        } else {
-            st.append_base(reads[slot], memo.read_versions[slot], read_versions[slot])
-        }
-    };
+    let base_of = |t: &Table| st.append_base(memo, reads, read_versions, 0, t);
 
     let (plan, new_rows) = match &a.op {
         OpKind::Product => {
@@ -839,7 +822,7 @@ fn plan_incremental(
             if out_width != r.width() + s.width() {
                 return None;
             }
-            let base = base_of(0, r)?;
+            let base = base_of(r)?;
             let new_rows = (r.height() - base) * s.height();
             (
                 IncPlan::Product {
@@ -868,7 +851,7 @@ fn plan_incremental(
                 return None;
             }
             let cols = ops::fusable_join_cols(r, s, sa, sb)?;
-            let base = base_of(0, r)?;
+            let base = base_of(r)?;
             // Count the matches now so the governor charge
             // (`out_cells_after`) reflects the actual join output before
             // any row materializes; `apply` only scatters.
@@ -896,7 +879,7 @@ fn plan_incremental(
             if out_width != r.width() {
                 return None;
             }
-            let base = base_of(0, r)?;
+            let base = base_of(r)?;
             (IncPlan::TailRows { r: r.clone(), base }, r.height() - base)
         }
         OpKind::Copy => {
@@ -904,18 +887,19 @@ fn plan_incremental(
             if out_width != r.width() {
                 return None;
             }
-            let base = base_of(0, r)?;
+            let base = base_of(r)?;
             (IncPlan::TailRows { r: r.clone(), base }, r.height() - base)
         }
         OpKind::ClassicalUnion => {
             // The self-accumulation pattern `TC ← TC ∪ Δ`: the left
             // operand must be exactly this statement's previous output
             // (by version), and both operands must be in the shape where
-            // classical union is exact row-set union. The accumulator's
-            // shape is read off its row index (flags kept current on
-            // append) and the right operand is absorbed in full, so the
-            // step costs O(|Δ|) instead of the full
-            // union → purge → clean-up pipeline.
+            // classical union is exact row-set union. The accumulator
+            // shares the right operand's column attributes, and its
+            // duplicate flag is kept current on append by its row index;
+            // the right operand is absorbed in full, so the step costs
+            // O(|Δ|) instead of the full union → purge → clean-up
+            // pipeline.
             if read_versions[0] != memo.target_version {
                 return None;
             }
@@ -924,7 +908,6 @@ fn plan_incremental(
             if out_width != s.width()
                 || out_old.col_attrs() != s.col_attrs()
                 || acc.duplicates
-                || acc.null_data
                 || !row_set_shaped(s)
             {
                 // Duplicate accumulator rows would be merged by the
@@ -950,7 +933,7 @@ fn plan_incremental(
             if out_width != r.width() {
                 return None;
             }
-            let base = base_of(0, r)?;
+            let base = base_of(r)?;
             let mut rows = Vec::new();
             let mut new_rows = 0;
             for i in base + 1..=r.height() {
@@ -970,7 +953,7 @@ fn plan_incremental(
             if out_width != r.width() {
                 return None;
             }
-            let base = base_of(0, r)?;
+            let base = base_of(r)?;
             let mut rows = Vec::new();
             let mut new_rows = 0;
             for i in base + 1..=r.height() {
@@ -987,7 +970,7 @@ fn plan_incremental(
             if out_width != cols.len() {
                 return None;
             }
-            let base = base_of(0, r)?;
+            let base = base_of(r)?;
             let new_rows = r.height() - base;
             let mut rows = Vec::with_capacity(new_rows * (cols.len() + 1));
             for i in base + 1..=r.height() {
@@ -1046,17 +1029,8 @@ fn incremental_difference(
     // into it, when both operands only grew since it was computed.
     let cached = st.memos[idx].as_ref().and_then(|memo| {
         let out = memo.cached_output.as_ref()?;
-        // The operand's previous height if it grew by appends or stayed
-        // unchanged (its full height: no new rows).
-        let base_of = |slot: usize, t: &Table| {
-            if read_versions[slot] == memo.read_versions[slot] {
-                Some(t.height())
-            } else {
-                st.append_base(reads[slot], memo.read_versions[slot], read_versions[slot])
-            }
-        };
-        base_of(1, s)?;
-        let base = base_of(0, r)?;
+        st.append_base(memo, reads, read_versions, 1, s)?;
+        let base = st.append_base(memo, reads, read_versions, 0, r)?;
         (out.width() == r.width()).then_some((out, base + 1))
     });
     let mut cells = Vec::with_capacity(r.width() + 1);
@@ -1452,13 +1426,14 @@ mod tests {
     }
 
     #[test]
-    fn incremental_union_declines_once_null_data_is_appended() {
+    fn incremental_union_absorbs_null_data() {
         // `S ← S ∪ Mix` over four iterations: Mix brings a plain row
         // (naive first run), another plain row (the incremental arm
-        // builds S's row index), a ⊥-holding row (not row-set shaped: the
-        // naive union appends it, and the index notes ⊥ data as it
-        // extends), then a plain row again, which the incremental arm
-        // must decline: its precondition is read off the index flags.
+        // builds S's row index), a ⊥-holding row `(x, ⊥)`, then `(x, y)`,
+        // which `(x, ⊥)` subsumes but does not equal. Classical union
+        // keeps both (clean-up compares ⊥ as a plain symbol), so the
+        // incremental arm runs in iterations 2 to 4 and still agrees
+        // with naive evaluation.
         let p = parse(
             "while W do
                S <- CLASSICALUNION(S, Mix)
@@ -1500,21 +1475,20 @@ mod tests {
         assert_eq!(stats.while_iterations, 4);
         assert_eq!(naive.table_str("S").unwrap(), delta.table_str("S").unwrap());
         assert_eq!(delta.table_str("S").unwrap().height(), 5);
-        // The union runs incrementally in iteration 2 only; no other
-        // statement has an incremental arm here (every COPY source is
-        // replaced, not appended to).
-        assert_eq!(stats.while_delta_incremental, 1, "{stats:?}");
+        // No other statement has an incremental arm here (every COPY
+        // source is replaced, not appended to).
+        assert_eq!(stats.while_delta_incremental, 3, "{stats:?}");
     }
 
     #[test]
     fn uploads_are_row_set_shaped() {
         // A CSV upload carries its row attributes in the first column;
-        // they do not matter to the union's shape, ⊥ data and repeated
+        // neither they nor ⊥ data matter to the union's shape, repeated
         // column attributes do.
         let upload = tabular_core::io::from_csv("E,A,B\ne0,x,y\ne1,x,y\n_,y,z\n").unwrap();
         assert!(row_set_shaped(&upload));
         let holes = tabular_core::io::from_csv("E,A,B\ne0,x,_\n").unwrap();
-        assert!(!row_set_shaped(&holes));
+        assert!(row_set_shaped(&holes));
         let repeated = tabular_core::io::from_csv("E,A,A\ne0,x,y\n").unwrap();
         assert!(!row_set_shaped(&repeated));
     }

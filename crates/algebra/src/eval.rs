@@ -457,7 +457,7 @@ fn run_assignment(
 ) -> Result<()> {
     let results = compute_results(a, db, cx, metrics)?;
     check_results(&results, cx, metrics)?;
-    replace_results(results, db);
+    db.replace(results);
     check_table_count(db, cx.limits)
 }
 
@@ -543,56 +543,40 @@ pub(crate) fn compute_results(
             }
             combos = work.len();
             input_cells = work.iter().map(|(t, _, _)| table_cells(t)).sum();
-            if work.len() >= limits.parallel_threshold.max(2) {
-                // Purely functional per-table applications: shard across
-                // the run's executor; `map` returns the shards' results in
-                // input order. Each job clocks its own wall time so the
-                // evaluating thread can record shard spans without
-                // cross-thread metrics.
-                let shards = cx.pool.threads().min(work.len());
-                let chunk = work.len().div_ceil(shards);
-                let outcomes = cx.pool.map(work.chunks(chunk), |slice| {
-                    let start = Instant::now();
-                    let mut local = Vec::new();
-                    let mut counts = FusionCounts::default();
-                    let out = slice
-                        .iter()
-                        .try_for_each(|(t, bindings, target)| {
-                            // Poll between tables so a sharded statement
-                            // stops mid-fan-out.
-                            cx.gov.poll()?;
-                            apply_unary(
-                                &a.op,
-                                t,
-                                *target,
-                                bindings,
-                                limits,
-                                &mut local,
-                                &mut counts,
-                            )
-                        })
-                        .map(|()| local);
-                    (out, counts, slice.len(), start.elapsed().as_micros())
-                });
-                metrics.stats.shard_jobs += outcomes.len();
-                for (shard, (out, counts, tables, micros)) in outcomes.into_iter().enumerate() {
-                    fusion.absorb(counts);
-                    metrics.leaf_span(SpanKind::Shard, shard, tables, micros);
-                    results.extend(out?);
-                }
-            } else {
-                for (t, bindings, target) in &work {
+            // One job body: the statement's only range, run on the
+            // calling thread, or one shard of a fan-out across the run's
+            // executor once the matches reach `parallel_threshold` (`map`
+            // returns the shards' results in input order). Each job
+            // clocks its own wall time so the evaluating thread can
+            // record shard spans without cross-thread metrics.
+            let sharded = work.len() >= limits.parallel_threshold.max(2);
+            let job = |slice: &[(&Table, Bindings, Symbol)]| {
+                let start = Instant::now();
+                let mut out = Vec::new();
+                let mut counts = FusionCounts::default();
+                let done = slice.iter().try_for_each(|(t, bindings, target)| {
+                    // Poll between tables so a sharded statement stops
+                    // mid-fan-out.
                     cx.gov.poll()?;
-                    apply_unary(
-                        &a.op,
-                        t,
-                        *target,
-                        bindings,
-                        limits,
-                        &mut results,
-                        &mut fusion,
-                    )?;
+                    apply_unary(&a.op, t, *target, bindings, limits, &mut out, &mut counts)
+                });
+                let micros = start.elapsed().as_micros();
+                (done.map(|()| out), counts, slice.len(), micros)
+            };
+            let outcomes = if sharded {
+                let chunk = work.len().div_ceil(cx.pool.threads().min(work.len()));
+                let outcomes = cx.pool.map(work.chunks(chunk), job);
+                metrics.stats.shard_jobs += outcomes.len();
+                outcomes
+            } else {
+                vec![job(&work)]
+            };
+            for (shard, (out, counts, tables, micros)) in outcomes.into_iter().enumerate() {
+                fusion.absorb(counts);
+                if sharded {
+                    metrics.leaf_span(SpanKind::Shard, shard, tables, micros);
                 }
+                results.extend(out?);
             }
         }
         _ => {
@@ -831,16 +815,6 @@ pub(crate) fn charge_production(
     metrics.stats.max_table_cells = metrics.stats.max_table_cells.max(max_cells);
     metrics.note_output(cells);
     Ok(())
-}
-
-/// Replace: drop existing tables carrying any produced name, then insert
-/// the results (set semantics collapses exact duplicates).
-pub(crate) fn replace_results(results: Vec<Table>, db: &mut Database) {
-    let produced: SymbolSet = results.iter().map(|t| t.name()).collect();
-    db.retain(|t| !produced.contains(t.name()));
-    for t in results {
-        db.insert(t);
-    }
 }
 
 /// Enforce the database-size limit after a replacement.

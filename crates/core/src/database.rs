@@ -199,9 +199,11 @@ impl Database {
     /// does not run the closure) if there are zero or several tables with
     /// the name.
     ///
-    /// This is the delta evaluator's append path: pushing rows into a
-    /// uniquely owned table amortizes to O(rows appended) instead of the
-    /// O(table) remove-and-reinsert round trip.
+    /// The table keeps its slot and only the fingerprint index is
+    /// patched. This is the in-slot half of the one commit rule
+    /// ([`Database::replace`]) and the delta evaluator's append path:
+    /// pushing rows into a uniquely owned table amortizes to O(rows
+    /// appended) instead of an O(table) copy.
     pub fn update_named(&mut self, name: Symbol, f: impl FnOnce(&mut Table)) -> bool {
         let ix = match self.store.by_name.get(&name).map(Vec::as_slice) {
             Some(&[ix]) => ix as usize,
@@ -225,17 +227,37 @@ impl Database {
         true
     }
 
-    /// Remove all tables with the given name; returns how many were
-    /// removed.
-    pub fn remove_named(&mut self, name: Symbol) -> usize {
-        let matches = self.store.by_name.get(&name).map_or(0, Vec::len);
-        if matches == 0 {
-            return 0;
+    /// Commit one statement's results: afterwards every name they carry
+    /// holds exactly its results, exact duplicates collapsed. This is the
+    /// one rule for where results go, whatever evaluated the statement,
+    /// so equal results always leave the same store, table order
+    /// included. A name keeps its slot:
+    ///
+    /// * one result replacing its name's only table takes that table's
+    ///   slot ([`Database::update_named`]); no index is rebuilt;
+    /// * any other group drops its name's tables and appends its results
+    ///   in order.
+    pub fn replace(&mut self, results: Vec<Table>) {
+        // Results per name, then only the names whose group is dropped
+        // and appended.
+        let mut appended: HashMap<Symbol, usize> = HashMap::new();
+        for t in &results {
+            *appended.entry(t.name()).or_default() += 1;
         }
-        let store = self.store_mut();
-        store.tables.retain(|t| t.name() != name);
-        store.reindex();
-        matches
+        appended.retain(|&name, &mut n| n > 1 || self.table(name).is_none());
+        if appended
+            .keys()
+            .any(|name| self.store.by_name.contains_key(name))
+        {
+            self.retain(|t| !appended.contains_key(&t.name()));
+        }
+        for t in results {
+            if appended.contains_key(&t.name()) {
+                self.insert(t);
+            } else {
+                self.update_named(t.name(), |old| *old = t);
+            }
+        }
     }
 
     /// Keep only tables satisfying the predicate.
@@ -274,17 +296,6 @@ impl Database {
                 .flat_map(|t| t.symbols())
                 .filter(|s| !s.is_null()),
         )
-    }
-
-    /// Insert all tables of `other`.
-    pub fn absorb(&mut self, other: Database) {
-        if self.is_empty() {
-            *self = other;
-            return;
-        }
-        for t in other.store.tables.iter() {
-            self.insert(t.clone());
-        }
     }
 
     /// Canonicalize every table, sort the set, and collapse duplicates:
@@ -424,19 +435,40 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_retain() {
-        let mut db = Database::from_tables([t("R", "1"), t("R", "2"), t("S", "3")]);
-        assert_eq!(db.remove_named(Symbol::name("R")), 2);
-        assert_eq!(db.len(), 1);
-        db.retain(|tab| tab.name() != Symbol::name("S"));
-        assert!(db.is_empty());
-        assert_eq!(db.remove_named(Symbol::name("R")), 0);
+    fn replace_keeps_a_sole_table_in_its_slot() {
+        let mut db = Database::from_tables([t("R", "1"), t("S", "2"), t("T", "3")]);
+        db.replace(vec![t("R", "9")]);
+        let names: Vec<Symbol> = db.tables().iter().map(Table::name).collect();
+        assert_eq!(names, ["R", "S", "T"].map(Symbol::name));
+        assert_eq!(db.table_str("R").unwrap().get(1, 1), Symbol::value("9"));
+        // The fingerprint index followed the replacement.
+        assert!(db.insert(t("R", "1")));
+        assert!(!db.insert(t("R", "9")));
     }
 
     #[test]
-    fn indexes_survive_removal() {
+    fn replace_appends_every_other_group() {
+        let mut db = Database::from_tables([t("R", "1"), t("R", "2"), t("S", "3"), t("T", "4")]);
+        // A group of two, a new name, and a sole table replaced by two.
+        db.replace(vec![t("R", "5"), t("U", "6"), t("T", "7"), t("T", "8")]);
+        let rows: Vec<(Symbol, Symbol)> = db
+            .tables()
+            .iter()
+            .map(|tab| (tab.name(), tab.get(1, 1)))
+            .collect();
+        let want = [("S", "3"), ("R", "5"), ("U", "6"), ("T", "7"), ("T", "8")];
+        assert_eq!(rows, want.map(|(n, v)| (Symbol::name(n), Symbol::value(v))));
+        assert_eq!(db.tables_named(Symbol::name("T")).len(), 2);
+        // Exact duplicates collapse; a replaced group stays indexed.
+        db.replace(vec![t("T", "9"), t("T", "9")]);
+        assert_eq!(db.tables_named(Symbol::name("T")).len(), 1);
+        assert!(!db.insert(t("S", "3")));
+    }
+
+    #[test]
+    fn retain_reindexes() {
         let mut db = Database::from_tables([t("R", "1"), t("S", "2"), t("R", "3"), t("T", "4")]);
-        db.remove_named(Symbol::name("S"));
+        db.retain(|tab| tab.name() != Symbol::name("S"));
         assert_eq!(db.tables_named(Symbol::name("R")).len(), 2);
         assert_eq!(
             db.table(Symbol::name("T")).unwrap().get(1, 1),
@@ -445,13 +477,6 @@ mod tests {
         // Dedup still works against the reindexed store.
         assert!(!db.insert(t("R", "3")));
         assert!(db.insert(t("S", "2")));
-    }
-
-    #[test]
-    fn absorb_unions_table_sets() {
-        let mut a = Database::from_tables([t("R", "1")]);
-        a.absorb(Database::from_tables([t("R", "1"), t("S", "2")]));
-        assert_eq!(a.len(), 2);
     }
 
     #[test]
