@@ -32,12 +32,15 @@
 //!   accumulated output.
 //! * **row indexes along append lineage** — the accumulator of a
 //!   self-accumulating `CLASSICALUNION` and the right operand of a
-//!   `DIFFERENCE` that grows by appends get a hash index of their storage
-//!   rows ([`RowIndex`]), built once and then extended by each append's
-//!   new rows. The union absorbs its delta against it, and `DIFFERENCE`
-//!   filters only its cached output and its left operand's new rows
-//!   ([`incremental_difference`]), so a closure iteration costs the new
-//!   rows, not the closure so far (semi-naive evaluation).
+//!   `DIFFERENCE` that grows by appends get an [`ops::RowIndex`] of their
+//!   storage rows, built once and then extended by each append's new
+//!   rows. The union's arm asks [`ops::redundancy::union_new_rows`] for
+//!   the delta's rows the index lacks, and `DIFFERENCE`'s arm filters only
+//!   its cached output and its left operand's new rows through
+//!   [`ops::traditional::difference_rows`], so a closure iteration costs
+//!   the new rows, not the closure so far (semi-naive evaluation). Both
+//!   arms call the row-set kernels the operations themselves run; this
+//!   module only decides which index is current.
 //!
 //! Append lineage, row indexes and per-statement memos live only for the
 //! duration of one `while` loop execution; re-entering a loop starts
@@ -53,7 +56,6 @@ use crate::ops;
 use crate::plan::read_set;
 use crate::program::{Assignment, OpKind, Statement};
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 use tabular_core::{Database, Symbol, SymbolSet, Table};
 
 /// True when a `while` body is eligible for delta-driven evaluation
@@ -138,127 +140,18 @@ struct StmtMemo {
     produced_max_cells: usize,
 }
 
-/// A hash index over the storage rows of one name's single table, valid
-/// for exactly one group version of that name. [`DeltaState`] keeps it
-/// current along append lineage: an append extends it by the appended
-/// rows, any other change to the name drops it.
-///
-/// The index owns copies of its rows, in one flat arena. A handle on the
-/// table's buffer would make every in-place append to that table a
-/// copy-on-write copy. Rows with equal hashes are chained through `next`,
-/// so indexing a row allocates nothing of its own.
-struct RowIndex {
+/// A row index of one name's single table, valid for exactly one group
+/// version of that name. [`DeltaState`] keeps it current along append
+/// lineage: an append extends it by the appended rows, any other change
+/// to the name drops it. The index owns copies of its rows; a handle on
+/// the table's buffer would make every in-place append to that table a
+/// copy-on-write copy.
+struct LineageIndex {
     /// The group version the index describes.
     version: u64,
     /// Rows of the indexed table covered so far, duplicates included.
     height: usize,
-    /// Cells per storage row: the table's width plus the row attribute.
-    stride: usize,
-    /// The distinct storage rows, in first-occurrence order.
-    rows: Vec<Symbol>,
-    /// Row hash → the last distinct row indexed with that hash.
-    heads: HashMap<u64, usize, BuildHasherDefault<PreHashed>>,
-    /// Per distinct row, the previous row with the same hash, or
-    /// [`NO_ROW`].
-    next: Vec<usize>,
-    /// Some row repeats an earlier one.
-    duplicates: bool,
-}
-
-const NO_ROW: usize = usize::MAX;
-
-impl RowIndex {
-    /// An empty index of rows of `stride` cells, sized for `rows` rows.
-    fn new(stride: usize, rows: usize, version: u64) -> RowIndex {
-        RowIndex {
-            version,
-            height: 0,
-            stride,
-            rows: Vec::with_capacity(rows * stride),
-            heads: HashMap::with_capacity_and_hasher(rows, Default::default()),
-            next: Vec::with_capacity(rows),
-            duplicates: false,
-        }
-    }
-
-    fn build(t: &Table, version: u64) -> RowIndex {
-        let mut index = RowIndex::new(t.width() + 1, t.height(), version);
-        index.extend(t, 0);
-        index
-    }
-
-    /// Index `t`'s rows after `base`, noting whether any repeats.
-    fn extend(&mut self, t: &Table, base: usize) {
-        for i in base + 1..=t.height() {
-            self.duplicates |= !self.insert(t.storage_row(i));
-        }
-        self.height = t.height();
-    }
-
-    fn contains(&self, row: &[Symbol]) -> bool {
-        self.find(row_hash(row), row)
-    }
-
-    fn find(&self, hash: u64, row: &[Symbol]) -> bool {
-        let mut at = self.heads.get(&hash).copied().unwrap_or(NO_ROW);
-        while at != NO_ROW {
-            if &self.rows[at * self.stride..(at + 1) * self.stride] == row {
-                return true;
-            }
-            at = self.next[at];
-        }
-        false
-    }
-
-    /// Add `row` unless it is present; true if it was added.
-    fn insert(&mut self, row: &[Symbol]) -> bool {
-        let hash = row_hash(row);
-        if self.find(hash, row) {
-            return false;
-        }
-        let id = self.next.len();
-        self.rows.extend_from_slice(row);
-        let prev = self.heads.insert(hash, id).unwrap_or(NO_ROW);
-        self.next.push(prev);
-        true
-    }
-}
-
-/// A well-mixed 64-bit hash of a storage row: a multiply-rotate fold of
-/// the cells' [`Symbol::code`]s, finished by MurmurHash3's `fmix64` so
-/// that both the bucket bits and the control bits of the hash table
-/// vary.
-fn row_hash(row: &[Symbol]) -> u64 {
-    let mut h: u64 = 0;
-    for s in row {
-        h = (h.rotate_left(5) ^ s.code()).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    h ^ (h >> 33)
-}
-
-/// The hasher of [`RowIndex::heads`], whose keys are already
-/// [`row_hash`]es: it passes them through.
-#[derive(Default)]
-struct PreHashed(u64);
-
-impl Hasher for PreHashed {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x;
-    }
+    rows: ops::RowIndex,
 }
 
 /// What the delta engine remembers across the iterations of one `while`
@@ -267,7 +160,7 @@ impl Hasher for PreHashed {
 /// duration.
 pub(crate) struct DeltaState {
     appends: HashMap<Symbol, AppendInfo>,
-    indexes: HashMap<Symbol, RowIndex>,
+    indexes: HashMap<Symbol, LineageIndex>,
     memos: Vec<Option<StmtMemo>>,
 }
 
@@ -308,9 +201,10 @@ impl DeltaState {
             Some(index)
                 if index.version == info.from
                     && index.height == info.base_height
-                    && index.stride == t.width() + 1 =>
+                    && index.rows.stride() == t.width() + 1 =>
             {
-                index.extend(t, info.base_height);
+                index.rows.extend(t, info.base_height + 1);
+                index.height = t.height();
                 index.version = info.to;
             }
             _ => {
@@ -328,7 +222,7 @@ impl DeltaState {
     }
 
     /// The row index of `name` if it describes `version`.
-    fn index(&self, name: Symbol, version: u64) -> Option<&RowIndex> {
+    fn index(&self, name: Symbol, version: u64) -> Option<&LineageIndex> {
         self.indexes.get(&name).filter(|ix| ix.version == version)
     }
 
@@ -367,7 +261,12 @@ impl DeltaState {
         let (name, version) = (reads[slot], read_versions[slot]);
         if self.index(name, version).is_none() {
             if let Some(t) = single(db, name) {
-                self.indexes.insert(name, RowIndex::build(t, version));
+                let index = LineageIndex {
+                    version,
+                    height: t.height(),
+                    rows: ops::RowIndex::of_rows(t),
+                };
+                self.indexes.insert(name, index);
             }
         }
     }
@@ -691,30 +590,6 @@ fn classify_change(old: &[&Table], new: &[Table]) -> Change {
     Change::Replaced
 }
 
-/// True when `t` is in the shape where classical union degenerates to
-/// exact row-set union over whole storage rows: pairwise-distinct column
-/// attributes. Row attributes and data entries may be anything, ⊥ or
-/// not, so CSV uploads (whose first column is the row attribute) and
-/// tables with holes qualify.
-///
-/// Why: classical union is union → purge on the scheme by ∅ → clean-up by
-/// the scheme on every row attribute (paper §3.4). With equal, distinct
-/// column attributes on both sides, the union holds two columns per
-/// attribute, one per operand, and every row has ⊥ in the other
-/// operand's copy. Purge by ∅ groups columns on their attribute alone,
-/// so each group is one such pair, and the pair always joins: in every
-/// row at least one of the two entries is ⊥. Purge therefore leaves the
-/// left rows, then the right rows, each with its own row attribute and
-/// data, ⊥ included. Clean-up by the whole scheme then groups rows on
-/// their whole storage row, comparing ⊥ as a plain symbol, so a group is
-/// a set of identical storage rows, merged into its first member. That
-/// is first-occurrence deduplication of storage rows, row attribute
-/// included: two rows with equal data and different row attributes both
-/// stay, which is what the accumulator's [`RowIndex`] computes.
-fn row_set_shaped(t: &Table) -> bool {
-    t.scheme().len() == t.width()
-}
-
 /// How to extend the cached output (see [`plan_incremental`]). Operand
 /// handles held by a plan are O(1) clones sharing the store's buffers —
 /// and because they are taken *before* the commit mutates the database,
@@ -893,76 +768,44 @@ fn plan_incremental(
         OpKind::ClassicalUnion => {
             // The self-accumulation pattern `TC ← TC ∪ Δ`: the left
             // operand must be exactly this statement's previous output
-            // (by version), and both operands must be in the shape where
-            // classical union is exact row-set union. The accumulator
-            // shares the right operand's column attributes, and its
-            // duplicate flag is kept current on append by its row index;
-            // the right operand is absorbed in full, so the step costs
-            // O(|Δ|) instead of the full union → purge → clean-up
-            // pipeline.
+            // (by version), without repeated rows (the union would merge
+            // them), and both operands must be where classical union is
+            // its row-set kernel. The step then appends the rows of `Δ`
+            // the accumulator's index lacks: O(|Δ|) instead of the full
+            // union → purge → clean-up pipeline.
             if read_versions[0] != memo.target_version {
                 return None;
             }
             let acc = st.index(reads[0], read_versions[0])?;
             let s = single(reads[1])?;
-            if out_width != s.width()
-                || out_old.col_attrs() != s.col_attrs()
-                || acc.duplicates
-                || !row_set_shaped(s)
+            if acc.rows.len() != acc.height
+                || !ops::traditional::aligned_distinct_schemes(out_old, s)
             {
-                // Duplicate accumulator rows would be merged by the
-                // union, so the append model does not apply.
                 return None;
             }
-            // The rows new to the accumulator, each once, in `s`'s order:
-            // exactly the arena of an index over them.
-            let mut fresh = RowIndex::new(out_width + 1, s.height(), 0);
-            for k in 1..=s.height() {
-                let row = s.storage_row(k);
-                if !acc.contains(row) {
-                    fresh.insert(row);
-                }
-            }
-            let new_rows = fresh.next.len();
-            (IncPlan::Rows(fresh.rows), new_rows)
+            let fresh = ops::redundancy::union_new_rows(&acc.rows, s);
+            let new_rows = fresh.len();
+            (IncPlan::Rows(fresh.into_rows()), new_rows)
         }
         OpKind::Select { a: pa, b: pb } if pa.is_rigid() && pb.is_rigid() => {
-            let sa = pa.as_ground()?;
-            let sb = pb.as_ground()?;
+            let (sa, sb) = (pa.as_ground()?, pb.as_ground()?);
             let r = single(reads[0])?;
             if out_width != r.width() {
                 return None;
             }
-            let base = base_of(r)?;
-            let mut rows = Vec::new();
-            let mut new_rows = 0;
-            for i in base + 1..=r.height() {
-                if r.row_entries_named(i, sa)
-                    .weakly_equal(&r.row_entries_named(i, sb))
-                {
-                    rows.extend_from_slice(r.storage_row(i));
-                    new_rows += 1;
-                }
-            }
-            (IncPlan::Rows(rows), new_rows)
+            kept_rows(r, base_of(r)?, |i| {
+                ops::traditional::select_keeps(r, i, sa, sb)
+            })
         }
         OpKind::SelectConst { a: pa, v: pv } if pa.is_rigid() && pv.is_rigid() => {
-            let sa = pa.as_ground()?;
-            let sv = pv.as_ground()?;
+            let (sa, sv) = (pa.as_ground()?, pv.as_ground()?);
             let r = single(reads[0])?;
             if out_width != r.width() {
                 return None;
             }
-            let base = base_of(r)?;
-            let mut rows = Vec::new();
-            let mut new_rows = 0;
-            for i in base + 1..=r.height() {
-                if r.row_entries_named(i, sa).contains(sv) {
-                    rows.extend_from_slice(r.storage_row(i));
-                    new_rows += 1;
-                }
-            }
-            (IncPlan::Rows(rows), new_rows)
+            kept_rows(r, base_of(r)?, |i| {
+                ops::traditional::select_const_keeps(r, i, sa, sv)
+            })
         }
         OpKind::Project { attrs } if attrs.is_rigid() => {
             let r = single(reads[0])?;
@@ -989,12 +832,25 @@ fn plan_incremental(
     }))
 }
 
+/// The rows of `r` after `base` that pass a selection's row test, as an
+/// append plan and its row count.
+fn kept_rows(r: &Table, base: usize, keep: impl Fn(usize) -> bool) -> (IncPlan, usize) {
+    let mut rows = Vec::new();
+    let mut n = 0;
+    for i in (base + 1..=r.height()).filter(|&i| keep(i)) {
+        rows.extend_from_slice(r.storage_row(i));
+        n += 1;
+    }
+    (IncPlan::Rows(rows), n)
+}
+
 /// `DIFFERENCE(R, S)` against the row index of `S`, with the input
 /// cells of both operands for the statement's span. Applies when both
 /// operands are single tables with the same pairwise-distinct column
-/// attributes, where [`ops::difference`] matches whole storage rows, and
-/// `S` has a current index ([`DeltaState::prepare_index`]); otherwise
-/// `None`, and the statement runs [`ops::difference`].
+/// attributes, where [`ops::difference`] matches whole storage rows
+/// through [`ops::traditional::difference_rows`], and `S` has a current
+/// index ([`DeltaState::prepare_index`]); otherwise `None`, and the
+/// statement runs [`ops::difference`].
 ///
 /// When the statement's previous output is cached and since then `R`
 /// and `S` each grew by appends or stayed unchanged, the output is the
@@ -1024,7 +880,7 @@ fn incremental_difference(
     if !ops::traditional::aligned_distinct_schemes(r, s) {
         return None;
     }
-    let index = st.index(reads[1], read_versions[1])?;
+    let index = &st.index(reads[1], read_versions[1])?.rows;
     // The cached output and the first of `R`'s rows not yet filtered
     // into it, when both operands only grew since it was computed.
     let cached = st.memos[idx].as_ref().and_then(|memo| {
@@ -1033,26 +889,17 @@ fn incremental_difference(
         let base = st.append_base(memo, reads, read_versions, 0, r)?;
         (out.width() == r.width()).then_some((out, base + 1))
     });
-    let mut cells = Vec::with_capacity(r.width() + 1);
-    cells.push(target);
-    cells.extend_from_slice(r.col_attrs());
-    let mut height = 0;
-    let mut keep = |row: &[Symbol]| {
-        if !index.contains(row) {
-            cells.extend_from_slice(row);
-            height += 1;
-        }
-    };
+    let mut out = r.select_rows(&[]);
+    out.set_name(target);
     let first_new = match cached {
-        Some((out, first_new)) => {
-            (1..=out.height()).for_each(|i| keep(out.storage_row(i)));
+        Some((cached, first_new)) => {
+            ops::traditional::difference_rows(&mut out, cached, 1, index);
             first_new
         }
         None => 1,
     };
-    (first_new..=r.height()).for_each(|i| keep(r.storage_row(i)));
-    let input_cells = table_cells(r) + table_cells(s);
-    Some((Table::from_parts(height, r.width(), cells), input_cells))
+    ops::traditional::difference_rows(&mut out, r, first_new, index);
+    Some((out, table_cells(r) + table_cells(s)))
 }
 
 #[cfg(test)]
@@ -1478,19 +1325,6 @@ mod tests {
         // No other statement has an incremental arm here (every COPY
         // source is replaced, not appended to).
         assert_eq!(stats.while_delta_incremental, 3, "{stats:?}");
-    }
-
-    #[test]
-    fn uploads_are_row_set_shaped() {
-        // A CSV upload carries its row attributes in the first column;
-        // neither they nor ⊥ data matter to the union's shape, repeated
-        // column attributes do.
-        let upload = tabular_core::io::from_csv("E,A,B\ne0,x,y\ne1,x,y\n_,y,z\n").unwrap();
-        assert!(row_set_shaped(&upload));
-        let holes = tabular_core::io::from_csv("E,A,B\ne0,x,_\n").unwrap();
-        assert!(row_set_shaped(&holes));
-        let repeated = tabular_core::io::from_csv("E,A,A\ne0,x,y\n").unwrap();
-        assert!(!row_set_shaped(&repeated));
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //! | §5 (opt.)  | fused hash join (SELECT ∘ PRODUCT)                | [`join`](mod@join) |
 //! | §4.3 (opt.)| fused restructuring (PURGE ∘ CLEAN-UP ∘ GROUP)    | [`restructure_fused`] |
 //!
+//! Every operation that groups or matches rows (or columns) by key finds
+//! equal keys through one crate-private row index (`row_index`).
+//!
 //! The program layer (parameters, assignment statements, `while`) that
 //! drives these over whole databases lives in
 //! [`crate::program`] / [`crate::eval`].
@@ -21,6 +24,7 @@ pub mod join;
 pub mod redundancy;
 pub mod restructure;
 pub mod restructure_fused;
+pub(crate) mod row_index;
 pub mod tagging;
 pub mod traditional;
 pub mod transpose;
@@ -32,6 +36,7 @@ pub use join::{fusable_join_cols, JoinCols, JoinProbe, PartitionShard};
 pub use redundancy::{classical_union, cleanup, purge};
 pub use restructure::{collapse, group, merge, split};
 pub use restructure_fused::{fused_restructure, grouped_cells, RestructureSpec};
+pub(crate) use row_index::RowIndex;
 pub use tagging::{set_new, tuple_new};
 pub use traditional::{
     copy, difference, intersect, product, product_append, product_header, project, rename, select,

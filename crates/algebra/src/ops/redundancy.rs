@@ -1,4 +1,5 @@
-//! Redundancy removal (paper §3.4): **clean-up** and its dual **purge**.
+//! Redundancy removal (paper §3.4): **clean-up** and its dual **purge**,
+//! and classical union built from them.
 //!
 //! `CLEAN-UP by 𝒜 on ℬ (R)` merges groups of data rows that agree on their
 //! `𝒜`-subtuple (their entries under the columns named in `𝒜`) and whose
@@ -9,8 +10,12 @@
 //! `transpose ∘ clean-up ∘ transpose`, but it is computed column-natively
 //! (one row-major scan, no transposed copy), and the duality is the
 //! oracle that pins it (`purge_is_the_transposed_cleanup` in the property
-//! suite), not the execution plan. Classical union, union → purge →
-//! clean-up, inherits the single scan.
+//! suite), not the execution plan. Both find their groups with the
+//! algebra's one row index (`ops::row_index`): clean-up keys rows, purge
+//! keys columns by their attribute and `by`-entries. Classical union is
+//! union → purge → clean-up, except on operands with the same
+//! pairwise-distinct column attributes, where it is first-occurrence
+//! deduplication of storage rows ([`classical_union`] gives the argument).
 //!
 //! Deterministic refinement (documented in DESIGN.md): the least common
 //! subsuming tuple is computed as the componentwise informational join
@@ -20,95 +25,114 @@
 //! (row attribute, 𝒜-subtuple), so rows with different row attributes are
 //! never merged.
 
+use super::row_index::RowIndex;
+use super::traditional::{aligned_distinct_schemes, union};
 use tabular_core::{Symbol, SymbolSet, Table};
 
 /// `T ← CLEAN-UP by 𝒜 on ℬ (R)`. `by` names grouping *column* attributes,
 /// `on` names participating *row* attributes (⊥ included via
 /// `SymbolSet::from_iter([Symbol::Null])`).
-#[allow(clippy::needless_range_loop)] // rows are addressed by table index throughout
 pub fn cleanup(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) -> Table {
-    let by_cols = r.cols_in(by);
-
-    // Group participating rows by (row attribute, 𝒜-subtuple); remember
-    // the position of each group's first member so replacement is stable.
-    struct Group {
-        first_row: usize,
-        rows: Vec<usize>,
+    let (group_of, groups) = cleanup_groups(r, &r.cols_in(by), on);
+    let mut size = vec![0usize; groups];
+    for &g in &group_of {
+        size[g] += 1;
     }
-    let mut keys: std::collections::HashMap<Vec<Symbol>, usize> = std::collections::HashMap::new();
-    let mut groups: Vec<Group> = Vec::new();
-    let mut group_of_row: Vec<Option<usize>> = vec![None; r.height() + 1];
-
-    for i in 1..=r.height() {
-        if !on.contains(r.get(i, 0)) {
+    if size.iter().all(|&n| n < 2) {
+        return renamed(r, name);
+    }
+    // One accumulator row per group of two or more rows: a copy of its
+    // first member, joined componentwise with the others; a conflict
+    // leaves the group's rows as they are.
+    let mut slot = vec![None; groups];
+    let mut slots = 0;
+    for (g, &n) in size.iter().enumerate() {
+        if n > 1 {
+            slot[g] = Some(slots);
+            slots += 1;
+        }
+    }
+    let stride = r.width() + 1;
+    let mut acc = vec![Symbol::Null; slots * stride];
+    let mut joins = vec![true; slots];
+    let mut started = 0;
+    for (i, &g) in (1..).zip(&group_of) {
+        let first = g == started;
+        started += usize::from(first);
+        let Some(m) = slot[g] else { continue };
+        let acc = &mut acc[m * stride..(m + 1) * stride];
+        if first {
+            acc.copy_from_slice(r.storage_row(i));
             continue;
         }
-        let mut key = Vec::with_capacity(by_cols.len() + 1);
-        key.push(r.get(i, 0));
-        key.extend(by_cols.iter().map(|&j| r.get(i, j)));
-        let g = match keys.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let g = *e.get();
-                groups[g].rows.push(i);
-                g
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                groups.push(Group {
-                    first_row: i,
-                    rows: vec![i],
-                });
-                *e.insert(groups.len() - 1)
-            }
-        };
-        group_of_row[i] = Some(g);
-    }
-
-    // Componentwise join per group of two or more rows (`None`: the
-    // group keeps its rows, a singleton or one without a join).
-    let joined: Vec<Option<Vec<Symbol>>> = groups
-        .iter()
-        .map(|g| {
-            if g.rows.len() < 2 {
-                return None;
-            }
-            let mut acc = r.storage_row(g.rows[0]).to_vec();
-            for &i in &g.rows[1..] {
-                for (a, &b) in acc.iter_mut().zip(r.storage_row(i)) {
-                    match a.join(b) {
-                        Some(j) => *a = j,
-                        None => return None,
-                    }
+        // `Symbol::join`, with equal cells (mostly ⊥ in a grouped table)
+        // passed over first.
+        for (a, &b) in acc.iter_mut().zip(r.storage_row(i)) {
+            if *a != b {
+                if a.is_null() {
+                    *a = b;
+                } else if !b.is_null() {
+                    joins[m] = false;
                 }
             }
-            Some(acc)
-        })
-        .collect();
-
-    if joined.iter().all(Option::is_none) {
+        }
+    }
+    if !joins.contains(&true) {
         return renamed(r, name);
     }
 
-    let mut header = r.storage_row(0).to_vec();
-    header[0] = name;
-    let mut t = Table::from_parts(0, r.width(), header);
+    let mut t = r.select_rows(&[]);
+    t.set_name(name);
+    let mut started = 0;
     t.append_rows(|rows| {
-        for i in 1..=r.height() {
-            match group_of_row[i] {
-                None => rows.push_row(r.storage_row(i)),
-                Some(g) => match &joined[g] {
-                    // Merged group: emit the join at the first member's slot.
-                    Some(join) => {
-                        if groups[g].first_row == i {
-                            rows.push_row(join);
-                        }
+        for (i, &g) in (1..).zip(&group_of) {
+            let first = g == started;
+            started += usize::from(first);
+            match slot[g] {
+                // Merged group: emit the join at the first member's slot.
+                Some(m) if joins[m] => {
+                    if first {
+                        rows.push_row(&acc[m * stride..(m + 1) * stride]);
                     }
-                    // No common subsumer: retain the original rows.
-                    None => rows.push_row(r.storage_row(i)),
-                },
+                }
+                _ => rows.push_row(r.storage_row(i)),
             }
         }
     });
     t
+}
+
+/// Clean-up's grouping, shared with the fused restructure: each data row
+/// whose row attribute lies in `on` is keyed by (row attribute, entries
+/// under `by_cols`); every other row is a group of its own. Returns the
+/// group of each data row (row `i` at `i - 1`) and the number of groups.
+/// Groups are numbered by first member, so a row is the first of its group
+/// exactly when its group number equals the number of groups seen before.
+pub(crate) fn cleanup_groups(r: &Table, by_cols: &[usize], on: &SymbolSet) -> (Vec<usize>, usize) {
+    let mut keys = RowIndex::new(by_cols.len() + 1, r.height());
+    let mut key = Vec::with_capacity(by_cols.len() + 1);
+    let mut group_of_key = Vec::with_capacity(r.height());
+    let mut groups = 0;
+    let group_of = (1..=r.height())
+        .map(|i| {
+            let attr = r.get(i, 0);
+            let g = if on.contains(attr) {
+                key.clear();
+                key.push(attr);
+                key.extend(by_cols.iter().map(|&j| r.get(i, j)));
+                let (id, added) = keys.insert(&key);
+                if added {
+                    group_of_key.push(groups);
+                }
+                group_of_key[id]
+            } else {
+                groups
+            };
+            groups += usize::from(g == groups);
+            g
+        })
+        .collect();
+    (group_of, groups)
 }
 
 /// `T ← PURGE on ℬ by 𝒜 (R)` — the dual of clean-up (paper §3.4), merging
@@ -128,24 +152,20 @@ pub fn purge(r: &Table, on: &SymbolSet, by: &SymbolSet, name: Symbol) -> Table {
     let cols = r.cols_in(on);
     let by_rows = r.rows_in(by);
 
-    // Each participating column's key, flat: its attribute, then its
-    // entries in the `by` rows.
-    let k = by_rows.len() + 1;
-    let keys: Vec<Symbol> = cols
-        .iter()
-        .flat_map(|&j| {
-            std::iter::once(r.col_attr(j)).chain(by_rows.iter().map(move |&i| r.get(i, j)))
-        })
-        .collect();
-    let mut group_of_key: std::collections::HashMap<&[Symbol], usize> =
-        std::collections::HashMap::with_capacity(cols.len());
+    // Group the participating columns by their attribute and their
+    // entries in the `by` rows, in the order of their first members.
+    let mut keys = RowIndex::new(by_rows.len() + 1, cols.len());
+    let mut key = Vec::with_capacity(by_rows.len() + 1);
     let mut members: Vec<Vec<usize>> = Vec::new();
-    for (c, key) in keys.chunks_exact(k).enumerate() {
-        let g = *group_of_key.entry(key).or_insert_with(|| {
+    for &j in &cols {
+        key.clear();
+        key.push(r.col_attr(j));
+        key.extend(by_rows.iter().map(|&i| r.get(i, j)));
+        let (g, added) = keys.insert(&key);
+        if added {
             members.push(Vec::new());
-            members.len() - 1
-        });
-        members[g].push(cols[c]);
+        }
+        members[g].push(j);
     }
 
     // Join every multi-member group in one row-major scan: `acc` holds
@@ -224,10 +244,49 @@ fn renamed(r: &Table, name: Symbol) -> Table {
 /// representing union-compatible relations: tabular union, then purge to
 /// eliminate the redundant column block, then clean-up to eliminate
 /// duplicate rows (paper §3.4, last paragraph).
+///
+/// When both operands carry the same pairwise-distinct column attributes
+/// (`aligned_distinct_schemes`; row attributes and data may be anything,
+/// ⊥ included), the result is the first occurrence of each storage row of
+/// `r` and then of `s`, computed without the staged pipeline. Why: the
+/// tabular union holds two columns per attribute, one per operand, and
+/// every row has ⊥ in the other operand's copy. Purge by ∅ groups columns
+/// on their attribute alone, so each group is one such pair, and the pair
+/// always joins: in every row at least one of the two entries is ⊥. Purge
+/// therefore leaves the rows of `r`, then those of `s`, each with its own
+/// row attribute and data, ⊥ included, under `r`'s attribute row. Clean-up
+/// by the whole scheme on every row attribute then groups rows on their
+/// whole storage row, comparing ⊥ as a plain symbol, so a group is a set
+/// of identical storage rows, merged into its first member. Two rows with
+/// equal data and different row attributes both stay.
 pub fn classical_union(r: &Table, s: &Table, name: Symbol) -> Table {
-    let u = super::traditional::union(r, s, name);
-    let purged = purge(&u, &u.scheme(), &SymbolSet::new(), name);
-    cleanup(&purged, &purged.scheme(), &purged.row_scheme(), name)
+    if !aligned_distinct_schemes(r, s) {
+        let u = union(r, s, name);
+        let purged = purge(&u, &u.scheme(), &SymbolSet::new(), name);
+        return cleanup(&purged, &purged.scheme(), &purged.row_scheme(), name);
+    }
+    let left = RowIndex::of_rows(r);
+    let right = union_new_rows(&left, s);
+    let mut cells = Vec::with_capacity((1 + left.len() + right.len()) * (r.width() + 1));
+    cells.push(name);
+    cells.extend_from_slice(r.col_attrs());
+    cells.extend_from_slice(left.rows());
+    cells.extend_from_slice(right.rows());
+    Table::from_parts(left.len() + right.len(), r.width(), cells)
+}
+
+/// The rows the row-set kernel of [`classical_union`] adds after an
+/// operand whose distinct storage rows `r` holds: each storage row of `s`
+/// that `r` lacks, once, in first-occurrence order.
+pub(crate) fn union_new_rows(r: &RowIndex, s: &Table) -> RowIndex {
+    let mut fresh = RowIndex::new(r.stride(), s.height());
+    for k in 1..=s.height() {
+        let row = s.storage_row(k);
+        if !r.contains(row) {
+            fresh.insert(row);
+        }
+    }
+    fresh
 }
 
 #[cfg(test)]
@@ -367,6 +426,32 @@ mod tests {
         assert_eq!(u.width(), 2);
         assert_eq!(u.height(), 3);
         assert!(u.is_relational());
+    }
+
+    #[test]
+    fn uploads_take_the_row_set_kernel() {
+        // A CSV upload carries its row attributes in the first column;
+        // neither they nor ⊥ data keep a union off the row-set kernel,
+        // repeated column attributes do. Either way the result is the
+        // staged pipeline's.
+        let staged = |r: &Table, s: &Table| {
+            let u = crate::ops::traditional::union(r, s, nm("T"));
+            let p = purge(&u, &u.scheme(), &SymbolSet::new(), nm("T"));
+            cleanup(&p, &p.scheme(), &p.row_scheme(), nm("T"))
+        };
+        let upload = tabular_core::io::from_csv("E,A,B\ne0,x,y\ne1,x,y\n_,y,z\ne0,x,y\n").unwrap();
+        let holes = tabular_core::io::from_csv("E,A,B\ne0,x,_\ne1,x,y\n").unwrap();
+        let repeated = tabular_core::io::from_csv("E,A,A\ne0,x,y\n").unwrap();
+        for (r, s) in [(&upload, &holes), (&holes, &upload), (&upload, &upload)] {
+            assert!(aligned_distinct_schemes(r, s));
+            assert_eq!(classical_union(r, s, nm("T")), staged(r, s));
+        }
+        assert_eq!(classical_union(&upload, &holes, nm("T")).height(), 4);
+        assert!(!aligned_distinct_schemes(&repeated, &repeated));
+        assert_eq!(
+            classical_union(&repeated, &repeated, nm("T")),
+            staged(&repeated, &repeated)
+        );
     }
 
     #[test]

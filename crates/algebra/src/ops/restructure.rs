@@ -7,8 +7,8 @@
 //! technical report; the generalizations implemented here reproduce every
 //! example exactly and are validated by the inverse-pair property tests.
 
+use super::row_index::RowIndex;
 use crate::error::{AlgebraError, Result};
-use std::collections::HashMap;
 use tabular_core::{Symbol, SymbolSet, Table};
 
 /// `T ← GROUP by 𝒜 on ℬ (R)` (Figure 4).
@@ -86,73 +86,65 @@ pub fn group(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) -> Table {
 /// "even more uneconomical" yet information-preserving.
 pub fn merge(r: &Table, on: &SymbolSet, by: &SymbolSet, name: Symbol) -> Table {
     let a_rows = r.rows_in(by);
-    let data_rows = r.rows_not_in(by);
     let b_cols = r.cols_in(on);
     let c_cols = r.cols_not_in(on);
 
-    // Distinct on-attributes in order of first occurrence.
+    // Distinct on-attributes in order of first occurrence, and each
+    // on-column's position among them.
     let mut b_attrs: Vec<Symbol> = Vec::new();
-    for &j in &b_cols {
-        if !b_attrs.contains(&r.col_attr(j)) {
-            b_attrs.push(r.col_attr(j));
-        }
-    }
+    let attr_of: Vec<usize> = b_cols
+        .iter()
+        .map(|&j| {
+            let a = r.col_attr(j);
+            b_attrs.iter().position(|&b| b == a).unwrap_or_else(|| {
+                b_attrs.push(a);
+                b_attrs.len() - 1
+            })
+        })
+        .collect();
 
-    // Group the on-columns into blocks by header tuple.
-    let header = |j: usize| -> Vec<Symbol> { a_rows.iter().map(|&i| r.get(i, j)).collect() };
-    let mut blocks: Vec<(Vec<Symbol>, Vec<usize>)> = Vec::new();
-    for &j in &b_cols {
-        let h = header(j);
-        match blocks.iter_mut().find(|(bh, _)| *bh == h) {
-            Some((_, cols)) => cols.push(j),
-            None => blocks.push((h, vec![j])),
+    // Group the on-columns into blocks by header tuple, in order of first
+    // occurrence; within a block, bucket the columns per on-attribute.
+    let mut headers = RowIndex::new(a_rows.len(), b_cols.len());
+    let mut header = Vec::with_capacity(a_rows.len());
+    let mut blocks: Vec<Vec<Vec<usize>>> = Vec::new();
+    for (&j, &k) in b_cols.iter().zip(&attr_of) {
+        header.clear();
+        header.extend(a_rows.iter().map(|&i| r.get(i, j)));
+        let (b, added) = headers.insert(&header);
+        if added {
+            blocks.push(vec![Vec::new(); b_attrs.len()]);
         }
+        blocks[b][k].push(j);
     }
+    let reps: Vec<usize> = blocks
+        .iter()
+        .map(|per_attr| per_attr.iter().map(Vec::len).max().unwrap_or(0).max(1))
+        .collect();
 
+    let data_rows = r.rows_not_in(by);
     let width = c_cols.len() + a_rows.len() + b_attrs.len();
-    let mut t = Table::new(name, 0, width);
-    for (k, &j) in c_cols.iter().enumerate() {
-        t.set(0, k + 1, r.col_attr(j));
-    }
-    for (k, &i) in a_rows.iter().enumerate() {
-        t.set(0, c_cols.len() + k + 1, r.get(i, 0));
-    }
-    for (k, &b) in b_attrs.iter().enumerate() {
-        t.set(0, c_cols.len() + a_rows.len() + k + 1, b);
-    }
-
+    let height = data_rows.len() * reps.iter().sum::<usize>();
+    let mut cells = Vec::with_capacity((height + 1) * (width + 1));
+    cells.push(name);
+    cells.extend(c_cols.iter().map(|&j| r.col_attr(j)));
+    cells.extend(a_rows.iter().map(|&i| r.get(i, 0)));
+    cells.extend_from_slice(&b_attrs);
     for &i in &data_rows {
-        for (h, cols) in &blocks {
-            // Columns of this block, bucketed per attribute.
-            let per_attr: Vec<Vec<usize>> = b_attrs
-                .iter()
-                .map(|&b| {
-                    cols.iter()
-                        .copied()
-                        .filter(|&j| r.col_attr(j) == b)
-                        .collect()
-                })
-                .collect();
-            let reps = per_attr.iter().map(Vec::len).max().unwrap_or(0).max(1);
-            for rep in 0..reps {
-                let mut row = vec![Symbol::Null; width + 1];
-                row[0] = r.get(i, 0);
-                for (k, &j) in c_cols.iter().enumerate() {
-                    row[k + 1] = r.get(i, j);
-                }
-                for (k, &hv) in h.iter().enumerate() {
-                    row[c_cols.len() + k + 1] = hv;
-                }
-                for (k, cols_of_attr) in per_attr.iter().enumerate() {
-                    if let Some(&j) = cols_of_attr.get(rep) {
-                        row[c_cols.len() + a_rows.len() + k + 1] = r.get(i, j);
-                    }
-                }
-                t.push_row(row);
+        for (b, per_attr) in blocks.iter().enumerate() {
+            for rep in 0..reps[b] {
+                cells.push(r.get(i, 0));
+                cells.extend(c_cols.iter().map(|&j| r.get(i, j)));
+                cells.extend_from_slice(headers.row(b));
+                cells.extend(
+                    per_attr
+                        .iter()
+                        .map(|cols| cols.get(rep).map_or(Symbol::Null, |&j| r.get(i, j))),
+                );
             }
         }
     }
-    t
+    Table::from_parts(height, width, cells)
 }
 
 /// `T ← SPLIT on 𝒜 (R)`: one table per distinct combination of values
@@ -172,27 +164,23 @@ pub fn split(r: &Table, on: &SymbolSet, name: Symbol) -> Vec<Table> {
     // rows are written when the combination first appears, each data row
     // is appended to its combination's buffer, and the height is counted
     // alongside.
-    let mut group_of: HashMap<Vec<Symbol>, usize> = HashMap::new();
+    let mut combos = RowIndex::new(a_cols.len(), r.height());
     let mut outputs: Vec<(usize, Vec<Symbol>)> = Vec::new();
     let mut key: Vec<Symbol> = Vec::with_capacity(a_cols.len());
     for i in 1..=r.height() {
         key.clear();
         key.extend(a_cols.iter().map(|&j| r.get(i, j)));
-        let g = match group_of.get(key.as_slice()) {
-            Some(&g) => g,
-            None => {
-                let mut cells = Vec::with_capacity((a_cols.len() + 2) * stride);
-                cells.push(name);
-                cells.extend(rest.iter().map(|&j| r.col_attr(j)));
-                for (&j, &v) in a_cols.iter().zip(&key) {
-                    cells.push(r.col_attr(j));
-                    cells.extend(std::iter::repeat_n(v, rest.len()));
-                }
-                group_of.insert(key.clone(), outputs.len());
-                outputs.push((a_cols.len(), cells));
-                outputs.len() - 1
+        let (g, added) = combos.insert(&key);
+        if added {
+            let mut cells = Vec::with_capacity((a_cols.len() + 2) * stride);
+            cells.push(name);
+            cells.extend(rest.iter().map(|&j| r.col_attr(j)));
+            for (&j, &v) in a_cols.iter().zip(&key) {
+                cells.push(r.col_attr(j));
+                cells.extend(std::iter::repeat_n(v, rest.len()));
             }
-        };
+            outputs.push((a_cols.len(), cells));
+        }
         let (height, cells) = &mut outputs[g];
         cells.push(r.get(i, 0));
         cells.extend(rest.iter().map(|&j| r.get(i, j)));

@@ -26,9 +26,8 @@
 //! are byte-identical (the unit tests compare with `assert_eq!`, not
 //! `equiv`).
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
+use super::redundancy::cleanup_groups;
+use super::row_index::RowIndex;
 use tabular_core::{Symbol, SymbolSet, Table};
 
 /// The denoted parameter sets of a `GROUP → CLEAN-UP (→ PURGE)` chain, as
@@ -49,45 +48,6 @@ pub struct RestructureSpec {
     /// `PURGE (on, by)` closing a 3-op chain; `None` for the 2-op prefix
     /// `CLEAN-UP ∘ GROUP`.
     pub purge: Option<(SymbolSet, SymbolSet)>,
-}
-
-/// Clean-up groups over the *original* data rows: rows whose row attribute
-/// participates are keyed by `(row attribute, 𝒞-subtuple)`; everything
-/// else is its own singleton (clean-up passes it through unchanged).
-/// Groups come out ordered by their first member, which is exactly the
-/// staged emission order.
-struct Group {
-    first_row: usize,
-    rows: Vec<usize>,
-}
-
-fn cleanup_groups(r: &Table, c_cols: &[usize], cleanup_on: &SymbolSet) -> Vec<Group> {
-    let mut keys: HashMap<Vec<Symbol>, usize> = HashMap::new();
-    let mut groups: Vec<Group> = Vec::new();
-    for i in 1..=r.height() {
-        let attr = r.get(i, 0);
-        if !cleanup_on.contains(attr) {
-            groups.push(Group {
-                first_row: i,
-                rows: vec![i],
-            });
-            continue;
-        }
-        let mut key = Vec::with_capacity(c_cols.len() + 1);
-        key.push(attr);
-        key.extend(c_cols.iter().map(|&j| r.get(i, j)));
-        match keys.entry(key) {
-            Entry::Occupied(e) => groups[*e.get()].rows.push(i),
-            Entry::Vacant(e) => {
-                e.insert(groups.len());
-                groups.push(Group {
-                    first_row: i,
-                    rows: vec![i],
-                });
-            }
-        }
-    }
-    groups
 }
 
 /// Evaluate the chain described by `spec` over `r` in a single pass, or
@@ -159,123 +119,77 @@ pub fn fused_restructure(r: &Table, spec: &RestructureSpec, name: Symbol) -> Opt
         }
     }
 
-    let groups = cleanup_groups(r, &c_cols, &spec.cleanup_on);
+    // Clean-up groups over the *original* data rows, numbered by first
+    // member, which is exactly the staged emission order.
+    let (group_of, groups) = cleanup_groups(r, &c_cols, &spec.cleanup_on);
+    let (nc, nb, nh) = (c_cols.len(), b_cols.len(), header.len());
 
+    // The block columns of the output: each one's attribute and header
+    // tuple, and the column that block cell `k` of data row `i` lands in
+    // (`lands[(i - 1) * nb + k]`).
+    let mut out_attrs: Vec<Symbol> = Vec::new();
+    let mut out_headers: Vec<Symbol> = Vec::new();
+    let mut lands: Vec<usize> = Vec::with_capacity(m * nb);
     if spec.purge.is_none() {
-        // 2-op chain: the grouped layout (𝒞 columns then m copy blocks),
-        // one row per clean-up group instead of one per input row.
-        let width = c_cols.len() + m * b_cols.len();
-        let mut t = Table::new(name, 0, width);
-        for (k, &j) in c_cols.iter().enumerate() {
-            t.set(0, k + 1, r.col_attr(j));
-        }
-        for block in 0..m {
-            for (k, &j) in b_cols.iter().enumerate() {
-                t.set(
-                    0,
-                    c_cols.len() + block * b_cols.len() + k + 1,
-                    r.col_attr(j),
-                );
+        // 2-op chain: the grouped layout, one copy block per data row.
+        for i in 1..=m {
+            for &j in &b_cols {
+                lands.push(out_attrs.len());
+                out_attrs.push(r.col_attr(j));
+                out_headers.extend(header.iter().map(|&(_, h)| r.get(i, h)));
             }
         }
-        for &(a, j) in &header {
-            let mut row = vec![Symbol::Null; width + 1];
-            row[0] = a;
-            for (block, i) in (1..=m).enumerate() {
-                for k in 0..b_cols.len() {
-                    row[c_cols.len() + block * b_cols.len() + k + 1] = r.get(i, j);
+    } else {
+        // 3-op chain: one output column per distinct (block attribute,
+        // header tuple), in first-occurrence order — exactly where the
+        // staged purge emits each merged column (the position of its
+        // leftmost member).
+        let mut keys = RowIndex::new(nh + 1, m * nb);
+        let mut key = Vec::with_capacity(nh + 1);
+        for i in 1..=m {
+            for &j in &b_cols {
+                key.clear();
+                key.push(r.col_attr(j));
+                key.extend(header.iter().map(|&(_, h)| r.get(i, h)));
+                let (col, added) = keys.insert(&key);
+                if added {
+                    out_attrs.push(key[0]);
+                    out_headers.extend_from_slice(&key[1..]);
                 }
+                lands.push(col);
             }
-            t.push_row(row);
         }
-        for g in &groups {
-            let mut row = vec![Symbol::Null; width + 1];
-            row[0] = r.get(g.first_row, 0);
-            for (k, &j) in c_cols.iter().enumerate() {
-                row[k + 1] = r.get(g.first_row, j);
-            }
-            for &i in &g.rows {
-                let block = i - 1;
-                for (k, &j) in b_cols.iter().enumerate() {
-                    row[c_cols.len() + block * b_cols.len() + k + 1] = r.get(i, j);
-                }
-            }
-            t.push_row(row);
-        }
-        return Some(t);
     }
 
-    // 3-op chain: one output column per distinct (block attribute, header
-    // tuple), in first-occurrence order — exactly where the staged purge
-    // emits each merged column (the position of its leftmost member).
-    let mut htups: Vec<Vec<Symbol>> = Vec::new();
-    let mut hids: HashMap<Vec<Symbol>, usize> = HashMap::new();
-    let mut out_cols: Vec<(Symbol, usize)> = Vec::new();
-    let mut col_of: HashMap<(Symbol, usize), usize> = HashMap::new();
-    // Per data row, per block column: which output column it lands in.
-    let mut col_ix: Vec<Vec<usize>> = Vec::with_capacity(m);
-    for i in 1..=m {
-        let h: Vec<Symbol> = header.iter().map(|&(_, j)| r.get(i, j)).collect();
-        let hid = match hids.entry(h) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let hid = htups.len();
-                htups.push(e.key().clone());
-                e.insert(hid);
-                hid
-            }
-        };
-        let mut ix = Vec::with_capacity(b_cols.len());
-        for &j in &b_cols {
-            let key = (r.col_attr(j), hid);
-            let c = match col_of.entry(key) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let c = out_cols.len();
-                    out_cols.push(key);
-                    e.insert(c);
-                    c
-                }
-            };
-            ix.push(c);
-        }
-        col_ix.push(ix);
+    let width = nc + out_attrs.len();
+    let stride = width + 1;
+    let mut cells = Vec::with_capacity((1 + nh + groups) * stride);
+    cells.push(name);
+    cells.extend(c_cols.iter().map(|&j| r.col_attr(j)));
+    cells.extend_from_slice(&out_attrs);
+    for (a, &(attr, _)) in header.iter().enumerate() {
+        cells.push(attr);
+        cells.extend(std::iter::repeat_n(Symbol::Null, nc));
+        cells.extend(out_headers.iter().skip(a).step_by(nh));
     }
-
-    let width = c_cols.len() + out_cols.len();
-    let mut t = Table::new(name, 0, width);
-    for (k, &j) in c_cols.iter().enumerate() {
-        t.set(0, k + 1, r.col_attr(j));
-    }
-    for (k, &(b, _)) in out_cols.iter().enumerate() {
-        t.set(0, c_cols.len() + k + 1, b);
-    }
-    for (a_idx, &(a, _)) in header.iter().enumerate() {
-        let mut row = vec![Symbol::Null; width + 1];
-        row[0] = a;
-        for (k, &(_, hid)) in out_cols.iter().enumerate() {
-            row[c_cols.len() + k + 1] = htups[hid][a_idx];
-        }
-        t.push_row(row);
-    }
-    for g in &groups {
-        let mut row = vec![Symbol::Null; width + 1];
-        row[0] = r.get(g.first_row, 0);
+    // One row per clean-up group: its carried entries, and the join of its
+    // members' block cells.
+    let first_group = cells.len();
+    cells.resize(first_group + groups * stride, Symbol::Null);
+    for (i, &g) in (1..).zip(&group_of) {
+        let row = &mut cells[first_group + g * stride..first_group + (g + 1) * stride];
+        row[0] = r.get(i, 0);
         for (k, &j) in c_cols.iter().enumerate() {
-            row[k + 1] = r.get(g.first_row, j);
+            row[k + 1] = r.get(i, j);
         }
-        for &i in &g.rows {
-            for (k, &j) in b_cols.iter().enumerate() {
-                let slot = c_cols.len() + col_ix[i - 1][k] + 1;
-                match row[slot].join(r.get(i, j)) {
-                    Some(joined) => row[slot] = joined,
-                    None => return None, // condition 4: the staged purge would retain columns
-                }
-            }
+        for (k, &j) in b_cols.iter().enumerate() {
+            let slot = &mut row[1 + nc + lands[(i - 1) * nb + k]];
+            // Condition 4: a conflict means the staged purge would
+            // retain the unmerged columns.
+            *slot = slot.join(r.get(i, j))?;
         }
-        t.push_row(row);
     }
-    Some(t)
+    Some(Table::from_parts(nh + groups, width, cells))
 }
 
 /// Cells the grouped intermediate `GROUP by 𝒜 on ℬ (R)` would

@@ -7,6 +7,7 @@
 //! composing with the redundancy-removal operations (§3.4), see
 //! [`classical_union`](crate::ops::classical_union).
 
+use super::row_index::RowIndex;
 use tabular_core::{Symbol, SymbolSet, Table};
 
 /// Tabular union `T ← R ∪ S` (Figure 3, left).
@@ -57,23 +58,34 @@ pub fn union(r: &Table, s: &Table, name: Symbol) -> Table {
 /// pairwise-distinct attributes, the per-attribute entry sets are
 /// singletons and mutual subsumption degenerates to plain storage-row
 /// equality (⊥ included: `{⊥} ≗ {v}` fails in one direction exactly when
-/// `⊥ ≠ v`), so matching runs through a hash set in `O(|ρ| + |σ|)` instead
-/// of the pairwise `O(|ρ|·|σ|)` subsumption scan. This is the shape every
-/// compiled relational program produces, and the hot path of `while`
-/// fixpoints such as transitive closure.
+/// `⊥ ≠ v`), so matching probes a row index of `σ` in `O(|ρ| + |σ|)`
+/// instead of the pairwise `O(|ρ|·|σ|)` subsumption scan. This is the
+/// shape every compiled relational program produces, and the hot path of
+/// `while` fixpoints such as transitive closure.
 pub fn difference(r: &Table, s: &Table, name: Symbol) -> Table {
-    let mut t = if aligned_distinct_schemes(r, s) {
-        let matched: std::collections::HashSet<&[Symbol]> =
-            (1..=s.height()).map(|k| s.storage_row(k)).collect();
-        r.retain_rows(|i| !matched.contains(r.storage_row(i)))
-    } else {
-        r.retain_rows(|i| {
-            !(1..=s.height())
-                .any(|k| r.get(i, 0) == s.get(k, 0) && r.rows_subsume_each_other(i, s, k))
-        })
-    };
+    if aligned_distinct_schemes(r, s) {
+        let mut t = r.select_rows(&[]);
+        t.set_name(name);
+        difference_rows(&mut t, r, 1, &RowIndex::of_rows(s));
+        return t;
+    }
+    let mut t = r.retain_rows(|i| {
+        !(1..=s.height()).any(|k| r.get(i, 0) == s.get(k, 0) && r.rows_subsume_each_other(i, s, k))
+    });
     t.set_name(name);
     t
+}
+
+/// The aligned path of [`difference`], a row at a time: append to `out`
+/// the storage rows `from..=r.height()` of `r` that `s` does not hold.
+pub(crate) fn difference_rows(out: &mut Table, r: &Table, from: usize, s: &RowIndex) {
+    out.append_rows(|rows| {
+        for i in from..=r.height() {
+            if !s.contains(r.storage_row(i)) {
+                rows.push_row(r.storage_row(i));
+            }
+        }
+    });
 }
 
 /// True when both tables carry the same column-attribute sequence and the
@@ -89,8 +101,8 @@ pub(crate) fn aligned_distinct_schemes(r: &Table, s: &Table) -> bool {
 ///
 /// Evaluated from a single match bitmap instead of two [`difference`]
 /// calls: the first difference's whole contribution is *which* rows of
-/// `ρ` are matched by `σ`, so that `O(|ρ|·|σ|)` subsumption scan (hash
-/// lookup under `aligned_distinct_schemes`) runs once, and the second
+/// `ρ` are matched by `σ`, so that `O(|ρ|·|σ|)` subsumption scan (a row
+/// index probe under `aligned_distinct_schemes`) runs once, and the second
 /// pass — removing rows matched by some row of `ρ \ σ` — checks only
 /// against the unmatched subset the bitmap already names. Results are
 /// identical to the two-difference derivation.
@@ -98,8 +110,7 @@ pub fn intersect(r: &Table, s: &Table, name: Symbol) -> Table {
     // Pass 1: matched[i-1] ⇔ some row of σ matches ρᵢ (the bitmap the
     // first difference would have complemented).
     let matched: Vec<bool> = if aligned_distinct_schemes(r, s) {
-        let rows: std::collections::HashSet<&[Symbol]> =
-            (1..=s.height()).map(|k| s.storage_row(k)).collect();
+        let rows = RowIndex::of_rows(s);
         (1..=r.height())
             .map(|i| rows.contains(r.storage_row(i)))
             .collect()
@@ -115,20 +126,22 @@ pub fn intersect(r: &Table, s: &Table, name: Symbol) -> Table {
     // ρ \ σ) matches it — which removes the unmatched rows themselves
     // (every row matches itself) and any matched row that mutually
     // subsumes an unmatched one. Within ρ the operand schemes trivially
-    // align, so pairwise-distinct attributes alone enable the hash path.
-    let mut t = if r.scheme().len() == r.width() {
-        let removed: std::collections::HashSet<&[Symbol]> = (1..=r.height())
-            .filter(|&j| !matched[j - 1])
-            .map(|j| r.storage_row(j))
-            .collect();
-        r.retain_rows(|i| !removed.contains(r.storage_row(i)))
-    } else {
-        r.retain_rows(|i| {
-            !(1..=r.height()).any(|j| {
-                !matched[j - 1] && r.get(i, 0) == r.get(j, 0) && r.rows_subsume_each_other(i, r, j)
-            })
+    // align, so pairwise-distinct attributes alone enable the index path.
+    if r.scheme().len() == r.width() {
+        let mut removed = RowIndex::new(r.width() + 1, r.height());
+        for j in (1..=r.height()).filter(|&j| !matched[j - 1]) {
+            removed.insert(r.storage_row(j));
+        }
+        let mut t = r.select_rows(&[]);
+        t.set_name(name);
+        difference_rows(&mut t, r, 1, &removed);
+        return t;
+    }
+    let mut t = r.retain_rows(|i| {
+        !(1..=r.height()).any(|j| {
+            !matched[j - 1] && r.get(i, 0) == r.get(j, 0) && r.rows_subsume_each_other(i, r, j)
         })
-    };
+    });
     t.set_name(name);
     t
 }
@@ -229,43 +242,32 @@ pub fn project(r: &Table, attrs: &SymbolSet, name: Symbol) -> Table {
 /// attributes (paper §3.1: "weak equality is used instead of classical
 /// equality in the definition of selection").
 pub fn select(r: &Table, a: Symbol, b: Symbol, name: Symbol) -> Table {
-    let mut t = r.retain_rows(|i| {
-        r.row_entries_named(i, a)
-            .weakly_equal(&r.row_entries_named(i, b))
-    });
+    let mut t = r.retain_rows(|i| select_keeps(r, i, a, b));
     t.set_name(name);
     t
+}
+
+/// The row test of [`select`]: `ρᵢ(a) ≗ ρᵢ(b)`.
+#[inline]
+pub(crate) fn select_keeps(r: &Table, i: usize, a: Symbol, b: Symbol) -> bool {
+    r.row_entries_named(i, a)
+        .weakly_equal(&r.row_entries_named(i, b))
 }
 
 /// Constant selection `T ← σ_{A=v}(R)`: keep the data rows having `v`
 /// among their entries under attribute `a`. The paper derives this from
-/// switching (§3.3); it is provided directly for convenience — see
-/// [`select_const_via_switch`] for the derived construction used in the
-/// equivalence tests.
+/// switching (§3.3), but only where `v` occurs once in the table (see
+/// DESIGN.md, "Constant selection via switch"); it is provided directly.
 pub fn select_const(r: &Table, a: Symbol, v: Symbol, name: Symbol) -> Table {
-    let mut t = r.retain_rows(|i| r.row_entries_named(i, a).contains(v));
+    let mut t = r.retain_rows(|i| select_const_keeps(r, i, a, v));
     t.set_name(name);
     t
 }
 
-/// The paper's derivation of constant selection using switch (§3.3): if
-/// `v` occurs uniquely in the table, switching on `v` brings its row to
-/// the attribute row, after which rows with `v` under `a` can be
-/// recognized. Exposed so the tests can check it against
-/// [`select_const`] on inputs where the derivation applies.
-///
-/// This is deliberately **not** a replay of the derivation: `switch`
-/// only performs the row/column swap when `v` occurs *uniquely* in the
-/// whole table (`crate::ops::switch` degenerates to a mere rename
-/// otherwise), so the derivation's applicability precondition — pinned
-/// by `select_const_via_switch_requires_a_unique_occurrence` below and
-/// documented in DESIGN.md ("Constant selection via switch") — is
-/// narrower than constant selection itself. The shortcut computes the
-/// same data dependency directly and therefore also covers the inputs
-/// the derivation cannot reach; `switch_brings_data_to_attribute_row`
-/// (in `transpose`) demonstrates the §3.3 mechanism itself.
-pub fn select_const_via_switch(r: &Table, a: Symbol, v: Symbol, name: Symbol) -> Table {
-    select_const(r, a, v, name)
+/// The row test of [`select_const`]: `v ∈ ρᵢ(a)`.
+#[inline]
+pub(crate) fn select_const_keeps(r: &Table, i: usize, a: Symbol, v: Symbol) -> bool {
+    r.row_entries_named(i, a).contains(v)
 }
 
 #[cfg(test)]
@@ -421,34 +423,28 @@ mod tests {
         let t2 = select_const(&tab, nm("A"), Symbol::Null, nm("T"));
         assert_eq!(t2.height(), 1);
         assert!(t2.get(1, 1).is_null());
-        assert_eq!(
-            select_const_via_switch(&tab, nm("A"), Symbol::value("1"), nm("T")),
-            t
-        );
     }
 
     #[test]
-    fn select_const_via_switch_requires_a_unique_occurrence() {
+    fn switch_anchors_only_a_unique_occurrence() {
         use crate::ops::switch;
-        // The §3.3 derivation's engine: with a unique occurrence, switch
-        // moves v's row into the attribute row, where it can anchor the
-        // selection…
+        // The §3.3 derivation of constant selection: with a unique
+        // occurrence, switch moves v's row into the attribute row, where
+        // it can anchor the selection…
         let unique = Table::relational("R", &["A", "B"], &[&["1", "2"], &["3", "4"]]);
         let sw = switch(&unique, Symbol::value("3"), nm("S"));
         assert_eq!(sw.get(0, 2), Symbol::value("4"), "v's row became row 0");
         // …but with a repeated occurrence, switch degenerates to a mere
-        // rename (the derivation cannot proceed), while the direct
-        // shortcut still selects every matching row.
+        // rename (the derivation cannot proceed), while constant
+        // selection still keeps every matching row.
         let dup = Table::relational("R", &["A", "B"], &[&["1", "2"], &["1", "4"]]);
         let sw = switch(&dup, Symbol::value("1"), nm("S"));
         let mut renamed = dup.clone();
         renamed.set_name(nm("S"));
         assert_eq!(sw, renamed, "no unique occurrence: switch only renames");
-        let direct = select_const_via_switch(&dup, nm("A"), Symbol::value("1"), nm("T"));
-        assert_eq!(direct.height(), 2);
         assert_eq!(
-            direct,
-            select_const(&dup, nm("A"), Symbol::value("1"), nm("T"))
+            select_const(&dup, nm("A"), Symbol::value("1"), nm("T")).height(),
+            2
         );
     }
 

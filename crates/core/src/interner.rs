@@ -61,9 +61,10 @@ struct Shard {
 /// pool is append-only, so resolved `&'static str`s stay valid forever.
 pub struct Pool {
     shards: [RwLock<Shard>; SHARDS],
-    /// All interned strings, indexed by `Istr::index() >> 4` within the
-    /// shard selected by `Istr::index() & 0xf`... — we instead keep a flat
-    /// vector guarded by its own lock, since resolution is the hot path.
+    /// Every interned string, at its `Istr::index()`. Ids are dense
+    /// across all shards (a shard maps strings to ids only), so one flat
+    /// vector under its own lock resolves any id, the hot path, with one
+    /// index.
     strings: RwLock<Vec<&'static str>>,
     fresh_counter: AtomicU64,
 }

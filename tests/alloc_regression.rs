@@ -15,8 +15,8 @@
 //!
 //! Later guards pin the other allocation promises of the storage engine
 //! and its kernels (pre-size trips, fused joins and restructures,
-//! partitioned joins, cached renderings, the column-native purge, and the
-//! semi-naive closure).
+//! partitioned joins, cached renderings, the column-native purge, the
+//! semi-naive closure, and clean-up's grouping).
 //!
 //! This file deliberately holds a single `#[test]`: the guards read
 //! process-global counters, and a sibling test running on another thread
@@ -563,5 +563,35 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         "the closure allocated {closure_bytes} bytes, {:.0} copies of the \
          final TC cell buffer ({tc_bytes} bytes); the bound is {CLOSURE_FACTOR}",
         closure_bytes as f64 / tc_bytes as f64
+    );
+
+    // ------------------------------------------------------------------
+    // Guard 12: clean-up groups rows through one row index, whose keys
+    // live in one arena. Over a 4 000-row relation whose rows are all
+    // distinct (one group per row, nothing merges), CLEANUP must hit the
+    // allocator far fewer than 4 000 times: it measures 13. A key
+    // `Vec` per row, or a member list per group, makes at least 4 000.
+    // ------------------------------------------------------------------
+    const CLEANUP_BLOCKS: usize = 100;
+    let mut csv = String::from("R,A,B\n");
+    for i in 0..4000 {
+        csv.push_str(&format!("_,a{i},b{}\n", i % 7));
+    }
+    let distinct = io::from_csv(&csv).unwrap();
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let cleaned = ops::cleanup(
+        &distinct,
+        &distinct.scheme(),
+        &SymbolSet::from_iter([Symbol::Null]),
+        Symbol::name("C"),
+    );
+    ARMED.store(false, Ordering::SeqCst);
+    let cleanup_blocks = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(cleaned.height(), 4000);
+    assert!(
+        cleanup_blocks < CLEANUP_BLOCKS,
+        "CLEANUP of 4 000 distinct rows made {cleanup_blocks} allocations; \
+         the bound is {CLEANUP_BLOCKS}"
     );
 }

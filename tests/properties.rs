@@ -1111,3 +1111,267 @@ proptest! {
         prop_assert_eq!(before.fingerprint(), from_scratch(&before));
     }
 }
+
+// ----------------------------------------------------------------------
+// Row-index oracles: the kernels that group or match rows through the
+// algebra's one row index, each against a hash-free reference that
+// compares keys pairwise.
+// ----------------------------------------------------------------------
+
+/// CLEAN-UP as §3.4 states it: each participating row joins the first
+/// group whose first member has its key (row attribute, `by`-entries),
+/// found by comparing keys pairwise; a group of two or more rows with a
+/// componentwise join becomes that join, at its first member's place.
+fn cleanup_by_pairs(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) -> Table {
+    let by_cols = r.cols_in(by);
+    let key = |i: usize| -> Vec<Symbol> {
+        std::iter::once(r.get(i, 0))
+            .chain(by_cols.iter().map(|&j| r.get(i, j)))
+            .collect()
+    };
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for i in (1..=r.height()).filter(|&i| on.contains(r.get(i, 0))) {
+        match groups.iter_mut().find(|g| key(g[0]) == key(i)) {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+    let joins: Vec<Option<Vec<Symbol>>> = groups
+        .iter()
+        .map(|g| {
+            if g.len() < 2 {
+                return None;
+            }
+            g[1..]
+                .iter()
+                .try_fold(r.storage_row(g[0]).to_vec(), |acc, &i| {
+                    acc.iter()
+                        .zip(r.storage_row(i))
+                        .map(|(&a, &b)| a.join(b))
+                        .collect()
+                })
+        })
+        .collect();
+    let mut out = Table::new(name, 0, r.width());
+    for j in 1..=r.width() {
+        out.set(0, j, r.col_attr(j));
+    }
+    for i in 1..=r.height() {
+        match groups.iter().position(|g| g.contains(&i)) {
+            Some(g) if joins[g].is_some() => {
+                if groups[g][0] == i {
+                    out.push_row(joins[g].clone().unwrap());
+                }
+            }
+            _ => out.push_row(r.storage_row(i).to_vec()),
+        }
+    }
+    out
+}
+
+/// PURGE by the duality of §3.3, over [`cleanup_by_pairs`].
+fn purge_by_pairs(r: &Table, on: &SymbolSet, by: &SymbolSet, name: Symbol) -> Table {
+    transpose_by_cells(&cleanup_by_pairs(&transpose_by_cells(r), by, on, name))
+}
+
+/// Classical union as §3.4 composes it: union → purge → clean-up.
+fn classical_union_staged(r: &Table, s: &Table, name: Symbol) -> Table {
+    let u = ops::union(r, s, name);
+    let purged = purge_by_pairs(&u, &u.scheme(), &SymbolSet::new(), name);
+    cleanup_by_pairs(&purged, &purged.scheme(), &purged.row_scheme(), name)
+}
+
+/// `MERGE` with its blocks found by a linear scan of the header tuples
+/// seen so far, and every row built on its own.
+fn merge_by_linear_block_scan(r: &Table, on: &SymbolSet, by: &SymbolSet, name: Symbol) -> Table {
+    let a_rows = r.rows_in(by);
+    let b_cols = r.cols_in(on);
+    let c_cols = r.cols_not_in(on);
+    let mut b_attrs: Vec<Symbol> = Vec::new();
+    for &j in &b_cols {
+        if !b_attrs.contains(&r.col_attr(j)) {
+            b_attrs.push(r.col_attr(j));
+        }
+    }
+    let mut blocks: Vec<(Vec<Symbol>, Vec<usize>)> = Vec::new();
+    for &j in &b_cols {
+        let h: Vec<Symbol> = a_rows.iter().map(|&i| r.get(i, j)).collect();
+        match blocks.iter_mut().find(|(bh, _)| *bh == h) {
+            Some((_, cols)) => cols.push(j),
+            None => blocks.push((h, vec![j])),
+        }
+    }
+    let width = c_cols.len() + a_rows.len() + b_attrs.len();
+    let mut t = Table::new(name, 0, width);
+    let attrs = c_cols
+        .iter()
+        .map(|&j| r.col_attr(j))
+        .chain(a_rows.iter().map(|&i| r.get(i, 0)))
+        .chain(b_attrs.iter().copied());
+    for (k, a) in attrs.enumerate() {
+        t.set(0, k + 1, a);
+    }
+    for i in r.rows_not_in(by) {
+        for (h, cols) in &blocks {
+            let per_attr: Vec<Vec<usize>> = b_attrs
+                .iter()
+                .map(|&b| {
+                    cols.iter()
+                        .copied()
+                        .filter(|&j| r.col_attr(j) == b)
+                        .collect()
+                })
+                .collect();
+            let reps = per_attr.iter().map(Vec::len).max().unwrap_or(0).max(1);
+            for rep in 0..reps {
+                let mut row = vec![r.get(i, 0)];
+                row.extend(c_cols.iter().map(|&j| r.get(i, j)));
+                row.extend_from_slice(h);
+                row.extend(per_attr.iter().map(|cols| match cols.get(rep) {
+                    Some(&j) => r.get(i, j),
+                    None => Symbol::Null,
+                }));
+                t.push_row(row);
+            }
+        }
+    }
+    t
+}
+
+/// A table named `name` over the column attributes `attrs`: 0–5 rows,
+/// row attributes from {⊥, x, y} and data from {v0, v1, ⊥}, so duplicate
+/// rows and twins that differ only in their row attribute are common.
+fn arb_table_over(name: &'static str, attrs: Vec<Symbol>) -> impl Strategy<Value = Table> {
+    let row_attr = || {
+        prop_oneof![
+            Just(Symbol::Null),
+            Just(Symbol::name("x")),
+            Just(Symbol::name("y"))
+        ]
+    };
+    let datum = || {
+        prop_oneof![
+            2 => Just(Symbol::value("v0")),
+            1 => Just(Symbol::value("v1")),
+            1 => Just(Symbol::Null),
+        ]
+    };
+    let w = attrs.len();
+    (0usize..6).prop_flat_map(move |h| {
+        let attrs = attrs.clone();
+        (
+            proptest::collection::vec(row_attr(), h),
+            proptest::collection::vec(datum(), h * w),
+        )
+            .prop_map(move |(rows, data)| {
+                let mut cells = vec![Symbol::name(name)];
+                cells.extend_from_slice(&attrs);
+                for (i, &a) in rows.iter().enumerate() {
+                    cells.push(a);
+                    cells.extend_from_slice(&data[i * w..(i + 1) * w]);
+                }
+                Table::from_parts(h, w, cells)
+            })
+    })
+}
+
+/// Operands of a classical union. `r`'s 0–3 column attributes are
+/// distinct, drawn from {A, B, C, ⊥}; `s` shares them (aligned), reverses
+/// them, or draws its own, repeats allowed.
+fn arb_union_operands() -> impl Strategy<Value = (Table, Table)> {
+    let picks = || proptest::collection::vec(0usize..4, 0..4);
+    (picks(), picks(), 0u8..3).prop_flat_map(|(rp, sp, mode)| {
+        let pool = [
+            Symbol::name("A"),
+            Symbol::name("B"),
+            Symbol::name("C"),
+            Symbol::Null,
+        ];
+        let mut r_attrs: Vec<Symbol> = Vec::new();
+        for k in rp {
+            if !r_attrs.contains(&pool[k]) {
+                r_attrs.push(pool[k]);
+            }
+        }
+        let s_attrs = match mode {
+            0 => r_attrs.clone(),
+            1 => r_attrs.iter().rev().copied().collect(),
+            _ => sp.iter().map(|&k| pool[k]).collect(),
+        };
+        (arb_table_over("R", r_attrs), arb_table_over("S", s_attrs))
+    })
+}
+
+/// Inputs of `MERGE[on … by …]`: messy tables under any `on`/`by` (see
+/// [`arb_attr_choice`]), and grouped fact tables merged back on their
+/// measure by the header rows of their category, or of their key and
+/// category (two-symbol header tuples).
+fn arb_merge_input() -> impl Strategy<Value = (Table, SymbolSet, SymbolSet)> {
+    prop_oneof![
+        (
+            prop_oneof![arb_table(), arb_purge_table()],
+            arb_attr_choice(),
+            arb_attr_choice(),
+        )
+            .prop_map(|(t, on, by)| {
+                let on = on.unwrap_or_else(|| t.scheme());
+                let by = by.unwrap_or_else(|| t.row_scheme());
+                (t, on, by)
+            }),
+        (arb_fact_table(), 0u8..2).prop_map(|(t, keyed)| {
+            let mut by = SymbolSet::from_iter([Symbol::name("C")]);
+            if keyed == 1 {
+                by.insert(Symbol::name("K"));
+            }
+            let m = SymbolSet::from_iter([Symbol::name("M")]);
+            (ops::group(&t, &by, &m, Symbol::name("G")), m, by)
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Classical union, row-set kernel included, gives the staged
+    /// composition's table byte for byte, on aligned and misaligned
+    /// operands with ⊥ attributes and data, duplicate rows and twin rows.
+    #[test]
+    fn classical_union_is_the_staged_composition((r, s) in arb_union_operands()) {
+        let name = Symbol::name("U");
+        prop_assert_eq!(
+            ops::classical_union(&r, &s, name),
+            classical_union_staged(&r, &s, name),
+            "r:\n{}\ns:\n{}", r, s
+        );
+    }
+
+    /// Clean-up's hashed grouping gives the pairwise grouping's table,
+    /// for any `by`/`on`: empty, holding ⊥, naming absent attributes, or
+    /// the table's own scheme and row scheme.
+    #[test]
+    fn cleanup_matches_the_pairwise_grouping(
+        t in prop_oneof![arb_table(), arb_purge_table()],
+        by in arb_attr_choice(),
+        on in arb_attr_choice(),
+    ) {
+        let by = by.unwrap_or_else(|| t.scheme());
+        let on = on.unwrap_or_else(|| t.row_scheme());
+        let name = Symbol::name("C");
+        prop_assert_eq!(
+            ops::cleanup(&t, &by, &on, name),
+            cleanup_by_pairs(&t, &by, &on, name),
+            "by {:?} on {:?} over:\n{}", by, on, t
+        );
+    }
+
+    /// Merge's hashed blocks give the linear block scan's table.
+    #[test]
+    fn merge_matches_the_linear_block_scan((t, on, by) in arb_merge_input()) {
+        let name = Symbol::name("M");
+        prop_assert_eq!(
+            ops::merge(&t, &on, &by, name),
+            merge_by_linear_block_scan(&t, &on, &by, name),
+            "on {:?} by {:?} over:\n{}", on, by, t
+        );
+    }
+}
