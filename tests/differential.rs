@@ -423,7 +423,7 @@ proptest! {
 /// Variant 0 is the plain closure, where the delta engine's row indexes
 /// stay current; every other variant breaks the append lineage they
 /// rely on.
-const SEMI_NAIVE_VARIANTS: [[&str; 4]; 7] = [
+const SEMI_NAIVE_VARIANTS: [[&str; 4]; 8] = [
     ["", "", "", ""],
     // `TC` replaced by a reordering: same rows, frontier first.
     ["", "", "", "TC <- CLASSICALUNION(Frontier, TC)"],
@@ -449,6 +449,15 @@ const SEMI_NAIVE_VARIANTS: [[&str; 4]; 7] = [
         "",
         "Frontier <- CLASSICALUNION(Frontier, Late)",
         "Late <- COPY(Once)\n  Once <- DIFFERENCE(Once, Once)",
+    ],
+    // Readers of the growing `TC` after its union, one per append arm:
+    // selections, a product with `T` (which the loop never writes), a
+    // copy and a projection all extend their outputs by `TC`'s new rows.
+    [
+        "",
+        "",
+        "",
+        "Sel <- SELECT[A = B](TC)\n  Hit <- SELECTCONST[A = v:v1](TC)\n  Pairs <- PRODUCT(TC, T)\n  Mirror <- COPY(TC)\n  Heads <- PROJECT[{A}](TC)",
     ],
 ];
 
