@@ -523,6 +523,10 @@ pub(crate) fn compute_results(
                     continue;
                 }
                 names_done.insert(t.name());
+                // Poll before each group, and before each pair below, as
+                // the unary job does before each table: a statement over
+                // many argument combinations stops mid-statement.
+                cx.gov.poll()?;
                 let group: Vec<&Table> = db.tables_named_iter(t.name()).collect();
                 combos += 1;
                 input_cells += group.iter().map(|g| table_cells(g)).sum::<usize>();
@@ -588,6 +592,7 @@ pub(crate) fn compute_results(
                     let Some(b2) = match_name(&a.args[1], t2.name(), &b1) else {
                         continue;
                     };
+                    cx.gov.poll()?;
                     combos += 1;
                     input_cells += table_cells(t1) + table_cells(t2);
                     let target = denote_target(&a.target, &b2)?;

@@ -399,6 +399,72 @@ fn deadline_trips_a_diverging_loop_with_partial_state() {
     assert_partial_trace(&partial.trace, "deadline");
 }
 
+/// One binary statement over every pair of forty 30-row tables: 1 600
+/// products of 900 rows each, far longer than the 20 ms the governor
+/// allows below. Only a poll between argument pairs can stop it.
+fn all_pairs_program() -> tables_paradigm::prelude::Program {
+    parse("X <- PRODUCT(*1, *2)").unwrap()
+}
+
+fn all_pairs_database() -> Database {
+    Database::from_tables((0..40).map(|t| {
+        let rows: Vec<Vec<String>> = (0..30).map(|i| vec![format!("v{t}_{i}")]).collect();
+        let rows: Vec<Vec<&str>> = rows
+            .iter()
+            .map(|r| r.iter().map(String::as_str).collect())
+            .collect();
+        let rows: Vec<&[&str]> = rows.iter().map(Vec::as_slice).collect();
+        Table::relational(&format!("T{t}"), &[&format!("A{t}")], &rows)
+    }))
+}
+
+/// The trip stopped the binary statement itself: its span is the one
+/// drained as aborted, and it committed nothing.
+fn assert_binary_statement_aborted(partial: &PartialRun, context: &str) {
+    assert_partial_trace(&partial.trace, context);
+    let aborted: Vec<&str> = partial
+        .trace
+        .spans()
+        .filter(|s| s.decision == tables_paradigm::algebra::DeltaDecision::Aborted)
+        .map(|s| s.op)
+        .collect();
+    assert_eq!(aborted, ["PRODUCT"], "{context}: aborted spans");
+    assert_eq!(partial.stats.tables_produced, 0, "{context}");
+}
+
+#[test]
+fn deadline_stops_a_binary_statement_between_pairs() {
+    let budget = Budget::from_limits(&limits(WhileStrategy::Naive, usize::MAX))
+        .with_deadline(Duration::from_millis(20));
+    let Err(err) = run_governed_traced(&all_pairs_program(), &all_pairs_database(), &budget) else {
+        panic!("the run outlived its 20ms deadline");
+    };
+    let (resource, spent, limit, partial) = unwrap_trip(err);
+    assert_eq!(resource, governor::RESOURCE_DEADLINE);
+    assert_eq!(limit, 20);
+    assert!(spent >= 20, "spent {spent}ms is at least the 20ms deadline");
+    assert_binary_statement_aborted(&partial, "deadline");
+}
+
+#[test]
+fn cancel_stops_a_binary_statement_between_pairs() {
+    let token = CancelToken::new();
+    let budget =
+        Budget::from_limits(&limits(WhileStrategy::Naive, usize::MAX)).with_cancel(token.clone());
+    let canceller = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(20));
+        token.cancel();
+    });
+    let outcome = run_governed_traced(&all_pairs_program(), &all_pairs_database(), &budget);
+    canceller.join().unwrap();
+    let Err(err) = outcome else {
+        panic!("the run finished despite the cancel");
+    };
+    let (resource, _, _, partial) = unwrap_trip(err);
+    assert_eq!(resource, governor::RESOURCE_CANCELLED);
+    assert_binary_statement_aborted(&partial, "cancel");
+}
+
 // ---------------------------------------------------------------------
 // Cell budget: deterministic trips, on every path
 // ---------------------------------------------------------------------
