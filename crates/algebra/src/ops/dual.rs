@@ -7,7 +7,6 @@
 //! selection, column projection, column-wise grouping, etc., all derived
 //! rather than primitive, exactly as the paper prescribes.
 
-use crate::error::Result;
 use tabular_core::{Symbol, SymbolSet, Table};
 
 /// Lift a table-to-table operation to its row/column dual.
@@ -16,18 +15,6 @@ pub fn dualize(r: &Table, name: Symbol, op: impl FnOnce(&Table) -> Table) -> Tab
     let mut out = op(&flipped).transpose();
     out.set_name(name);
     out
-}
-
-/// Fallible variant of [`dualize`].
-pub fn try_dualize(
-    r: &Table,
-    name: Symbol,
-    op: impl FnOnce(&Table) -> Result<Table>,
-) -> Result<Table> {
-    let flipped = r.transpose();
-    let mut out = op(&flipped)?.transpose();
-    out.set_name(name);
-    Ok(out)
 }
 
 /// Column selection: keep the data *columns* `j` with `ρʲ(a) ≗ ρʲ(b)`,

@@ -496,16 +496,6 @@ impl Table {
         )
     }
 
-    /// Column-dual of [`Table::row_entries_named`]: entries of column `j`
-    /// in rows whose row attribute is `a`.
-    pub fn col_entries_named(&self, j: usize, a: Symbol) -> SymbolSet {
-        SymbolSet::from_iter(
-            (1..=self.height)
-                .filter(|&i| self.get(i, 0) == a)
-                .map(|i| self.get(i, j)),
-        )
-    }
-
     /// Row subsumption `ρᵢ ⊑ σₖ`: for every column attribute `a` of either
     /// table, `ρᵢ(a) ≼ σₖ(a)` (paper §2).
     pub fn row_subsumed_by(&self, i: usize, other: &Table, k: usize) -> bool {
@@ -520,16 +510,6 @@ impl Table {
     /// Mutual row subsumption `ρᵢ ≋ σₖ`.
     pub fn rows_subsume_each_other(&self, i: usize, other: &Table, k: usize) -> bool {
         self.row_subsumed_by(i, other, k) && other.row_subsumed_by(k, self, i)
-    }
-
-    /// Column subsumption (the row notion under transposition).
-    pub fn col_subsumed_by(&self, j: usize, other: &Table, l: usize) -> bool {
-        let attrs = self.row_scheme().union(&other.row_scheme());
-        let ok = attrs.iter().all(|a| {
-            self.col_entries_named(j, a)
-                .weakly_contained_in(&other.col_entries_named(l, a))
-        });
-        ok
     }
 
     // ------------------------------------------------------------------
