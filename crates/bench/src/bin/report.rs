@@ -5,6 +5,10 @@
 //! ```sh
 //! cargo run -p tabular-bench --bin report --release
 //! ```
+//!
+//! Run from the repository root, it writes its `BENCH_6/7/8.json`
+//! artifacts under `target/report/`; the committed files of those names
+//! are left as they are.
 
 use std::time::Instant;
 use tabular_algebra::{
@@ -1076,15 +1080,15 @@ fn main() {
         restructure.overhead_x,
         json_rows.join(",\n")
     );
-    if let Err(e) = std::fs::write("BENCH_6.json", &json) {
-        eprintln!("could not write BENCH_6.json: {e}");
-    } else {
-        println!(
-            "wrote BENCH_6.json (join {speedup:.1}×, restructure {restructure_speedup:.1}× \
-             fused speedup, pivot 128×32 at {:.1}× of baseline)",
+    write_artifact(
+        "BENCH_6.json",
+        &json,
+        format!(
+            "join {speedup:.1}×, restructure {restructure_speedup:.1}× fused speedup, \
+             pivot 128×32 at {:.1}× of baseline",
             restructure.overhead_x
-        );
-    }
+        ),
+    );
     // Partition-parallel join artifact: its own file so the claim (and
     // the measurement method) stay pinned independently of BENCH_6.
     let shard_json: Vec<String> = partition
@@ -1116,15 +1120,14 @@ fn main() {
         partition.critical_path_us,
         partition.speedup_8core,
     );
-    if let Err(e) = std::fs::write("BENCH_7.json", &json7) {
-        eprintln!("could not write BENCH_7.json: {e}");
-    } else {
-        println!(
-            "wrote BENCH_7.json (partitioned join {:.1}× projected on 8 cores, \
-             prelude {}µs, critical path {}µs)",
+    write_artifact(
+        "BENCH_7.json",
+        &json7,
+        format!(
+            "partitioned join {:.1}× projected on 8 cores, prelude {}µs, critical path {}µs",
             partition.speedup_8core, partition.prelude_us, partition.critical_path_us
-        );
-    }
+        ),
+    );
     // Cost-based planner artifact: pins the join-ordering claim (and the
     // measurement method) independently of the other bench files.
     let json8 = format!(
@@ -1155,21 +1158,35 @@ fn main() {
             .unplanned_product_cells
             .saturating_sub(plan_bench.planned_product_cells),
     );
-    if let Err(e) = std::fs::write("BENCH_8.json", &json8) {
-        eprintln!("could not write BENCH_8.json: {e}");
-    } else {
-        println!(
-            "wrote BENCH_8.json (planner {:.1}× on the 3-way chain, {} product \
-             cells avoided, {} rule applications)",
+    write_artifact(
+        "BENCH_8.json",
+        &json8,
+        format!(
+            "planner {:.1}× on the 3-way chain, {} product cells avoided, {} rule applications",
             plan_bench.speedup,
             plan_bench
                 .unplanned_product_cells
                 .saturating_sub(plan_bench.planned_product_cells),
             plan_bench.rules_applied
-        );
-    }
+        ),
+    );
     assert_eq!(failed, 0, "experiment regressions");
     let _ = SymbolSet::new(); // keep the prelude import exercised
+}
+
+/// Where a run writes its bench artifacts. The committed `BENCH_*.json`
+/// files at the repository root record measurements on a named host; a
+/// run on another host must not overwrite them, so it writes fresh
+/// copies here for comparison instead.
+const ARTIFACT_DIR: &str = "target/report";
+
+/// Write one bench artifact under [`ARTIFACT_DIR`] and report it.
+fn write_artifact(file: &str, json: &str, summary: String) {
+    let path = std::path::Path::new(ARTIFACT_DIR).join(file);
+    match std::fs::create_dir_all(ARTIFACT_DIR).and_then(|()| std::fs::write(&path, json)) {
+        Ok(()) => println!("wrote {} ({summary})", path.display()),
+        Err(e) => eprintln!("could not write {}: {e}", path.display()),
+    }
 }
 
 fn verdict(ok: bool) -> String {
