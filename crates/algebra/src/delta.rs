@@ -335,7 +335,7 @@ pub(crate) fn run_delta_iteration(
         }
         let changed = run_statement(kw, false, metrics, |m| {
             let outcome = plan_step(st, idx, a, target, &reads, &read_versions, db, cx, m)
-                .and_then(|step| commit(st, idx, target, read_versions, step, db, cx, m));
+                .and_then(|step| commit(st, idx, kw, target, read_versions, step, db, cx, m));
             if outcome.is_err() {
                 // A failed statement must leave no bookkeeping claiming
                 // its output is current: a retry with larger limits would
@@ -618,11 +618,13 @@ fn incremental_step(
 
 /// Settle one body statement's step: commit it to the store, record the
 /// target's lineage, write the statement's memo, and count an
-/// incremental step. Returns whether the target's group changed.
+/// incremental step under its keyword `kw`. Returns whether the target's
+/// group changed.
 #[allow(clippy::too_many_arguments)] // internal plumbing of the delta loop
 fn commit(
     st: &mut DeltaState,
     idx: usize,
+    kw: &'static str,
     target: Symbol,
     read_versions: Vec<u64>,
     step: Step,
@@ -745,6 +747,7 @@ fn commit(
     });
     if incremental {
         metrics.stats.while_delta_incremental += 1;
+        *metrics.stats.incremental_op_counts.entry(kw).or_default() += 1;
     }
     Ok(changed)
 }

@@ -147,6 +147,9 @@ pub struct EvalStats {
     /// along append lineage. Like skips, these are delta-only and 0 under
     /// naive evaluation.
     pub while_delta_incremental: usize,
+    /// [`EvalStats::while_delta_incremental`] split by operation
+    /// keyword: which incremental arms ran, and how often.
+    pub incremental_op_counts: BTreeMap<&'static str, usize>,
     /// `while` loop executions that requested the delta strategy but fell
     /// back to naive re-evaluation (body not provably delta-safe).
     pub while_fallback_naive: usize,

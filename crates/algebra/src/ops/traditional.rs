@@ -54,14 +54,16 @@ pub fn union(r: &Table, s: &Table, name: Symbol) -> Table {
 /// rows mutually subsume each other (`ρᵢ ≋ σₖ`). On relational tables this
 /// is exactly classical difference; on general tables it is always defined.
 ///
-/// When the operands have identical column-attribute sequences with
-/// pairwise-distinct attributes, the per-attribute entry sets are
-/// singletons and mutual subsumption degenerates to plain storage-row
-/// equality (⊥ included: `{⊥} ≗ {v}` fails in one direction exactly when
-/// `⊥ ≠ v`), so matching probes a row index of `σ` in `O(|ρ| + |σ|)`
-/// instead of the pairwise `O(|ρ|·|σ|)` subsumption scan. This is the
-/// shape every compiled relational program produces, and the hot path of
-/// `while` fixpoints such as transitive closure.
+/// Matching probes a row index of `σ` in `O(|ρ| + |σ|)` instead of
+/// comparing every pair of rows. When the operands have identical
+/// column-attribute sequences with pairwise-distinct attributes, the
+/// per-attribute entry sets are singletons and mutual subsumption
+/// degenerates to plain storage-row equality (⊥ included: `{⊥} ≗ {v}`
+/// fails in one direction exactly when `⊥ ≠ v`), so the index holds the
+/// storage rows themselves. This is the shape every compiled relational
+/// program produces, and the hot path of `while` fixpoints such as
+/// transitive closure. Otherwise the index holds each row's `MatchKeys`
+/// key, which decides the match whatever the two schemes are.
 pub fn difference(r: &Table, s: &Table, name: Symbol) -> Table {
     if aligned_distinct_schemes(r, s) {
         let mut t = r.select_rows(&[]);
@@ -69,9 +71,9 @@ pub fn difference(r: &Table, s: &Table, name: Symbol) -> Table {
         difference_rows(&mut t, r, 1, &RowIndex::of_rows(s));
         return t;
     }
-    let mut t = r.retain_rows(|i| {
-        !(1..=s.height()).any(|k| r.get(i, 0) == s.get(k, 0) && r.rows_subsume_each_other(i, s, k))
-    });
+    let mut keys = MatchKeys::new(r, s);
+    let theirs = keys.index(s, 1..=s.height());
+    let mut t = r.retain_rows(|i| !theirs.contains(keys.of(r, i)));
     t.set_name(name);
     t
 }
@@ -101,35 +103,37 @@ pub(crate) fn aligned_distinct_schemes(r: &Table, s: &Table) -> bool {
 ///
 /// Evaluated from a single match bitmap instead of two [`difference`]
 /// calls: the first difference's whole contribution is *which* rows of
-/// `ρ` are matched by `σ`, so that `O(|ρ|·|σ|)` subsumption scan (a row
-/// index probe under `aligned_distinct_schemes`) runs once, and the second
-/// pass — removing rows matched by some row of `ρ \ σ` — checks only
-/// against the unmatched subset the bitmap already names. Results are
-/// identical to the two-difference derivation.
+/// `ρ` are matched by `σ`, so that pass probes a row index of `σ` once
+/// (its storage rows under `aligned_distinct_schemes`, its
+/// `MatchKeys` otherwise), and the second pass — removing rows matched
+/// by some row of `ρ \ σ` — probes an index of the unmatched subset the
+/// bitmap already names. Results are identical to the two-difference
+/// derivation.
 pub fn intersect(r: &Table, s: &Table, name: Symbol) -> Table {
     // Pass 1: matched[i-1] ⇔ some row of σ matches ρᵢ (the bitmap the
     // first difference would have complemented).
+    let mut keys = MatchKeys::new(r, s);
     let matched: Vec<bool> = if aligned_distinct_schemes(r, s) {
         let rows = RowIndex::of_rows(s);
         (1..=r.height())
             .map(|i| rows.contains(r.storage_row(i)))
             .collect()
     } else {
+        let theirs = keys.index(s, 1..=s.height());
         (1..=r.height())
-            .map(|i| {
-                (1..=s.height())
-                    .any(|k| r.get(i, 0) == s.get(k, 0) && r.rows_subsume_each_other(i, s, k))
-            })
+            .map(|i| theirs.contains(keys.of(r, i)))
             .collect()
     };
     // Pass 2: ρᵢ survives unless some *unmatched* row of ρ (a row of
     // ρ \ σ) matches it — which removes the unmatched rows themselves
     // (every row matches itself) and any matched row that mutually
     // subsumes an unmatched one. Within ρ the operand schemes trivially
-    // align, so pairwise-distinct attributes alone enable the index path.
+    // align, so pairwise-distinct attributes alone enable storage rows;
+    // otherwise the keys of pass 1 serve, their stride covering `ρ`.
+    let unmatched = (1..=r.height()).filter(|&j| !matched[j - 1]);
     if r.scheme().len() == r.width() {
         let mut removed = RowIndex::new(r.width() + 1, r.height());
-        for j in (1..=r.height()).filter(|&j| !matched[j - 1]) {
+        for j in unmatched {
             removed.insert(r.storage_row(j));
         }
         let mut t = r.select_rows(&[]);
@@ -137,13 +141,65 @@ pub fn intersect(r: &Table, s: &Table, name: Symbol) -> Table {
         difference_rows(&mut t, r, 1, &removed);
         return t;
     }
-    let mut t = r.retain_rows(|i| {
-        !(1..=r.height()).any(|j| {
-            !matched[j - 1] && r.get(i, 0) == r.get(j, 0) && r.rows_subsume_each_other(i, r, j)
-        })
-    });
+    let removed = keys.index(r, unmatched);
+    let mut t = r.retain_rows(|i| !removed.contains(keys.of(r, i)));
     t.set_name(name);
     t
+}
+
+/// The row keys that decide a match of [`difference`] and [`intersect`]
+/// between rows of two tables with any schemes: `ρᵢ` and `σₖ` match iff
+/// their keys are equal (DESIGN.md, "Weak equality without sets").
+///
+/// A row's key is its row attribute, then its non-⊥ `(attribute,
+/// entry)` pairs, sorted and deduplicated, padded with `(⊥, ⊥)` — never
+/// a real pair — to a stride of `1 + 2·max(width ρ, width σ)`. Both
+/// buffers live for the whole call, so keying a row allocates nothing.
+struct MatchKeys {
+    stride: usize,
+    pairs: Vec<(Symbol, Symbol)>,
+    key: Vec<Symbol>,
+}
+
+impl MatchKeys {
+    /// Keys for matching rows of `r` against rows of `s` (or of `r`).
+    fn new(r: &Table, s: &Table) -> MatchKeys {
+        MatchKeys {
+            stride: 1 + 2 * r.width().max(s.width()),
+            pairs: Vec::new(),
+            key: Vec::new(),
+        }
+    }
+
+    /// The key of data row `i` of `t`.
+    fn of(&mut self, t: &Table, i: usize) -> &[Symbol] {
+        let row = t.storage_row(i);
+        self.pairs.clear();
+        self.pairs.extend(
+            t.col_attrs()
+                .iter()
+                .zip(&row[1..])
+                .filter(|(_, e)| !e.is_null())
+                .map(|(&a, &e)| (a, e)),
+        );
+        self.pairs.sort_unstable();
+        self.pairs.dedup();
+        self.key.clear();
+        self.key.push(row[0]);
+        self.key
+            .extend(self.pairs.iter().flat_map(|&(a, e)| [a, e]));
+        self.key.resize(self.stride, Symbol::Null);
+        &self.key
+    }
+
+    /// An index of the keys of `t`'s data rows `rows`.
+    fn index(&mut self, t: &Table, rows: impl Iterator<Item = usize>) -> RowIndex {
+        let mut index = RowIndex::new(self.stride, t.height());
+        for i in rows {
+            index.insert(self.of(t, i));
+        }
+        index
+    }
 }
 
 /// Cartesian product `T ← R × S` (Figure 3, right).
@@ -261,11 +317,21 @@ pub fn select(r: &Table, a: Symbol, b: Symbol, name: Symbol) -> Table {
 
 /// The row test of [`select`] over `r`'s data rows `from..=r.height()`:
 /// the rows with `ρᵢ(a) ≗ ρᵢ(b)`, in order.
-pub(crate) fn select_matches(r: &Table, from: usize, a: Symbol, b: Symbol) -> Vec<usize> {
+///
+/// The columns of `a` and `b` are resolved once; a row matches when every
+/// non-⊥ cell under one attribute occurs under the other. For singletons
+/// this is one comparison and a ⊥ check: `{⊥} ≗ {v}` fails exactly when
+/// `v ≠ ⊥`.
+pub fn select_matches(r: &Table, from: usize, a: Symbol, b: Symbol) -> Vec<usize> {
+    let (ca, cb) = (r.cols_named(a), r.cols_named(b));
+    let within = |row: &[Symbol], xs: &[usize], ys: &[usize]| {
+        xs.iter()
+            .all(|&j| row[j].is_null() || ys.iter().any(|&l| row[l] == row[j]))
+    };
     (from..=r.height())
         .filter(|&i| {
-            r.row_entries_named(i, a)
-                .weakly_equal(&r.row_entries_named(i, b))
+            let row = r.storage_row(i);
+            within(row, &ca, &cb) && within(row, &cb, &ca)
         })
         .collect()
 }
@@ -281,10 +347,16 @@ pub fn select_const(r: &Table, a: Symbol, v: Symbol, name: Symbol) -> Table {
 }
 
 /// The row test of [`select_const`] over `r`'s data rows
-/// `from..=r.height()`: the rows with `v ∈ ρᵢ(a)`, in order.
-pub(crate) fn select_const_matches(r: &Table, from: usize, a: Symbol, v: Symbol) -> Vec<usize> {
+/// `from..=r.height()`: the rows with `v ∈ ρᵢ(a)`, in order — those with
+/// `v` in one of `a`'s columns, resolved once. `v` may be ⊥; an absent
+/// attribute matches no row.
+pub fn select_const_matches(r: &Table, from: usize, a: Symbol, v: Symbol) -> Vec<usize> {
+    let cols = r.cols_named(a);
     (from..=r.height())
-        .filter(|&i| r.row_entries_named(i, a).contains(v))
+        .filter(|&i| {
+            let row = r.storage_row(i);
+            cols.iter().any(|&j| row[j] == v)
+        })
         .collect()
 }
 

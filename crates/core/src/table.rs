@@ -507,11 +507,6 @@ impl Table {
         ok
     }
 
-    /// Mutual row subsumption `ρᵢ ≋ σₖ`.
-    pub fn rows_subsume_each_other(&self, i: usize, other: &Table, k: usize) -> bool {
-        self.row_subsumed_by(i, other, k) && other.row_subsumed_by(k, self, i)
-    }
-
     // ------------------------------------------------------------------
     // Structural editing
     // ------------------------------------------------------------------
@@ -1052,7 +1047,7 @@ mod tests {
         let a = Table::from_grid(&[&["T", "X", "X"], &["_", "1", "_"]]).unwrap();
         let b = Table::from_grid(&[&["T", "X", "X"], &["_", "_", "1"]]).unwrap();
         // ρ₁(X) = {1, ⊥} in both: they subsume each other.
-        assert!(a.rows_subsume_each_other(1, &b, 1));
+        assert!(a.row_subsumed_by(1, &b, 1) && b.row_subsumed_by(1, &a, 1));
     }
 
     #[test]

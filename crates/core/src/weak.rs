@@ -110,16 +110,6 @@ impl<'a> IntoIterator for &'a SymbolSet {
     }
 }
 
-/// Weak containment on raw symbol slices (treated as sets).
-pub fn weakly_contained(a: &[Symbol], b: &[Symbol]) -> bool {
-    a.iter().filter(|s| !s.is_null()).all(|s| b.contains(s))
-}
-
-/// Weak equality on raw symbol slices (treated as sets).
-pub fn weakly_equal(a: &[Symbol], b: &[Symbol]) -> bool {
-    weakly_contained(a, b) && weakly_contained(b, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,15 +178,6 @@ mod tests {
         assert_eq!(s.len(), 2);
         let items: Vec<_> = s.iter().collect();
         assert!(items.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn slice_helpers_match_set_semantics() {
-        let a = [Symbol::Null, v("x")];
-        let b = [v("x"), v("q")];
-        assert!(weakly_contained(&a, &b));
-        assert!(!weakly_equal(&a, &b));
-        assert!(weakly_equal(&a, &[v("x"), Symbol::Null, v("x")]));
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! (with the partial stats the governor carries), other evaluation
 //! errors are 422, broken engine invariants are 500.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -493,23 +494,16 @@ fn override_param(req: &Request, name: &str) -> Result<Option<u64>, Response> {
 }
 
 /// Render [`EvalStats`] as a flat JSON object (the scalar counters plus
-/// the per-op execution counts).
+/// the per-op execution counts and incremental-arm counts).
 pub fn stats_json(s: &EvalStats) -> String {
-    let mut out = String::from("{\"op_counts\":{");
-    for (i, (op, n)) in s.op_counts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write!(out, "\"{}\":{n}", json::escape(op)).unwrap();
-    }
+    let mut out = String::from("{\"op_counts\":");
+    push_counts(&mut out, &s.op_counts);
     write!(
         out,
-        "}},\"total_micros\":{},\"while_iterations\":{},\"tables_produced\":{},\
+        ",\"total_micros\":{},\"while_iterations\":{},\"tables_produced\":{},\
          \"max_table_cells\":{},\"shard_jobs\":{},\"partitioned_joins\":{},\
          \"partition_shards\":{},\"while_delta_skipped\":{},\"while_delta_incremental\":{},\
-         \"while_fallback_naive\":{},\"join_fused\":{},\"join_unfused\":{},\"restructure_fused\":{},\
-         \"restructure_unfused\":{},\"snapshots\":{},\"cow_copies\":{},\
-         \"plans_rewritten\":{},\"plan_rules_applied\":{}}}",
+         \"incremental_op_counts\":",
         s.total_micros,
         s.while_iterations,
         s.tables_produced,
@@ -519,6 +513,14 @@ pub fn stats_json(s: &EvalStats) -> String {
         s.partition_shards,
         s.while_delta_skipped,
         s.while_delta_incremental,
+    )
+    .unwrap();
+    push_counts(&mut out, &s.incremental_op_counts);
+    write!(
+        out,
+        ",\"while_fallback_naive\":{},\"join_fused\":{},\"join_unfused\":{},\"restructure_fused\":{},\
+         \"restructure_unfused\":{},\"snapshots\":{},\"cow_copies\":{},\
+         \"plans_rewritten\":{},\"plan_rules_applied\":{}}}",
         s.while_fallback_naive,
         s.join_fused,
         s.join_unfused,
@@ -531,6 +533,18 @@ pub fn stats_json(s: &EvalStats) -> String {
     )
     .unwrap();
     out
+}
+
+/// Append a per-op count map as a JSON object.
+fn push_counts(out: &mut String, counts: &BTreeMap<&'static str, usize>) {
+    out.push('{');
+    for (i, (op, n)) in counts.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write!(out, "\"{}\":{n}", json::escape(op)).unwrap();
+    }
+    out.push('}');
 }
 
 /// Render a [`PlanReport`] as JSON, mirroring `pretty::render_plan`

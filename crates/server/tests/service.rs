@@ -782,6 +782,42 @@ fn plan_and_trace_attachments_render() {
     assert!(stats.get("op_counts").unwrap().get("TRANSPOSE").is_some());
 }
 
+#[test]
+fn stats_split_incremental_arms_by_op() {
+    let (addr, _) = start(None, None);
+    let session = open_session(addr);
+    upload(addr, &session, "E,A,B\n_,1,2\n_,2,3\n_,3,4\n");
+    let closure = "TC <- COPY(E)
+Frontier <- COPY(E)
+while Frontier do
+  RTC <- RENAME[A -> A0](TC)
+  RTC <- RENAME[B -> B0](RTC)
+  Matched <- FUSEDJOIN[B0 = A](RTC, E)
+  Step <- PROJECT[{A0, B}](Matched)
+  Step <- RENAME[A0 -> A](Step)
+  Frontier <- DIFFERENCE(Step, TC)
+  TC <- CLASSICALUNION(TC, Frontier)
+end";
+    let (status, body) = http(
+        addr,
+        "POST",
+        &format!("/sessions/{session}/query"),
+        &query_body(closure),
+    );
+    assert_eq!(status, 200, "{body}");
+    let parsed = json::parse(&body).unwrap();
+    let stats = parsed.get("results").unwrap().as_arr().unwrap()[0]
+        .get("stats")
+        .unwrap();
+    let total = stats.get("while_delta_incremental").unwrap().as_num();
+    let Some(json::Json::Obj(arms)) = stats.get("incremental_op_counts") else {
+        panic!("incremental_op_counts missing: {body}");
+    };
+    assert!(arms.contains_key("CLASSICALUNION"), "{body}");
+    let sum: f64 = arms.values().filter_map(json::Json::as_num).sum();
+    assert_eq!(Some(sum), total, "the split adds up to the total: {body}");
+}
+
 /// The `tables` array body the service renders for an output database,
 /// built from the uncached renderer.
 fn tables_payload(db: &Database) -> String {

@@ -489,65 +489,149 @@ fn exact_tables(db: &Database) -> Vec<Table> {
     db.tables().to_vec()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+/// The delta engine's incremental arms, by operation keyword, that
+/// [`semi_naive_agrees`] must reach: every append arm (`RENAME`/`COPY`,
+/// `PRODUCT`/`FUSEDJOIN`, the selections, `PROJECT`, `CLASSICALUNION`)
+/// and the incremental `DIFFERENCE`.
+const SEMI_NAIVE_ARMS: [&str; 9] = [
+    "CLASSICALUNION",
+    "COPY",
+    "DIFFERENCE",
+    "FUSEDJOIN",
+    "PRODUCT",
+    "PROJECT",
+    "RENAME",
+    "SELECT",
+    "SELECTCONST",
+];
 
-    /// Semi-naive evaluation: the delta engine's incremental union and
-    /// incremental `DIFFERENCE` (row indexes kept along append lineage)
-    /// must leave exactly the store naive re-evaluation leaves, table and
-    /// row order included, on closure-shaped bodies over upload-shaped
-    /// inputs, with or without ⊥ data in the edges, and when the body
-    /// breaks the lineage the indexes follow. On the plain closure the incremental
-    /// arms must actually run once the loop iterates again.
-    #[test]
-    fn semi_naive_agrees(db in arb_input(), variant in 0..SEMI_NAIVE_VARIANTS.len(), holes in 0u8..2) {
-        let holes = holes == 1;
-        let db = if holes {
-            Database::from_tables(db.tables().iter().map(|t| {
-                let mut t = t.clone();
-                if t.name() == Symbol::name("R") && t.height() > 0 {
-                    t.set(1, 2, Symbol::Null);
-                }
-                t
-            }))
-        } else {
-            db
-        };
-        let src = semi_naive_src(variant);
-        let program = parse(&src).expect("closure variant parses");
-        let configs = [
-            limits(WhileStrategy::Naive, usize::MAX),
-            limits(WhileStrategy::Naive, 1),
-            limits(WhileStrategy::Delta, usize::MAX),
-            limits(WhileStrategy::Delta, 1),
-        ]
-        .map(|l| EvalLimits { max_while_iters: 16, ..l });
-        let run = |cfg: &EvalLimits| {
-            run_governed_traced(&program, &db, &Budget::from_limits(cfg))
-                .map(|(out, stats, _)| {
-                    let arms = (stats.while_iterations, stats.while_delta_incremental);
-                    (exact_tables(&out), arms)
-                })
-                .map_err(|e| e.to_string())
-        };
-        let baseline = run(&configs[0]).map(|(tables, _)| tables);
-        for cfg in &configs[1..] {
-            let got = run(cfg);
-            if let Ok((_, (iterations, incremental))) = got {
-                if cfg.while_strategy == WhileStrategy::Naive {
-                    prop_assert_eq!(incremental, 0);
-                } else if variant == 0 && !holes && iterations > 1 {
-                    prop_assert!(incremental > 0, "the plain closure ran no incremental arm");
-                }
+/// Semi-naive evaluation: the delta engine's incremental union and
+/// incremental `DIFFERENCE` (row indexes kept along append lineage)
+/// must leave exactly the store naive re-evaluation leaves, table and
+/// row order included, on closure-shaped bodies over upload-shaped
+/// inputs, with or without ⊥ data in the edges, and when the body
+/// breaks the lineage the indexes follow. On the plain closure the
+/// incremental arms must actually run once the loop iterates again.
+/// After the random cases, every variant runs on one fixed chain, and
+/// there every arm of [`SEMI_NAIVE_ARMS`] must run at least once
+/// (`EvalStats::incremental_op_counts`), whatever the cases drawn. The
+/// cases are drawn as `proptest!` would draw them for this test's name.
+#[test]
+fn semi_naive_agrees() {
+    let mut runner = TestRunner::named(
+        ProptestConfig::with_cases(192),
+        concat!(module_path!(), "::semi_naive_agrees"),
+    );
+    let cases = (arb_input(), 0..SEMI_NAIVE_VARIANTS.len(), 0u8..2);
+    runner
+        .run(&cases, |(db, variant, holes)| {
+            semi_naive_case(db, variant, holes == 1).map(|_| ())
+        })
+        .unwrap();
+    let table = |grid: &[[&str; 3]]| {
+        let grid: Vec<&[&str]> = grid.iter().map(|r| &r[..]).collect();
+        Table::from_grid(&grid).expect("fixed input table")
+    };
+    let db = Database::from_tables([
+        table(&[
+            ["R", "A", "B"],
+            ["_", "v0", "v1"],
+            ["_", "v1", "v2"],
+            ["_", "v2", "v3"],
+            ["e1", "v2", "v3"],
+        ]),
+        table(&[["S", "B", "C"], ["_", "v1", "v0"]]),
+        table(&[["T", "C", "D"], ["_", "v0", "v1"], ["e2", "v2", "v2"]]),
+        table(&[["U", "A", "C"], ["_", "v3", "v1"]]),
+        Table::relational("V", &["D"], &[]),
+        Table::relational("W", &["K"], &[&["go"]]),
+    ]);
+    let mut reached = std::collections::BTreeMap::<&str, usize>::new();
+    for variant in 0..SEMI_NAIVE_VARIANTS.len() {
+        for holes in [false, true] {
+            let counts = semi_naive_case(db.clone(), variant, holes)
+                .unwrap_or_else(|e| panic!("fixed chain, variant {variant}: {e}"));
+            for (op, n) in counts {
+                *reached.entry(op).or_default() += n;
             }
-            prop_assert_eq!(
-                &got.map(|(tables, _)| tables),
-                &baseline,
-                "variant {} (holes: {}) diverges under {:?}/threshold {}\nprogram:\n{}",
-                variant, holes, cfg.while_strategy, cfg.parallel_threshold, src
-            );
         }
     }
+    for arm in SEMI_NAIVE_ARMS {
+        assert!(
+            reached.get(arm).is_some_and(|&n| n > 0),
+            "the fixed chain reached no incremental {arm} arm: {reached:?}"
+        );
+    }
+}
+
+/// One case of [`semi_naive_agrees`]: run closure variant `variant` over
+/// `db` (with `R`'s first `B` entry made ⊥ when `holes`) under each
+/// strategy and shard configuration, check the stores agree, and return
+/// the incremental arms the delta runs took, by keyword.
+fn semi_naive_case(
+    db: Database,
+    variant: usize,
+    holes: bool,
+) -> Result<std::collections::BTreeMap<&'static str, usize>, TestCaseError> {
+    let db = if holes {
+        Database::from_tables(db.tables().iter().map(|t| {
+            let mut t = t.clone();
+            if t.name() == Symbol::name("R") && t.height() > 0 {
+                t.set(1, 2, Symbol::Null);
+            }
+            t
+        }))
+    } else {
+        db
+    };
+    let src = semi_naive_src(variant);
+    let program = parse(&src).expect("closure variant parses");
+    let configs = [
+        limits(WhileStrategy::Naive, usize::MAX),
+        limits(WhileStrategy::Naive, 1),
+        limits(WhileStrategy::Delta, usize::MAX),
+        limits(WhileStrategy::Delta, 1),
+    ]
+    .map(|l| EvalLimits {
+        max_while_iters: 16,
+        ..l
+    });
+    let run = |cfg: &EvalLimits| {
+        run_governed_traced(&program, &db, &Budget::from_limits(cfg))
+            .map(|(out, stats, _)| (exact_tables(&out), stats))
+            .map_err(|e| e.to_string())
+    };
+    let baseline = run(&configs[0]).map(|(tables, _)| tables);
+    let mut reached = std::collections::BTreeMap::new();
+    for cfg in &configs[1..] {
+        let got = run(cfg);
+        if let Ok((_, stats)) = &got {
+            let incremental = stats.while_delta_incremental;
+            prop_assert_eq!(
+                stats.incremental_op_counts.values().sum::<usize>(),
+                incremental
+            );
+            if cfg.while_strategy == WhileStrategy::Naive {
+                prop_assert_eq!(incremental, 0);
+            } else if variant == 0 && !holes && stats.while_iterations > 1 {
+                prop_assert!(incremental > 0, "the plain closure ran no incremental arm");
+            }
+            for (&op, &n) in &stats.incremental_op_counts {
+                *reached.entry(op).or_default() += n;
+            }
+        }
+        prop_assert_eq!(
+            &got.map(|(tables, _)| tables),
+            &baseline,
+            "variant {} (holes: {}) diverges under {:?}/threshold {}\nprogram:\n{}",
+            variant,
+            holes,
+            cfg.while_strategy,
+            cfg.parallel_threshold,
+            src
+        );
+    }
+    Ok(reached)
 }
 
 // ----------------------------------------------------------------------

@@ -1375,3 +1375,132 @@ proptest! {
         );
     }
 }
+
+// ----------------------------------------------------------------------
+// The weak-equality oracle: cell kernels = set definitions
+// ----------------------------------------------------------------------
+
+/// Operands of the weak-equality kernels. `r`'s 0–4 column attributes
+/// come from {A, B, C, ⊥}, repeats allowed; `s` shares them (aligned),
+/// reverses them, or draws its own. Then two attributes for `SELECT`
+/// and one for `SELECTCONST`, drawn from the same pool plus the absent
+/// `D`, and a constant from {v0, v1, ⊥, v9}, where `v9` never occurs.
+fn arb_weak_operands() -> impl Strategy<Value = (Table, Table, [Symbol; 3], Symbol)> {
+    let pool = [
+        Symbol::name("A"),
+        Symbol::name("B"),
+        Symbol::name("C"),
+        Symbol::Null,
+        Symbol::name("D"),
+    ];
+    let picks = || proptest::collection::vec(0usize..4, 0..5);
+    (
+        picks(),
+        picks(),
+        0u8..3,
+        (0usize..5, 0usize..5, 0usize..5),
+        0usize..4,
+    )
+        .prop_flat_map(move |(rp, sp, mode, (a, b, c), v)| {
+            let r_attrs: Vec<Symbol> = rp.iter().map(|&k| pool[k]).collect();
+            let s_attrs = match mode {
+                0 => r_attrs.clone(),
+                1 => r_attrs.iter().rev().copied().collect(),
+                _ => sp.iter().map(|&k| pool[k]).collect(),
+            };
+            let v = [
+                Symbol::value("v0"),
+                Symbol::value("v1"),
+                Symbol::Null,
+                Symbol::value("v9"),
+            ][v];
+            (
+                arb_table_over("R", r_attrs),
+                arb_table_over("S", s_attrs),
+                Just([pool[a], pool[b], pool[c]]),
+                Just(v),
+            )
+        })
+}
+
+/// `SELECT[a = b]`'s row test by its definition: `ρᵢ(a) ≗ ρᵢ(b)` on
+/// the entry sets.
+fn select_rows_by_sets(r: &Table, from: usize, a: Symbol, b: Symbol) -> Vec<usize> {
+    (from..=r.height())
+        .filter(|&i| {
+            r.row_entries_named(i, a)
+                .weakly_equal(&r.row_entries_named(i, b))
+        })
+        .collect()
+}
+
+/// `SELECTCONST[a = v]`'s row test by its definition: `v ∈ ρᵢ(a)`.
+fn select_const_rows_by_sets(r: &Table, from: usize, a: Symbol, v: Symbol) -> Vec<usize> {
+    (from..=r.height())
+        .filter(|&i| r.row_entries_named(i, a).contains(v))
+        .collect()
+}
+
+/// The match of difference and intersection by its definition: equal
+/// row attributes and mutual row subsumption `ρᵢ ≋ σₖ`.
+fn rows_match_by_subsumption(r: &Table, i: usize, s: &Table, k: usize) -> bool {
+    r.get(i, 0) == s.get(k, 0) && r.row_subsumed_by(i, s, k) && s.row_subsumed_by(k, r, i)
+}
+
+/// `R \ S` by comparing every pair of rows.
+fn difference_by_pairs(r: &Table, s: &Table, name: Symbol) -> Table {
+    let mut t = r.retain_rows(|i| !(1..=s.height()).any(|k| rows_match_by_subsumption(r, i, s, k)));
+    t.set_name(name);
+    t
+}
+
+/// Both the table and its CSV bytes, so that a comparison covers row
+/// order, names and attributes alike.
+fn exactly(t: Table) -> (String, Table) {
+    (tables_paradigm::core::io::to_csv(&t), t)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The weak-equality kernels — selections reading cells through
+    /// columns resolved once, difference and intersection probing a row
+    /// index of match keys — give exactly the tables of the `SymbolSet`
+    /// definitions, row order included: on ⊥ cells, a ⊥ constant,
+    /// repeated, absent and ⊥ column attributes, aligned and misaligned
+    /// schemes, and twins that differ only in their row attribute. The
+    /// selections' row tests also agree from every later starting row,
+    /// as the delta engine calls them on a table's new rows.
+    #[test]
+    fn weak_equality_kernels_match_the_set_definitions(
+        (r, s, [a, b, c], v) in arb_weak_operands()
+    ) {
+        use tables_paradigm::algebra::ops::traditional::{select_const_matches, select_matches};
+        let name = Symbol::name("T");
+        for from in 1..=r.height() + 1 {
+            prop_assert_eq!(select_matches(&r, from, a, b), select_rows_by_sets(&r, from, a, b));
+            prop_assert_eq!(
+                select_const_matches(&r, from, c, v),
+                select_const_rows_by_sets(&r, from, c, v)
+            );
+        }
+        let mut want = r.select_rows(&select_rows_by_sets(&r, 1, a, b));
+        want.set_name(name);
+        prop_assert_eq!(exactly(ops::select(&r, a, b, name)), exactly(want));
+        let mut want = r.select_rows(&select_const_rows_by_sets(&r, 1, c, v));
+        want.set_name(name);
+        prop_assert_eq!(exactly(ops::select_const(&r, c, v, name)), exactly(want));
+        for (x, y) in [(&r, &s), (&s, &r), (&r, &r)] {
+            prop_assert_eq!(
+                exactly(ops::difference(x, y, name)),
+                exactly(difference_by_pairs(x, y, name)),
+                "{} \\ {}", x, y
+            );
+            prop_assert_eq!(
+                exactly(ops::intersect(x, y, name)),
+                exactly(difference_by_pairs(x, &difference_by_pairs(x, y, name), name)),
+                "{} ∩ {}", x, y
+            );
+        }
+    }
+}
