@@ -6,18 +6,17 @@
 //! rule-based rewrites ([`Rule`]) directly to the program's statement
 //! list. Every site rule runs on one walk over the statements, which
 //! derives cardinality estimates for intermediates ([`Shape`]) as it goes
-//! and knows, inside a `while` body, which names are read outside it:
+//! and knows, inside a `while` body, which names are read outside it.
+//! The five rules, in [`ALL_RULES`] order:
 //!
-//! * **copy forwarding** — `s ← op(..); T ← COPY(s)` retargets the
-//!   producer;
-//! * **selection pushdown** — `s ← PRODUCT(x, y); t ← SELECT[A=B](s)`
-//!   filters one operand *before* the product when the catalog proves
-//!   both `A`- and `B`-named columns lie entirely on that operand, and
-//!   `SELECT` over a scratch `UNION` distributes into both branches;
 //! * **join re-association** — a ≥3-way chain of single-use scratch
 //!   `PRODUCT`s (with an optional closing `SELECT`) is re-bracketed,
 //!   leaves kept in written order, into the cheapest tree by estimated
 //!   cells materialized;
+//! * **selection pushdown** — `s ← PRODUCT(x, y); t ← SELECT[A=B](s)`
+//!   filters one operand *before* the product when the catalog proves
+//!   both `A`- and `B`-named columns lie entirely on that operand, and
+//!   `SELECT` over a scratch `UNION` distributes into both branches;
 //! * **join fusion** — `PRODUCT`+`SELECT` becomes [`OpKind::FusedJoin`];
 //!   with statistics the planner chooses fused vs. materialized per
 //!   site (fused only when the hash-join kernel's single-occurrence
@@ -25,9 +24,6 @@
 //!   back to the staged pipeline anyway), and without statistics it
 //!   fuses optimistically, leaving the per-table choice to the
 //!   evaluator;
-//! * **CLEANUP/PURGE sinking** — a redundancy-removal consumer
-//!   separated from its single-use producer by independent rigid
-//!   assignments sinks next to it, making the chain contiguous;
 //! * **restructuring fusion** — contiguous `GROUP → CLEANUP (→ PURGE)`
 //!   chains become [`OpKind::FusedRestructure`];
 //! * **dead-scratch elimination** — unread reserved-name assignments are
@@ -35,6 +31,11 @@
 //!   program's final top-level assignment, whose target is the program's
 //!   product even when it lives in the reserved namespace (OLAP pivots
 //!   write through reserved output names).
+//!
+//! No rule forwards copies or moves statements next to each other: the
+//! Theorem 4.1 compiler writes each expression into its destination, and
+//! `olap::pivot_program` writes its `GROUP → CLEANUP → PURGE` chain
+//! contiguously, so neither shape reaches the planner.
 //!
 //! # Soundness
 //!
@@ -70,12 +71,6 @@
 //! * Fusion rewrites are definitionally sound: the fused operators *are*
 //!   their staged pipelines, with the evaluator deciding per argument
 //!   table whether a kernel applies.
-//! * Sinking commutes adjacent independent ground assignments whose
-//!   parameters are rigid; such statements are pure functions of
-//!   disjoint names and can only fail on resource limits, so at most
-//!   the *trip point* of a limit moves (the tolerance the planner
-//!   oracle grants, since rewrites change intermediate sizes in both
-//!   directions anyway).
 //!
 //! Rules only ever fire on fully ground programs ([`plan_with_rules`]
 //! bails out otherwise: with wildcards any statement may read any table,
@@ -145,38 +140,6 @@ fn count_reads(stmts: &[Statement], of: Symbol) -> usize {
             }
         })
         .sum()
-}
-
-/// The operation-specific (non-table) parameters of an op, for rigidity
-/// checks.
-fn op_params(op: &OpKind) -> Vec<&Param> {
-    match op {
-        OpKind::Rename { from, to } => vec![from, to],
-        OpKind::Project { attrs } => vec![attrs],
-        OpKind::Select { a, b } | OpKind::FusedJoin { a, b } => vec![a, b],
-        OpKind::SelectConst { a, v } => vec![a, v],
-        OpKind::Group { by, on } | OpKind::CleanUp { by, on } => vec![by, on],
-        OpKind::Merge { on, by } | OpKind::Purge { on, by } => vec![on, by],
-        OpKind::Split { on } => vec![on],
-        OpKind::Collapse { by } => vec![by],
-        OpKind::Switch { entry } => vec![entry],
-        OpKind::TupleNew { attr } | OpKind::SetNew { attr } => vec![attr],
-        OpKind::FusedRestructure(c) => {
-            let mut v = vec![&c.group_by, &c.group_on, &c.cleanup_by, &c.cleanup_on];
-            if let Some((on, by)) = &c.purge {
-                v.push(on);
-                v.push(by);
-            }
-            v
-        }
-        OpKind::Union
-        | OpKind::Difference
-        | OpKind::Intersect
-        | OpKind::Product
-        | OpKind::Transpose
-        | OpKind::Copy
-        | OpKind::ClassicalUnion => vec![],
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -387,8 +350,6 @@ fn derive_stats(env: &Env<'_>, a: &Assignment) -> Option<TableStats> {
 /// property tests exercise each in isolation).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Rule {
-    /// Retarget a producer over its single-use scratch `COPY`.
-    ForwardCopy,
     /// Push a `SELECT` below a scratch `PRODUCT`/`UNION`.
     PushdownSelect,
     /// Re-bracket a ≥3-way scratch `PRODUCT` chain, leaves in written
@@ -397,9 +358,6 @@ pub enum Rule {
     /// Fuse `PRODUCT`+`SELECT` into [`OpKind::FusedJoin`], cost-choosing
     /// fused vs. materialized per site when statistics are available.
     FuseJoin,
-    /// Sink a `CLEANUP`/`PURGE` next to its single-use producer across
-    /// independent rigid statements.
-    SinkRestructure,
     /// Fuse `GROUP → CLEANUP (→ PURGE)` into
     /// [`OpKind::FusedRestructure`].
     FuseRestructure,
@@ -412,11 +370,9 @@ impl Rule {
     /// Stable rule name, as rendered in EXPLAIN output.
     pub fn name(self) -> &'static str {
         match self {
-            Rule::ForwardCopy => "forward-copy",
             Rule::PushdownSelect => "pushdown-select",
             Rule::ReorderJoins => "reorder-joins",
             Rule::FuseJoin => "fuse-join",
-            Rule::SinkRestructure => "sink-restructure",
             Rule::FuseRestructure => "fuse-restructure",
             Rule::EliminateDead => "eliminate-dead",
         }
@@ -427,12 +383,10 @@ impl Rule {
 /// before selection pushdown so it sees whole product chains with their
 /// terminal selections intact; pushdown then filters whatever products
 /// remain unreordered.
-pub const ALL_RULES: [Rule; 7] = [
-    Rule::ForwardCopy,
+pub const ALL_RULES: [Rule; 5] = [
     Rule::ReorderJoins,
     Rule::PushdownSelect,
     Rule::FuseJoin,
-    Rule::SinkRestructure,
     Rule::FuseRestructure,
     Rule::EliminateDead,
 ];
@@ -538,11 +492,9 @@ fn plan_with_catalog(
     let mut out = program.clone();
     for &rule in rules {
         let site_rule: SiteRule = match rule {
-            Rule::ForwardCopy => forward_copy,
             Rule::PushdownSelect => pushdown_select,
             Rule::ReorderJoins => reorder_joins,
             Rule::FuseJoin => fuse_join,
-            Rule::SinkRestructure => sink_restructure,
             Rule::FuseRestructure => fuse_restructure,
             Rule::EliminateDead => {
                 eliminate_dead(&mut out.statements, &mut report);
@@ -636,35 +588,6 @@ fn pair(stmts: &[Statement], i: usize) -> Option<(&Assignment, &Assignment)> {
         (Statement::Assign(p), Statement::Assign(c)) => Some((p, c)),
         _ => None,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: forward-copy
-// ---------------------------------------------------------------------------
-
-/// `s ← op(..); T ← COPY(s)` at `i` with `s` single-use: the producer
-/// writes `T` and the copy goes.
-fn forward_copy(stmts: &mut Vec<Statement>, i: usize, ctx: &mut Ctx<'_>) -> bool {
-    let Some((p, c)) = pair(stmts, i).filter(|(_, c)| matches!(c.op, OpKind::Copy)) else {
-        return false;
-    };
-    let Some(s) = piped(stmts, ctx, p, c) else {
-        return false;
-    };
-    let target = c.target.clone();
-    stmts.remove(i + 1);
-    if let Statement::Assign(p) = &mut stmts[i] {
-        p.target = target;
-    }
-    ctx.report.note(
-        Rule::ForwardCopy,
-        site_name(s),
-        "retargeted producer over single-use scratch copy",
-        None,
-        None,
-        1,
-    );
-    true
 }
 
 // ---------------------------------------------------------------------------
@@ -1114,86 +1037,6 @@ fn reorder_joins(stmts: &mut Vec<Statement>, i: usize, ctx: &mut Ctx<'_>) -> boo
 }
 
 // ---------------------------------------------------------------------------
-// Rule: sink-restructure
-// ---------------------------------------------------------------------------
-
-/// A `GROUP` (`CLEANUP`) at `i` whose single-use scratch is read by a
-/// `CLEANUP` (`PURGE`) later in the segment, separated from it only by
-/// independent rigid assignments: sink the reader next to its producer.
-fn sink_restructure(stmts: &mut Vec<Statement>, i: usize, ctx: &mut Ctx<'_>) -> bool {
-    let Some(Statement::Assign(p)) = stmts.get(i) else {
-        return false;
-    };
-    let wants_cleanup = match &p.op {
-        OpKind::Group { .. } => true,
-        OpKind::CleanUp { .. } => false,
-        _ => return false,
-    };
-    let Some(s) = ground(&p.target).filter(|&s| single_use(stmts, s, ctx)) else {
-        return false;
-    };
-    // Locate the single read of `s` at this level, past at least one
-    // intervening statement.
-    let Some(j) = stmts[i + 1..]
-        .iter()
-        .position(|st| count_reads(std::slice::from_ref(st), s) > 0)
-        .map(|off| i + 1 + off)
-    else {
-        return false;
-    };
-    if j == i + 1 {
-        return false; // already adjacent: fusion's job
-    }
-    let Statement::Assign(c) = &stmts[j] else {
-        return false; // the read is a `while` condition or inside a body
-    };
-    let shape_ok = match (&c.op, wants_cleanup) {
-        (OpKind::CleanUp { by, on }, true) => by.is_rigid() && on.is_rigid(),
-        (OpKind::Purge { on, by }, false) => on.is_rigid() && by.is_rigid(),
-        _ => false,
-    };
-    let Some(tc) = ground(&c.target) else {
-        return false;
-    };
-    if !shape_ok || c.args.len() != 1 {
-        return false;
-    }
-    // Every intervening statement must be a rigid ground assignment
-    // independent of the consumer: it neither reads nor writes the
-    // consumer's target, doesn't write the piped scratch, and can
-    // only fail on resource limits (so moving the consumer across it
-    // shifts at most a budget trip point).
-    let independent = stmts[i + 1..j].iter().all(|st| {
-        let Statement::Assign(m) = st else {
-            return false;
-        };
-        if matches!(m.op, OpKind::TupleNew { .. } | OpKind::SetNew { .. }) {
-            return false;
-        }
-        let Some(mt) = ground(&m.target) else {
-            return false;
-        };
-        mt != tc
-            && mt != s
-            && m.args.iter().all(|a| ground(a).is_some_and(|n| n != tc))
-            && op_params(&m.op).iter().all(|p| p.is_rigid())
-    });
-    if !independent {
-        return false;
-    }
-    let detail = format!(
-        "sank {} next to its producer across {} independent statements",
-        c.op.keyword(),
-        j - i - 1
-    );
-    let consumer = stmts.remove(j);
-    stmts.insert(i + 1, consumer);
-    ctx.report
-        .note(Rule::SinkRestructure, site_name(tc), detail, None, None, 1);
-    true
-}
-
-// ---------------------------------------------------------------------------
 // Rule: fuse-restructure
 // ---------------------------------------------------------------------------
 
@@ -1595,78 +1438,6 @@ mod tests {
         assert_eq!(report.rules_applied(), 0);
     }
 
-    /// A `CLEANUP` separated from its `GROUP` by an independent rigid
-    /// statement sinks next to it, and the now-contiguous chain fuses.
-    #[test]
-    fn cleanup_sinks_across_independent_statements_then_fuses() {
-        let p = Program::new()
-            .assign(
-                Param::sym(scratch(1)),
-                OpKind::Group {
-                    by: Param::name("Region"),
-                    on: Param::name("Sold"),
-                },
-                vec![Param::name("R")],
-            )
-            .assign(Param::name("Copy"), OpKind::Copy, vec![Param::name("R")])
-            .assign(
-                Param::name("Out"),
-                OpKind::CleanUp {
-                    by: Param::name("Part"),
-                    on: Param::null(),
-                },
-                vec![Param::sym(scratch(1))],
-            );
-        let db = sales_as_r();
-        let (planned, report) = plan(&p, &db);
-        assert_eq!(planned.len(), 2, "{planned:?}");
-        assert!(report
-            .decisions
-            .iter()
-            .any(|d| d.rule == Rule::SinkRestructure));
-        assert!(report
-            .decisions
-            .iter()
-            .any(|d| d.rule == Rule::FuseRestructure));
-        let Statement::Assign(first) = &planned.statements[0] else {
-            panic!("assignment expected");
-        };
-        assert!(matches!(first.op, OpKind::FusedRestructure(_)));
-        let a = run_governed_traced(&p, &db, &Budget::default()).unwrap().0;
-        let b = run_governed_traced(&planned, &db, &Budget::default())
-            .unwrap()
-            .0;
-        assert_out_written(&a, &b);
-        assert!(compare_visible(&a, &b));
-    }
-
-    /// Sinking refuses when an intervening statement reads the consumer's
-    /// target (moving the write above the read would change it).
-    #[test]
-    fn sinking_respects_intervening_readers() {
-        let p = Program::new()
-            .assign(
-                Param::sym(scratch(1)),
-                OpKind::Group {
-                    by: Param::name("Region"),
-                    on: Param::name("Sold"),
-                },
-                vec![Param::name("R")],
-            )
-            .assign(Param::name("Copy"), OpKind::Copy, vec![Param::name("Out")])
-            .assign(
-                Param::name("Out"),
-                OpKind::CleanUp {
-                    by: Param::name("Part"),
-                    on: Param::null(),
-                },
-                vec![Param::sym(scratch(1))],
-            );
-        let (planned, report) = plan_with_rules(&p, None, &[Rule::SinkRestructure]);
-        assert_eq!(planned.len(), 3);
-        assert_eq!(report.rules_applied(), 0);
-    }
-
     /// The PR 6 OLAP workaround regression: a chain whose *final* target
     /// is a reserved name must survive the full pipeline (dead-code
     /// elimination protects the program's product).
@@ -1783,15 +1554,9 @@ mod tests {
     }
 
     /// The statistics-free rule subset, in the order the rules were first
-    /// introduced: copy forwarding, join fusion, restructuring fusion,
-    /// then dead-code elimination. Without a catalog every rule fires on
-    /// pattern alone.
-    const STATISTICS_FREE: [Rule; 4] = [
-        Rule::ForwardCopy,
-        Rule::FuseJoin,
-        Rule::FuseRestructure,
-        Rule::EliminateDead,
-    ];
+    /// introduced: join fusion, restructuring fusion, then dead-code
+    /// elimination. Without a catalog every rule fires on pattern alone.
+    const STATISTICS_FREE: [Rule; 3] = [Rule::FuseJoin, Rule::FuseRestructure, Rule::EliminateDead];
 
     #[test]
     fn dead_scratch_assignments_are_removed() {
@@ -1832,42 +1597,6 @@ mod tests {
             vec![Param::name("Sales")],
         );
         assert_eq!(plan_with_rules(&p, None, &[Rule::EliminateDead]).0.len(), 1);
-    }
-
-    #[test]
-    fn copy_forwarding_fuses_producer_and_copy() {
-        let p = Program::new()
-            .assign(
-                Param::sym(scratch(1)),
-                OpKind::Transpose,
-                vec![Param::name("Sales")],
-            )
-            .assign(
-                Param::name("Out"),
-                OpKind::Copy,
-                vec![Param::sym(scratch(1))],
-            );
-        let opt = plan_with_rules(&p, None, &STATISTICS_FREE).0;
-        assert_eq!(opt.len(), 1);
-        let Statement::Assign(a) = &opt.statements[0] else {
-            panic!("assignment expected");
-        };
-        assert_eq!(a.target, Param::name("Out"));
-        assert!(matches!(a.op, OpKind::Transpose));
-    }
-
-    #[test]
-    fn copy_forwarding_respects_multiple_readers() {
-        // The scratch result is read twice: the copy cannot be fused away.
-        let p = Program::new()
-            .assign(
-                Param::sym(scratch(1)),
-                OpKind::Transpose,
-                vec![Param::name("Sales")],
-            )
-            .assign(Param::name("A"), OpKind::Copy, vec![Param::sym(scratch(1))])
-            .assign(Param::name("B"), OpKind::Copy, vec![Param::sym(scratch(1))]);
-        assert_eq!(plan_with_rules(&p, None, &STATISTICS_FREE).0.len(), 3);
     }
 
     #[test]
@@ -2186,7 +1915,6 @@ mod tests {
             }
         };
         let cases = [
-            (Rule::ForwardCopy, "T <- COPY(\"\u{1F}s\")"),
             (Rule::PushdownSelect, "T <- SELECT[X = Y](\"\u{1F}s\")"),
             (Rule::FuseJoin, "T <- SELECT[X = Z](\"\u{1F}s\")"),
             (Rule::ReorderJoins, "T <- PRODUCT(\"\u{1F}s\", C)"),
@@ -2194,14 +1922,8 @@ mod tests {
         .map(|(rule, read)| (rule, format!("\"\u{1F}s\" <- PRODUCT(A, B)\n{read}")));
         let group = "\"\u{1F}s\" <- GROUP[by {Region} on {Sold}](Sales)";
         let cleanup = "T <- CLEANUP[by {Part} on {_}](\"\u{1F}s\")";
-        let restructure = [
-            (
-                Rule::SinkRestructure,
-                format!("{group}\nM <- COPY(A)\n{cleanup}"),
-            ),
-            (Rule::FuseRestructure, format!("{group}\n{cleanup}")),
-        ];
-        for (rule, body) in cases.into_iter().chain(restructure) {
+        let restructure = (Rule::FuseRestructure, format!("{group}\n{cleanup}"));
+        for (rule, body) in cases.into_iter().chain([restructure]) {
             let looped = format!("W <- COPY(Seed)\nwhile W do\n{body}\nW <- DIFFERENCE(W, W)\nend");
             let alone = crate::parser::parse(&looped).unwrap();
             let (_, report) = plan_with_rules(&alone, Some(&db), &[rule]);
@@ -2211,13 +1933,17 @@ mod tests {
             );
             check(&format!("{looped}\nU <- COPY(\"\u{1F}s\")"), rule);
         }
+        // The scratch is the loop's condition: fusing its product away
+        // would leave the condition non-empty for ever.
         check(
             "\"\u{1F}s\" <- COPY(Seed)
+             W <- COPY(Seed)
              while \"\u{1F}s\" do
-               \"\u{1F}s\" <- DIFFERENCE(Seed, Seed)
-               T <- COPY(\"\u{1F}s\")
+               \"\u{1F}s\" <- PRODUCT(W, B)
+               T <- SELECT[K = Z](\"\u{1F}s\")
+               W <- DIFFERENCE(W, W)
              end",
-            Rule::ForwardCopy,
+            Rule::FuseJoin,
         );
     }
 }

@@ -192,12 +192,7 @@ mod tests {
         let opt = tabular_algebra::plan_with_rules(
             &p,
             None,
-            &[
-                Rule::ForwardCopy,
-                Rule::FuseJoin,
-                Rule::FuseRestructure,
-                Rule::EliminateDead,
-            ],
+            &[Rule::FuseJoin, Rule::FuseRestructure, Rule::EliminateDead],
         )
         .0;
         assert!(

@@ -14,14 +14,19 @@
 //! * `new`             ↦ tuple-new;
 //! * `while`           ↦ the TA `while` construct.
 //!
-//! Intermediate results live in reserved-namespace scratch tables;
-//! [`run_compiled`] reads back only the requested output relations.
+//! Each expression compiles into its destination: a stored relation is
+//! read where it stands, the outermost operation of an assignment writes
+//! the assigned relation, and only sub-expressions get reserved-namespace
+//! scratch tables. So `TC := TC ∪ Delta` compiles to the one statement
+//! `TC ← CLASSICALUNION(TC, Delta)`. [`run_compiled`] reads back only the
+//! requested output relations.
 
 use crate::error::Result;
 use crate::expr::RelExpr;
 use crate::program::{FoProgram, FoStatement};
 use crate::relation::RelDatabase;
 use tabular_algebra::derived::Emitter;
+use tabular_algebra::param::Item;
 use tabular_algebra::{Budget, EvalStats, OpKind, Param, Program, Trace};
 use tabular_core::Symbol;
 
@@ -36,169 +41,135 @@ impl Compiler {
         self.e.fresh()
     }
 
-    fn emit(&mut self, target: Symbol, op: OpKind, args: Vec<Symbol>) {
-        self.e.assign(target, op, &args);
+    /// Emit `dest ← op(args)`, or into a fresh scratch name when there is
+    /// no destination; returns the name written.
+    fn put(&mut self, dest: Option<Symbol>, op: OpKind, args: &[Symbol]) -> Symbol {
+        let target = dest.unwrap_or_else(|| self.fresh());
+        self.e.assign(target, op, args);
+        target
     }
 
-    /// Compile an expression; returns the scratch table holding its value.
-    fn compile_expr(&mut self, expr: &RelExpr) -> Symbol {
+    /// A value already held by `name`, delivered to `dest`: a copy when
+    /// there is a destination, `name` itself otherwise.
+    fn deliver(&mut self, name: Symbol, dest: Option<Symbol>) -> Symbol {
+        match dest {
+            Some(_) => self.put(dest, OpKind::Copy, &[name]),
+            None => name,
+        }
+    }
+
+    /// Compile an expression into `dest`, or, without one, wherever its
+    /// value is cheapest to hold: a stored relation where it stands, any
+    /// other value in a fresh scratch table. Only the expression's
+    /// outermost operation writes `dest`, after every operand is read.
+    /// Returns the name holding the value.
+    fn compile_expr(&mut self, expr: &RelExpr, dest: Option<Symbol>) -> Symbol {
         match expr {
-            RelExpr::Rel(name) => {
-                let s = self.fresh();
-                self.emit(s, OpKind::Copy, vec![*name]);
-                s
-            }
+            RelExpr::Rel(name) => self.deliver(*name, dest),
             RelExpr::Const { attr, value } => {
                 // Constants are materialized with the §3.3 switch trick
                 // (see `tabular_algebra::derived::Emitter::constant`),
                 // anchored on a one-row table derived from the anchor
-                // relation. The scratch table is transiently *named* the
-                // constant symbol; if that collides with a stored
+                // relation. The construction transiently *names* a table
+                // the constant symbol; if that collides with a stored
                 // relation, the relation is saved and restored around the
-                // construction. With an empty (or absent) anchor the
+                // construction, so every read in place emitted after it
+                // sees the relation again. With an empty anchor the
                 // constant compiles to the empty relation — TA cannot
                 // create occurrences out of nothing.
-                let Some(anchor) = self.anchor else {
+                let c = match self.anchor {
+                    Some(anchor) => {
+                        let one = self.e.one_row(anchor);
+                        let saved = self.put(None, OpKind::Copy, &[*value]);
+                        let c = self.e.constant(*value, *attr, one);
+                        self.e.assign(*value, OpKind::Copy, &[saved]);
+                        c
+                    }
                     // No stored relation to bootstrap from: the constant
-                    // compiles to an absent table (TA cannot create
-                    // occurrences ex nihilo); reading the output will
-                    // report the missing relation.
-                    return self.fresh();
+                    // compiles to an absent table; reading the output
+                    // will report the missing relation.
+                    None => self.fresh(),
                 };
-                let one = self.e.one_row(anchor);
-                let saved = self.fresh();
-                self.emit(saved, OpKind::Copy, vec![*value]);
-                let c0 = self.e.constant(*value, *attr, one);
-                self.emit(*value, OpKind::Copy, vec![saved]);
-                let s = self.fresh();
-                self.emit(s, OpKind::Copy, vec![c0]);
-                s
+                self.deliver(c, dest)
             }
-            RelExpr::Union(l, r) => {
-                let (sl, sr) = (self.compile_expr(l), self.compile_expr(r));
-                let s = self.fresh();
-                self.emit(s, OpKind::ClassicalUnion, vec![sl, sr]);
-                s
-            }
-            RelExpr::Difference(l, r) => {
-                let (sl, sr) = (self.compile_expr(l), self.compile_expr(r));
-                let s = self.fresh();
-                self.emit(s, OpKind::Difference, vec![sl, sr]);
-                s
-            }
-            RelExpr::Product(l, r) => {
-                let (sl, sr) = (self.compile_expr(l), self.compile_expr(r));
-                let s = self.fresh();
-                self.emit(s, OpKind::Product, vec![sl, sr]);
-                s
-            }
+            RelExpr::Union(l, r) => self.binary(OpKind::ClassicalUnion, l, r, dest),
+            RelExpr::Difference(l, r) => self.binary(OpKind::Difference, l, r, dest),
+            RelExpr::Product(l, r) => self.binary(OpKind::Product, l, r, dest),
             RelExpr::Select { expr, a, b } => {
-                let s0 = self.compile_expr(expr);
-                let s = self.fresh();
-                self.emit(
-                    s,
-                    OpKind::Select {
-                        a: Param::sym(*a),
-                        b: Param::sym(*b),
-                    },
-                    vec![s0],
-                );
-                s
+                let s = self.compile_expr(expr, None);
+                let op = OpKind::Select {
+                    a: Param::sym(*a),
+                    b: Param::sym(*b),
+                };
+                self.put(dest, op, &[s])
             }
             RelExpr::SelectConst { expr, a, v } => {
-                let s0 = self.compile_expr(expr);
-                let s = self.fresh();
-                self.emit(
-                    s,
-                    OpKind::SelectConst {
-                        a: Param::sym(*a),
-                        v: Param::sym(*v),
-                    },
-                    vec![s0],
-                );
-                s
+                let s = self.compile_expr(expr, None);
+                let op = OpKind::SelectConst {
+                    a: Param::sym(*a),
+                    v: Param::sym(*v),
+                };
+                self.put(dest, op, &[s])
             }
             RelExpr::Project { expr, attrs } => {
-                let s0 = self.compile_expr(expr);
-                let s1 = self.fresh();
-                let attrs_param = Param {
-                    positive: attrs
-                        .iter()
-                        .map(|a| tabular_algebra::param::Item::Sym(*a))
-                        .collect(),
+                let attrs = Param {
+                    positive: attrs.iter().map(|a| Item::Sym(*a)).collect(),
                     negative: vec![],
                 };
-                self.emit(s1, OpKind::Project { attrs: attrs_param }, vec![s0]);
-                // Projection may create duplicate rows; clean-up restores
-                // set semantics (clean-up generalizes duplicate
-                // elimination, paper §3.4).
-                let s = self.fresh();
-                self.emit(
-                    s,
-                    OpKind::CleanUp {
-                        by: Param::star(),
-                        on: Param::null(),
-                    },
-                    vec![s1],
-                );
-                s
+                self.project(expr, attrs, dest)
             }
             RelExpr::ProjectAway { expr, attrs } => {
-                let s0 = self.compile_expr(expr);
-                let s1 = self.fresh();
-                let attrs_param = Param {
-                    positive: vec![tabular_algebra::param::Item::Star(0)],
-                    negative: attrs
-                        .iter()
-                        .map(|a| tabular_algebra::param::Item::Sym(*a))
-                        .collect(),
+                let attrs = Param {
+                    positive: vec![Item::Star(0)],
+                    negative: attrs.iter().map(|a| Item::Sym(*a)).collect(),
                 };
-                self.emit(s1, OpKind::Project { attrs: attrs_param }, vec![s0]);
-                let s = self.fresh();
-                self.emit(
-                    s,
-                    OpKind::CleanUp {
-                        by: Param::star(),
-                        on: Param::null(),
-                    },
-                    vec![s1],
-                );
-                s
+                self.project(expr, attrs, dest)
             }
             RelExpr::Rename { expr, from, to } => {
-                let s0 = self.compile_expr(expr);
-                let s = self.fresh();
-                self.emit(
-                    s,
-                    OpKind::Rename {
-                        from: Param::sym(*from),
-                        to: Param::sym(*to),
-                    },
-                    vec![s0],
-                );
-                s
+                let s = self.compile_expr(expr, None);
+                let op = OpKind::Rename {
+                    from: Param::sym(*from),
+                    to: Param::sym(*to),
+                };
+                self.put(dest, op, &[s])
             }
         }
+    }
+
+    fn binary(&mut self, op: OpKind, l: &RelExpr, r: &RelExpr, dest: Option<Symbol>) -> Symbol {
+        let (sl, sr) = (self.compile_expr(l, None), self.compile_expr(r, None));
+        self.put(dest, op, &[sl, sr])
+    }
+
+    /// Projection may create duplicate rows; clean-up restores set
+    /// semantics (clean-up generalizes duplicate elimination, paper §3.4).
+    fn project(&mut self, expr: &RelExpr, attrs: Param, dest: Option<Symbol>) -> Symbol {
+        let s = self.compile_expr(expr, None);
+        let projected = self.put(None, OpKind::Project { attrs }, &[s]);
+        let cleanup = OpKind::CleanUp {
+            by: Param::star(),
+            on: Param::null(),
+        };
+        self.put(dest, cleanup, &[projected])
     }
 
     fn compile_statements(&mut self, stmts: &[FoStatement]) {
         for stmt in stmts {
             match stmt {
                 FoStatement::Assign { target, expr } => {
-                    let s = self.compile_expr(expr);
-                    self.emit(*target, OpKind::Copy, vec![s]);
+                    self.compile_expr(expr, Some(*target));
                 }
                 FoStatement::New {
                     target,
                     source,
                     attr,
                 } => {
-                    self.emit(
+                    self.e.assign(
                         *target,
                         OpKind::TupleNew {
                             attr: Param::sym(*attr),
                         },
-                        vec![*source],
+                        &[*source],
                     );
                 }
                 FoStatement::While { cond, body } => {
@@ -376,14 +347,24 @@ mod tests {
     #[test]
     fn simulates_name_constant_colliding_with_a_relation() {
         // The constant's transient scratch table is named like the stored
-        // relation S; the compiled program must save and restore S.
+        // relation S; the compiled program must save and restore S. `Both`
+        // reads S in place before the constant (through the rename) and
+        // after it (the outer product), so both reads must see S itself.
         let p = FoProgram::new()
             .assign(
                 "M",
                 RelExpr::rel("R").times(RelExpr::constant("Mark", "n:S")),
             )
-            .assign("Check", RelExpr::rel("S"));
-        simulate_and_compare(&p, &sample_db(), &["M", "Check"]);
+            .assign("Check", RelExpr::rel("S"))
+            .assign(
+                "Both",
+                RelExpr::rel("S")
+                    .rename("A", "A2")
+                    .rename("B", "B2")
+                    .times(RelExpr::constant("Mark", "n:S"))
+                    .times(RelExpr::rel("S")),
+            );
+        simulate_and_compare(&p, &sample_db(), &["M", "Check", "Both"]);
     }
 
     #[test]
@@ -397,12 +378,39 @@ mod tests {
         assert!(c1.len() >= 10);
     }
 
+    /// Every expression compiles into its destination, so the closure's
+    /// loop body stages no copies and ends in the union the delta
+    /// engine extends incrementally.
+    #[test]
+    fn compiled_closure_body_holds_no_copy() {
+        let compiled = compile(&transitive_closure_program());
+        let Some(tabular_algebra::Statement::While { body, .. }) = compiled.statements.last()
+        else {
+            panic!("the closure ends in its loop: {compiled:?}");
+        };
+        assert_eq!(body.len(), 10, "{body:?}");
+        let ops: Vec<&OpKind> = body
+            .iter()
+            .map(|s| match s {
+                tabular_algebra::Statement::Assign(a) => &a.op,
+                tabular_algebra::Statement::While { .. } => panic!("no nested loop"),
+            })
+            .collect();
+        assert!(!ops.iter().any(|op| matches!(op, OpKind::Copy)), "{body:?}");
+        let tabular_algebra::Statement::Assign(last) = &body[9] else {
+            unreachable!("checked above");
+        };
+        assert!(matches!(last.op, OpKind::ClassicalUnion));
+        assert_eq!(last.target, Param::name("TC"));
+        assert_eq!(last.args, vec![Param::name("TC"), Param::name("Delta")]);
+    }
+
     #[test]
     fn planned_run_agrees_with_direct_and_rewrites_compiled_scratch() {
-        // Transitive closure compiles into copy chains and a
-        // PRODUCT-into-scratch + SELECT pair — shapes the planner
-        // rewrites. The planned run must agree with direct FO evaluation
-        // and report at least one rewrite.
+        // Transitive closure compiles into a PRODUCT-into-scratch +
+        // SELECT pair — a shape the planner rewrites. The planned run
+        // must agree with direct FO evaluation and report at least one
+        // rewrite.
         let program = transitive_closure_program();
         let db = RelDatabase::from_relations([Relation::new(
             "E",
@@ -429,17 +437,12 @@ mod tests {
         let optimized = plan_with_rules(
             &compiled,
             None,
-            &[
-                Rule::ForwardCopy,
-                Rule::FuseJoin,
-                Rule::FuseRestructure,
-                Rule::EliminateDead,
-            ],
+            &[Rule::FuseJoin, Rule::FuseRestructure, Rule::EliminateDead],
         )
         .0;
         assert!(
             optimized.len() < compiled.len(),
-            "optimizer should remove copy chains: {} vs {}",
+            "optimizer should fuse the compiled join: {} vs {}",
             optimized.len(),
             compiled.len()
         );

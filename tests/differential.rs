@@ -674,209 +674,341 @@ fn visible(db: &Database) -> Database {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Parse `src` and splice `head` into its prologue and `body` into its
+/// first loop's body.
+fn spliced(src: &str, head: Vec<Statement>, body: Vec<Statement>) -> Program {
+    let mut program =
+        parse(src).unwrap_or_else(|e| panic!("generated program must parse: {e}\n{src}"));
+    program.statements.splice(0..0, head);
+    if let Some(Statement::While { body: b, .. }) = program
+        .statements
+        .iter_mut()
+        .find(|s| matches!(s, Statement::While { .. }))
+    {
+        b.splice(0..0, body);
+    }
+    program
+}
 
-    /// The fusion oracle: applying the optimizer's join-fusion rewrite
-    /// must not change any visible output under any strategy or shard
-    /// configuration. Random programs get SELECT-over-scratch-PRODUCT
-    /// chains spliced into the prologue (always executed) and the loop
-    /// body (delta-incremental path); whether each chain's attributes
-    /// make the hash kernel applicable or force the definitional
-    /// fallback varies with the drawn operands — both must agree with
-    /// the unfused program. The comparison is asymmetric on resource
-    /// trips by design: fusion never materializes the staged product,
-    /// so a fused run may succeed where the unfused baseline exhausts
-    /// `max_cells`/`max_tables` — that asymmetry is the optimization.
-    #[test]
-    fn fusion_on_and_off_agree(
-        src in arb_program(),
-        db in arb_input(),
-        (t1, x1, y1) in (0usize..5, 0usize..6, 0usize..6),
-        (a1, b1) in (0usize..4, 0usize..4),
-        (t2, x2, y2) in (0usize..5, 0usize..6, 0usize..6),
-        (a2, b2) in (0usize..4, 0usize..4),
-    ) {
+/// The fixed program the reach floors run: an unread reserved-name
+/// assignment, then a loop that runs twice.
+const FIXED_SRC: &str = "\"\u{1F}unread\" <- COPY(R)
+while W do
+V <- PROJECT[{D}](T)
+W <- COPY(Wend)
+Wend <- DIFFERENCE(Wend, Wend)
+end";
 
-        let mut program = parse(&src).unwrap_or_else(|e| {
-            panic!("generated program must parse: {e}\n{src}")
-        });
-        let head = fusable_chain(0, TARGETS[t1], SOURCES[x1], SOURCES[y1], ATTRS[a1], ATTRS[b1]);
-        program.statements.splice(0..0, head);
-        if let Some(Statement::While { body, .. }) = program
-            .statements
-            .iter_mut()
-            .find(|s| matches!(s, Statement::While { .. }))
-        {
-            let inner =
-                fusable_chain(1, TARGETS[t2], SOURCES[x2], SOURCES[y2], ATTRS[a2], ATTRS[b2]);
-            body.splice(0..0, inner);
-        }
-        let fused = plan_with_rules(&program, None, &[Rule::FuseJoin]).0;
-        fn count_fused(stmts: &[Statement]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    Statement::Assign(a) => {
-                        usize::from(matches!(a.op, OpKind::FusedJoin { .. }))
-                    }
-                    Statement::While { body, .. } => count_fused(body),
-                })
-                .sum()
-        }
-        prop_assert!(count_fused(&fused.statements) >= 1, "spliced chains must fuse");
+/// The fixed input the reach floors run on: `arb_input`'s tables with
+/// fixed rows, plus the paper's `Sales`, which pivots.
+fn fixed_input() -> Database {
+    let counter = |name: &str| Table::relational(name, &["K"], &[&["go"]]);
+    Database::from_tables([
+        Table::relational(
+            "R",
+            &["A", "B"],
+            &[&["v0", "v1"], &["v1", "v2"], &["v2", "v3"], &["v3", "v0"]],
+        ),
+        Table::relational(
+            "S",
+            &["B", "C"],
+            &[&["v1", "v0"], &["v2", "v1"], &["v3", "v2"]],
+        ),
+        Table::relational(
+            "T",
+            &["C", "D"],
+            &[&["v0", "v1"], &["v1", "v2"], &["v2", "v3"]],
+        ),
+        Table::relational("U", &["A", "C"], &[&["v3", "v1"]]),
+        Table::relational("V", &["D"], &[]),
+        counter("W"),
+        counter("X"),
+        counter("Wend"),
+        fixtures::sales_relation(),
+    ])
+}
 
-        let configs = [
-            limits(WhileStrategy::Naive, usize::MAX),
-            limits(WhileStrategy::Naive, 1),
-            limits(WhileStrategy::Delta, usize::MAX),
-            limits(WhileStrategy::Delta, 1),
-        ];
-        let baseline = run_governed_traced(&program, &db, &Budget::from_limits(&configs[0]));
-        let Ok((base_out, _, _)) = &baseline else {
-            // Unfused baseline tripped a resource limit; fused runs may
-            // legitimately proceed further, so there is nothing to pin.
-            return Ok(());
-        };
-        let expect = canonicalize_fresh(&visible(base_out));
-        for cfg in &configs {
-            let (got, stats, _) = run_governed_traced(&fused, &db, &Budget::from_limits(cfg)).unwrap_or_else(|e| {
+/// The fusion oracle: applying the optimizer's join-fusion rewrite must
+/// not change any visible output under any strategy or shard
+/// configuration. Random programs get SELECT-over-scratch-PRODUCT chains
+/// spliced into the prologue (always executed) and the loop body
+/// (delta-incremental path); whether each chain's attributes make the
+/// hash kernel applicable or force the definitional fallback varies
+/// with the drawn operands — both must agree with the unfused program.
+/// The comparison is asymmetric on resource trips by design: fusion
+/// never materializes the staged product, so a fused run may succeed
+/// where the unfused baseline exhausts `max_cells`/`max_tables` — that
+/// asymmetry is the optimization. After the random cases, chains whose
+/// attributes split across their operands run over [`fixed_input`], and
+/// there the hash kernel must run (`EvalStats::join_fused`), whatever
+/// the cases drawn. The cases are drawn as `proptest!` would draw them
+/// for this test's name.
+#[test]
+fn fusion_on_and_off_agree() {
+    let mut runner = TestRunner::named(
+        ProptestConfig::with_cases(128),
+        concat!(module_path!(), "::fusion_on_and_off_agree"),
+    );
+    let cases = (
+        arb_program(),
+        arb_input(),
+        (0usize..5, 0usize..6, 0usize..6),
+        (0usize..4, 0usize..4),
+        (0usize..5, 0usize..6, 0usize..6),
+        (0usize..4, 0usize..4),
+    );
+    runner
+        .run(
+            &cases,
+            |(src, db, (t1, x1, y1), (a1, b1), (t2, x2, y2), (a2, b2))| {
+                let head = fusable_chain(
+                    0,
+                    TARGETS[t1],
+                    SOURCES[x1],
+                    SOURCES[y1],
+                    ATTRS[a1],
+                    ATTRS[b1],
+                );
+                let inner = fusable_chain(
+                    1,
+                    TARGETS[t2],
+                    SOURCES[x2],
+                    SOURCES[y2],
+                    ATTRS[a2],
+                    ATTRS[b2],
+                );
+                fusion_case(&src, &spliced(&src, head, inner), &db).map(|_| ())
+            },
+        )
+        .unwrap();
+    let program = spliced(
+        FIXED_SRC,
+        fusable_chain(0, "Joined", "R", "S", "A", "C"),
+        fusable_chain(1, "Looped", "R", "T", "A", "C"),
+    );
+    let fused = fusion_case(FIXED_SRC, &program, &fixed_input())
+        .unwrap_or_else(|e| panic!("fixed program: {e}"));
+    assert!(fused > 0, "the fixed program ran no fused join kernel");
+}
+
+/// One case of [`fusion_on_and_off_agree`]: fuse `program`'s joins, run
+/// it fused and unfused under each strategy and shard configuration,
+/// check the visible outputs agree, and return how often the fused runs
+/// took the hash kernel.
+fn fusion_case(src: &str, program: &Program, db: &Database) -> Result<usize, TestCaseError> {
+    let fused = plan_with_rules(program, None, &[Rule::FuseJoin]).0;
+    fn count_fused(stmts: &[Statement]) -> usize {
+        stmts
+            .iter()
+            .map(|s| match s {
+                Statement::Assign(a) => usize::from(matches!(a.op, OpKind::FusedJoin { .. })),
+                Statement::While { body, .. } => count_fused(body),
+            })
+            .sum()
+    }
+    prop_assert!(
+        count_fused(&fused.statements) >= 1,
+        "spliced chains must fuse"
+    );
+
+    let configs = [
+        limits(WhileStrategy::Naive, usize::MAX),
+        limits(WhileStrategy::Naive, 1),
+        limits(WhileStrategy::Delta, usize::MAX),
+        limits(WhileStrategy::Delta, 1),
+    ];
+    let baseline = run_governed_traced(program, db, &Budget::from_limits(&configs[0]));
+    let Ok((base_out, _, _)) = &baseline else {
+        // Unfused baseline tripped a resource limit; fused runs may
+        // legitimately proceed further, so there is nothing to pin.
+        return Ok(0);
+    };
+    let expect = canonicalize_fresh(&visible(base_out));
+    let mut join_fused = 0;
+    for cfg in &configs {
+        let (got, stats, _) = run_governed_traced(&fused, db, &Budget::from_limits(cfg))
+            .unwrap_or_else(|e| {
                 panic!(
                     "fused run failed where unfused baseline succeeded \
                      under {:?}/threshold {}: {e}\nprogram:\n{src}",
                     cfg.while_strategy, cfg.parallel_threshold
                 )
             });
+        prop_assert!(
+            expect == canonicalize_fresh(&visible(&got)),
+            "fused output diverges under {:?}/threshold {}\nprogram:\n{}",
+            cfg.while_strategy,
+            cfg.parallel_threshold,
+            src
+        );
+        // The prologue chain always executes, so every fused run
+        // decides the kernel-vs-fallback question at least once.
+        prop_assert!(
+            stats.join_fused + stats.join_unfused >= 1,
+            "fused run recorded no fusion decision under {:?}/threshold {}",
+            cfg.while_strategy,
+            cfg.parallel_threshold
+        );
+        join_fused += stats.join_fused;
+    }
+    // And the unfused program itself still agrees across strategies
+    // on the spliced shape (the pre-existing oracle covers generated
+    // programs; this covers the scratch-staged chains).
+    for cfg in &configs[1..] {
+        if let Ok((got, _, _)) = run_governed_traced(program, db, &Budget::from_limits(cfg)) {
             prop_assert!(
                 expect == canonicalize_fresh(&visible(&got)),
-                "fused output diverges under {:?}/threshold {}\nprogram:\n{}",
-                cfg.while_strategy, cfg.parallel_threshold, src
+                "unfused output diverges under {:?}/threshold {}\nprogram:\n{}",
+                cfg.while_strategy,
+                cfg.parallel_threshold,
+                src
             );
-            // The prologue chain always executes, so every fused run
-            // decides the kernel-vs-fallback question at least once.
-            prop_assert!(
-                stats.join_fused + stats.join_unfused >= 1,
-                "fused run recorded no fusion decision under {:?}/threshold {}",
-                cfg.while_strategy, cfg.parallel_threshold
-            );
-        }
-        // And the unfused program itself still agrees across strategies
-        // on the spliced shape (the pre-existing oracle covers generated
-        // programs; this covers the scratch-staged chains).
-        for cfg in &configs[1..] {
-            if let Ok((got, _, _)) = run_governed_traced(&program, &db, &Budget::from_limits(cfg)) {
-                prop_assert!(
-                    expect == canonicalize_fresh(&visible(&got)),
-                    "unfused output diverges under {:?}/threshold {}\nprogram:\n{}",
-                    cfg.while_strategy, cfg.parallel_threshold, src
-                );
-            }
         }
     }
+    Ok(join_fused)
 }
 
 // ----------------------------------------------------------------------
 // The partitioning oracle: partition-parallel joins on ≡ off
 // ----------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// The partitioning oracle: the partition-parallel join kernel must be
+/// *byte-identical* to the serial kernel — not merely equivalent — under
+/// every strategy and shard configuration. The same fused program
+/// (scratch-staged join chains spliced into the prologue and the loop
+/// body, then the `fuse-join` rule) runs under Naive/Delta ×
+/// serial/sharded × `partition_threshold ∈ {∞, 1}`; because only the
+/// limits differ, every run must produce the same database (up to
+/// fresh-tag renumbering for `TUPLENEW` programs) or fail with the same
+/// error — partitioning materializes exactly the tables the serial
+/// kernel does, so even `LimitExceeded` trips must agree. After the
+/// random cases, chains whose attributes split across their operands
+/// run over [`fixed_input`], and there some join must run partitioned
+/// (`EvalStats::partitioned_joins`), whatever the cases drawn. The cases
+/// are drawn as `proptest!` would draw them for this test's name.
+#[test]
+fn partitioning_on_and_off_agree() {
+    let mut runner = TestRunner::named(
+        ProptestConfig::with_cases(128),
+        concat!(module_path!(), "::partitioning_on_and_off_agree"),
+    );
+    let cases = (
+        arb_program(),
+        arb_input(),
+        (0usize..5, 0usize..6, 0usize..6),
+        (0usize..4, 0usize..4),
+        (0usize..5, 0usize..6, 0usize..6),
+        (0usize..4, 0usize..4),
+    );
+    runner
+        .run(
+            &cases,
+            |(src, db, (t1, x1, y1), (a1, b1), (t2, x2, y2), (a2, b2))| {
+                let head = fusable_chain(
+                    2,
+                    TARGETS[t1],
+                    SOURCES[x1],
+                    SOURCES[y1],
+                    ATTRS[a1],
+                    ATTRS[b1],
+                );
+                let inner = fusable_chain(
+                    3,
+                    TARGETS[t2],
+                    SOURCES[x2],
+                    SOURCES[y2],
+                    ATTRS[a2],
+                    ATTRS[b2],
+                );
+                partitioning_case(&src, &spliced(&src, head, inner), &db).map(|_| ())
+            },
+        )
+        .unwrap();
+    let program = spliced(
+        FIXED_SRC,
+        fusable_chain(2, "Joined", "R", "S", "A", "C"),
+        fusable_chain(3, "Looped", "R", "T", "A", "C"),
+    );
+    let partitioned = partitioning_case(FIXED_SRC, &program, &fixed_input())
+        .unwrap_or_else(|e| panic!("fixed program: {e}"));
+    assert!(partitioned > 0, "the fixed program ran no partitioned join");
+}
 
-    /// The partitioning oracle: the partition-parallel join kernel must
-    /// be *byte-identical* to the serial kernel — not merely equivalent —
-    /// under every strategy and shard configuration. The same fused
-    /// program (scratch-staged join chains spliced into the prologue and
-    /// the loop body, then the `fuse-join` rule) runs under Naive/Delta ×
-    /// serial/sharded × `partition_threshold ∈ {∞, 1}`; because only the
-    /// limits differ, every run must produce the same database (up to
-    /// fresh-tag renumbering for `TUPLENEW` programs) or fail with the
-    /// same error — partitioning materializes exactly the tables the
-    /// serial kernel does, so even `LimitExceeded` trips must agree.
-    #[test]
-    fn partitioning_on_and_off_agree(
-        src in arb_program(),
-        db in arb_input(),
-        (t1, x1, y1) in (0usize..5, 0usize..6, 0usize..6),
-        (a1, b1) in (0usize..4, 0usize..4),
-        (t2, x2, y2) in (0usize..5, 0usize..6, 0usize..6),
-        (a2, b2) in (0usize..4, 0usize..4),
-    ) {
+/// One case of [`partitioning_on_and_off_agree`]: fuse `program`'s
+/// joins, run it under each strategy, shard and partition configuration,
+/// check every run agrees with the serial baseline, and return how many
+/// joins ran partitioned.
+fn partitioning_case(src: &str, program: &Program, db: &Database) -> Result<usize, TestCaseError> {
+    let fused = plan_with_rules(program, None, &[Rule::FuseJoin]).0;
 
-        let mut program = parse(&src).unwrap_or_else(|e| {
-            panic!("generated program must parse: {e}\n{src}")
-        });
-        let head = fusable_chain(2, TARGETS[t1], SOURCES[x1], SOURCES[y1], ATTRS[a1], ATTRS[b1]);
-        program.statements.splice(0..0, head);
-        if let Some(Statement::While { body, .. }) = program
-            .statements
-            .iter_mut()
-            .find(|s| matches!(s, Statement::While { .. }))
-        {
-            let inner =
-                fusable_chain(3, TARGETS[t2], SOURCES[x2], SOURCES[y2], ATTRS[a2], ATTRS[b2]);
-            body.splice(0..0, inner);
-        }
-        let fused = plan_with_rules(&program, None, &[Rule::FuseJoin]).0;
-
-        let mut configs = Vec::new();
-        for strategy in [WhileStrategy::Naive, WhileStrategy::Delta] {
-            for parallel in [usize::MAX, 1] {
-                for partition in [usize::MAX, 1] {
-                    configs.push(EvalLimits {
-                        partition_threshold: partition,
-                        ..limits(strategy, parallel)
-                    });
-                }
-            }
-        }
-        // Baseline: Naive, serial, partitioning off.
-        let two_threads = Executor::new(2);
-        let budget = |cfg: &EvalLimits| Budget {
-            executor: two_threads.clone(),
-            ..Budget::from_limits(cfg)
-        };
-        let baseline = run_governed_traced(&fused, &db, &budget(&configs[0]));
-        let expect = baseline.as_ref().ok().map(|(out, _, _)| canonicalize_fresh(&visible(out)));
-        for cfg in &configs[1..] {
-            let label = format!(
-                "{:?}/threshold {}/partition {}",
-                cfg.while_strategy, cfg.parallel_threshold, cfg.partition_threshold
-            );
-            match (&baseline, run_governed_traced(&fused, &db, &budget(cfg))) {
-                (Ok(_), Ok((got, stats, _))) => {
-                    prop_assert!(
-                        *expect.as_ref().unwrap() == canonicalize_fresh(&visible(&got)),
-                        "partitioned output diverges under {}\nprogram:\n{}",
-                        label, src
-                    );
-                    if cfg.partition_threshold == usize::MAX {
-                        prop_assert_eq!(
-                            stats.partitioned_joins, 0,
-                            "partitioning engaged though disabled under {}", label
-                        );
-                    }
-                }
-                (Err(expect), Err(got)) => {
-                    prop_assert_eq!(
-                        expect.to_string(),
-                        got.to_string(),
-                        "errors diverge under {} for program:\n{}",
-                        label, src
-                    );
-                }
-                (Ok(_), Err(got)) => {
-                    return Err(TestCaseError::fail(format!(
-                        "baseline succeeded but {label} failed with {got}\nprogram:\n{src}"
-                    )));
-                }
-                (Err(expect), Ok(_)) => {
-                    return Err(TestCaseError::fail(format!(
-                        "baseline failed with {expect} but {label} succeeded\nprogram:\n{src}"
-                    )));
-                }
+    let mut configs = Vec::new();
+    for strategy in [WhileStrategy::Naive, WhileStrategy::Delta] {
+        for parallel in [usize::MAX, 1] {
+            for partition in [usize::MAX, 1] {
+                configs.push(EvalLimits {
+                    partition_threshold: partition,
+                    ..limits(strategy, parallel)
+                });
             }
         }
     }
+    // Baseline: Naive, serial, partitioning off.
+    let two_threads = Executor::new(2);
+    let budget = |cfg: &EvalLimits| Budget {
+        executor: two_threads.clone(),
+        ..Budget::from_limits(cfg)
+    };
+    let baseline = run_governed_traced(&fused, db, &budget(&configs[0]));
+    let expect = baseline
+        .as_ref()
+        .ok()
+        .map(|(out, _, _)| canonicalize_fresh(&visible(out)));
+    let mut partitioned = 0;
+    for cfg in &configs[1..] {
+        let label = format!(
+            "{:?}/threshold {}/partition {}",
+            cfg.while_strategy, cfg.parallel_threshold, cfg.partition_threshold
+        );
+        match (&baseline, run_governed_traced(&fused, db, &budget(cfg))) {
+            (Ok(_), Ok((got, stats, _))) => {
+                prop_assert!(
+                    *expect.as_ref().unwrap() == canonicalize_fresh(&visible(&got)),
+                    "partitioned output diverges under {}\nprogram:\n{}",
+                    label,
+                    src
+                );
+                if cfg.partition_threshold == usize::MAX {
+                    prop_assert_eq!(
+                        stats.partitioned_joins,
+                        0,
+                        "partitioning engaged though disabled under {}",
+                        label
+                    );
+                }
+                partitioned += stats.partitioned_joins;
+            }
+            (Err(expect), Err(got)) => {
+                prop_assert_eq!(
+                    expect.to_string(),
+                    got.to_string(),
+                    "errors diverge under {} for program:\n{}",
+                    label,
+                    src
+                );
+            }
+            (Ok(_), Err(got)) => {
+                return Err(TestCaseError::fail(format!(
+                    "baseline succeeded but {label} failed with {got}\nprogram:\n{src}"
+                )));
+            }
+            (Err(expect), Ok(_)) => {
+                return Err(TestCaseError::fail(format!(
+                    "baseline failed with {expect} but {label} succeeded\nprogram:\n{src}"
+                )));
+            }
+        }
+    }
+    Ok(partitioned)
 }
 
 // ----------------------------------------------------------------------
@@ -940,110 +1072,151 @@ fn restructure_chain(
     stmts
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// The restructuring oracle: applying the optimizer's restructure-fusion
+/// rewrite must not change any visible output under any strategy or
+/// shard configuration. Random programs get GROUP → CLEANUP (→ PURGE)
+/// chains spliced into the prologue (always executed) and the loop body
+/// (full re-evaluation inside the delta engine); whether each chain's
+/// shape lets the single-pass kernel apply or forces the staged fallback
+/// varies with the drawn attributes — both must agree with the unfused
+/// program. Like the join oracle, the comparison is asymmetric on
+/// resource trips: fusion never materializes the quadratic grouped
+/// intermediate, so a fused run may succeed where the unfused baseline
+/// exhausts `max_cells`/`max_tables`. After the random cases, the
+/// paper's pivot of `Sales` runs over [`fixed_input`], and there the
+/// single-pass kernel must run (`EvalStats::restructure_fused`), whatever
+/// the cases drawn. The cases are drawn as `proptest!` would draw them
+/// for this test's name.
+#[test]
+fn restructure_fusion_on_and_off_agree() {
+    let mut runner = TestRunner::named(
+        ProptestConfig::with_cases(128),
+        concat!(module_path!(), "::restructure_fusion_on_and_off_agree"),
+    );
+    let chain = (0usize..5, 0usize..6, 0usize..4, 0usize..4, 0usize..4);
+    let cases = (
+        arb_program(),
+        arb_input(),
+        chain.clone(),
+        chain,
+        (0usize..4, 0usize..4),
+    );
+    runner
+        .run(
+            &cases,
+            |(src, db, (t1, x1, by1, on1, k1), (t2, x2, by2, on2, k2), (shape1, shape2))| {
+                let (null1, purge1) = (shape1 & 1 == 0, shape1 & 2 == 0);
+                let (null2, purge2) = (shape2 & 1 == 0, shape2 & 2 == 0);
+                let head = restructure_chain(
+                    0,
+                    TARGETS[t1],
+                    SOURCES[x1],
+                    ATTRS[by1],
+                    ATTRS[on1],
+                    ATTRS[k1],
+                    null1,
+                    purge1,
+                );
+                let inner = restructure_chain(
+                    1,
+                    TARGETS[t2],
+                    SOURCES[x2],
+                    ATTRS[by2],
+                    ATTRS[on2],
+                    ATTRS[k2],
+                    null2,
+                    purge2,
+                );
+                restructure_case(&src, &spliced(&src, head, inner), &db).map(|_| ())
+            },
+        )
+        .unwrap();
+    let pivot = |n, t| restructure_chain(n, t, "Sales", "Region", "Sold", "Part", true, true);
+    let program = spliced(FIXED_SRC, pivot(0, "Pivot"), pivot(1, "Looped"));
+    let fused = restructure_case(FIXED_SRC, &program, &fixed_input())
+        .unwrap_or_else(|e| panic!("fixed program: {e}"));
+    assert!(
+        fused > 0,
+        "the fixed program ran no fused restructure kernel"
+    );
+}
 
-    /// The restructuring oracle: applying the optimizer's
-    /// restructure-fusion rewrite must not change any visible output
-    /// under any strategy or shard configuration. Random programs get
-    /// GROUP → CLEANUP (→ PURGE) chains spliced into the prologue
-    /// (always executed) and the loop body (full re-evaluation inside
-    /// the delta engine); whether each chain's shape lets the
-    /// single-pass kernel apply or forces the staged fallback varies
-    /// with the drawn attributes — both must agree with the unfused
-    /// program. Like the join oracle, the comparison is asymmetric on
-    /// resource trips: fusion never materializes the quadratic grouped
-    /// intermediate, so a fused run may succeed where the unfused
-    /// baseline exhausts `max_cells`/`max_tables`.
-    #[test]
-    fn restructure_fusion_on_and_off_agree(
-        src in arb_program(),
-        db in arb_input(),
-        (t1, x1, by1, on1, k1) in (0usize..5, 0usize..6, 0usize..4, 0usize..4, 0usize..4),
-        (t2, x2, by2, on2, k2) in (0usize..5, 0usize..6, 0usize..4, 0usize..4, 0usize..4),
-        (shape1, shape2) in (0usize..4, 0usize..4),
-    ) {
+/// One case of [`restructure_fusion_on_and_off_agree`]: fuse `program`'s
+/// restructuring chains, run it fused and unfused under each strategy
+/// and shard configuration, check the visible outputs agree, and return
+/// how often the fused runs took the single-pass kernel.
+fn restructure_case(src: &str, program: &Program, db: &Database) -> Result<usize, TestCaseError> {
+    let fused = plan_with_rules(program, None, &[Rule::FuseRestructure]).0;
+    fn count_fused(stmts: &[Statement]) -> usize {
+        stmts
+            .iter()
+            .map(|s| match s {
+                Statement::Assign(a) => {
+                    usize::from(matches!(a.op, OpKind::FusedRestructure { .. }))
+                }
+                Statement::While { body, .. } => count_fused(body),
+            })
+            .sum()
+    }
+    prop_assert!(
+        count_fused(&fused.statements) >= 1,
+        "spliced chains must fuse"
+    );
 
-        let (null1, purge1) = (shape1 & 1 == 0, shape1 & 2 == 0);
-        let (null2, purge2) = (shape2 & 1 == 0, shape2 & 2 == 0);
-
-        let mut program = parse(&src).unwrap_or_else(|e| {
-            panic!("generated program must parse: {e}\n{src}")
-        });
-        let head = restructure_chain(
-            0, TARGETS[t1], SOURCES[x1], ATTRS[by1], ATTRS[on1], ATTRS[k1], null1, purge1,
-        );
-        program.statements.splice(0..0, head);
-        if let Some(Statement::While { body, .. }) = program
-            .statements
-            .iter_mut()
-            .find(|s| matches!(s, Statement::While { .. }))
-        {
-            let inner = restructure_chain(
-                1, TARGETS[t2], SOURCES[x2], ATTRS[by2], ATTRS[on2], ATTRS[k2], null2, purge2,
-            );
-            body.splice(0..0, inner);
-        }
-        let fused = plan_with_rules(&program, None, &[Rule::FuseRestructure]).0;
-        fn count_fused(stmts: &[Statement]) -> usize {
-            stmts
-                .iter()
-                .map(|s| match s {
-                    Statement::Assign(a) => {
-                        usize::from(matches!(a.op, OpKind::FusedRestructure { .. }))
-                    }
-                    Statement::While { body, .. } => count_fused(body),
-                })
-                .sum()
-        }
-        prop_assert!(count_fused(&fused.statements) >= 1, "spliced chains must fuse");
-
-        let configs = [
-            limits(WhileStrategy::Naive, usize::MAX),
-            limits(WhileStrategy::Naive, 1),
-            limits(WhileStrategy::Delta, usize::MAX),
-            limits(WhileStrategy::Delta, 1),
-        ];
-        let baseline = run_governed_traced(&program, &db, &Budget::from_limits(&configs[0]));
-        let Ok((base_out, _, _)) = &baseline else {
-            // Unfused baseline tripped a resource limit; fused runs may
-            // legitimately proceed further, so there is nothing to pin.
-            return Ok(());
-        };
-        let expect = canonicalize_fresh(&visible(base_out));
-        for cfg in &configs {
-            let (got, stats, _) = run_governed_traced(&fused, &db, &Budget::from_limits(cfg)).unwrap_or_else(|e| {
+    let configs = [
+        limits(WhileStrategy::Naive, usize::MAX),
+        limits(WhileStrategy::Naive, 1),
+        limits(WhileStrategy::Delta, usize::MAX),
+        limits(WhileStrategy::Delta, 1),
+    ];
+    let baseline = run_governed_traced(program, db, &Budget::from_limits(&configs[0]));
+    let Ok((base_out, _, _)) = &baseline else {
+        // Unfused baseline tripped a resource limit; fused runs may
+        // legitimately proceed further, so there is nothing to pin.
+        return Ok(0);
+    };
+    let expect = canonicalize_fresh(&visible(base_out));
+    let mut restructure_fused = 0;
+    for cfg in &configs {
+        let (got, stats, _) = run_governed_traced(&fused, db, &Budget::from_limits(cfg))
+            .unwrap_or_else(|e| {
                 panic!(
                     "fused run failed where unfused baseline succeeded \
                      under {:?}/threshold {}: {e}\nprogram:\n{src}",
                     cfg.while_strategy, cfg.parallel_threshold
                 )
             });
+        prop_assert!(
+            expect == canonicalize_fresh(&visible(&got)),
+            "fused output diverges under {:?}/threshold {}\nprogram:\n{}",
+            cfg.while_strategy,
+            cfg.parallel_threshold,
+            src
+        );
+        // The prologue chain always executes, so every fused run
+        // decides the kernel-vs-fallback question at least once.
+        prop_assert!(
+            stats.restructure_fused + stats.restructure_unfused >= 1,
+            "fused run recorded no restructure decision under {:?}/threshold {}",
+            cfg.while_strategy,
+            cfg.parallel_threshold
+        );
+        restructure_fused += stats.restructure_fused;
+    }
+    // And the unfused program itself still agrees across strategies
+    // on the spliced shape.
+    for cfg in &configs[1..] {
+        if let Ok((got, _, _)) = run_governed_traced(program, db, &Budget::from_limits(cfg)) {
             prop_assert!(
                 expect == canonicalize_fresh(&visible(&got)),
-                "fused output diverges under {:?}/threshold {}\nprogram:\n{}",
-                cfg.while_strategy, cfg.parallel_threshold, src
+                "unfused output diverges under {:?}/threshold {}\nprogram:\n{}",
+                cfg.while_strategy,
+                cfg.parallel_threshold,
+                src
             );
-            // The prologue chain always executes, so every fused run
-            // decides the kernel-vs-fallback question at least once.
-            prop_assert!(
-                stats.restructure_fused + stats.restructure_unfused >= 1,
-                "fused run recorded no restructure decision under {:?}/threshold {}",
-                cfg.while_strategy, cfg.parallel_threshold
-            );
-        }
-        // And the unfused program itself still agrees across strategies
-        // on the spliced shape.
-        for cfg in &configs[1..] {
-            if let Ok((got, _, _)) = run_governed_traced(&program, &db, &Budget::from_limits(cfg)) {
-                prop_assert!(
-                    expect == canonicalize_fresh(&visible(&got)),
-                    "unfused output diverges under {:?}/threshold {}\nprogram:\n{}",
-                    cfg.while_strategy, cfg.parallel_threshold, src
-                );
-            }
         }
     }
+    Ok(restructure_fused)
 }
 
 // ----------------------------------------------------------------------
@@ -1230,65 +1403,130 @@ proptest! {
 // Per-rule soundness: every rule alone preserves semantics
 // ----------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Each planner rule, applied *alone* with the statistics catalog,
+/// preserves the visible semantics of the program — the rule-level
+/// refinement of `planner_on_and_off_agree` (which only checks the
+/// composed pipeline, where a later rule could mask an earlier rule's
+/// bug). Programs get a fusable and a reorderable chain in the prologue
+/// and a fusable chain in the loop body, whose scratch is sometimes also
+/// read after the loop. After the random cases, every rule runs alone on
+/// one fixed program over [`fixed_input`] — [`FIXED_SRC`]'s unread
+/// scratch, a fusable chain, a reorder chain that statistics prove
+/// cheaper re-bracketed, the paper's pivot of `Sales`, and a fusable
+/// chain in the loop — and there each rule must record at least one
+/// decision and keep the visible output, whatever the cases drawn. The
+/// cases are drawn as `proptest!` would draw them for this test's name.
+#[test]
+fn each_planner_rule_preserves_semantics() {
+    let mut runner = TestRunner::named(
+        ProptestConfig::with_cases(64),
+        concat!(module_path!(), "::each_planner_rule_preserves_semantics"),
+    );
+    let cases = (
+        arb_program(),
+        arb_input(),
+        (0usize..5, 0usize..6, 0usize..6),
+        (0usize..5, 0usize..6, 0usize..6, 0usize..6),
+        ((0usize..4, 0usize..4), (0usize..4, 0usize..4)),
+        (
+            0usize..5,
+            0usize..6,
+            0usize..6,
+            0usize..4,
+            0usize..4,
+            0usize..3,
+        ),
+    );
+    runner
+        .run(
+            &cases,
+            |(src, db, (t1, x1, y1), (t2, l1, l2, l3), ((a1, b1), (a2, b2)), inner)| {
+                let (t3, x3, y3, a3, b3, keep) = inner;
+                let mut head = fusable_chain(
+                    6,
+                    TARGETS[t1],
+                    SOURCES[x1],
+                    SOURCES[y1],
+                    ATTRS[a1],
+                    ATTRS[b1],
+                );
+                head.extend(reorder_chain(
+                    1,
+                    TARGETS[t2],
+                    SOURCES[l1],
+                    SOURCES[l2],
+                    SOURCES[l3],
+                    ATTRS[a2],
+                    ATTRS[b2],
+                ));
+                let mut program = spliced(&src, head, vec![]);
+                let inner = fusable_chain(
+                    5,
+                    TARGETS[t3],
+                    SOURCES[x3],
+                    SOURCES[y3],
+                    ATTRS[a3],
+                    ATTRS[b3],
+                );
+                splice_into_loop(&mut program, inner, 5, keep == 0);
+                each_rule_case(&src, &program, &db).map(|_| ())
+            },
+        )
+        .unwrap();
+    let mut head = fusable_chain(6, "Joined", "R", "S", "A", "C");
+    head.extend(reorder_chain(1, "Chained", "R", "T", "W", "A", "C"));
+    head.extend(restructure_chain(
+        2, "Pivot", "Sales", "Region", "Sold", "Part", true, true,
+    ));
+    let inner = fusable_chain(5, "Looped", "R", "T", "A", "C");
+    let program = spliced(FIXED_SRC, head, inner);
+    let decisions = each_rule_case(FIXED_SRC, &program, &fixed_input())
+        .unwrap_or_else(|e| panic!("fixed program: {e}"))
+        .expect("the fixed program runs");
+    for (rule, n) in ALL_RULES.iter().zip(decisions) {
+        assert!(n > 0, "{rule:?} recorded no decision on the fixed program");
+    }
+}
 
-    /// Each planner rule, applied *alone* with the statistics catalog,
-    /// preserves the visible semantics of the program — the rule-level
-    /// refinement of `planner_on_and_off_agree` (which only checks the
-    /// composed pipeline, where a later rule could mask an earlier
-    /// rule's bug). Programs get a fusable and a reorderable chain in
-    /// the prologue and a fusable chain in the loop body, whose scratch
-    /// is sometimes also read after the loop.
-    #[test]
-    fn each_planner_rule_preserves_semantics(
-        src in arb_program(),
-        db in arb_input(),
-        (t1, x1, y1) in (0usize..5, 0usize..6, 0usize..6),
-        (t2, l1, l2, l3) in (0usize..5, 0usize..6, 0usize..6, 0usize..6),
-        ((a1, b1), (a2, b2)) in ((0usize..4, 0usize..4), (0usize..4, 0usize..4)),
-        (t3, x3, y3, a3, b3, keep) in
-            (0usize..5, 0usize..6, 0usize..6, 0usize..4, 0usize..4, 0usize..3),
-    ) {
-        use tables_paradigm::algebra::{plan_with_rules, ALL_RULES};
-
-        let mut program = parse(&src).unwrap_or_else(|e| {
-            panic!("generated program must parse: {e}\n{src}")
-        });
-        let mut head = fusable_chain(6, TARGETS[t1], SOURCES[x1], SOURCES[y1], ATTRS[a1], ATTRS[b1]);
-        head.extend(reorder_chain(
-            1, TARGETS[t2], SOURCES[l1], SOURCES[l2], SOURCES[l3], ATTRS[a2], ATTRS[b2],
-        ));
-        program.statements.splice(0..0, head);
-        let inner = fusable_chain(5, TARGETS[t3], SOURCES[x3], SOURCES[y3], ATTRS[a3], ATTRS[b3]);
-        splice_into_loop(&mut program, inner, 5, keep == 0);
-
-        let cfg = limits(WhileStrategy::Naive, usize::MAX);
-        let baseline = run_governed_traced(&program, &db, &Budget::from_limits(&cfg));
-        let Ok((base_out, _, _)) = &baseline else {
-            return Ok(());
-        };
-        let expect = canonicalize_fresh(&visible(base_out));
-        for rule in ALL_RULES {
-            let (rewritten, _) = plan_with_rules(&program, Some(&db), &[rule]);
-            match run_governed_traced(&rewritten, &db, &Budget::from_limits(&cfg)) {
-                Ok((got, _, _)) => prop_assert!(
-                    expect == canonicalize_fresh(&visible(&got)),
-                    "rule {:?} changed visible output\nprogram:\n{}",
-                    rule, src
-                ),
-                // A single rule may shift which intermediates
-                // materialize (e.g. pushdown mints per-branch scratch
-                // selects), so a resource trip is tolerated; any other
-                // error is a soundness bug.
-                Err(e) => prop_assert!(
-                    is_resource_trip(&e),
-                    "rule {:?} failed where the original succeeded: {e}\nprogram:\n{}",
-                    rule, src
-                ),
-            }
+/// One case of [`each_planner_rule_preserves_semantics`]: plan `program`
+/// with each rule of `ALL_RULES` alone, check each rewritten program
+/// keeps the visible output, and return each rule's decision count, in
+/// `ALL_RULES` order (`None` when the unplanned run fails).
+fn each_rule_case(
+    src: &str,
+    program: &Program,
+    db: &Database,
+) -> Result<Option<Vec<usize>>, TestCaseError> {
+    let cfg = limits(WhileStrategy::Naive, usize::MAX);
+    let baseline = run_governed_traced(program, db, &Budget::from_limits(&cfg));
+    let Ok((base_out, _, _)) = &baseline else {
+        return Ok(None);
+    };
+    let expect = canonicalize_fresh(&visible(base_out));
+    let mut decisions = Vec::new();
+    for rule in ALL_RULES {
+        let (rewritten, report) = plan_with_rules(program, Some(db), &[rule]);
+        decisions.push(report.rules_applied());
+        match run_governed_traced(&rewritten, db, &Budget::from_limits(&cfg)) {
+            Ok((got, _, _)) => prop_assert!(
+                expect == canonicalize_fresh(&visible(&got)),
+                "rule {:?} changed visible output\nprogram:\n{}",
+                rule,
+                src
+            ),
+            // A single rule may shift which intermediates
+            // materialize (e.g. pushdown mints per-branch scratch
+            // selects), so a resource trip is tolerated; any other
+            // error is a soundness bug.
+            Err(e) => prop_assert!(
+                is_resource_trip(&e),
+                "rule {:?} failed where the original succeeded: {e}\nprogram:\n{}",
+                rule,
+                src
+            ),
         }
     }
+    Ok(Some(decisions))
 }
 
 proptest! {
