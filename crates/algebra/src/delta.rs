@@ -378,7 +378,7 @@ enum Source {
     /// `FUSEDJOIN`: the matches of `r`'s new rows, counted while planning;
     /// `partitioned` when those rows reached the partition threshold.
     Join {
-        probe: ops::JoinProbe,
+        probe: Box<ops::JoinProbe>,
         partitioned: bool,
     },
     /// `RENAME`, `COPY`: `r`'s storage rows from `from` on, unchanged (only
@@ -547,6 +547,7 @@ fn incremental_step(
                     metrics.stats.join_fused += 1;
                     metrics.note_fusion("fused-join");
                     let rows = probe.rows();
+                    let probe = Box::new(probe);
                     let partitioned = fanout.is_some();
                     (Source::Join { probe, partitioned }, rows)
                 }
@@ -746,8 +747,7 @@ fn commit(
         produced_max_cells,
     });
     if incremental {
-        metrics.stats.while_delta_incremental += 1;
-        *metrics.stats.incremental_op_counts.entry(kw).or_default() += 1;
+        metrics.note_incremental(kw);
     }
     Ok(changed)
 }
@@ -1002,6 +1002,12 @@ mod tests {
             .filter(|s| s.decision == DeltaDecision::DeltaSkipped)
             .count();
         assert_eq!(skipped, stats.while_delta_skipped);
+        // One `incremental` span per statement an incremental arm ran.
+        assert!(stats.while_delta_incremental > 0, "{stats:?}");
+        assert_eq!(
+            trace.decision_counts().get("incremental"),
+            Some(&stats.while_delta_incremental)
+        );
         let iters = trace
             .spans()
             .filter(|s| s.kind == SpanKind::WhileIter)

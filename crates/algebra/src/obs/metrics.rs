@@ -35,9 +35,13 @@ struct Pending {
 }
 
 impl Pending {
+    /// Close with `decision`; closing as `Executed` keeps a decision the
+    /// work noted while the span was open ([`Metrics::note_incremental`]).
     fn close(mut self, micros: u128, decision: DeltaDecision) -> Span {
         self.span.micros = micros;
-        self.span.decision = decision;
+        if decision != DeltaDecision::Executed {
+            self.span.decision = decision;
+        }
         self.span.cow_copies = tabular_core::stats::cow_copies().saturating_sub(self.cow_base);
         self.span
     }
@@ -164,6 +168,16 @@ impl Metrics {
             if p.span.fusion != Some("fallback-unfused") {
                 p.span.fusion = Some(decision);
             }
+        }
+    }
+
+    /// Count a statement that one of the delta engine's incremental arms
+    /// ran under its keyword `kw`, and mark its open span `incremental`.
+    pub(crate) fn note_incremental(&mut self, kw: &'static str) {
+        self.stats.while_delta_incremental += 1;
+        *self.stats.incremental_op_counts.entry(kw).or_default() += 1;
+        if let Some(p) = self.stack.last_mut() {
+            p.span.decision = DeltaDecision::Incremental;
         }
     }
 

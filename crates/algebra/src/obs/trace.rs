@@ -5,11 +5,11 @@
 //! structure to answer "where did the time go and why": the operation
 //! keyword, how many argument combinations matched, the cells read and
 //! produced, the wall time, and the delta-strategy decision
-//! (`executed | delta-skipped | fallback-naive | aborted`). Spans form a tree via
-//! parent ids (iterations parent the statements of their body pass,
-//! statements parent their shard jobs) and collect into a [`Trace`] — a
-//! bounded ring buffer, so tracing a diverging loop cannot exhaust
-//! memory: once [`Trace::CAPACITY`] spans are held, the oldest are
+//! (`executed | incremental | delta-skipped | fallback-naive | aborted`).
+//! Spans form a tree via parent ids (iterations parent the statements of
+//! their body pass, statements parent their shard jobs) and collect into
+//! a [`Trace`] — a bounded ring buffer, so tracing a diverging loop cannot
+//! exhaust memory: once [`Trace::CAPACITY`] spans are held, the oldest are
 //! dropped and counted in [`Trace::dropped`].
 //!
 //! Tracing is gated by [`TraceLevel`] on `EvalLimits::trace`:
@@ -80,8 +80,12 @@ impl SpanKind {
 /// The delta-strategy decision a span records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeltaDecision {
-    /// The work ran (naively or via the append-incremental path).
+    /// The work ran by fresh evaluation.
     Executed,
+    /// One of the delta engine's incremental arms ran the statement: an
+    /// append onto its cached output, or the incremental `DIFFERENCE`
+    /// (each counted in `EvalStats::while_delta_incremental`).
+    Incremental,
     /// The delta strategy proved re-execution a no-op and skipped it;
     /// `matched`/`output_cells` carry the memoized shape of what naive
     /// re-execution would have reproduced.
@@ -100,6 +104,7 @@ impl DeltaDecision {
     pub(crate) fn as_str(self) -> &'static str {
         match self {
             DeltaDecision::Executed => "executed",
+            DeltaDecision::Incremental => "incremental",
             DeltaDecision::DeltaSkipped => "delta-skipped",
             DeltaDecision::FallbackNaive => "fallback-naive",
             DeltaDecision::Aborted => "aborted",

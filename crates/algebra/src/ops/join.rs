@@ -16,12 +16,12 @@
 //! fall back to the unfused `product` + `select` pipeline, because weak
 //! equality then compares entry *sets* spanning both operands.
 //!
-//! There is one kernel, in two passes. [`JoinProbe::count`] builds the
-//! index of `σ` once and counts the matches of each contiguous range of
-//! probe rows; the caller reads the total ([`JoinProbe::rows`]) and may
-//! refuse it before any output exists. [`JoinProbe::scatter`] then
-//! appends the rows into one exact-size extension, each range writing
-//! its own window. A fresh join scatters from probe row 1 into the
+//! There is one kernel, in two passes. [`JoinProbe::count`] indexes
+//! `σ`'s key column once, on the algebra's one row index, and counts the
+//! matches of each contiguous range of probe rows; the caller reads the
+//! total ([`JoinProbe::rows`]) and may refuse it before any output
+//! exists. [`JoinProbe::scatter`] then appends the rows into one
+//! exact-size extension, each range writing its own window. A fresh join scatters from probe row 1 into the
 //! product's header ([`product_header`](crate::ops::product_header));
 //! the delta engine's incremental step scatters the appended probe rows
 //! into its cached output. With one range both
@@ -29,9 +29,9 @@
 //! executor, and the output is the same bytes either way, because
 //! ranges are contiguous and windows are placed by prefix sums.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
+use super::row_index::RowIndex;
 use crate::error::Result;
 use crate::pool::Executor;
 use tabular_core::{Symbol, Table};
@@ -102,7 +102,7 @@ struct ProbeRange {
     micros: u128,
 }
 
-/// A counted join: the hash index of the build side `σ`, and the matches
+/// A counted join: the key index of the build side `σ`, and the matches
 /// of each probe range of `ρ`. Nothing of the output exists yet, so the
 /// caller can admit or refuse [`JoinProbe::rows`] before
 /// [`JoinProbe::scatter`] writes them. The operands are held as handles
@@ -112,7 +112,7 @@ pub struct JoinProbe {
     r: Table,
     s: Table,
     cols: JoinCols,
-    index: HashMap<Symbol, Vec<usize>>,
+    index: KeyIndex,
     ranges: Vec<ProbeRange>,
 }
 
@@ -132,7 +132,7 @@ impl JoinProbe {
         shards: usize,
         poll: &(dyn Fn() -> Result<()> + Sync),
     ) -> Result<JoinProbe> {
-        let index = build_index(s, cols.right);
+        let index = KeyIndex::build(s, cols.right);
         let end = r.height() + 1;
         let per_range = end.saturating_sub(from_row).div_ceil(shards.max(1)).max(1);
         let spans = (from_row..end)
@@ -144,7 +144,7 @@ impl JoinProbe {
                 if (i - lo) % POLL_STRIDE == 0 {
                     poll()?;
                 }
-                Ok(n + index.get(&r.get(i, cols.left)).map_or(0, Vec::len))
+                Ok(n + index.rows(r.get(i, cols.left)).len())
             })?;
             let micros = start.elapsed().as_micros();
             Ok(ProbeRange {
@@ -217,7 +217,7 @@ impl JoinProbe {
                         if (i - range.lo) % POLL_STRIDE == 0 {
                             poll()?;
                         }
-                        for &k in index.get(&r.get(i, cols.left)).into_iter().flatten() {
+                        for &k in index.rows(r.get(i, cols.left)) {
                             let attr = r.get(i, 0).join(s.get(k, 0)).unwrap_or_else(|| r.get(i, 0));
                             let dst = rows.next().expect("the count pass sized the window");
                             dst[0].write(attr);
@@ -245,15 +245,48 @@ impl JoinProbe {
     }
 }
 
-/// Hash the build side's key column: key symbol → ascending row indices.
-/// ⊥ keys are indexed like any other symbol, so ⊥ joins exactly ⊥ — the
-/// singleton-weak-equality semantics the fusion precondition guarantees.
-fn build_index(s: &Table, key_col: usize) -> HashMap<Symbol, Vec<usize>> {
-    let mut index: HashMap<Symbol, Vec<usize>> = HashMap::new();
-    for k in 1..=s.height() {
-        index.entry(s.get(k, key_col)).or_default().push(k);
+/// The build side's key column, indexed: each distinct key is a
+/// [`RowIndex`] id (rows of one symbol), and its build rows, ascending,
+/// are `rows[starts[id]..starts[id + 1]]`. ⊥ is a key like any other
+/// symbol, so ⊥ joins exactly ⊥ — the singleton-weak-equality semantics
+/// the fusion precondition guarantees.
+struct KeyIndex {
+    keys: RowIndex,
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl KeyIndex {
+    fn build(s: &Table, key_col: usize) -> KeyIndex {
+        let mut keys = RowIndex::new(1, s.height());
+        let ids: Vec<usize> = (1..=s.height())
+            .map(|k| keys.insert(&[s.get(k, key_col)]).0)
+            .collect();
+        // Counting sort of the build rows by key id: a prefix sum of the
+        // counts places each key's run, and filling in row order keeps
+        // every run ascending.
+        let mut starts = vec![0; keys.len() + 1];
+        for &id in &ids {
+            starts[id + 1] += 1;
+        }
+        for id in 1..starts.len() {
+            starts[id] += starts[id - 1];
+        }
+        let mut next = starts.clone();
+        let mut rows = vec![0; ids.len()];
+        for (k, &id) in (1..).zip(&ids) {
+            rows[next[id]] = k;
+            next[id] += 1;
+        }
+        KeyIndex { keys, starts, rows }
     }
-    index
+
+    /// The build rows whose key is `key`, ascending.
+    fn rows(&self, key: Symbol) -> &[usize] {
+        self.keys
+            .id(&[key])
+            .map_or(&[], |id| &self.rows[self.starts[id]..self.starts[id + 1]])
+    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! The one row index of the algebra.
 //!
 //! Clean-up, purge, split, merge, the fused restructure, difference,
-//! intersection and classical union each decide which rows (or columns,
-//! read through their key cells) carry the same key. [`RowIndex`] makes
-//! that decision for all of them, and the delta `while` engine keeps one
-//! per accumulator along append lineage and probes it through the same
-//! operations.
+//! intersection, classical union and the hash join each decide which rows
+//! (or columns, read through their key cells) carry the same key.
+//! [`RowIndex`] makes that decision for all of them, and the delta
+//! `while` engine keeps one per accumulator along append lineage and
+//! probes it through the same operations.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -77,8 +77,13 @@ impl RowIndex {
         self.rows
     }
 
+    /// The id of `row`, if the index holds it.
+    pub(crate) fn id(&self, row: &[Symbol]) -> Option<usize> {
+        self.find(row_hash(row), row)
+    }
+
     pub(crate) fn contains(&self, row: &[Symbol]) -> bool {
-        self.find(row_hash(row), row).is_some()
+        self.id(row).is_some()
     }
 
     fn find(&self, hash: u64, row: &[Symbol]) -> Option<usize> {
@@ -162,6 +167,8 @@ mod tests {
         assert_eq!(index.row(1), &[v("b"), v("a")]);
         assert_eq!(index.rows(), &[v("a"), Symbol::Null, v("b"), v("a")]);
         assert!(!index.contains(&[v("a"), v("b")]));
+        assert_eq!(index.id(&[v("b"), v("a")]), Some(1));
+        assert_eq!(index.id(&[v("a"), v("b")]), None);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! defaults), so sorts round-trip exactly.
 
 use crate::error::CoreError;
-use crate::interner;
 use crate::symbol::cell_tag;
 use crate::table::Table;
 use std::fmt::Write as _;
@@ -40,8 +39,8 @@ pub fn to_csv(t: &Table) -> String {
 /// writer. Each cell's sort tag ([`cell_tag`]), its CSV quoting (a cell
 /// holding `,`, `"`, `\n` or `\r` is quoted, with `"` doubled) and, in
 /// [`Escape::Json`], its JSON escaping are decided in one pass over its
-/// text, with no allocation per cell. Symbols are resolved a chunk of
-/// cells at a time, under one read of the interner per chunk.
+/// text, with no allocation per cell. Each cell's text is read through
+/// [`Symbol::text`](crate::Symbol::text), which takes no lock.
 pub fn write_csv(t: &Table, escape: Escape, out: &mut String) {
     let newline = match escape {
         Escape::Csv => "\n",
@@ -49,31 +48,20 @@ pub fn write_csv(t: &Table, escape: Escape, out: &mut String) {
     };
     let last_col = t.width();
     let (mut i, mut j) = (0, 0);
-    let cells = t.cells();
-    let mut texts = Vec::with_capacity(cells.len().min(RESOLVE_CHUNK));
-    for chunk in cells.chunks(RESOLVE_CHUNK) {
-        texts.clear();
-        interner::pool().resolve_batch(chunk.iter().map(|s| s.istr()), &mut texts);
-        for (&sym, text) in chunk.iter().zip(&texts) {
-            if j > 0 {
-                out.push(',');
-            }
-            let text = text.unwrap_or("_");
-            write_cell(cell_tag(sym, text, i == 0 || j == 0), text, escape, out);
-            if j == last_col {
-                out.push_str(newline);
-                (i, j) = (i + 1, 0);
-            } else {
-                j += 1;
-            }
+    for &sym in t.cells() {
+        if j > 0 {
+            out.push(',');
+        }
+        let text = sym.text().unwrap_or("_");
+        write_cell(cell_tag(sym, text, i == 0 || j == 0), text, escape, out);
+        if j == last_col {
+            out.push_str(newline);
+            (i, j) = (i + 1, 0);
+        } else {
+            j += 1;
         }
     }
 }
-
-/// How many cells [`write_csv`] resolves per read of the interner: few
-/// enough that interning threads wait only briefly, many enough that the
-/// lock is not taken per cell.
-const RESOLVE_CHUNK: usize = 256;
 
 /// Append `t`'s CSV, escaped as a JSON string body, to `out`, from the
 /// rendering cached with the table's shared cell buffer (see the

@@ -68,6 +68,7 @@ impl Symbol {
     }
 
     /// The underlying string, or `None` for ⊥.
+    #[inline]
     pub fn text(self) -> Option<&'static str> {
         self.istr().map(Istr::as_str)
     }

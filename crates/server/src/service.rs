@@ -24,6 +24,10 @@
 //! | `POST /sessions/{id}/tables`   | upload one CSV table (core `io`)    |
 //! | `POST /sessions/{id}/query`    | run program(s); see below           |
 //!
+//! Besides its own counters, `/stats` reports the process interner:
+//! `interned_symbols` distinct strings holding `interned_bytes` bytes,
+//! which stay until the process exits.
+//!
 //! Query bodies are `{"program": "…"}` or `{"programs": ["…", …]}`.
 //! Query params: `plan=1` attaches the cost-based planner's
 //! [`PlanReport`]; `trace=spans` attaches the span trace
@@ -223,7 +227,8 @@ impl Service {
              \"budget_trips\":{},\"disconnect_cancels\":{},\"connections_open\":{},\
              \"connections_accepted\":{},\"pipelined_requests\":{},\
              \"worker_busy_us\":{},\"reactor_busy_us\":{},\"request_panics\":{},\
-             \"render_cache_hits\":{},\"render_cache_misses\":{}}}",
+             \"render_cache_hits\":{},\"render_cache_misses\":{},\
+             \"interned_symbols\":{},\"interned_bytes\":{}}}",
             self.sessions.len(),
             self.counters.requests.load(Ordering::Relaxed),
             self.counters.queries.load(Ordering::Relaxed),
@@ -237,6 +242,8 @@ impl Service {
             self.counters.request_panics.load(Ordering::Relaxed),
             self.counters.render_cache_hits.load(Ordering::Relaxed),
             self.counters.render_cache_misses.load(Ordering::Relaxed),
+            interner::pool().len(),
+            interner::pool().bytes(),
         )
     }
 

@@ -755,6 +755,37 @@ fn stats_reports_reactor_counters() {
 }
 
 #[test]
+fn stats_count_the_interner() {
+    let (addr, _) = start(None, None);
+    let session = open_session(addr);
+    let interned = || {
+        let (_, body) = http(addr, "GET", "/stats", "");
+        let stats = json::parse(&body).unwrap();
+        let num = |k: &str| {
+            stats
+                .get(k)
+                .and_then(json::Json::as_num)
+                .unwrap_or_else(|| panic!("stats missing {k}: {body}"))
+        };
+        (num("interned_symbols"), num("interned_bytes"))
+    };
+    // Every cell, the table name and the row attributes included, is a
+    // string no other test interns.
+    let cells: Vec<Vec<String>> = (0..=40)
+        .map(|i| (0..3).map(|j| format!("stats_interner_{i}_{j}")).collect())
+        .collect();
+    let csv: String = cells.iter().map(|row| row.join(",") + "\n").collect();
+    let count = cells.iter().map(Vec::len).sum::<usize>() as f64;
+    let bytes = cells.iter().flatten().map(String::len).sum::<usize>() as f64;
+    let (symbols_before, bytes_before) = interned();
+    upload(addr, &session, &csv);
+    let (symbols_after, bytes_after) = interned();
+    // Other tests intern concurrently, so the counters may grow by more.
+    assert!(symbols_after - symbols_before >= count);
+    assert!(bytes_after - bytes_before >= bytes);
+}
+
+#[test]
 fn plan_and_trace_attachments_render() {
     let (addr, _) = start(None, None);
     let session = open_session(addr);
