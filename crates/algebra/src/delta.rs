@@ -57,7 +57,7 @@ use crate::ops;
 use crate::ops::traditional::{aligned_distinct_schemes, difference_rows};
 use crate::plan::read_set;
 use crate::program::{Assignment, OpKind, Statement};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use tabular_core::{Database, Symbol, SymbolSet, Table};
 
 /// True when a `while` body is eligible for delta-driven evaluation
@@ -280,7 +280,6 @@ pub(crate) fn run_delta_iteration(
     cx: Exec<'_>,
     metrics: &mut Metrics,
 ) -> Result<()> {
-    let mut dirty: HashSet<Symbol> = HashSet::new();
     for (idx, stmt) in body.iter().enumerate() {
         // Poll before the skip check so even all-skip iterations stop at
         // statement granularity.
@@ -333,7 +332,7 @@ pub(crate) fn run_delta_iteration(
             })?;
             continue;
         }
-        let changed = run_statement(kw, false, metrics, |m| {
+        run_statement(kw, false, metrics, |m| {
             let outcome = plan_step(st, idx, a, target, &reads, &read_versions, db, cx, m)
                 .and_then(|step| commit(st, idx, kw, target, read_versions, step, db, cx, m));
             if outcome.is_err() {
@@ -347,11 +346,7 @@ pub(crate) fn run_delta_iteration(
             }
             outcome
         })?;
-        if changed {
-            dirty.insert(target);
-        }
     }
-    metrics.stats.delta_dirty_sizes.push(dirty.len());
     Ok(())
 }
 
@@ -619,8 +614,7 @@ fn incremental_step(
 
 /// Settle one body statement's step: commit it to the store, record the
 /// target's lineage, write the statement's memo, and count an
-/// incremental step under its keyword `kw`. Returns whether the target's
-/// group changed.
+/// incremental step under its keyword `kw`.
 #[allow(clippy::too_many_arguments)] // internal plumbing of the delta loop
 fn commit(
     st: &mut DeltaState,
@@ -632,7 +626,7 @@ fn commit(
     db: &mut Database,
     cx: Exec<'_>,
     metrics: &mut Metrics,
-) -> Result<bool> {
+) -> Result<()> {
     let old_version = group_version(db, target);
     let incremental = !matches!(
         step,
@@ -749,7 +743,7 @@ fn commit(
     if incremental {
         metrics.note_incremental(kw);
     }
-    Ok(changed)
+    Ok(())
 }
 
 /// Compare the produced tables against the target's current group. The
@@ -948,9 +942,6 @@ mod tests {
             stats.while_delta_skipped > 0,
             "the loop-invariant EStep copy skips after its first run"
         );
-        assert!(!stats.delta_dirty_sizes.is_empty());
-        // Until the loop exits, every iteration changes at least `Delta`.
-        assert!(stats.delta_dirty_sizes.iter().all(|&d| d >= 1));
     }
 
     #[test]
@@ -1106,7 +1097,7 @@ mod tests {
             &Budget::from_limits(&limits(WhileStrategy::Delta)),
         )
         .unwrap();
-        assert_eq!(stats.delta_dirty_sizes.len(), 3, "three iterations");
+        assert_eq!(stats.while_iterations, 3, "three iterations");
         assert!(stats.while_delta_skipped > 0);
         for name in ["P", "Q", "V", "R", "W", "W2", "W3", "G", "N"] {
             assert_eq!(
@@ -1239,24 +1230,5 @@ mod tests {
         assert_eq!(out.table_str("P").unwrap().height(), 1);
         // Three iterations; S and P both skip in iterations 2 and 3.
         assert!(stats.while_delta_skipped >= 4, "{stats:?}");
-    }
-
-    #[test]
-    fn incremental_append_commits_in_place_without_copying() {
-        // A pure accumulation loop: TC's product chain grows by appended
-        // rows each iteration. The in-place commit must not clone the
-        // cached outputs, so the per-iteration CoW copies stay bounded by
-        // the handful of replace-committed tables, not the product size.
-        let p = tc_program();
-        let db = chain(8);
-        let (_, stats, _) =
-            run_governed_traced(&p, &db, &Budget::from_limits(&limits(WhileStrategy::Delta)))
-                .unwrap();
-        // The run snapshots once up front; every other snapshot/CoW event
-        // would indicate an accidental deep copy on the hot path. We
-        // assert the loose process-wide bound only (parallel tests share
-        // the counters): the incremental path exercised above must not
-        // scale CoW copies with iterations × product cells.
-        assert!(stats.snapshots >= 1);
     }
 }

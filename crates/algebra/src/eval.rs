@@ -168,19 +168,12 @@ pub struct EvalStats {
     /// applicability check and ran the staged
     /// `GROUP → CLEAN-UP (→ PURGE)` pipeline.
     pub restructure_unfused: usize,
-    /// Per-iteration dirty-set sizes (number of names whose contents
-    /// changed during the iteration) across all delta-evaluated loops, in
-    /// execution order.
-    pub delta_dirty_sizes: Vec<usize>,
-    /// Database snapshots (O(1) handle clones) taken during the run,
-    /// including the run's own initial snapshot of the input. Measured by
-    /// differencing the process-wide [`tabular_core::stats`] counters, so
-    /// concurrent evaluations in one process may bleed into each other's
-    /// figures; exact when the process runs one evaluation at a time.
-    pub snapshots: u64,
     /// Table cell buffers materialized by copy-on-write during the run —
     /// mutations of tables whose buffers were shared with a snapshot.
-    /// Same measurement caveat as [`EvalStats::snapshots`].
+    /// Measured by differencing the process-wide [`tabular_core::stats`]
+    /// counter, so concurrent evaluations in one process may bleed into
+    /// each other's figures; exact when the process runs one evaluation
+    /// at a time.
     pub cow_copies: u64,
     /// Statements of the submitted program removed, replaced, or moved by
     /// the cost-based planner before execution (set by
@@ -225,7 +218,6 @@ pub fn run_governed_traced(
 ) -> Result<(Database, EvalStats, Trace)> {
     let limits = &budget.limits;
     let gov = Governor::new(budget);
-    let snapshots_base = tabular_core::stats::snapshots();
     let cow_base = tabular_core::stats::cow_copies();
     let mut state = db.snapshot();
     let mut metrics = Metrics::new(limits.trace);
@@ -237,7 +229,6 @@ pub fn run_governed_traced(
     };
     let outcome = run_statements(&program.statements, &mut state, cx, &mut metrics);
     metrics.stats.total_micros = start.elapsed().as_micros();
-    metrics.stats.snapshots = tabular_core::stats::snapshots().saturating_sub(snapshots_base);
     metrics.stats.cow_copies = tabular_core::stats::cow_copies().saturating_sub(cow_base);
     match outcome {
         Ok(()) => {
@@ -429,12 +420,12 @@ fn run_while(
 /// count. On a budget trip the span stays open for the abort drain and
 /// nothing is recorded, so partial stats agree across strategies at the
 /// trip point.
-pub(crate) fn run_statement<T>(
+pub(crate) fn run_statement(
     op: &'static str,
     skipped: bool,
     metrics: &mut Metrics,
-    body: impl FnOnce(&mut Metrics) -> Result<T>,
-) -> Result<T> {
+    body: impl FnOnce(&mut Metrics) -> Result<()>,
+) -> Result<()> {
     metrics.begin(SpanKind::Assign, op, None);
     let start = (!skipped).then(Metrics::timer);
     let outcome = body(metrics);

@@ -56,7 +56,7 @@ pub fn set_new(r: &Table, a: Symbol, name: Symbol, max_rows: usize) -> Result<Ta
                 let mut row = Vec::with_capacity(r.width() + 2);
                 row.extend_from_slice(r.storage_row(i));
                 row.push(tag);
-                t.push_row(row);
+                t.push_row(&row);
             }
         }
     }

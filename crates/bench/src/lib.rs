@@ -158,7 +158,7 @@ pub fn cleanup_naive(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) ->
             .cloned()
             .unwrap_or_else(|| vec![i]);
         if group.len() == 1 && group[0] == i && !on.contains(r.get(i, 0)) {
-            t.push_row(r.storage_row(i).to_vec());
+            t.push_row(r.storage_row(i));
             continue;
         }
         // Candidate join: accumulate, then verify by *pairwise
@@ -183,16 +183,16 @@ pub fn cleanup_naive(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) ->
                 for j in 1..=r.width() {
                     c.set(0, j, r.col_attr(j));
                 }
-                c.push_row(acc.clone());
+                c.push_row(&acc);
                 c
             };
             ok = group.iter().all(|&g| r.row_subsumed_by(g, &candidate, 1));
         }
         if ok {
-            t.push_row(acc);
+            t.push_row(&acc);
         } else {
             for &g in &group {
-                t.push_row(r.storage_row(g).to_vec());
+                t.push_row(r.storage_row(g));
             }
         }
         for &g in &group {

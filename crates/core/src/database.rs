@@ -16,8 +16,7 @@
 //! set semantics never depend on hash collisions). Cloning a database —
 //! [`Database::snapshot`] — copies one pointer. Mutating a shared
 //! database copies the store (table *handles* and indexes, never cell
-//! buffers) via [`Arc::make_mut`]; both events are counted in
-//! [`crate::stats`].
+//! buffers) via [`Arc::make_mut`].
 
 use crate::symbol::Symbol;
 use crate::table::Table;
@@ -27,7 +26,7 @@ use std::sync::Arc;
 
 /// The shared storage behind [`Database`] handles: insertion-ordered
 /// tables plus name and fingerprint indexes (see the module docs).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct TableStore {
     tables: Vec<Table>,
     /// name → indices into `tables`, ascending (insertion order).
@@ -35,17 +34,6 @@ struct TableStore {
     /// fingerprint → indices into `tables`; candidates for dedup, always
     /// confirmed by exact equality.
     by_fp: HashMap<u64, Vec<u32>>,
-}
-
-impl Clone for TableStore {
-    fn clone(&self) -> TableStore {
-        crate::stats::record_store_copy();
-        TableStore {
-            tables: self.tables.clone(),
-            by_name: self.by_name.clone(),
-            by_fp: self.by_fp.clone(),
-        }
-    }
 }
 
 impl TableStore {
@@ -76,18 +64,9 @@ impl TableStore {
 ///
 /// Cloning is an O(1) snapshot: handles share the store until one of them
 /// mutates (see the module docs).
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Database {
     store: Arc<TableStore>,
-}
-
-impl Clone for Database {
-    fn clone(&self) -> Database {
-        crate::stats::record_snapshot();
-        Database {
-            store: Arc::clone(&self.store),
-        }
-    }
 }
 
 impl PartialEq for Database {
@@ -504,7 +483,7 @@ mod tests {
         let db = Database::from_tables([t("R", "1"), t("S", "2")]);
         let mut snap = db.snapshot();
         assert!(snap.update_named(Symbol::name("R"), |tab| {
-            tab.push_row(vec![Symbol::Null, Symbol::value("9")]);
+            tab.push_row(&[Symbol::Null, Symbol::value("9")]);
         }));
         assert_eq!(db.table_str("R").unwrap().height(), 1);
         assert_eq!(snap.table_str("R").unwrap().height(), 2);

@@ -320,7 +320,7 @@ pub fn make_sales_info4(parts: usize, regions: usize) -> Database {
         t.set(1, 2, region);
         for p in 0..parts {
             if let Some(s) = sold_amount(p, r) {
-                t.push_row(vec![
+                t.push_row(&[
                     Symbol::Null,
                     Symbol::value(&part_name(p)),
                     Symbol::value(&s.to_string()),

@@ -221,6 +221,12 @@ mod tests {
         assert!(csv.contains("\"v:a,b\""));
         let back = from_csv(&csv).unwrap();
         assert_eq!(back, t);
+        // Texts that would read as ⊥ or as a tag are tagged, whatever
+        // their position's default sort.
+        let t = Table::from_grid(&[&["T", "n:_", "v:⊥"], &["v:row", "v:_", "n:v:x"]]).unwrap();
+        let csv = to_csv(&t);
+        assert_eq!(csv, "T,n:_,v:⊥\nv:row,v:_,n:v:x\n");
+        assert_eq!(from_csv(&csv).unwrap(), t);
     }
 
     #[test]

@@ -44,8 +44,6 @@ pub mod symbol;
 pub mod table;
 pub mod weak;
 
-mod serde_impl;
-
 pub use database::Database;
 pub use error::CoreError;
 pub use interner::Istr;

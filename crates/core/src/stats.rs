@@ -1,29 +1,21 @@
-//! Process-wide storage-engine counters.
+//! Process-wide storage-engine counter.
 //!
 //! The structurally shared store ([`crate::Table`], [`crate::Database`])
-//! makes three events interesting that a deep-copy store has no use for:
-//! taking an O(1) *snapshot* (cloning a database handle), materializing a
-//! table's cell buffer under copy-on-write (a *CoW copy*), and copying the
-//! store's handle vector when a shared database is mutated (a *store
-//! copy*). These counters are the ground truth that the evaluator's
-//! `EvalStats` and the allocation-regression test read: they are global
-//! monotonic totals, so callers measure a region of interest by
-//! differencing (`let before = cow_copies(); …; cow_copies() - before`).
+//! makes one event interesting that a deep-copy store has no use for:
+//! materializing a table's cell buffer under copy-on-write (a *CoW
+//! copy*). This counter is the ground truth that the evaluator's
+//! `EvalStats::cow_copies`, the traced spans and the
+//! allocation-regression test read: it is a global monotonic total, so
+//! callers measure a region of interest by differencing
+//! (`let before = cow_copies(); …; cow_copies() - before`).
 //!
-//! The counters are `Relaxed` atomics — they order nothing and cost one
+//! The counter is a `Relaxed` atomic — it orders nothing and costs one
 //! uncontended RMW per event, which only fires on the cold (copying)
-//! paths anyway.
+//! path anyway.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-static SNAPSHOTS: AtomicU64 = AtomicU64::new(0);
 static COW_COPIES: AtomicU64 = AtomicU64::new(0);
-static STORE_COPIES: AtomicU64 = AtomicU64::new(0);
-
-/// Total database snapshots (handle clones) taken by this process.
-pub fn snapshots() -> u64 {
-    SNAPSHOTS.load(Ordering::Relaxed)
-}
 
 /// Total table cell buffers materialized by copy-on-write: mutations of
 /// a table whose cells were shared with at least one other handle.
@@ -31,23 +23,8 @@ pub fn cow_copies() -> u64 {
     COW_COPIES.load(Ordering::Relaxed)
 }
 
-/// Total store (table-handle vector + indexes) copies made when mutating
-/// a database whose store was shared with a snapshot. A store copy
-/// duplicates the *handles*, never the cell buffers.
-pub fn store_copies() -> u64 {
-    STORE_COPIES.load(Ordering::Relaxed)
-}
-
-pub(crate) fn record_snapshot() {
-    SNAPSHOTS.fetch_add(1, Ordering::Relaxed);
-}
-
 pub(crate) fn record_cow_copy() {
     COW_COPIES.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn record_store_copy() {
-    STORE_COPIES.fetch_add(1, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -56,12 +33,8 @@ mod tests {
 
     #[test]
     fn counters_are_monotonic() {
-        let (s0, c0, t0) = (snapshots(), cow_copies(), store_copies());
-        record_snapshot();
+        let c0 = cow_copies();
         record_cow_copy();
-        record_store_copy();
-        assert!(snapshots() > s0);
         assert!(cow_copies() > c0);
-        assert!(store_copies() > t0);
     }
 }

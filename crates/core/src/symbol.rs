@@ -163,8 +163,8 @@ impl fmt::Display for Symbol {
     }
 }
 
-/// Parse the grid cell syntax used by [`crate::Table::from_grid`]
-/// (crate::Table::from_grid) and the serde representation:
+/// Parse the grid cell syntax used by [`crate::Table::from_grid`] and
+/// the CSV cells of [`crate::io`]:
 ///
 /// * `"_"` or `"⊥"` → ⊥
 /// * `"n:xyz"` → the name `xyz`
@@ -192,16 +192,10 @@ pub fn parse_cell(cell: &str, default_sort: fn(&str) -> Symbol) -> Symbol {
     }
 }
 
-/// Render a symbol in the grid cell syntax, round-tripping through
-/// [`parse_cell`] with the given positional default.
-pub fn render_cell(sym: Symbol, default_is_name: bool) -> String {
-    let text = sym.text().unwrap_or("_");
-    format!("{}{text}", cell_tag(sym, text, default_is_name))
-}
-
 /// The sort tag (`""`, `"n:"` or `"v:"`) that precedes `text`, the text
 /// of `sym` (`"_"` for ⊥), in the grid cell syntax: the one tag decision
-/// behind [`render_cell`] and the CSV cell writer of [`crate::io`]. A
+/// of the CSV cell writer of [`crate::io`], so that the written cell
+/// round-trips through [`parse_cell`] with the positional default. A
 /// symbol is tagged when its sort differs from the positional default or
 /// its text would read as ⊥ or as a tag.
 pub fn cell_tag(sym: Symbol, text: &str, default_is_name: bool) -> &'static str {
@@ -255,6 +249,12 @@ pub mod uninterned {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cell as the CSV writer spells it: the tag, then the text.
+    fn render(sym: Symbol, default_is_name: bool) -> String {
+        let text = sym.text().unwrap_or("_");
+        format!("{}{text}", cell_tag(sym, text, default_is_name))
+    }
 
     #[test]
     fn sorts_are_distinct() {
@@ -330,7 +330,7 @@ mod tests {
                 Symbol::value
             };
             let sym = parse_cell(cell, sort);
-            let rendered = render_cell(sym, default_name);
+            let rendered = render(sym, default_name);
             assert_eq!(parse_cell(&rendered, sort), sym, "cell {cell:?}");
         }
     }
@@ -339,7 +339,7 @@ mod tests {
     fn cell_syntax_handles_literal_underscore_value() {
         // A value spelled "_" must render tagged to avoid being read as ⊥.
         let sym = Symbol::value("_");
-        let rendered = render_cell(sym, false);
+        let rendered = render(sym, false);
         assert_eq!(rendered, "v:_");
         assert_eq!(parse_cell(&rendered, Symbol::value), sym);
     }

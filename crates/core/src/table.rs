@@ -332,20 +332,6 @@ impl Table {
         self.cells.syms[self.idx(i, j)]
     }
 
-    /// Checked variant of [`Table::get`].
-    pub fn try_get(&self, i: usize, j: usize) -> Result<Symbol, CoreError> {
-        if i <= self.height && j <= self.width {
-            Ok(self.cells.syms[self.idx(i, j)])
-        } else {
-            Err(CoreError::OutOfBounds {
-                row: i,
-                col: j,
-                height: self.height,
-                width: self.width,
-            })
-        }
-    }
-
     /// Overwrite the entry `τᵢ^j`.
     #[inline]
     pub fn set(&mut self, i: usize, j: usize, s: Symbol) {
@@ -513,13 +499,7 @@ impl Table {
 
     /// Append a data row: `row[0]` is the row attribute, `row[1..]` the
     /// data entries. Length must be `width + 1`.
-    pub fn push_row(&mut self, row: Vec<Symbol>) {
-        self.push_row_slice(&row);
-    }
-
-    /// Append a data row given as a slice (row attribute first), avoiding
-    /// the caller-side `Vec` of [`Table::push_row`].
-    pub fn push_row_slice(&mut self, row: &[Symbol]) {
+    pub fn push_row(&mut self, row: &[Symbol]) {
         self.append_rows(|rows| rows.push_row(row));
     }
 
@@ -956,8 +936,8 @@ mod tests {
             Symbol::value("east"),
             Symbol::value("80"),
         ];
-        b.push_row_slice(&row);
-        b.push_row_slice(&row);
+        b.push_row(&row);
+        b.push_row(&row);
         // SAFETY: the closure writes every cell of the extension.
         unsafe {
             a.append_rows_uninit(2, |fresh| {
@@ -1071,7 +1051,7 @@ mod tests {
     #[test]
     fn push_and_select() {
         let mut t = sales();
-        t.push_row(vec![
+        t.push_row(&[
             Symbol::Null,
             Symbol::value("screws"),
             Symbol::value("north"),
@@ -1149,13 +1129,6 @@ mod tests {
     }
 
     #[test]
-    fn try_get_bounds() {
-        let t = sales();
-        assert!(t.try_get(0, 0).is_ok());
-        assert!(t.try_get(4, 0).is_err());
-    }
-
-    #[test]
     fn clone_shares_cells_until_mutation() {
         let t = sales();
         let mut c = t.clone();
@@ -1217,21 +1190,6 @@ mod tests {
         let c = Table::relational("U", &["A"], &[&["1"]]);
         assert_ne!(a.fingerprint(), b.fingerprint());
         assert_ne!(a.fingerprint(), c.fingerprint());
-    }
-
-    #[test]
-    fn push_row_slice_matches_push_row() {
-        let mut a = sales();
-        let mut b = sales();
-        let row = vec![
-            Symbol::Null,
-            Symbol::value("screws"),
-            Symbol::value("north"),
-            Symbol::value("60"),
-        ];
-        a.push_row(row.clone());
-        b.push_row_slice(&row);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -170,15 +170,7 @@ fn compile_statements(stmts: &[GoodStatement], fo: &mut FoProgram, n: &mut u32) 
                 *n += 1;
                 let derived = format!("\u{1F}gder{n}");
                 let delta = format!("\u{1F}gdelta{n}");
-                let step = |p: FoProgram| {
-                    p.assign(&derived, union.clone())
-                        .assign(&delta, RelExpr::rel(&derived).minus(RelExpr::rel("Edge")))
-                        .assign("Edge", RelExpr::rel("Edge").union(RelExpr::rel(&delta)))
-                };
-                let mut program = std::mem::take(fo);
-                program = step(program);
-                let body_fo = step(FoProgram::new());
-                *fo = program.while_nonempty(&delta, body_fo);
+                *fo = std::mem::take(fo).fixpoint("Edge", union, &derived, &delta);
             }
         }
     }

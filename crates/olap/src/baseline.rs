@@ -56,7 +56,7 @@ pub fn pivot_direct(t: &Table, col_attr: Symbol, val_attr: Symbol) -> Result<Tab
     for (k, &m) in members.iter().enumerate() {
         header[key_cols.len() + k + 1] = m;
     }
-    out.push_row(header);
+    out.push_row(&header);
     // One row per key.
     let mut grid: Vec<Vec<Symbol>> = keys
         .iter()
@@ -78,7 +78,7 @@ pub fn pivot_direct(t: &Table, col_attr: Symbol, val_attr: Symbol) -> Result<Tab
         grid[r][key_cols.len() + c + 1] = t.get(i, val_src);
     }
     for row in grid {
-        out.push_row(row);
+        out.push_row(&row);
     }
     Ok(out)
 }

@@ -341,7 +341,7 @@ impl Cube {
                 let member = rest[d].members[m];
                 let mut row = vec![member; t.width() + 1];
                 row[0] = rest[d].name;
-                t.push_row(row);
+                t.push_row(&row);
             }
             out.insert(t);
             // Odometer over the remaining dimensions.

@@ -168,7 +168,7 @@ pub fn add_totals(
         }
         row.push(agg.apply(&vals).map_or(Symbol::Null, render_measure));
     }
-    out.push_row(row);
+    out.push_row(&row);
     Ok(out)
 }
 

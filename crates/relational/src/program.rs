@@ -79,6 +79,20 @@ impl FoProgram {
         self
     }
 
+    /// Builder: the inflationary fixpoint of `rules` into `acc`. One step
+    /// `derived := rules; delta := derived − acc; acc := acc ∪ delta` runs
+    /// once, then again while `delta ≠ ∅`. `derived` and `delta` name the
+    /// step's scratch relations.
+    pub fn fixpoint(self, acc: &str, rules: RelExpr, derived: &str, delta: &str) -> FoProgram {
+        let step = |p: FoProgram| {
+            p.assign(derived, rules.clone())
+                .assign(delta, RelExpr::rel(derived).minus(RelExpr::rel(acc)))
+                .assign(acc, RelExpr::rel(acc).union(RelExpr::rel(delta)))
+        };
+        let body = step(FoProgram::new());
+        step(self).while_nonempty(delta, body)
+    }
+
     /// Run the program directly on a relational database (the reference
     /// semantics). `max_while_iters` bounds every loop.
     pub fn run(&self, db: &RelDatabase, max_while_iters: usize) -> Result<RelDatabase> {

@@ -439,17 +439,7 @@ fn translate_inner(program: &SlProgram, with_order: bool) -> Result<FoProgram> {
         let union = union.expect("non-empty stratum");
         let delta = format!("\u{1F}delta{s}");
         let derived = format!("\u{1F}derived{s}");
-        fo = fo
-            .assign(&derived, union.clone())
-            .assign(&delta, RelExpr::rel(&derived).minus(RelExpr::rel("Quad")))
-            .assign("Quad", RelExpr::rel("Quad").union(RelExpr::rel(&delta)))
-            .while_nonempty(
-                &delta,
-                FoProgram::new()
-                    .assign(&derived, union)
-                    .assign(&delta, RelExpr::rel(&derived).minus(RelExpr::rel("Quad")))
-                    .assign("Quad", RelExpr::rel("Quad").union(RelExpr::rel(&delta))),
-            );
+        fo = fo.fixpoint("Quad", union, &derived, &delta);
     }
     Ok(fo)
 }

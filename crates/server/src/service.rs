@@ -526,14 +526,13 @@ pub fn stats_json(s: &EvalStats) -> String {
     write!(
         out,
         ",\"while_fallback_naive\":{},\"join_fused\":{},\"join_unfused\":{},\"restructure_fused\":{},\
-         \"restructure_unfused\":{},\"snapshots\":{},\"cow_copies\":{},\
+         \"restructure_unfused\":{},\"cow_copies\":{},\
          \"plans_rewritten\":{},\"plan_rules_applied\":{}}}",
         s.while_fallback_naive,
         s.join_fused,
         s.join_unfused,
         s.restructure_fused,
         s.restructure_unfused,
-        s.snapshots,
         s.cow_copies,
         s.plans_rewritten,
         s.plan_rules_applied,

@@ -88,7 +88,6 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     const SNAPSHOTS: usize = 256;
     let mut snaps: Vec<Database> = Vec::with_capacity(SNAPSHOTS);
 
-    let snap_base = stats::snapshots();
     let cow_base = stats::cow_copies();
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
@@ -102,7 +101,6 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
         0,
         "Database::snapshot must be allocation-free"
     );
-    assert_eq!(stats::snapshots() - snap_base, SNAPSHOTS as u64);
     assert_eq!(
         stats::cow_copies(),
         cow_base,
@@ -178,7 +176,6 @@ fn snapshots_allocate_nothing_and_copy_no_cell_buffers() {
     let (out, run_stats, _) =
         run_governed_traced(&program, &input, &Budget::from_limits(&limits)).unwrap();
 
-    assert!(run_stats.snapshots >= 1, "the run snapshots its input");
     assert!(
         run_stats.while_delta_skipped > 0,
         "quiet body statements are delta-skipped"

@@ -106,7 +106,7 @@ proptest! {
                     let mut row = vec![attr];
                     row.extend_from_slice(r.data_row(i));
                     row.extend_from_slice(s.data_row(k));
-                    reference.push_row(row);
+                    reference.push_row(&row);
                 }
             }
         }
@@ -138,7 +138,7 @@ proptest! {
         let mut snap = db.snapshot();
         for name in db.names().iter() {
             snap.update_named(name, |t| {
-                t.push_row(vec![Symbol::value("mutant"); t.width() + 1]);
+                t.push_row(&vec![Symbol::value("mutant"); t.width() + 1]);
                 t.set(1, 0, Symbol::value("mutant"));
             });
         }
@@ -921,7 +921,7 @@ fn mutate(t: &mut Table, which: usize, s: Symbol) {
     match which {
         0 => t.set(t.height(), width, s),
         1 => t.set_name(s),
-        2 => t.push_row(vec![s; width + 1]),
+        2 => t.push_row(&vec![s; width + 1]),
         3 => t.append_rows(|rows| rows.push_row(&vec![s; width + 1])),
         _ => t.push_col(vec![s; t.height() + 1]),
     }
@@ -1012,13 +1012,13 @@ fn split_by_linear_scan(r: &Table, on: &SymbolSet, name: Symbol) -> Vec<Table> {
             for (k, &j) in a_cols.iter().enumerate() {
                 let mut row = vec![combo[k]; rest.len() + 1];
                 row[0] = r.col_attr(j);
-                t.push_row(row);
+                t.push_row(&row);
             }
             for &i in rows {
                 let mut row = Vec::with_capacity(rest.len() + 1);
                 row.push(r.get(i, 0));
                 row.extend(rest.iter().map(|&j| r.get(i, j)));
-                t.push_row(row);
+                t.push_row(&row);
             }
             t
         })
@@ -1075,7 +1075,7 @@ proptest! {
         }
         let before = t.clone();
         let before_fp = from_scratch(&before);
-        t.push_row(r.storage_row(1).to_vec());
+        t.push_row(r.storage_row(1));
         prop_assert_eq!(t.fingerprint(), from_scratch(&t));
         prop_assert_ne!(t.fingerprint(), before_fp);
         prop_assert_eq!(before.fingerprint(), before_fp);
@@ -1160,10 +1160,10 @@ fn cleanup_by_pairs(r: &Table, by: &SymbolSet, on: &SymbolSet, name: Symbol) -> 
         match groups.iter().position(|g| g.contains(&i)) {
             Some(g) if joins[g].is_some() => {
                 if groups[g][0] == i {
-                    out.push_row(joins[g].clone().unwrap());
+                    out.push_row(joins[g].as_deref().unwrap());
                 }
             }
-            _ => out.push_row(r.storage_row(i).to_vec()),
+            _ => out.push_row(r.storage_row(i)),
         }
     }
     out
@@ -1231,7 +1231,7 @@ fn merge_by_linear_block_scan(r: &Table, on: &SymbolSet, by: &SymbolSet, name: S
                     Some(&j) => r.get(i, j),
                     None => Symbol::Null,
                 }));
-                t.push_row(row);
+                t.push_row(&row);
             }
         }
     }
